@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from typing import Callable
+
+import numpy as np
 
 from .bits import Bits, validate_bits
 from .brackets import catalan_count, enumerate_bal, is_balanced, scan_matches
@@ -21,12 +23,15 @@ from .errors import (
     ParameterError,
     RangeError,
 )
+from .infotheory import group_rows
 
 DOMAIN_ALL = "all_bitstrings"
 DOMAIN_BAL = "balanced_brackets"
 
 KIND_SUM = "sum"
 KIND_MATCH = "match"
+
+_ENCODE_CHUNK = 4096
 
 
 def prefix_sum(x: Bits, i: int) -> int:
@@ -88,6 +93,13 @@ class TableDecoder:
         )
 
 
+def map_rows(fn, values: np.ndarray) -> np.ndarray:
+    """``fn(tuple(row))`` for every row of an int matrix, one call per distinct row."""
+    first, inverse = group_rows(values)
+    out = np.asarray([fn(tuple(row)) for row in values[first].tolist()])
+    return out[inverse]
+
+
 def _normalize_probe(cells, u: int) -> tuple[int, ...]:
     probe = tuple(sorted(set(int(c) for c in cells)))
     if probe and not (0 <= probe[0] and probe[-1] < u):
@@ -112,6 +124,7 @@ class Scheme:
     encoder: Callable[[Bits], tuple[int, ...]]
     decoders: tuple[Callable[[tuple[int, ...]], int], ...]
     builtin: tuple | None = field(default=None)
+    _domain: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -166,9 +179,55 @@ class Scheme:
         if len(cells) != self.u:
             raise ConsistencyError(f"encoder produced {len(cells)} cells, scheme has {self.u}")
         m = self.cell_alphabet
-        if any(not (0 <= v < m) for v in cells):
+        if cells and not (0 <= min(cells) and max(cells) < m):
             raise ConsistencyError(f"encoder output {cells} leaves the cell alphabet [0, {m})")
         return tuple(cells)
+
+    def encoded(self, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The domain as ``(bits, cells)``: |X| x n bits and |X| x u int64 cells.
+
+        Rows follow ``inputs()`` (lexicographic order).  The whole domain is
+        encoded once and cached read-only on the scheme; with ``limit`` set
+        below the domain size and nothing cached, only the first ``limit``
+        inputs are encoded.
+        """
+        if limit is not None:
+            limit = max(0, limit)
+        if self._domain is None:
+            if limit is not None and limit < self.domain_size():
+                return self._encode(limit)
+            object.__setattr__(self, "_domain", self._encode(None))
+        bits, cells = self._domain
+        return bits[:limit], cells[:limit]
+
+    def _encode(self, limit: int | None) -> tuple[np.ndarray, np.ndarray]:
+        size = self.domain_size() if limit is None else min(limit, self.domain_size())
+        inputs = islice(self.inputs(), size)
+        bits = cells = None
+        start = 0
+        while True:
+            # chunks keep the Python tuples small; the matrices are filled in place
+            xs = list(islice(inputs, _ENCODE_CHUNK))
+            encs = [self.encode(x) for x in xs]
+            if bits is None:
+                # allocated once the first inputs enumerate and encode cleanly
+                bits = np.empty((size, self.n), dtype=np.int8)
+                cells = np.empty((size, self.u), dtype=np.int64)
+            if not xs:
+                break
+            stop = start + len(xs)
+            bits[start:stop] = xs
+            cells[start:stop] = np.array(encs, dtype=np.int64).reshape(len(xs), self.u)
+            start = stop
+        bits.flags.writeable = False
+        cells.flags.writeable = False
+        return bits, cells
+
+    def oracle_rows(self, bits: np.ndarray) -> np.ndarray:
+        """Ground-truth answers (rows x n) for every row of a bits matrix."""
+        if self.kind == KIND_SUM:
+            return np.cumsum(bits, axis=1, dtype=np.int64)
+        return np.array([match_all(x) for x in bits.tolist()], dtype=np.int64).reshape(bits.shape)
 
     def answer(self, x: Bits, i: int) -> int:
         cells = self.encode(x)
@@ -231,37 +290,55 @@ class VerificationReport:
         return self.status == "pass"
 
 
-def verify_scheme(scheme: Scheme, oracle=None, max_inputs: int | None = None) -> VerificationReport:
+def verify_scheme(scheme: Scheme, *, max_inputs: int | None = None) -> VerificationReport:
     """Exhaustively compare every scheme answer against the ground truth.
 
     Inputs run in lexicographic order (optionally capped at ``max_inputs``),
     queries in ascending order, so a reported counterexample is the first one.
-    An ``oracle(x, i)`` override replaces the built-in ground truth.
     """
-    probes = scheme.probes
-    decoders = scheme.decoders
-    n = scheme.n
-    checked = 0
-    inputs_checked = 0
+    bits, cells = scheme.encoded(max_inputs)
+    # one query column at a time: Sum against a running prefix sum, Match
+    # against one scan of every input
+    matches = scheme.oracle_rows(bits) if scheme.kind == KIND_MATCH else None
+    expected = np.zeros(len(bits), dtype=np.int64)
     failures = 0
     first: Counterexample | None = None
-    for x in scheme.inputs():
-        if max_inputs is not None and inputs_checked >= max_inputs:
-            break
-        inputs_checked += 1
-        cells = scheme.encode(x)
-        expected_all = None if oracle is not None else scheme.oracle_all(x)
-        for i in range(1, n + 1):
-            probe = probes[i - 1]
-            got = decoders[i - 1](tuple(cells[c] for c in probe))
-            expected = oracle(x, i) if oracle is not None else expected_all[i - 1]
-            checked += 1
-            if got != expected:
-                failures += 1
-                if first is None:
-                    first = Counterexample(x=x, i=i, got=got, expected=expected)
+    first_row = len(bits)
+    for i in range(1, scheme.n + 1):
+        if matches is None:
+            expected += bits[:, i - 1]
+        else:
+            expected = matches[:, i - 1]
+        got = map_rows(scheme.decoders[i - 1], cells[:, list(scheme.probes[i - 1])])
+        wrong = got != expected
+        count = int(np.count_nonzero(wrong))
+        failures += count
+        # the earliest input wins; on a tie the earlier query, seen first, stays
+        row = int(np.argmax(wrong)) if count else first_row
+        if row < first_row:
+            first_row = row
+            first = Counterexample(x=tuple(bits[row].tolist()), i=i,
+                                   got=int(got[row]), expected=int(expected[row]))
     status = "pass" if failures == 0 else "fail"
-    return VerificationReport(status, checked, inputs_checked, failures, first)
+    return VerificationReport(status, len(bits) * scheme.n, len(bits), failures, first)
+
+
+def _cell_set(scheme: Scheme, b_cells) -> tuple[int, ...]:
+    b_sorted = tuple(sorted(set(int(c) for c in b_cells)))
+    if b_sorted and not (0 <= b_sorted[0] and b_sorted[-1] < scheme.u):
+        raise ParameterError(f"cell set {b_sorted} not within [0, {scheme.u})")
+    return b_sorted
+
+
+def _modal_rows(scheme: Scheme, b_sorted: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """Modal value z of the cells in B and the domain rows that carry it."""
+    _, cells = scheme.encoded()
+    if not b_sorted:
+        return (), np.arange(len(cells))
+    first, inverse = group_rows(cells[:, list(b_sorted)])
+    # groups are numbered in lexicographic order, so argmax breaks ties low
+    best = int(np.argmax(np.bincount(inverse)))
+    return tuple(cells[first[best], list(b_sorted)].tolist()), np.flatnonzero(inverse == best)
 
 
 def most_likely_cell_values(scheme: Scheme, b_cells) -> tuple[tuple[int, ...], tuple[Bits, ...]]:
@@ -270,39 +347,25 @@ def most_likely_cell_values(scheme: Scheme, b_cells) -> tuple[tuple[int, ...], t
     Ties go to the lexicographically smallest z.  The pigeonhole bound
     |X| >= |domain| / alphabet^|B| always holds for the returned X.
     """
-    b_sorted = tuple(sorted(set(int(c) for c in b_cells)))
-    if b_sorted and not (0 <= b_sorted[0] and b_sorted[-1] < scheme.u):
-        raise ParameterError(f"cell set {b_sorted} not within [0, {scheme.u})")
-    if not b_sorted:
-        return (), tuple(scheme.inputs())
-    counts: dict[tuple[int, ...], int] = {}
-    for x in scheme.inputs():
-        cells = scheme.encode(x)
-        key = tuple(cells[c] for c in b_sorted)
-        counts[key] = counts.get(key, 0) + 1
-    best_count = max(counts.values())
-    z = min(k for k, v in counts.items() if v == best_count)
-    survivors = tuple(
-        x for x in scheme.inputs()
-        if tuple(scheme.encode(x)[c] for c in b_sorted) == z
-    )
-    return z, survivors
+    z, rows = _modal_rows(scheme, _cell_set(scheme, b_cells))
+    return z, tuple(map(tuple, scheme.encoded()[0][rows].tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RestrictedScheme:
     """A scheme with the cells in B hardwired to the fixed values z.
 
-    ``reduced_probes`` keeps original cell indices; ``renamed_probes`` maps
-    them into [0, u') over the surviving cells, matching the order of
-    ``restricted_encoding``.  On every surviving input the reduced decoders
-    reproduce the base scheme's answers.
+    ``rows`` indexes the surviving inputs in the base scheme's encoded
+    domain.  ``reduced_probes`` keeps original cell indices;
+    ``renamed_probes`` maps them into [0, u') over the surviving cells,
+    matching the column order of ``cells()``.  On every surviving input the
+    reduced decoders reproduce the base scheme's answers.
     """
 
     base: Scheme
     fixed_cells: tuple[int, ...]
     fixed_values: tuple[int, ...]
-    surviving: tuple[Bits, ...]
+    rows: np.ndarray
     kept_cells: tuple[int, ...]
     reduced_probes: tuple[tuple[int, ...], ...]
     renamed_probes: tuple[tuple[int, ...], ...]
@@ -311,13 +374,26 @@ class RestrictedScheme:
     def u_prime(self) -> int:
         return len(self.kept_cells)
 
+    @property
+    def surviving(self) -> tuple[Bits, ...]:
+        """The surviving inputs X, as bit tuples."""
+        return tuple(map(tuple, self.surviving_bits().tolist()))
+
+    def surviving_bits(self) -> np.ndarray:
+        """The surviving inputs as a |X| x n bits matrix."""
+        return self.base.encoded()[0][self.rows]
+
+    def cells(self) -> np.ndarray:
+        """Enc'(x) for every surviving x, as a |X| x u' matrix (set Y)."""
+        return self.base.encoded()[1][np.ix_(self.rows, self.kept_cells)]
+
     def restricted_encoding(self, x: Bits) -> tuple[int, ...]:
         cells = self.base.encode(x)
         return tuple(cells[c] for c in self.kept_cells)
 
     def encodings(self) -> tuple[tuple[int, ...], ...]:
         """Enc'(x) for every surviving x, in the surviving order (set Y)."""
-        return tuple(self.restricted_encoding(x) for x in self.surviving)
+        return tuple(map(tuple, self.cells().tolist()))
 
     def decode_reduced(self, i: int, values: tuple[int, ...]) -> int:
         """Apply d'_i: merge fixed cell values back in, then run the base decoder."""
@@ -334,6 +410,26 @@ class RestrictedScheme:
         values = tuple(cells[c] for c in self.reduced_probes[i - 1])
         return self.decode_reduced(i, values)
 
+    def preserves_answers(self, limit: int | None = None) -> bool:
+        """Whether d'_i equals d_i on the first ``limit`` survivors (all by default)."""
+        cells = self.base.encoded()[1]
+        rows = self.rows[:limit]
+        for i, (probe, reduced) in enumerate(zip(self.base.probes, self.reduced_probes), start=1):
+            base = map_rows(self.base.decoders[i - 1], cells[np.ix_(rows, probe)])
+            mine = map_rows(lambda v, i=i: self.decode_reduced(i, v), cells[np.ix_(rows, reduced)])
+            if not np.array_equal(mine, base):
+                return False
+        return True
+
+
+def _domain_rows(scheme: Scheme, xs) -> np.ndarray:
+    bits, _ = scheme.encoded()
+    index = {x: k for k, x in enumerate(map(tuple, bits.tolist()))}
+    try:
+        return np.array([index[x] for x in xs], dtype=np.int64)
+    except KeyError as err:
+        raise DomainError(f"input {err.args[0]} is outside the scheme's domain") from None
+
 
 def restrict_scheme(scheme: Scheme, b_cells, z=None, survivors=None) -> RestrictedScheme:
     """Fix the cells in B to z and keep only the inputs X that agree with z.
@@ -341,16 +437,18 @@ def restrict_scheme(scheme: Scheme, b_cells, z=None, survivors=None) -> Restrict
     With z/survivors omitted they default to the most likely value and its
     preimage.  Supplying an x whose encoding disagrees with z is an error.
     """
-    b_sorted = tuple(sorted(set(int(c) for c in b_cells)))
+    b_sorted = _cell_set(scheme, b_cells)
     if z is None or survivors is None:
-        z, survivors = most_likely_cell_values(scheme, b_sorted)
-    z = tuple(z)
-    survivors = tuple(tuple(x) for x in survivors)
-    if len(z) != len(b_sorted):
-        raise ConsistencyError(f"{len(b_sorted)} cells fixed but {len(z)} values given")
-    for x in survivors:
-        cells = scheme.encode(x)
-        if tuple(cells[c] for c in b_sorted) != z:
+        z, rows = _modal_rows(scheme, b_sorted)
+    else:
+        z = tuple(z)
+        survivors = tuple(tuple(x) for x in survivors)
+        if len(z) != len(b_sorted):
+            raise ConsistencyError(f"{len(b_sorted)} cells fixed but {len(z)} values given")
+        rows = _domain_rows(scheme, survivors)
+        agree = (scheme.encoded()[1][np.ix_(rows, b_sorted)] == np.array(z, dtype=np.int64)).all(axis=1)
+        if not agree.all():
+            x = survivors[int(np.argmin(agree))]
             raise ConsistencyError(f"input {x} does not have value {z} on cells {b_sorted}")
     b_set = set(b_sorted)
     kept = tuple(c for c in range(scheme.u) if c not in b_set)
@@ -361,7 +459,7 @@ def restrict_scheme(scheme: Scheme, b_cells, z=None, survivors=None) -> Restrict
         base=scheme,
         fixed_cells=b_sorted,
         fixed_values=z,
-        surviving=survivors,
+        rows=rows,
         kept_cells=kept,
         reduced_probes=reduced,
         renamed_probes=renamed,
@@ -370,8 +468,4 @@ def restrict_scheme(scheme: Scheme, b_cells, z=None, survivors=None) -> Restrict
 
 def check_restriction(rs: RestrictedScheme) -> bool:
     """Exhaustive answer-preservation check over the surviving inputs."""
-    for x in rs.surviving:
-        for i in range(1, rs.base.n + 1):
-            if rs.answer(x, i) != rs.base.answer(x, i):
-                return False
-    return True
+    return rs.preserves_answers()

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+import numpy as np
+
 from .errors import DomainError, HypothesisError, ParameterError
-from .infotheory import Distribution, conditional_entropy, entropy
+from .infotheory import as_counts, entropy_by_group, group_rows, mean_entropy, sum_by
 
 _TOL = 1e-9
 
@@ -83,24 +85,25 @@ class PrefixSetReport:
     claim_half_ok: bool         # Pr[Y in A] >= 1/2
 
 
-def good_prefix_set(dist: Distribution, p: int, j: int, c,
+def good_prefix_set(dist, p: int, j: int, c,
                     require_hypothesis: bool = True) -> PrefixSetReport:
     """Prefixes y of length p whose conditional block (p..j] keeps near-full entropy.
 
+    ``dist`` is a ``Distribution`` or a ``CountMatrix``.
     Zero-probability prefixes are excluded (their conditional entropy is
     undefined and they carry no mass).  When the entropy hypothesis
     H(block | prefix) >= (j-p) - 1/c fails, either raises or reports per
     ``require_hypothesis``.
     """
-    n = dist.arity
+    cm = as_counts(dist)
+    n = cm.width
     if not 0 <= p < j <= n:
         raise ParameterError(f"need 0 <= p < j <= {n}, got p={p} j={j}")
     if float(c) <= 0:
         raise ParameterError(f"c must be positive, got {c}")
-    y_coords = tuple(range(p))
-    z_coords = tuple(range(p, j))
     span = j - p
-    measured = conditional_entropy(dist, z_coords, y_coords)
+    prefixes, weights, entropies = entropy_by_group(cm, range(p, j), range(p))
+    measured = mean_entropy(weights, entropies, cm.denom)
     floor = span - 1 / float(c)
     hypothesis_ok = measured >= floor - _TOL
     if require_hypothesis and not hypothesis_ok:
@@ -109,23 +112,13 @@ def good_prefix_set(dist: Distribution, p: int, j: int, c,
             measured=measured,
         )
     member_floor = span - 2 / float(c)
-    # one pass: bucket the block distribution under each prefix value
-    buckets: dict[tuple, dict[tuple, Fraction]] = {}
-    weights: dict[tuple, Fraction] = {}
-    for outcome, prob in dist.items():
-        y = outcome[:p]
-        z = outcome[p:j]
-        bucket = buckets.setdefault(y, {})
-        bucket[z] = bucket.get(z, 0) + prob
-        weights[y] = weights.get(y, 0) + prob
     members = []
-    pr_a = Fraction(0)
-    for y in sorted(buckets):
-        w = weights[y]
-        h = entropy(Distribution({z: pz / w for z, pz in buckets[y].items()}))
+    mass = 0
+    for y, w, h in zip(prefixes.tolist(), weights, entropies):
         if h >= member_floor - _TOL:
-            members.append(y)
-            pr_a += w
+            members.append(tuple(y))
+            mass += w
+    pr_a = Fraction(mass, cm.denom)
     return PrefixSetReport(
         A=tuple(members),
         pr_A=pr_a,
@@ -145,31 +138,35 @@ class ThresholdReport:
     pr_lower_tail: Fraction  # Pr[Y in A and sum <= t]
 
 
-def find_threshold(dist: Distribution, a_set, p: int) -> ThresholdReport:
+def find_threshold(dist, a_set, p: int) -> ThresholdReport:
     """Largest integer t with Pr[prefix in A and prefix-sum >= t] >= 1/4."""
+    cm = as_counts(dist)
     members = {tuple(y) for y in a_set}
-    mass_by_sum: dict[int, Fraction] = {}
-    for outcome, prob in dist.items():
-        y = outcome[:p]
-        if y in members:
-            s = sum(y)
-            mass_by_sum[s] = mass_by_sum.get(s, 0) + prob
-    total = sum(mass_by_sum.values(), Fraction(0))
-    quarter = Fraction(1, 4)
-    if total < quarter:
+    prefix = cm.rows[:, :p]
+    first, inverse = group_rows(prefix)
+    in_a = np.array([tuple(y) in members for y in prefix[first].tolist()], dtype=bool)
+    mask = in_a[inverse]
+    sums, at_sum = np.unique(prefix[mask].sum(axis=1), return_inverse=True)
+    mass = sum_by(len(sums), at_sum, cm.counts[mask])
+    mass_by_sum = dict(zip(sums.tolist(), mass.tolist()))
+    denom = cm.denom
+    total = sum(mass_by_sum.values())
+    if 4 * total < denom:
         raise DomainError(
-            f"Pr[prefix in A] = {total} < 1/4; no threshold integer exists"
+            f"Pr[prefix in A] = {Fraction(total, denom)} < 1/4; no threshold integer exists"
         )
     t = 0
-    tail = total  # Pr[sum >= 0] over A
+    tail = total  # count of sum >= 0 over A
     while True:
-        next_tail = sum((m for s, m in mass_by_sum.items() if s >= t + 1), Fraction(0))
-        if next_tail < quarter:
+        next_tail = sum(m for s, m in mass_by_sum.items() if s >= t + 1)
+        if 4 * next_tail < denom:
             break
         t += 1
         tail = next_tail
-    lower = sum((m for s, m in mass_by_sum.items() if s <= t), Fraction(0))
-    return ThresholdReport(t=t, pr_at_t=tail, pr_at_next=next_tail, pr_lower_tail=lower)
+    lower = sum(m for s, m in mass_by_sum.items() if s <= t)
+    return ThresholdReport(t=t, pr_at_t=Fraction(tail, denom),
+                           pr_at_next=Fraction(next_tail, denom),
+                           pr_lower_tail=Fraction(lower, denom))
 
 
 @dataclass(frozen=True)
@@ -247,40 +244,34 @@ def _finish(p, i, j, ell, d, c, prefix_report, a_size, pr_a, threshold,
     )
 
 
-def entropy_sum_analysis(dist: Distribution, p: int, i: int, j: int, c,
+def entropy_sum_analysis(dist, p: int, i: int, j: int, c,
                          require_hypothesis: bool = True) -> EntropySumWitness:
-    """Exact threshold analysis by enumeration over the distribution's support."""
-    ell, d, _ = _validate_indices(dist.arity, p, i, j, c)
-    prefix = good_prefix_set(dist, p, j, c, require_hypothesis=require_hypothesis)
-    threshold = find_threshold(dist, prefix.A, p)
+    """Exact threshold analysis by enumeration over the distribution's support.
+
+    ``dist`` is a ``Distribution`` or a ``CountMatrix``.
+    """
+    cm = as_counts(dist)
+    ell, d, _ = _validate_indices(cm.width, p, i, j, c)
+    prefix = good_prefix_set(cm, p, j, c, require_hypothesis=require_hypothesis)
+    threshold = find_threshold(cm, prefix.A, p)
     term = stretch_term(c, d)
     s_cut = Fraction(threshold.t) + Fraction(ell + d, 2) + term if isinstance(term, Fraction) \
         else threshold.t + (ell + d) / 2 + term
     sp_cut = Fraction(threshold.t) + Fraction(ell, 2)
     blk_cut = Fraction(d, 2) + term if isinstance(term, Fraction) else d / 2 + term
 
-    P_upper = Fraction(0)
-    P_lower = Fraction(0)
-    P_lower_leq = Fraction(0)
-    P_joint = Fraction(0)
-    block_bound = Fraction(0)
-    for outcome, prob in dist.items():
-        sum_j = sum(outcome[:j])
-        sum_i = sum(outcome[:i])
-        upper = sum_j >= s_cut
-        lower = sum_i < sp_cut
-        if upper:
-            P_upper += prob
-        if lower:
-            P_lower += prob
-        if sum_i <= sp_cut:
-            P_lower_leq += prob
-        if upper and lower:
-            P_joint += prob
-        if sum_j - sum_i >= blk_cut:
-            block_bound += prob
-    return _finish(p, i, j, ell, d, c, prefix, len(prefix.A), prefix.pr_A,
-                   threshold, P_upper, P_lower, P_lower_leq, P_joint, block_bound)
+    # the sums are integers, so each real cut compares through its ceiling or floor
+    sum_j = cm.rows[:, :j].sum(axis=1)
+    sum_i = cm.rows[:, :i].sum(axis=1)
+    upper = sum_j >= math.ceil(s_cut)
+    lower = sum_i < math.ceil(sp_cut)
+
+    def prob(mask) -> Fraction:
+        return Fraction(int(cm.counts[mask].sum()), cm.denom)
+
+    return _finish(p, i, j, ell, d, c, prefix, len(prefix.A), prefix.pr_A, threshold,
+                   prob(upper), prob(lower), prob(sum_i <= math.floor(sp_cut)),
+                   prob(upper & lower), prob(sum_j - sum_i >= math.ceil(blk_cut)))
 
 
 def entropy_sum_analysis_uniform(n: int, p: int, i: int, j: int, c) -> EntropySumWitness:

@@ -3,6 +3,13 @@
 Probabilities are kept as exact rationals whenever the caller supplies them
 that way; entropies are real-valued (bits, base-2 logs).  Inequality checks
 elsewhere in the package compare against these values with a 1e-9 tolerance.
+
+The measurements over large supports run on ``CountMatrix``: outcome rows in
+an int matrix with integer counts over one denominator.  They bucket counts
+with numpy and make a ``Fraction`` only for a value they return.  Each float
+they return is the one the ``Fraction`` route gives, bit for bit: a ratio is
+reduced by its gcd before its log is taken, and sums go through ``fsum``,
+which rounds exactly and so does not depend on order.
 """
 
 from __future__ import annotations
@@ -126,14 +133,14 @@ class Distribution:
         return Distribution({o: p / total for o, p in hits})
 
     def integer_counts(self):
-        """(rows, counts, denom) with counts/denom == probabilities, all exact ints."""
-        denom = 1
-        for _, p in self._items:
-            if not isinstance(p, Fraction):
-                raise ParameterError("integer_counts requires exact rational probabilities")
-            denom = denom * p.denominator // math.gcd(denom, p.denominator)
+        """(rows, counts, denom) with counts/denom == probabilities, all exact ints.
+
+        A float probability counts at the exact binary fraction it holds.
+        """
+        probs = [p if isinstance(p, Fraction) else Fraction(p) for _, p in self._items]
+        denom = math.lcm(*(p.denominator for p in probs))
         rows = [o for o, _ in self._items]
-        counts = [int(p * denom) for _, p in self._items]
+        counts = [p.numerator * (denom // p.denominator) for p in probs]
         return rows, counts, denom
 
 
@@ -142,29 +149,95 @@ def entropy(dist: Distribution) -> float:
     return fsum(-float(p) * _lg(p) for _, p in dist.items())
 
 
-def conditional_entropy(dist: Distribution, target, given) -> float:
+def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of a k x w int matrix.
+
+    Returns ``(first, inverse)``.  Groups are numbered in lexicographic order
+    of their rows, ``first[g]`` is the index of the first row of group g and
+    ``inverse[r]`` is the group of row r.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    k, w = values.shape
+    lo = int(values.min()) if values.size else 0
+    radix = int(values.max()) - lo + 1 if values.size else 1
+    space = radix ** w
+    if space >= 2 ** 63:
+        order = np.lexsort(values.T[::-1])
+        ordered = values[order]
+        starts = np.ones(k, dtype=bool)
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        inverse = np.empty(k, dtype=np.int64)
+        inverse[order] = np.cumsum(starts) - 1
+        return order[starts], inverse
+    # fold each row into one key; key order is lexicographic row order
+    key = np.zeros(k, dtype=np.int64)
+    for c in range(w):
+        key = key * radix + (values[:, c] - lo)
+    # the narrowest unsigned key type lets numpy's stable sort use radix passes
+    key = key.astype(np.min_scalar_type(space - 1))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse.reshape(k)
+
+
+def sum_by(groups: int, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Total of ``counts`` in each group; keeps the dtype (int64 or Python-int object)."""
+    acc = np.zeros(groups, dtype=counts.dtype)
+    np.add.at(acc, inverse, counts)
+    return acc
+
+
+def _neg_plogp(c: int, w: int) -> float:
+    """-(c/w) lg(c/w) exactly as the reduced Fraction c/w gives it."""
+    g = math.gcd(c, w)
+    return -(c / w) * (math.log2(c // g) - math.log2(w // g))
+
+
+def entropy_by_group(dist, target, given) -> tuple[np.ndarray, list[int], list[float]]:
+    """H(target-coords | given-coords = g) for every value g of the given coords.
+
+    Returns ``(values, weights, entropies)`` in lexicographic order of g:
+    the given-coordinate values, each one's count (out of ``denom`` of the
+    count matrix) and the entropy of the target coordinates under it.
+    """
+    cm = as_counts(dist)
+    target, given = list(target), list(given)
+    g_first, g_inv = group_rows(cm.rows[:, given])
+    # pairs sort by (given, target), so each group's pairs are contiguous
+    p_first, p_inv = group_rows(cm.rows[:, given + target])
+    pair_counts = sum_by(len(p_first), p_inv, cm.counts)
+    pair_group = g_inv[p_first]
+    weights = sum_by(len(g_first), pair_group, pair_counts).tolist()
+    ends = np.cumsum(np.bincount(pair_group, minlength=len(g_first))).tolist()
+    pair_counts = pair_counts.tolist()
+    terms: dict[tuple[int, int], float] = {}
+    entropies = []
+    start = 0
+    for w, end in zip(weights, ends):
+        parts = []
+        for c in pair_counts[start:end]:
+            t = terms.get((c, w))
+            if t is None:
+                t = terms[(c, w)] = _neg_plogp(c, w)
+            parts.append(t)
+        entropies.append(fsum(parts))
+        start = end
+    return cm.rows[np.ix_(g_first, given)], weights, entropies
+
+
+def mean_entropy(weights, entropies, denom: int) -> float:
+    """Sum over groups of Pr[g] * H(. | g), with Pr[g] = weight / denom."""
+    return fsum((w / denom) * h for w, h in zip(weights, entropies))
+
+
+def conditional_entropy(dist, target, given) -> float:
     """H(target-coords | given-coords), computed from the definition.
 
-    An empty ``given`` yields the unconditional entropy of the target marginal.
+    ``dist`` is a ``Distribution`` or a ``CountMatrix``.  An empty ``given``
+    yields the unconditional entropy of the target marginal.
     """
-    target = tuple(target)
-    given = tuple(given)
-    if not given:
-        return entropy(dist.marginal(target))
-    groups: dict[Outcome, dict[Outcome, object]] = {}
-    weights: dict[Outcome, object] = {}
-    for o, p in dist.items():
-        g = tuple(o[c] for c in given)
-        t = tuple(o[c] for c in target)
-        bucket = groups.setdefault(g, {})
-        bucket[t] = bucket.get(t, 0) + p
-        weights[g] = weights.get(g, 0) + p
-    parts = []
-    for g in sorted(groups):
-        w = weights[g]
-        h = fsum(-float(p / w) * _lg(p / w) for p in groups[g].values())
-        parts.append(float(w) * h)
-    return fsum(parts)
+    cm = as_counts(dist)
+    _, weights, entropies = entropy_by_group(cm, target, given)
+    return mean_entropy(weights, entropies, cm.denom)
 
 
 def tv_distance(d1: Distribution, d2: Distribution):
@@ -255,12 +328,14 @@ def validate_blocks(sizes, n: int) -> tuple[int, ...]:
     return sizes
 
 
-def as_uniform_distribution(x) -> Distribution:
-    if isinstance(x, Distribution):
-        if not x.is_uniform():
+def as_uniform_counts(x) -> "CountMatrix":
+    """A uniform CountMatrix from a CountMatrix, a Distribution or a set of outcomes."""
+    if isinstance(x, (Distribution, CountMatrix)):
+        cm = as_counts(x)
+        if (cm.counts != cm.counts[0]).any():
             raise ParameterError("expected a uniform distribution over the input set")
-        return x
-    return Distribution.uniform(x)
+        return cm
+    return CountMatrix(Distribution.uniform(x))
 
 
 def good_blocks(x_set, sizes, eps) -> GoodSetReport:
@@ -271,11 +346,11 @@ def good_blocks(x_set, sizes, eps) -> GoodSetReport:
     when H(Z_i | Z_1..Z_{i-1}) >= s_i - eps, measured exactly from X.  At
     least k - a/eps blocks are good, where a = n - lg|X|.
     """
-    dist = as_uniform_distribution(x_set)
+    dist = as_uniform_counts(x_set)
     eps = float(eps)
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    n = dist.arity
+    n = dist.width
     sizes = validate_blocks(sizes, n)
     a = n - math.log2(len(dist))
     scores = []
@@ -302,39 +377,63 @@ def good_blocks(x_set, sizes, eps) -> GoodSetReport:
 
 
 class CountMatrix:
-    """Integer-count view of an exact distribution, for subset statistics.
+    """Integer-count view of a distribution, for subset statistics.
 
-    Rows are the support outcomes, ``counts[i]/denom`` their probabilities.
-    All derived quantities (joint counts, TV distances) stay exact.
+    Rows are the distinct support outcomes in lexicographic order,
+    ``counts[i]/denom`` their probabilities.  Counts are int64 while
+    ``denom`` fits int64 and Python ints beyond.  All derived quantities
+    (joint counts, TV distances) stay exact.
     """
 
     def __init__(self, dist: Distribution):
         rows, counts, denom = dist.integer_counts()
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.counts = np.asarray(counts, dtype=np.int64)
+        self._set(np.asarray(rows, dtype=np.int64).reshape(len(rows), dist.arity), counts, denom)
+
+    @classmethod
+    def from_rows(cls, rows, counts=None) -> "CountMatrix":
+        """Distribution of the rows of an int matrix, each row weighted by its
+        count (1 by default); equal rows merge."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if counts is None:
+            counts = np.ones(len(rows), dtype=np.int64)
+        first, inverse = group_rows(rows)
+        merged = sum_by(len(first), inverse, np.asarray(counts, dtype=np.int64))
+        cm = cls.__new__(cls)
+        cm._set(rows[first], merged, int(merged.sum()))
+        return cm
+
+    def _set(self, rows: np.ndarray, counts, denom: int) -> None:
+        if denom <= 0:
+            raise ParameterError("a count matrix needs positive total mass")
+        self.rows = rows
+        # counts never exceed denom; past int64 they stay Python ints
+        self.counts = np.asarray(counts, dtype=np.int64 if denom < 2 ** 63 else object)
         self.denom = denom
-        self.width = self.rows.shape[1] if self.rows.ndim == 2 else 0
+        self.width = rows.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _counts_on(self, cols) -> tuple[np.ndarray, np.ndarray]:
+        """(distinct values, counts) of the projection onto ``cols``, in lexicographic order."""
+        cols = list(cols)
+        first, inverse = group_rows(self.rows[:, cols])
+        return self.rows[np.ix_(first, cols)], sum_by(len(first), inverse, self.counts)
 
     def joint_counts(self, cols, alphabet: int):
-        """Sorted (key, count) pairs for the projection onto ``cols``."""
-        cols = tuple(cols)
-        if alphabet ** len(cols) >= 2 ** 62:
-            # folded keys would overflow int64; group through Python ints
-            grouped: dict[int, int] = {}
-            for row, cnt in zip(self.rows.tolist(), self.counts.tolist()):
-                key = 0
-                for c in cols:
-                    key = key * alphabet + row[c]
-                grouped[key] = grouped.get(key, 0) + cnt
-            keys = sorted(grouped)
-            return keys, [grouped[k] for k in keys]
-        key = np.zeros(len(self.rows), dtype=np.int64)
-        for c in cols:
-            key = key * alphabet + self.rows[:, c]
-        uniq, inverse = np.unique(key, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(acc, inverse, self.counts)
-        return uniq, acc
+        """Sorted (key, count) pairs for the projection onto ``cols``.
+
+        Keys fold each projected row in base ``alphabet``, first column most
+        significant.
+        """
+        values, acc = self._counts_on(cols)
+        keys = []
+        for row in values.tolist():
+            key = 0
+            for v in row:
+                key = key * alphabet + v
+            keys.append(key)
+        return keys, acc.tolist()
 
     def tv_uniform(self, cols, alphabet: int) -> Fraction:
         """Exact TV distance between the projection onto ``cols`` and uniform."""
@@ -342,10 +441,8 @@ class CountMatrix:
         space = alphabet ** len(cols)
         if not cols:
             return Fraction(0)
-        _, acc = self.joint_counts(cols, alphabet)
-        if isinstance(acc, list):
-            present = sum(abs(cnt * space - self.denom) for cnt in acc)
-        elif space * self.denom < 2 ** 62:
+        _, acc = self._counts_on(cols)
+        if space * self.denom < 2 ** 62:
             present = int(np.abs(acc * space - self.denom).sum())
         else:
             present = sum(abs(cnt * space - self.denom) for cnt in acc.tolist())
@@ -353,12 +450,17 @@ class CountMatrix:
         return Fraction(present + missing, 2 * self.denom * space)
 
     def column_entropy(self, col: int) -> float:
-        _, acc = self.joint_counts((col,), 1 + int(self.rows[:, col].max(initial=0)))
+        _, acc = self._counts_on((col,))
         d = self.denom
         return fsum(-(c / d) * math.log2(c / d) for c in acc.tolist())
 
 
-def good_cells(dist: Distribution, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> GoodSetReport:
+def as_counts(dist) -> CountMatrix:
+    """``dist`` as a CountMatrix; a Distribution is converted."""
+    return dist if isinstance(dist, CountMatrix) else CountMatrix(dist)
+
+
+def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> GoodSetReport:
     """Cell columns G such that every q-subset of G is jointly eta-close to uniform.
 
     Builds G greedily: all q-subsets are tested exactly once; while any subset
@@ -374,12 +476,12 @@ def good_cells(dist: Distribution, q: int, eta, alphabet: int, max_subsets: int 
     eta_f = Fraction(eta) if not isinstance(eta, Fraction) else eta
     if eta_f <= 0:
         raise ParameterError(f"eta must be positive, got {eta}")
-    u = dist.arity
+    cm = as_counts(dist)
+    u = cm.width
     n_subsets = math.comb(u, q)
     if n_subsets > max_subsets:
         raise SizeError(f"{n_subsets} subsets of size {q} exceed the exhaustive limit {max_subsets}")
-    cm = CountMatrix(dist)
-    a = u * math.log2(alphabet) - math.log2(len(dist))
+    a = u * math.log2(alphabet) - math.log2(len(cm))
     deficiency = tuple(math.log2(alphabet) - cm.column_entropy(c) for c in range(u))
 
     failing = []

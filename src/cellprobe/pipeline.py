@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .brackets import scan_matches, unmatched_close_prob, unmatched_open_prob
+from .brackets import unmatched_close_prob, unmatched_open_prob
 from .core import (
     DOMAIN_ALL,
     DOMAIN_BAL,
@@ -23,13 +23,13 @@ from .core import (
     KIND_SUM,
     RestrictedScheme,
     Scheme,
-    most_likely_cell_values,
+    map_rows,
     redundancy,
     restrict_scheme,
 )
 from .entropy_sum import entropy_sum_analysis
 from .errors import ParameterError, SizeError
-from .infotheory import CountMatrix, Distribution, good_blocks, good_cells
+from .infotheory import CountMatrix, good_blocks, good_cells
 from .separator import find_separator, find_separator_brackets, pairwise_disjoint
 from .stretcher import StretcherWindowError, find_stretcher
 from .textfmt import fmt, machine_value as _mval
@@ -222,29 +222,24 @@ def _inverse(c) -> Fraction:
 
 def _fixing_stage(scheme: Scheme, b_cells) -> tuple[StageRecord, RestrictedScheme]:
     """Fix the separator cells to their most likely joint value."""
-    z, survivors = most_likely_cell_values(scheme, b_cells)
-    rs = restrict_scheme(scheme, b_cells, z, survivors)
+    rs = restrict_scheme(scheme, b_cells)
+    survivors = len(rs.rows)
     dom = scheme.domain_size()
     m = scheme.cell_alphabet
-    pigeon = len(survivors) * (m ** len(b_cells)) >= dom
-    deficiency = math.log2(dom) - math.log2(len(survivors))
-    cap = max(1, _PRESERVE_CAP // max(1, scheme.n))
-    sample = survivors[:cap]
-    preserved = all(
-        rs.answer(x, i) == scheme.answer(x, i)
-        for x in sample
-        for i in range(1, scheme.n + 1)
-    )
+    pigeon = survivors * (m ** len(b_cells)) >= dom
+    deficiency = math.log2(dom) - math.log2(survivors)
+    sample = min(survivors, max(1, _PRESERVE_CAP // max(1, scheme.n)))
+    preserved = rs.preserves_answers(sample)
     record = StageRecord(
         "cell-fixing",
         (
             ("fixed_cells", tuple(b_cells)),
-            ("fixed_values", z),
-            ("survivors", len(survivors)),
+            ("fixed_values", rs.fixed_values),
+            ("survivors", survivors),
             ("deficiency_bits", deficiency),
             ("u_prime", rs.u_prime),
-            ("preserved_inputs_checked", len(sample)),
-            ("preservation_exhaustive", len(sample) == len(survivors)),
+            ("preserved_inputs_checked", sample),
+            ("preservation_exhaustive", sample == survivors),
         ),
         (
             ("pigeonhole", pigeon),
@@ -258,10 +253,7 @@ def _good_cells_core(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set)
     """Shared near-uniform-cells work: filter cells, project queries, pair TVs."""
     m = scheme.cell_alphabet
     u_p = rs.u_prime
-    y_counts: dict[tuple, int] = {}
-    for y in rs.encodings():
-        y_counts[y] = y_counts.get(y, 0) + 1
-    y_dist = Distribution.from_counts(y_counts)
+    y_dist = CountMatrix.from_rows(rs.cells())
     subset_size = min(2 * scheme.q, u_p)
     report = None
     skipped = False
@@ -275,7 +267,6 @@ def _good_cells_core(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set)
             skipped = True
             good0 = frozenset(range(u_p))
     v2 = tuple(v for v in v_set if set(rs.renamed_probes[v - 1]) <= good0)
-    cm = CountMatrix(y_dist)
     pair_list = list(combinations(v2, 2))
     sampled = len(pair_list) > _PAIR_CAP
     pair_list = pair_list[:_PAIR_CAP]
@@ -283,7 +274,7 @@ def _good_cells_core(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set)
     pairs_ok = True
     for i, j in pair_list:
         cols = rs.renamed_probes[i - 1] + rs.renamed_probes[j - 1]
-        tv = cm.tv_uniform(cols, m) if cols else Fraction(0)
+        tv = y_dist.tv_uniform(cols, m) if cols else Fraction(0)
         if tv > max_tv:
             max_tv = tv
         if tv > eta:
@@ -304,25 +295,25 @@ def _good_cells_core(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set)
         ("kept_count", (report.size_bound_ok if report else True)),
         ("pair_tv", pairs_ok),
     ]
-    return fields, checks, v2, y_dist
+    return fields, checks, v2
+
+
+def _event_probs(ei, ej) -> tuple[Fraction, Fraction, Fraction]:
+    """Pr[ei], Pr[ej] and Pr[ei and ej] over the rows of two event columns."""
+    total = len(ei)
+    return (Fraction(int(ei.sum()), total), Fraction(int(ej.sum()), total),
+            Fraction(int((ei & ej).sum()), total))
 
 
 def _event_probs_y(rs: RestrictedScheme, i: int, j: int, pred_i, pred_j):
     """Joint and marginal event probabilities of the reduced decoders over Y."""
-    qi = rs.renamed_probes[i - 1]
-    qj = rs.renamed_probes[j - 1]
-    ci = cj = cb = 0
-    enc = rs.encodings()
-    for y in enc:
-        di = rs.decode_reduced(i, tuple(y[t] for t in qi))
-        dj = rs.decode_reduced(j, tuple(y[t] for t in qj))
-        ei = pred_i(di)
-        ej = pred_j(dj)
-        ci += ei
-        cj += ej
-        cb += ei and ej
-    total = len(enc)
-    return Fraction(ci, total), Fraction(cj, total), Fraction(cb, total)
+    y = rs.cells()
+
+    def events(query, pred):
+        return map_rows(lambda v: bool(pred(rs.decode_reduced(query, v))),
+                        y[:, list(rs.renamed_probes[query - 1])]).astype(bool)
+
+    return _event_probs(events(i, pred_i), events(j, pred_j))
 
 
 def _event_prob_uniform(rs: RestrictedScheme, query: int, m: int, pred):
@@ -418,7 +409,7 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
     fixing, rs = _fixing_stage(scheme, b_sorted)
     stages.append(fixing)
 
-    gc_fields, gc_checks, v2, y_dist = _good_cells_core(rs, scheme, eta, sep.V)
+    gc_fields, gc_checks, v2 = _good_cells_core(rs, scheme, eta, sep.V)
     r = redundancy(scheme)
     gc_checks = gc_checks + [
         ("v2_half", 2 * len(v2) >= sep.w),
@@ -472,7 +463,8 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
 
     sizes = [p.right - p.prev for p in pairs]
     sizes[-1] = n - pairs[-1].prev
-    gb = good_blocks(rs.surviving, sizes, eta)
+    x_dist = CountMatrix.from_rows(rs.surviving_bits())
+    gb = good_blocks(x_dist, sizes, eta)
     k, block_good = _pick_block(gb, len(pairs))
     p_idx, i_idx, j_idx = pairs[k].prev, pairs[k].left, pairs[k].right
     stages.append(StageRecord(
@@ -494,7 +486,6 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
         ),
     ))
 
-    x_dist = Distribution.uniform(rs.surviving)
     wit = entropy_sum_analysis(x_dist, p_idx, i_idx, j_idx, c, require_hypothesis=False)
     prefix_rep = wit.prefix_report
     stages.append(StageRecord(
@@ -630,7 +621,7 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
         d_param = math.inf
     eta = Fraction(1) / (Fraction(c) * Fraction(d_param))
     sqrt_d = math.sqrt(d_param)
-    gc_fields, gc_checks, v2, y_dist = _good_cells_core(rs, scheme, eta, sep.V)
+    gc_fields, gc_checks, v2 = _good_cells_core(rs, scheme, eta, sep.V)
     gc_fields = [("d", d_param)] + gc_fields
     try:
         v2_floor = n / (2.0 * lg ** a)
@@ -679,16 +670,14 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
     sizes = [bounds[t + 1] - bounds[t] for t in range(len(block_pairs))]
     sizes[-1] = n - bounds[-2]
     eps = Fraction(1) / (16 * Fraction(c) ** 2 * Fraction(d_param))
-    gb = good_blocks(rs.surviving, sizes, eps)
+    x_bits = rs.surviving_bits()
+    x_dist = CountMatrix.from_rows(x_bits)
+    gb = good_blocks(x_dist, sizes, eps)
     k, block_good = _pick_block(gb, len(block_pairs))
     i_idx, j_idx = block_pairs[k]
     block_lo = bounds[k]
     block_hi = n if k == len(block_pairs) - 1 else bounds[k + 1]
-    x_counts: dict[tuple, int] = {}
-    for x in rs.surviving:
-        x_counts[x] = x_counts.get(x, 0) + 1
-    x_dist = Distribution.from_counts(x_counts)
-    tv_selected = CountMatrix(x_dist).tv_uniform(tuple(range(block_lo, block_hi)), 2)
+    tv_selected = x_dist.tv_uniform(tuple(range(block_lo, block_hi)), 2)
     closeness_bound = Fraction(1) / (Fraction(c) * Fraction(sqrt_d))
     stages.append(StageRecord(
         "entropy-blocks",
@@ -713,19 +702,9 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
         ),
     ))
 
-    matches = {x: scan_matches(x) for x in rs.surviving}
-    total = len(rs.surviving)
-    ci = cj = cb = 0
-    for x in rs.surviving:
-        mt = matches[x]
-        ei = mt[i_idx - 1] is not None and mt[i_idx - 1] > j_idx
-        ej = mt[j_idx - 1] is not None and mt[j_idx - 1] < i_idx
-        ci += ei
-        cj += ej
-        cb += ei and ej
-    px_open = Fraction(ci, total)
-    px_close = Fraction(cj, total)
-    px_joint = Fraction(cb, total)
+    matches = scheme.oracle_rows(x_bits)
+    px_open, px_close, px_joint = _event_probs(
+        matches[:, i_idx - 1] > j_idx, matches[:, j_idx - 1] < i_idx)
     py_open, py_close, py_joint = _event_probs_y(
         rs, i_idx, j_idx, lambda v: v > j_idx, lambda v: v < i_idx)
     pu_open = _event_prob_uniform(rs, i_idx, m, lambda v: v > j_idx)

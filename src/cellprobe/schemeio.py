@@ -29,6 +29,7 @@ from __future__ import annotations
 from .bits import bits_to_str, parse_bits
 from .core import DOMAIN_ALL, DOMAIN_BAL, Scheme, TableDecoder, TableEncoder
 from .errors import ConsistencyError, ParameterError
+from .infotheory import group_rows
 from .schemes import build_builtin
 
 _HEADER_KEYS = ("n", "u", "q", "cell_alphabet", "domain", "kind")
@@ -48,22 +49,19 @@ def _encoder_table(scheme: Scheme) -> dict:
     enc = scheme.encoder
     if isinstance(enc, TableEncoder):
         return dict(enc.table)
-    return {x: scheme.encode(x) for x in scheme.inputs()}
+    bits, cells = scheme.encoded()
+    return dict(zip(map(tuple, bits.tolist()), map(tuple, cells.tolist())))
 
 
 def _decoder_tables(scheme: Scheme) -> list[tuple[dict, int]]:
     tables = []
-    for i in range(1, scheme.n + 1):
-        dec = scheme.decoders[i - 1]
+    for probe, dec in zip(scheme.probes, scheme.decoders):
         if isinstance(dec, TableDecoder):
             tables.append((dict(dec.table), dec.default))
             continue
-        probe = scheme.probes[i - 1]
-        table: dict[tuple[int, ...], int] = {}
-        for x in scheme.inputs():
-            cells = scheme.encode(x)
-            values = tuple(cells[c] for c in probe)
-            table[values] = dec(values)
+        values = scheme.encoded()[1][:, list(probe)]
+        first, _ = group_rows(values)
+        table = {tuple(v): dec(tuple(v)) for v in values[first].tolist()}
         tables.append((table, 0))
     return tables
 
@@ -133,6 +131,13 @@ def _parse_values(text: str) -> tuple[int, ...]:
         raise ParameterError(f"expected integers, got {text!r}") from None
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _parse_builtin(spec: str):
     head, _, rest = spec.partition(" ")
     name = head[len("builtin:"):]
@@ -141,7 +146,7 @@ def _parse_builtin(spec: str):
         key, eq, value = tok.partition("=")
         if not eq:
             raise ParameterError(f"malformed builtin parameter {tok!r}")
-        params[key] = int(value)
+        params[key] = _parse_int(value, f"builtin parameter {key!r}")
     return name, params
 
 
@@ -222,12 +227,12 @@ def read_scheme(text: str) -> Scheme:
         while (peeked := src.peek()) is not None and peeked.startswith("    "):
             entry = src.take().strip()
             if entry.startswith("default "):
-                default = int(entry.split()[1])
+                default = _parse_int(entry.split()[1], f"query {i} default")
                 continue
             left, arrow, right = entry.partition("->")
             if not arrow:
                 raise ParameterError(f"malformed decoder entry {entry!r}")
-            table[_parse_values(left)] = int(right.strip())
+            table[_parse_values(left)] = _parse_int(right.strip(), f"query {i} answer")
         decoders.append(TableDecoder(table, default))
 
     scheme = Scheme(

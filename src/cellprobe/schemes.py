@@ -7,6 +7,7 @@ by name.  All four pass exhaustive verification by construction.
 
 from __future__ import annotations
 
+import inspect
 from itertools import accumulate
 
 from .bits import validate_bits
@@ -202,5 +203,12 @@ def build_builtin(name: str, **params) -> Scheme:
     except KeyError:
         raise ParameterError(
             f"unknown builtin scheme {name!r}; known: {sorted(BUILTIN_BUILDERS)}"
+        ) from None
+    signature = inspect.signature(builder)
+    try:
+        signature.bind(**params)
+    except TypeError as err:
+        raise ParameterError(
+            f"builtin {name!r} takes parameters {list(signature.parameters)}: {err}"
         ) from None
     return builder(**params)

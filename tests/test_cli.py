@@ -1,6 +1,12 @@
 """End-to-end command-line behaviour: output shape and exit codes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import cellprobe
 
 from cellprobe.cli import OUTDIR_ENV, main
 from cellprobe.core import DOMAIN_ALL, KIND_SUM, Scheme, TableDecoder, TableEncoder
@@ -112,6 +118,15 @@ def test_entropy_command(tmp_path, capsys):
     assert "conditional_entropy: 1" in capsys.readouterr().out
 
 
+def test_entropy_given_with_long_decimals(tmp_path, capsys):
+    # probabilities over 10^21: the common denominator is past int64
+    dist = tmp_path / "d.dist"
+    dist.write_text("0,0 0.333333333333333333333\n1,1 0.666666666666666666667\n",
+                    encoding="utf-8")
+    assert main(["entropy", "--dist", str(dist), "--target", "1", "--given", "0"]) == 0
+    assert "conditional_entropy: 0" in capsys.readouterr().out
+
+
 def test_goodset_blocks_mode(tmp_path, capsys):
     xfile = tmp_path / "x.bits"
     rows = [f"0{a}{b}{c}" for a in "01" for b in "01" for c in "01"]
@@ -187,3 +202,67 @@ def test_parameter_errors_exit_two(good_scheme, capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert main(["verify", "--scheme", "/nonexistent/path.scm"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+_BUILTIN_FILE = """n: 4
+u: 4
+q: 1
+cell_alphabet: 5
+domain: all_bitstrings
+kind: sum
+encoder: builtin:precomputed_sums {params}
+probes:
+  0
+  1
+  2
+  3
+decoders: builtin
+"""
+
+_TABLE_FILE = """n: 1
+u: 1
+q: 1
+cell_alphabet: 2
+domain: all_bitstrings
+kind: sum
+encoder: table
+  0 -> 0
+  1 -> 1
+probes:
+  0
+decoders: table
+  query 1
+    0 -> 0
+    1 -> {answer}
+"""
+
+
+@pytest.mark.parametrize("text", [
+    _BUILTIN_FILE.format(params="cell_alphabet=5 n=4 bogus=1"),
+    _BUILTIN_FILE.format(params="cell_alphabet=x n=4"),
+    _TABLE_FILE.format(answer="one"),
+], ids=["unknown-builtin-parameter", "non-integer-builtin-parameter", "non-integer-answer"])
+def test_bad_scheme_file_is_usage_error(text, tmp_path, capsys):
+    path = tmp_path / "bad.scm"
+    path.write_text(text, encoding="ascii")
+    assert main(["verify", "--scheme", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_build_scheme_unknown_parameter_is_usage_error(tmp_path, capsys):
+    code = main(["build-scheme", "--name", "precomputed_sums", "--n", "4",
+                 "--param", "bogus=1", "--out", str(tmp_path / "x.scm")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("module", ["cellprobe", "cellprobe.cli"])
+def test_module_entry_points_run_the_cli(module, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cellprobe.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "verify", "--scheme", str(tmp_path / "missing.scm")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")

@@ -1,6 +1,7 @@
 """Model basics: bit handling, schemes, verification, restriction."""
 
 import math
+from itertools import product
 
 import pytest
 
@@ -29,7 +30,7 @@ from cellprobe import (
     validate_bits,
     verify_scheme,
 )
-from cellprobe.schemes import build_precomputed_sums, build_two_level_rank
+from cellprobe.schemes import build_bracket_table, build_precomputed_sums, build_two_level_rank
 
 
 def test_prefix_sum_basics():
@@ -122,6 +123,67 @@ def test_verify_scheme_reports_lex_first_counterexample():
 def test_verify_scheme_honors_max_inputs():
     rep = verify_scheme(build_precomputed_sums(6), max_inputs=10)
     assert rep.inputs_checked == 10
+    # only the first inputs are encoded: the table stops after them
+    first = [x for x, _ in zip(product((0, 1), repeat=6), range(10))]
+    partial = Scheme(n=6, u=6, cell_alphabet=7, domain=DOMAIN_ALL, kind=KIND_SUM,
+                     probes=tuple((i,) for i in range(6)),
+                     encoder=TableEncoder({x: prefix_sum_all(x) for x in first}),
+                     decoders=(lambda v: v[0],) * 6)
+    assert verify_scheme(partial, max_inputs=10).ok
+    with pytest.raises(DomainError):
+        verify_scheme(partial)
+
+
+def _loop_verify(scheme):
+    """Reference: one decoder call per (input, query), in lexicographic order."""
+    checked = failures = 0
+    first = None
+    for x in scheme.inputs():
+        expected = scheme.oracle_all(x)
+        for i in range(1, scheme.n + 1):
+            got = scheme.answer(x, i)
+            checked += 1
+            if got != expected[i - 1]:
+                failures += 1
+                if first is None:
+                    first = (x, i, got, expected[i - 1])
+    return checked, failures, first
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_two_level_rank(8, 2, 4, 9),
+    lambda: build_bracket_table(10),
+])
+def test_verify_scheme_agrees_with_the_per_query_loop(build):
+    base = build()
+    # corrupt two decoders so that some, not all, answers go wrong
+    decoders = list(base.decoders)
+    decoders[2] = lambda v, d=base.decoders[2]: d(v) + (v[0] % 3 == 1)
+    decoders[-1] = lambda v, d=base.decoders[-1]: d(v) ^ (sum(v) % 2)
+    bad = Scheme(n=base.n, u=base.u, cell_alphabet=base.cell_alphabet, domain=base.domain,
+                 kind=base.kind, probes=base.probes, encoder=base.encoder,
+                 decoders=tuple(decoders))
+    rep = verify_scheme(bad)
+    checked, failures, first = _loop_verify(bad)
+    assert (rep.checked, rep.failures) == (checked, failures)
+    assert 0 < failures < checked
+    ce = rep.counterexample
+    assert (ce.x, ce.i, ce.got, ce.expected) == first
+
+
+@pytest.mark.parametrize("wrong", [
+    {0: lambda v: v[0] == 1, 3: lambda v: True},                       # query 4 fails first
+    {0: lambda v: v[0] == 1, 1: lambda v: True, 3: lambda v: True},    # tie: query 2 wins
+])
+def test_verify_counterexample_is_first_input_then_first_query(wrong):
+    base = build_precomputed_sums(4)
+    decoders = tuple(
+        (lambda v, d=d, bad=wrong[k]: d(v) + int(bad(v))) if k in wrong else d
+        for k, d in enumerate(base.decoders))
+    bad = Scheme(n=4, u=base.u, cell_alphabet=base.cell_alphabet + 1, domain=base.domain,
+                 kind=base.kind, probes=base.probes, encoder=base.encoder, decoders=decoders)
+    ce = verify_scheme(bad).counterexample
+    assert (ce.x, ce.i, ce.got, ce.expected) == _loop_verify(bad)[2]
 
 
 def test_most_likely_cell_value_is_modal_and_ties_break_low():
@@ -140,6 +202,7 @@ def test_restriction_preserves_answers_exactly():
     sch = build_two_level_rank(8, 2, 4, 9)
     rs = restrict_scheme(sch, (1, 4))
     assert check_restriction(rs)
+    assert rs.encodings() == tuple(rs.restricted_encoding(x) for x in rs.surviving)
     assert rs.u_prime == sch.u - 2
     m = sch.cell_alphabet
     assert len(rs.surviving) * m ** 2 >= sch.domain_size()

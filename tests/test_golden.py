@@ -1,0 +1,82 @@
+"""Byte-for-byte oracle: machine reports of ``verify`` and ``pipeline``.
+
+The files under ``tests/golden/`` hold the reports as the CLI printed them
+before the encoded-domain refactor.  Regenerate them only for a change that
+means to move a report, and say which fields moved:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+from itertools import product
+
+import pytest
+
+from cellprobe.cli import main
+from cellprobe.core import DOMAIN_ALL, KIND_SUM, Scheme, TableDecoder, TableEncoder
+from cellprobe.schemeio import save_scheme
+from cellprobe.schemes import (
+    build_bracket_table,
+    build_precomputed_sums,
+    build_raw_identity,
+    build_two_level_rank,
+)
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _mirror():
+    """Identity encoder over 16 cells; query i reads cell i-1 back (wrong on purpose)."""
+    return Scheme(
+        n=16, u=16, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
+        probes=tuple((i,) for i in range(16)),
+        encoder=TableEncoder({x: x for x in product((0, 1), repeat=16)}),
+        decoders=(TableDecoder({(0,): 0, (1,): 1}),) * 16,
+    )
+
+
+# name -> (scheme builder, pipeline c)
+CASES = {
+    "mirror16": (_mirror, "2"),
+    "two_level_rank16": (lambda: build_two_level_rank(16, 4, 8, 17), "2"),
+    "bracket_table14": (lambda: build_bracket_table(14), "4"),
+    "precomputed_sums8": (lambda: build_precomputed_sums(8), "2"),
+    "raw_identity8": (lambda: build_raw_identity(8, 4), "2"),
+}
+
+
+def _run(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return f"{out.getvalue()}exit={code}\n"
+
+
+def render(name: str, workdir: str) -> dict[str, str]:
+    build, c = CASES[name]
+    path = os.path.join(workdir, f"{name}.scm")
+    save_scheme(build(), path)
+    return {
+        "verify": _run(["verify", "--scheme", path, "--format", "machine"]),
+        "pipeline": _run(["pipeline", "--scheme", path, "--c", c, "--format", "machine"]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reports_match_golden(name, tmp_path):
+    for command, text in render(name, str(tmp_path)).items():
+        with open(os.path.join(GOLDEN, f"{name}.{command}.txt"), encoding="ascii") as fh:
+            assert text == fh.read(), f"{name} {command} report moved"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            for command, text in render(case, tmp).items():
+                with open(os.path.join(GOLDEN, f"{case}.{command}.txt"), "w", encoding="ascii") as fh:
+                    fh.write(text)
+                sys.stdout.write(f"wrote {case}.{command}.txt\n")

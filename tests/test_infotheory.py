@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cellprobe import (
@@ -21,7 +22,7 @@ from cellprobe import (
     tv_distance,
     tv_from_uniform,
 )
-from cellprobe.infotheory import validate_blocks
+from cellprobe.infotheory import group_rows, validate_blocks
 
 
 def test_distribution_requires_unit_mass():
@@ -69,6 +70,78 @@ def test_chain_rule_and_conditioning_on_random_joints():
         chained = entropy(d.marginal(front)) + conditional_entropy(d, back, front)
         assert abs(joint - chained) <= 1e-9
         assert conditional_entropy(d, back, front) <= entropy(d.marginal(back)) + 1e-9
+
+
+def _fraction_conditional_entropy(dist, target, given):
+    """Reference: bucket exact Fractions, then take each reduced ratio's log."""
+    groups: dict = {}
+    for o, p in dist.items():
+        bucket = groups.setdefault(tuple(o[c] for c in given), {})
+        t = tuple(o[c] for c in target)
+        bucket[t] = bucket.get(t, 0) + p
+    parts = []
+    for g in sorted(groups):
+        w = sum(groups[g].values())
+        h = math.fsum(-float(p / w) * (math.log2((p / w).numerator) - math.log2((p / w).denominator))
+                      for p in groups[g].values())
+        parts.append(float(w) * h)
+    return math.fsum(parts)
+
+
+def test_conditional_entropy_is_bit_identical_to_the_fraction_route():
+    rng = random.Random(11)
+    for trial in range(60):
+        arity = rng.randint(1, 5)
+        outcomes = list(product(range(3), repeat=arity))
+        if trial % 2:
+            d = Distribution.uniform(rng.sample(outcomes, rng.randint(1, len(outcomes))))
+        else:
+            d = Distribution.from_counts({o: rng.randint(1, 40) for o in
+                                          rng.sample(outcomes, rng.randint(1, len(outcomes)))})
+        coords = list(range(arity))
+        target = tuple(rng.sample(coords, rng.randint(1, arity)))
+        given = tuple(rng.sample(coords, rng.randint(0, arity)))
+        got = conditional_entropy(d, target, given)
+        assert got.hex() == _fraction_conditional_entropy(d, target, given).hex()
+        assert conditional_entropy(CountMatrix(d), target, given).hex() == got.hex()
+
+
+def test_denominator_past_int64_and_float_pmfs_still_measure():
+    # four large primes: the common denominator passes 2^63
+    primes = (1000003, 1000033, 1000037, 1000039)
+    outcomes = list(product((0, 1), repeat=4))
+    head = [Fraction(1, q) for q in primes]
+    rest = (1 - sum(head)) / (len(outcomes) - len(head))
+    d = Distribution({o: head[k] if k < len(head) else rest for k, o in enumerate(outcomes)})
+    cm = CountMatrix(d)
+    assert cm.denom >= 2 ** 63 and cm.counts.dtype == object
+    for target, given in [((2, 3), (0, 1)), ((0,), ()), ((1, 3), (2,))]:
+        got = conditional_entropy(d, target, given)
+        assert got.hex() == _fraction_conditional_entropy(d, target, given).hex()
+    assert good_blocks(Distribution.uniform(outcomes), (2, 2), 0.5).good == (1, 2)
+    # a float pmf counts at the exact binary value of each float
+    f = Distribution({(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.4})
+    assert conditional_entropy(f, (1,), (0,)) == pytest.approx(
+        0.3 * _h([1 / 3, 2 / 3]) + 0.7 * _h([3 / 7, 4 / 7]), abs=1e-12)
+    assert conditional_entropy(f, (0, 1), ()) == pytest.approx(entropy(f), abs=1e-12)
+
+
+def _h(ps):
+    return -sum(p * math.log2(p) for p in ps)
+
+
+def test_group_rows_matches_sorted_distinct_rows():
+    rng = random.Random(5)
+    # narrow keys, wide ones, keys past int64, negatives, empty shapes
+    for k, w, lo, hi in [(500, 3, 0, 2), (500, 3, 0, 49), (300, 20, 0, 299),
+                         (200, 2, -3, 4), (0, 3, 0, 1), (7, 0, 0, 1), (4000, 4, 0, 2)]:
+        rows = [tuple(rng.randint(lo, hi) for _ in range(w)) for _ in range(k)]
+        values = np.array(rows, dtype=np.int64).reshape(k, w)
+        first, inverse = group_rows(values)
+        distinct = sorted(set(rows))
+        assert [rows[f] for f in first.tolist()] == distinct
+        assert first.tolist() == [rows.index(r) for r in distinct]
+        assert inverse.tolist() == [distinct.index(r) for r in rows]
 
 
 def test_tv_distance_exact():
