@@ -128,11 +128,7 @@ def _cmd_separator(args) -> int:
     if args.bracket_c is not None:
         res = find_separator_brackets(family, int(args.bracket_c),
                                       require_preconditions=not args.relax)
-        checks = [
-            ("b_between", res.c * res.a <= res.b <= res.c * (2 * res.c) ** res.a),
-            ("b_small", res.b_size_ok),
-            ("v_nonempty", res.w > 0),
-        ]
+        checks = [*res.checks, ("v_nonempty", res.w > 0)]
         pairs = [
             ("mode", "brackets"),
             ("n", res.n),
@@ -150,10 +146,7 @@ def _cmd_separator(args) -> int:
         if args.gap is None:
             raise DomainError("separator needs --gap or --bracket-c")
         res = find_separator(family, _num(args.gap))
-        checks = [
-            ("w_floor", Fraction(res.w) >= res.k0),
-            ("b_small", Fraction(len(res.B)) <= Fraction(res.w) / res.gap),
-        ]
+        checks = list(res.checks)
         pairs = [
             ("mode", "prefix"),
             ("n", res.n),

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, product
+from itertools import islice, product
 from typing import Callable
 
 import numpy as np
 
-from .bits import Bits, validate_bits
+from .bits import Bits, prefix_sums, validate_bits
 from .brackets import catalan_count, enumerate_bal, is_balanced, scan_matches
 from .errors import (
     ConsistencyError,
@@ -39,8 +39,8 @@ def prefix_sum(x: Bits, i: int) -> int:
     return sum(x[:i])
 
 
-def prefix_sum_all(x: Bits) -> tuple[int, ...]:
-    return tuple(accumulate(x))
+# Ground-truth Sum on every prefix; one implementation, kept under both names.
+prefix_sum_all = prefix_sums
 
 
 def match_all(x: Bits) -> tuple[int, ...]:
@@ -410,10 +410,9 @@ class RestrictedScheme:
         values = tuple(cells[c] for c in self.reduced_probes[i - 1])
         return self.decode_reduced(i, values)
 
-    def preserves_answers(self, limit: int | None = None) -> bool:
-        """Whether d'_i equals d_i on the first ``limit`` survivors (all by default)."""
-        cells = self.base.encoded()[1]
-        rows = self.rows[:limit]
+    def preserves_answers(self) -> bool:
+        """Whether d'_i equals d_i on every surviving input."""
+        cells, rows = self.base.encoded()[1], self.rows
         for i, (probe, reduced) in enumerate(zip(self.base.probes, self.reduced_probes), start=1):
             base = map_rows(self.base.decoders[i - 1], cells[np.ix_(rows, probe)])
             mine = map_rows(lambda v, i=i: self.decode_reduced(i, v), cells[np.ix_(rows, reduced)])

@@ -1,11 +1,26 @@
 """Adversary pipelines that replay the lower-bound argument on a scheme.
 
-Each pipeline walks the constructive steps in order (separator, cell fixing,
-near-uniform cells, index selection, entropy blocks, final chain) and
-measures every claimed inequality exactly on the given scheme.  At workbench
-sizes many asymptotic guarantees fail; every check is recorded honestly and
-the run continues best-effort.  A stage that receives genuinely empty input
-truncates the report with that stage named.
+The prefix-sum (Sum) and bracket-matching (Match) bounds share one argument,
+and both pipelines walk its shared skeleton:
+
+1. separator: a small blocker set B and queries V whose probes are disjoint
+   outside B;
+2. cell-fixing: fix the cells of B to their most likely joint value, keeping
+   the inputs X that agree with it;
+3. good-cells: keep the near-uniform cells of Y = enc(X) and the queries V2
+   whose probes stay inside them;
+4. the kind's own stages, which pick index pairs from V2 (Sum: stretcher;
+   Match: close-pairs);
+5. entropy-blocks: cut [1, n] after each pair and choose a high-entropy block;
+6. final-chain: eight lines from Pr_X of the joint event down to a floor.
+   Lines 0-5 and the chain checks are the same for both kinds; each kind
+   names its two events and supplies lines 6-7 and its first check.
+
+Sum also runs entropy-sum between steps 5 and 6.  Every claimed inequality is
+measured exactly on the given scheme.  At workbench sizes many asymptotic
+guarantees fail; every check is recorded honestly and the run continues
+best-effort.  A stage that receives genuinely empty input truncates the
+report with that stage named.
 """
 
 from __future__ import annotations
@@ -46,8 +61,6 @@ __all__ = [
 ]
 
 _UNIFORM_SPACE_CAP = 4_000_000
-_PAIR_CAP = 500
-_PRESERVE_CAP = 50_000
 
 
 @dataclass(frozen=True)
@@ -213,44 +226,64 @@ class PipelineReport:
         return "\n".join(out) + "\n"
 
 
-def _inverse(c) -> Fraction:
-    cf = _exact(c)
-    if cf <= 0:
-        raise ParameterError(f"c must be positive, got {c}")
-    return 1 / cf
+def _report(kind, scheme, c, stages, chain=(), chain_checks=(), truncated_at=None):
+    return PipelineReport(
+        kind=kind,
+        scheme_label=scheme.builtin[0] if scheme.builtin else "table",
+        n=scheme.n,
+        u=scheme.u,
+        q=scheme.q,
+        cell_alphabet=scheme.cell_alphabet,
+        c=c,
+        stages=tuple(stages),
+        chain=tuple(chain),
+        chain_checks=tuple(chain_checks),
+        truncated_at=truncated_at,
+    )
 
 
-def _fixing_stage(scheme: Scheme, b_cells) -> tuple[StageRecord, RestrictedScheme]:
-    """Fix the separator cells to their most likely joint value."""
-    rs = restrict_scheme(scheme, b_cells)
+def _separate_and_fix(scheme: Scheme, sep, head, tail, checks, stages) -> RestrictedScheme:
+    """Record the separator stage, then fix the blocker cells to their most likely value.
+
+    ``head``, ``tail`` and ``checks`` are the kind's own separator fields and
+    guarantee checks; the shared fields go between, the ``disjoint`` check last.
+    """
+    b_sorted = tuple(sorted(sep.B))
+    v_sets = [set(scheme.probes[v - 1]) - sep.B for v in sep.V]
+    stages.append(StageRecord(
+        "separator",
+        (*head, ("stages_run", sep.stages_run), ("w", sep.w), ("v", sep.V),
+         ("b_cells", b_sorted), *tail),
+        (*checks, ("disjoint", pairwise_disjoint(v_sets))),
+    ))
+    rs = restrict_scheme(scheme, b_sorted)
     survivors = len(rs.rows)
     dom = scheme.domain_size()
-    m = scheme.cell_alphabet
-    pigeon = survivors * (m ** len(b_cells)) >= dom
-    deficiency = math.log2(dom) - math.log2(survivors)
-    sample = min(survivors, max(1, _PRESERVE_CAP // max(1, scheme.n)))
-    preserved = rs.preserves_answers(sample)
-    record = StageRecord(
+    stages.append(StageRecord(
         "cell-fixing",
         (
-            ("fixed_cells", tuple(b_cells)),
+            ("fixed_cells", b_sorted),
             ("fixed_values", rs.fixed_values),
             ("survivors", survivors),
-            ("deficiency_bits", deficiency),
+            ("deficiency_bits", math.log2(dom) - math.log2(survivors)),
             ("u_prime", rs.u_prime),
-            ("preserved_inputs_checked", sample),
-            ("preservation_exhaustive", sample == survivors),
+            ("preserved_inputs_checked", survivors),
+            ("preservation_exhaustive", True),
         ),
         (
-            ("pigeonhole", pigeon),
-            ("answers_preserved", preserved),
+            ("pigeonhole", survivors * (scheme.cell_alphabet ** len(b_sorted)) >= dom),
+            ("answers_preserved", rs.preserves_answers()),
         ),
-    )
-    return record, rs
+    ))
+    return rs
 
 
-def _good_cells_core(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set):
-    """Shared near-uniform-cells work: filter cells, project queries, pair TVs."""
+def _good_cells(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set, head, floors, stages):
+    """Keep the near-uniform cells, the queries inside them, and test every pair.
+
+    ``floors`` names the kind's lower bounds on |V2|, each checked as a stage
+    check after the shared ones.  Returns V2.
+    """
     m = scheme.cell_alphabet
     u_p = rs.u_prime
     y_dist = CountMatrix.from_rows(rs.cells())
@@ -268,34 +301,57 @@ def _good_cells_core(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set)
             good0 = frozenset(range(u_p))
     v2 = tuple(v for v in v_set if set(rs.renamed_probes[v - 1]) <= good0)
     pair_list = list(combinations(v2, 2))
-    sampled = len(pair_list) > _PAIR_CAP
-    pair_list = pair_list[:_PAIR_CAP]
     max_tv = Fraction(0)
-    pairs_ok = True
     for i, j in pair_list:
         cols = rs.renamed_probes[i - 1] + rs.renamed_probes[j - 1]
         tv = y_dist.tv_uniform(cols, m) if cols else Fraction(0)
-        if tv > max_tv:
-            max_tv = tv
-        if tv > eta:
-            pairs_ok = False
-    fields = [
-        ("eta", eta),
-        ("subset_size", subset_size),
-        ("cells_kept", tuple(sorted(k + 1 for k in good0))),
-        ("deficiency_bits", report.deficiency if report else 0.0),
-        ("size_bound", report.size_bound if report else float(u_p)),
-        ("subsets_skipped", skipped),
-        ("v2", v2),
-        ("pairs_tested", len(pair_list)),
-        ("pairs_sampled", sampled),
-        ("max_pair_tv", max_tv),
-    ]
-    checks = [
-        ("kept_count", (report.size_bound_ok if report else True)),
-        ("pair_tv", pairs_ok),
-    ]
-    return fields, checks, v2
+        max_tv = max(max_tv, tv)
+    stages.append(StageRecord(
+        "good-cells",
+        (
+            *head,
+            ("eta", eta),
+            ("subset_size", subset_size),
+            ("cells_kept", tuple(sorted(k + 1 for k in good0))),
+            ("deficiency_bits", report.deficiency if report else 0.0),
+            ("size_bound", report.size_bound if report else float(u_p)),
+            ("subsets_skipped", skipped),
+            ("v2", v2),
+            ("pairs_tested", len(pair_list)),
+            ("pairs_sampled", False),
+            ("max_pair_tv", max_tv),
+        ),
+        (
+            ("kept_count", (report.size_bound_ok if report else True)),
+            ("pair_tv", max_tv <= eta),
+            *((name, len(v2) >= floor) for name, floor in floors),
+        ),
+    ))
+    return v2
+
+
+def _entropy_blocks(x_dist: CountMatrix, n: int, rights, eps):
+    """Cut [1, n] after each pair's right end and choose a block.
+
+    The chosen block is the smallest good one if any, else the best-scoring
+    one.  Returns its 0-based index, its bounds (lo, hi] and the shared fields
+    and checks of the entropy-blocks stage.
+    """
+    bounds = [0, *rights[:-1], n]
+    sizes = tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    gb = good_blocks(x_dist, sizes, eps)
+    good = [k for k in gb.good if 1 <= k <= len(sizes)]
+    k = good[0] - 1 if good else max(range(len(sizes)), key=lambda idx: (gb.scores[idx], -idx))
+    fields = (
+        ("sizes", sizes),
+        ("eps", eps),
+        ("scores", gb.scores),
+        ("good_blocks", gb.good),
+        ("deficiency_bits", gb.deficiency),
+        ("chosen_block", k + 1),
+    )
+    checks = (("good_count", gb.size_bound_ok), ("block_good", bool(good)))
+    return k, bounds[k], bounds[k + 1], fields, checks
 
 
 def _event_probs(ei, ej) -> tuple[Fraction, Fraction, Fraction]:
@@ -327,45 +383,53 @@ def _event_prob_uniform(rs: RestrictedScheme, query: int, m: int, pred):
     return Fraction(hits, space)
 
 
-def _pick_block(report, count: int) -> tuple[int, bool]:
-    """Smallest good block if any, else the best-scoring one (0-based)."""
-    good = [k for k in report.good if 1 <= k <= count]
-    if good:
-        return good[0] - 1, True
-    best = max(range(count), key=lambda idx: (report.scores[idx], -idx))
-    return best, False
+def _final_chain(rs: RestrictedScheme, m: int, eta: Fraction, eta_name: str,
+                 x_name: str, events, x_probs, first, tail):
+    """Chain lines 0-7 and the six chain checks, shared by both query kinds.
 
-
-def _truncated(kind, scheme, c, stages, stage_name) -> PipelineReport:
-    return PipelineReport(
-        kind=kind,
-        scheme_label=scheme.builtin[0] if scheme.builtin else "table",
-        n=scheme.n,
-        u=scheme.u,
-        q=scheme.q,
-        cell_alphabet=scheme.cell_alphabet,
-        c=c,
-        stages=tuple(stages),
-        chain=(),
-        chain_checks=(),
-        truncated_at=stage_name,
+    ``events`` holds the two decoder events as (name, query, predicate); the
+    X side reads them as answers named ``x_name``, with probabilities
+    ``x_probs`` = (Pr_X[first], Pr_X[second], Pr_X[both]).  ``first`` is the
+    name, justification and outcome of line 0's check, ``tail`` the label,
+    value and justification of lines 6 and 7.
+    """
+    (a, query_a, pred_a), (b, query_b, pred_b) = events
+    px_a, px_b, px_joint = x_probs
+    check0, why0, ok0 = first
+    (label6, v6, why6), (label7, v7, why7) = tail
+    e = eta_name
+    py_a, py_b, py_joint = _event_probs_y(rs, query_a, query_b, pred_a, pred_b)
+    pu_a = _event_prob_uniform(rs, query_a, m, pred_a)
+    pu_b = _event_prob_uniform(rs, query_b, m, pred_b)
+    v2 = v3 = None if pu_a is None or pu_b is None else pu_a * pu_b - eta
+    v4 = (py_a - eta) * (py_b - eta) - eta
+    cc = contradiction_chain(px_joint, px_a, px_b, eta)
+    chain = (
+        ChainLine(f"Pr_X[{x_name}_{a} and {x_name}_{b}]", px_joint, None, why0, ok0),
+        ChainLine(f"Pr_Y[dec_{a} and dec_{b}]", py_joint, "=",
+                  "answers preserved under fixing", py_joint == px_joint),
+        ChainLine(f"Pr_U[dec_{a} and dec_{b}] - {e}", v2, ">=",
+                  "probed cells jointly near-uniform", None if v2 is None else py_joint >= v2),
+        ChainLine(f"Pr_U[dec_{a}] * Pr_U[dec_{b}] - {e}", v3, "=",
+                  "probe sets disjoint", None if v3 is None else v2 == v3),
+        ChainLine(f"(Pr_Y[dec_{a}] - {e})(Pr_Y[dec_{b}] - {e}) - {e}", v4, ">=",
+                  "near-uniform cells, factor by factor", None if v3 is None else v3 >= v4),
+        ChainLine(f"(Pr_X[{x_name}_{a}] - {e})(Pr_X[{x_name}_{b}] - {e}) - {e}", cc.bound, "=",
+                  "answers preserved under fixing", v4 == cc.bound),
+        ChainLine(label6, v6, ">=", why6, cc.bound >= v6),
+        ChainLine(label7, v7, ">", why7, v6 > v7),
     )
-
-
-def _complete(kind, scheme, c, stages, chain, chain_checks) -> PipelineReport:
-    return PipelineReport(
-        kind=kind,
-        scheme_label=scheme.builtin[0] if scheme.builtin else "table",
-        n=scheme.n,
-        u=scheme.u,
-        q=scheme.q,
-        cell_alphabet=scheme.cell_alphabet,
-        c=c,
-        stages=tuple(stages),
-        chain=tuple(chain),
-        chain_checks=tuple(chain_checks),
-        truncated_at=None,
+    relations_ok = all(line.ok for line in chain[1:])
+    probes_a, probes_b = rs.renamed_probes[query_a - 1], rs.renamed_probes[query_b - 1]
+    chain_checks = (
+        (check0, ok0),
+        ("relations", relations_ok),
+        ("ends_above_floor", v6 > v7),
+        ("probes_disjoint", not set(probes_a) & set(probes_b)),
+        ("joint_under_product_bound", cc.contradiction),
+        ("contradiction", ok0 and relations_ok),
     )
+    return chain, chain_checks
 
 
 def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
@@ -375,116 +439,59 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
     n = scheme.n
     if n < 2:
         raise ParameterError("the prefix pipeline needs n >= 2")
-    if float(c) <= 1:
-        raise ParameterError(f"c must exceed 1, got {c}")
-    eta = _inverse(c)
-    m = scheme.cell_alphabet
+    # decided on the exact Fraction, before any float or power of c is formed
+    cf = _exact(c)
+    if not 1 < cf <= n:
+        raise ParameterError(f"c must exceed 1 and be at most n = {n}, got {c}")
+    eta = 1 / cf
     stages: list[StageRecord] = []
 
     lg = math.log2(n)
-    if float(c) == int(float(c)):
-        gap = Fraction(lg) ** int(float(c))
-    else:
-        gap = Fraction(lg ** float(c))
+    try:
+        gap = Fraction(lg) ** int(cf) if cf.denominator == 1 else Fraction(lg ** float(cf))
+    except OverflowError:
+        raise ParameterError(f"(lg n)^c overflows a float for c = {c}") from None
     sep = find_separator([set(p) for p in scheme.probes], gap)
-    b_sorted = tuple(sorted(sep.B))
-    v_sets = [set(scheme.probes[v - 1]) - sep.B for v in sep.V]
-    stages.append(StageRecord(
-        "separator",
-        (
-            ("g", gap),
-            ("k0", sep.k0),
-            ("stages_run", sep.stages_run),
-            ("w", sep.w),
-            ("v", sep.V),
-            ("b_cells", tuple(b_sorted)),
-        ),
-        (
-            ("w_floor", Fraction(sep.w) >= sep.k0),
-            ("b_small", Fraction(len(sep.B)) <= Fraction(sep.w) / sep.gap),
-            ("disjoint", pairwise_disjoint(v_sets)),
-        ),
-    ))
+    rs = _separate_and_fix(scheme, sep, (("g", gap), ("k0", sep.k0)), (), sep.checks, stages)
 
-    fixing, rs = _fixing_stage(scheme, b_sorted)
-    stages.append(fixing)
+    floors = (
+        ("v2_half", Fraction(sep.w, 2)),
+        ("v2_redundancy", sep.w - 32 * scheme.q * redundancy(scheme) * float(cf) ** 2),
+    )
+    v2 = _good_cells(rs, scheme, eta, sep.V, (), floors, stages)
 
-    gc_fields, gc_checks, v2 = _good_cells_core(rs, scheme, eta, sep.V)
-    r = redundancy(scheme)
-    gc_checks = gc_checks + [
-        ("v2_half", 2 * len(v2) >= sep.w),
-        ("v2_redundancy", len(v2) >= sep.w - 32 * scheme.q * r * float(c) ** 2),
-    ]
-    stages.append(StageRecord("good-cells", tuple(gc_fields), tuple(gc_checks)))
-
-    v2_sorted = tuple(sorted(v2))
-    stuck_at = None
-    stuck_window: tuple[int, ...] | None = None
-    if v2_sorted:
-        try:
-            st = find_stretcher(v2_sorted, n, c)
-            pairs = st.pairs
-            t_len, w_in = st.t, st.w
-            guarantee, guarantee_ok = st.guarantee, st.guarantee_ok
-        except StretcherWindowError as err:
-            pairs = tuple(err.pairs_so_far)
-            t_len = math.floor(float(c) * lg)
-            w_in = len(v2_sorted)
-            guarantee = 2 * math.floor(w_in / (float(c) * lg))
-            guarantee_ok = 2 * len(pairs) >= guarantee
-            stuck_at = err.s
-            stuck_window = tuple(err.window)
-    else:
-        pairs = ()
-        t_len = math.floor(float(c) * lg)
-        w_in = 0
-        guarantee = 0
-        guarantee_ok = True
-    v_prime = tuple(x for p in pairs for x in (p.left, p.right))
+    stuck_at = stuck_window = None
+    try:
+        st = find_stretcher(sorted(v2), n, c)
+        pairs = st.pairs
+    except StretcherWindowError as err:
+        st, pairs = err, err.pairs_so_far
+        stuck_at, stuck_window = err.s, tuple(err.window)
     stages.append(StageRecord(
         "stretcher",
         (
-            ("t", t_len),
-            ("w", w_in),
+            ("t", st.t),
+            ("w", st.w),
             ("w_prime", 2 * len(pairs)),
-            ("v_prime", v_prime),
-            ("guarantee", guarantee),
+            ("v_prime", tuple(x for p in pairs for x in (p.left, p.right))),
+            ("guarantee", st.guarantee),
             ("stuck_at", stuck_at),
             ("stuck_window", stuck_window),
         ),
         (
             ("pair_rule", all(p.satisfies(c) for p in pairs)),
-            ("w_prime_floor", guarantee_ok),
+            ("w_prime_floor", 2 * len(pairs) >= st.guarantee),
             ("sweep_completed", stuck_at is None),
         ),
     ))
     if not pairs:
-        return _truncated("prefix", scheme, c, stages, "stretcher")
+        return _report("prefix", scheme, c, stages, truncated_at="stretcher")
 
-    sizes = [p.right - p.prev for p in pairs]
-    sizes[-1] = n - pairs[-1].prev
     x_dist = CountMatrix.from_rows(rs.surviving_bits())
-    gb = good_blocks(x_dist, sizes, eta)
-    k, block_good = _pick_block(gb, len(pairs))
-    p_idx, i_idx, j_idx = pairs[k].prev, pairs[k].left, pairs[k].right
+    k, p_idx, _, fields, checks = _entropy_blocks(x_dist, n, [p.right for p in pairs], eta)
+    i_idx, j_idx = pairs[k].left, pairs[k].right
     stages.append(StageRecord(
-        "entropy-blocks",
-        (
-            ("sizes", tuple(sizes)),
-            ("eps", eta),
-            ("scores", gb.scores),
-            ("good_blocks", gb.good),
-            ("deficiency_bits", gb.deficiency),
-            ("chosen_block", k + 1),
-            ("p", p_idx),
-            ("i", i_idx),
-            ("j", j_idx),
-        ),
-        (
-            ("good_count", gb.size_bound_ok),
-            ("block_good", block_good),
-        ),
-    ))
+        "entropy-blocks", fields + (("p", p_idx), ("i", i_idx), ("j", j_idx)), checks))
 
     wit = entropy_sum_analysis(x_dist, p_idx, i_idx, j_idx, c, require_hypothesis=False)
     prefix_rep = wit.prefix_report
@@ -516,61 +523,16 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
     ))
 
     s, sp = wit.s, wit.s_prime
-    py_i, py_j, py_joint = _event_probs_y(
-        rs, i_idx, j_idx, lambda v: v < sp, lambda v: v >= s)
-    pu_j = _event_prob_uniform(rs, j_idx, m, lambda v: v >= s)
-    pu_i = _event_prob_uniform(rs, i_idx, m, lambda v: v < sp)
-    disjoint = not (set(rs.renamed_probes[i_idx - 1]) & set(rs.renamed_probes[j_idx - 1]))
-    if pu_i is None or pu_j is None:
-        pu_joint = None
-    else:
-        pu_joint = pu_j * pu_i
-    cc = contradiction_chain(wit.P_joint, wit.P_upper, wit.P_lower, eta)
-    v0 = wit.P_joint
-    v1 = py_joint
-    v2_line = None if pu_joint is None else pu_joint - eta
-    v3 = None if pu_joint is None else pu_j * pu_i - eta
-    v4 = (py_j - eta) * (py_i - eta) - eta
-    v5 = cc.bound
-    v6 = (Fraction(1, 10) - eta) ** 2 - eta
-    v7 = Fraction(1, 200)
-    chain = [
-        ChainLine("Pr_X[sum_j >= s and sum_i < s']", v0, None,
-                  "joint tail bound at the threshold", wit.holds_joint),
-        ChainLine("Pr_Y[dec_j >= s and dec_i < s']", v1, "=",
-                  "answers preserved under fixing", v1 == v0),
-        ChainLine("Pr_U[dec_j >= s and dec_i < s'] - 1/c", v2_line, ">=",
-                  "probed cells jointly near-uniform",
-                  None if v2_line is None else v1 >= v2_line),
-        ChainLine("Pr_U[dec_j >= s] * Pr_U[dec_i < s'] - 1/c", v3, "=",
-                  "probe sets disjoint",
-                  None if v3 is None or v2_line is None else v2_line == v3),
-        ChainLine("(Pr_Y[dec_j >= s] - 1/c)(Pr_Y[dec_i < s'] - 1/c) - 1/c", v4, ">=",
-                  "near-uniform cells, factor by factor",
-                  None if v3 is None else v3 >= v4),
-        ChainLine("(Pr_X[sum_j >= s] - 1/c)(Pr_X[sum_i < s'] - 1/c) - 1/c", v5, "=",
-                  "answers preserved under fixing", v4 == v5),
-        ChainLine("(1/10 - 1/c)^2 - 1/c", v6, ">=",
-                  "tail bounds at the chosen threshold", v5 >= v6),
-        ChainLine("1/200", v7, ">", "parameter floor", v6 > v7),
-    ]
-    relations_ok = all(line.ok for line in chain[1:])
-    chain_checks = [
-        ("joint_bound", wit.holds_joint),
-        ("relations", relations_ok),
-        ("ends_above_floor", v6 > v7),
-        ("probes_disjoint", disjoint),
-        ("joint_under_product_bound", cc.contradiction),
-        ("contradiction", wit.holds_joint and relations_ok),
-    ]
-    return _complete("prefix", scheme, c, stages, chain, chain_checks)
-
-
-def _log_count_floor(count: int, n: int, exponent, lg_l: float) -> bool:
-    """count >= n / (lg n)^exponent, compared in log space."""
-    if count <= 0:
-        return False
-    return math.log2(count) + float(exponent) * lg_l >= math.log2(n) - 1e-12
+    chain, chain_checks = _final_chain(
+        rs, scheme.cell_alphabet, eta, "1/c", "sum",
+        (("j >= s", j_idx, lambda v: v >= s), ("i < s'", i_idx, lambda v: v < sp)),
+        (wit.P_upper, wit.P_lower, wit.P_joint),
+        ("joint_bound", "joint tail bound at the threshold", wit.holds_joint),
+        (("(1/10 - 1/c)^2 - 1/c", (Fraction(1, 10) - eta) ** 2 - eta,
+          "tail bounds at the chosen threshold"),
+         ("1/200", Fraction(1, 200), "parameter floor")),
+    )
+    return _report("prefix", scheme, c, stages, chain, chain_checks)
 
 
 def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
@@ -580,61 +542,36 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
     n = scheme.n
     if n < 4 or n % 2:
         raise ParameterError("the bracket pipeline needs even n >= 4")
-    c = int(c)
-    if c < 4:
-        raise ParameterError(f"c must be an integer >= 4, got {c}")
-    m = scheme.cell_alphabet
+    cf = _exact(c)
+    if cf.denominator != 1:
+        raise ParameterError(f"c must be an integer, got {c}")
+    c = int(cf)
     stages: list[StageRecord] = []
 
     sep = find_separator_brackets([set(p) for p in scheme.probes], c,
                                   require_preconditions=False)
-    a, b = sep.a, sep.b
+    a = sep.a
+    rs = _separate_and_fix(scheme, sep, (("a", a), ("b", sep.b)),
+                           (("size_floor_ok", sep.size_floor_ok),),
+                           (*sep.checks, ("v_floor", sep.v_floor)), stages)
+
     lg = math.log2(n)
-    lg_l = math.log2(lg)
-    b_sorted = tuple(sorted(sep.B))
-    v_sets = [set(scheme.probes[v - 1]) - sep.B for v in sep.V]
-    stages.append(StageRecord(
-        "separator",
-        (
-            ("a", a),
-            ("b", b),
-            ("stages_run", sep.stages_run),
-            ("w", sep.w),
-            ("v", sep.V),
-            ("b_cells", tuple(b_sorted)),
-            ("size_floor_ok", sep.size_floor_ok),
-        ),
-        (
-            ("b_between", c * a <= b <= c * (2 * c) ** a),
-            ("b_small", sep.b_size_ok),
-            ("v_floor", _log_count_floor(sep.w, n, a, lg_l)),
-            ("disjoint", pairwise_disjoint(v_sets)),
-        ),
-    ))
-
-    fixing, rs = _fixing_stage(scheme, b_sorted)
-    stages.append(fixing)
-
     try:
         d_param = 16.0 * lg ** a
     except OverflowError:
         d_param = math.inf
     eta = Fraction(1) / (Fraction(c) * Fraction(d_param))
     sqrt_d = math.sqrt(d_param)
-    gc_fields, gc_checks, v2 = _good_cells_core(rs, scheme, eta, sep.V)
-    gc_fields = [("d", d_param)] + gc_fields
     try:
         v2_floor = n / (2.0 * lg ** a)
     except OverflowError:
         v2_floor = 0.0
-    gc_checks = gc_checks + [("v2_floor", len(v2) >= v2_floor)]
-    stages.append(StageRecord("good-cells", tuple(gc_fields), tuple(gc_checks)))
+    v2 = _good_cells(rs, scheme, eta, sep.V, (("d", d_param),), (("v2_floor", v2_floor),), stages)
 
     v2_sorted = sorted(v2)
     raw_pairs = [(v2_sorted[2 * t], v2_sorted[2 * t + 1])
                  for t in range(len(v2_sorted) // 2)]
     kept = [(i, j) for i, j in raw_pairs if j - i < d_param]
-    v3 = tuple(x for pr in kept for x in pr)
     try:
         v3_floor = n / (16.0 * lg ** a)
     except OverflowError:
@@ -644,7 +581,7 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
         (
             ("candidate_pairs", len(raw_pairs)),
             ("kept_pairs", len(kept)),
-            ("v3", v3),
+            ("v3", tuple(x for pr in kept for x in pr)),
         ),
         (
             ("v3_floor", len(kept) >= v3_floor),
@@ -664,97 +601,46 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
         block_pairs = [best]
         fallback = "closest-in-v"
     else:
-        return _truncated("brackets", scheme, c, stages, "close-pairs")
+        return _report("brackets", scheme, c, stages, truncated_at="close-pairs")
 
-    bounds = [0] + [j for _, j in block_pairs]
-    sizes = [bounds[t + 1] - bounds[t] for t in range(len(block_pairs))]
-    sizes[-1] = n - bounds[-2]
     eps = Fraction(1) / (16 * Fraction(c) ** 2 * Fraction(d_param))
     x_bits = rs.surviving_bits()
     x_dist = CountMatrix.from_rows(x_bits)
-    gb = good_blocks(x_dist, sizes, eps)
-    k, block_good = _pick_block(gb, len(block_pairs))
+    k, block_lo, block_hi, fields, checks = _entropy_blocks(
+        x_dist, n, [j for _, j in block_pairs], eps)
     i_idx, j_idx = block_pairs[k]
-    block_lo = bounds[k]
-    block_hi = n if k == len(block_pairs) - 1 else bounds[k + 1]
     tv_selected = x_dist.tv_uniform(tuple(range(block_lo, block_hi)), 2)
     closeness_bound = Fraction(1) / (Fraction(c) * Fraction(sqrt_d))
     stages.append(StageRecord(
         "entropy-blocks",
-        (
-            ("sizes", tuple(sizes)),
-            ("eps", eps),
-            ("scores", gb.scores),
-            ("good_blocks", gb.good),
-            ("deficiency_bits", gb.deficiency),
-            ("chosen_block", k + 1),
+        fields + (
             ("fallback", fallback),
             ("i", i_idx),
             ("j", j_idx),
             ("block_tv", tv_selected),
             ("closeness_bound", closeness_bound),
         ),
-        (
-            ("good_count", gb.size_bound_ok),
-            ("block_good", block_good),
+        checks + (
             ("block_close", tv_selected <= closeness_bound),
             ("pairs_direct", fallback == "close-pairs"),
         ),
     ))
 
     matches = scheme.oracle_rows(x_bits)
-    px_open, px_close, px_joint = _event_probs(
-        matches[:, i_idx - 1] > j_idx, matches[:, j_idx - 1] < i_idx)
-    py_open, py_close, py_joint = _event_probs_y(
-        rs, i_idx, j_idx, lambda v: v > j_idx, lambda v: v < i_idx)
-    pu_open = _event_prob_uniform(rs, i_idx, m, lambda v: v > j_idx)
-    pu_close = _event_prob_uniform(rs, j_idx, m, lambda v: v < i_idx)
-    disjoint = not (set(rs.renamed_probes[i_idx - 1]) & set(rs.renamed_probes[j_idx - 1]))
-    pu_joint = None if pu_open is None or pu_close is None else pu_open * pu_close
+    x_probs = _event_probs(matches[:, i_idx - 1] > j_idx, matches[:, j_idx - 1] < i_idx)
     window = j_idx - i_idx + 1
-    w_open = unmatched_open_prob(window)
-    w_close = unmatched_close_prob(window)
     eta2 = Fraction(2.0 / (c * sqrt_d))
-    cc = contradiction_chain(px_joint, px_open, px_close, eta)
-    v0 = px_joint
-    v1 = py_joint
-    v2_line = None if pu_joint is None else pu_joint - eta
-    v3 = None if pu_joint is None else pu_open * pu_close - eta
-    v4 = (py_open - eta) * (py_close - eta) - eta
-    v5 = cc.bound
-    v6 = (w_open - eta2) * (w_close - eta2) - eta
-    v7 = Fraction(0)
-    chain = [
-        ChainLine("Pr_X[match_i > j and match_j < i]", v0, None,
-                  "partners cannot cross", v0 == 0),
-        ChainLine("Pr_Y[dec_i > j and dec_j < i]", v1, "=",
-                  "answers preserved under fixing", v1 == v0),
-        ChainLine("Pr_U[dec_i > j and dec_j < i] - 1/(cd)", v2_line, ">=",
-                  "probed cells jointly near-uniform",
-                  None if v2_line is None else v1 >= v2_line),
-        ChainLine("Pr_U[dec_i > j] * Pr_U[dec_j < i] - 1/(cd)", v3, "=",
-                  "probe sets disjoint",
-                  None if v3 is None or v2_line is None else v2_line == v3),
-        ChainLine("(Pr_Y[dec_i > j] - 1/(cd))(Pr_Y[dec_j < i] - 1/(cd)) - 1/(cd)",
-                  v4, ">=", "near-uniform cells, factor by factor",
-                  None if v3 is None else v3 >= v4),
-        ChainLine("(Pr_X[match_i > j] - 1/(cd))(Pr_X[match_j < i] - 1/(cd)) - 1/(cd)",
-                  v5, "=", "answers preserved under fixing", v4 == v5),
-        ChainLine("(Pr_full[match_i > j] - 2/(c sqrt d))"
-                  "(Pr_full[match_j < i] - 2/(c sqrt d)) - 1/(cd)",
-                  v6, ">=", "block close to uniform window bits", v5 >= v6),
-        ChainLine("0", v7, ">", "unmatched-window probabilities", v6 > v7),
-    ]
-    relations_ok = all(line.ok for line in chain[1:])
-    chain_checks = [
-        ("left_side_zero", v0 == 0),
-        ("relations", relations_ok),
-        ("ends_above_floor", v6 > v7),
-        ("probes_disjoint", disjoint),
-        ("joint_under_product_bound", cc.contradiction),
-        ("contradiction", v0 == 0 and relations_ok),
-    ]
-    return _complete("brackets", scheme, c, stages, chain, chain_checks)
+    v6 = (unmatched_open_prob(window) - eta2) * (unmatched_close_prob(window) - eta2) - eta
+    chain, chain_checks = _final_chain(
+        rs, scheme.cell_alphabet, eta, "1/(cd)", "match",
+        (("i > j", i_idx, lambda v: v > j_idx), ("j < i", j_idx, lambda v: v < i_idx)),
+        x_probs,
+        ("left_side_zero", "partners cannot cross", x_probs[2] == 0),
+        (("(Pr_full[match_i > j] - 2/(c sqrt d))(Pr_full[match_j < i] - 2/(c sqrt d)) - 1/(cd)",
+          v6, "block close to uniform window bits"),
+         ("0", Fraction(0), "unmatched-window probabilities")),
+    )
+    return _report("brackets", scheme, c, stages, chain, chain_checks)
 
 
 def run_pipeline(scheme: Scheme, c) -> PipelineReport:

@@ -73,6 +73,14 @@ class SeparatorResult:
     stages_run: int
     log: tuple[StageLog, ...]
 
+    @property
+    def checks(self) -> tuple[tuple[str, bool], ...]:
+        """The guarantees w >= k0 and |B| <= w/g, decided exactly."""
+        return (
+            ("w_floor", Fraction(self.w) >= self.k0),
+            ("b_small", Fraction(len(self.B)) <= Fraction(self.w) / self.gap),
+        )
+
 
 def find_separator(family, g) -> SeparatorResult:
     """Find B with |B| <= w/g leaving >= w in [n/(g*q)^q, n] disjoint sets.
@@ -132,6 +140,19 @@ class BracketSeparatorResult:
     @property
     def w(self) -> int:
         return len(self.V)
+
+    @property
+    def checks(self) -> tuple[tuple[str, bool], ...]:
+        """The guarantees c*a <= b <= c*(2c)^a and |B| <= n/lg^b n."""
+        return (
+            ("b_between", self.c * self.a <= self.b <= self.c * (2 * self.c) ** self.a),
+            ("b_small", self.b_size_ok),
+        )
+
+    @property
+    def v_floor(self) -> bool:
+        """w >= n/lg^a n, the count the successful stage was held to."""
+        return _meets(self.w, self.n, math.log2(math.log2(self.n)), self.a)
 
 
 def _meets(count: int, n: int, lg_l: float, exponent: int) -> bool:

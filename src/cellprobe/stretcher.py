@@ -22,15 +22,23 @@ from .errors import CellProbeError, ParameterError
 
 
 class StretcherWindowError(CellProbeError):
-    """No position in the current window satisfied the gap inequality."""
+    """No position in the current window satisfied the gap inequality.
 
-    def __init__(self, s: int, window: tuple[int, ...], pairs_so_far: tuple):
+    Besides the stuck position it carries the sweep's window length ``t``,
+    input length ``w`` and ``guarantee``, as a ``StretcherResult`` would.
+    """
+
+    def __init__(self, s: int, window: tuple[int, ...], pairs_so_far: tuple,
+                 t: int, w: int, guarantee: int):
         super().__init__(
             f"no qualifying index in the window starting at position {s}: {window}"
         )
         self.s = s
         self.window = window
         self.pairs_so_far = pairs_so_far
+        self.t = t
+        self.w = w
+        self.guarantee = guarantee
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,8 @@ def find_stretcher(indices, n: int, c) -> StretcherResult:
                 break
         else:
             raise StretcherWindowError(
-                s, window=seq[s:s + t + 1], pairs_so_far=tuple(pairs)
+                s, window=seq[s:s + t + 1], pairs_so_far=tuple(pairs),
+                t=t, w=w, guarantee=guarantee,
             )
 
     v_prime = tuple(x for p in pairs for x in (p.left, p.right))

@@ -266,3 +266,20 @@ def test_module_entry_points_run_the_cli(module, tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 2
     assert done.stderr.startswith("error:")
+
+
+def test_pipeline_rejects_out_of_range_c_without_traceback(good_scheme, tmp_path):
+    # a Match c must be an integer; a Sum c past n must not overflow or hang
+    brackets = tmp_path / "brackets8.scm"
+    save_scheme(build_bracket_table(8), str(brackets))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cellprobe.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for scheme, c in ((brackets, "9/2"), (brackets, "4.5"),
+                      (good_scheme, "1e400"), (good_scheme, "1e20")):
+        done = subprocess.run(
+            [sys.executable, "-m", "cellprobe", "pipeline", "--scheme", str(scheme), "--c", c],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2, (c, done.stderr)
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr

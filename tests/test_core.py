@@ -39,6 +39,7 @@ def test_prefix_sum_basics():
     assert prefix_sum(x, 4) == 3
     assert prefix_sum_all(x) == (1, 1, 2, 3)
     assert prefix_sums(x) == (1, 1, 2, 3)
+    assert prefix_sum_all is prefix_sums
 
 
 def test_parse_bits_accepts_digits_and_bracket_chars():

@@ -1,8 +1,10 @@
-"""Byte-for-byte oracle: machine reports of ``verify`` and ``pipeline``.
+"""Byte-for-byte oracle: CLI reports of ``verify``, ``pipeline`` and ``separator``.
 
-The files under ``tests/golden/`` hold the reports as the CLI printed them
-before the encoded-domain refactor.  Regenerate them only for a change that
-means to move a report, and say which fields moved:
+The files under ``tests/golden/`` hold the reports as the CLI printed them:
+``verify`` and ``pipeline`` in machine format, ``pipeline`` again in text
+format, and ``separator`` in machine format (``--gap 4`` on a Sum scheme,
+``--bracket-c 4 --relax`` on a Match scheme).  Regenerate them only for a
+change that means to move a report, and say which fields moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,7 +19,7 @@ from itertools import product
 import pytest
 
 from cellprobe.cli import main
-from cellprobe.core import DOMAIN_ALL, KIND_SUM, Scheme, TableDecoder, TableEncoder
+from cellprobe.core import DOMAIN_ALL, KIND_MATCH, KIND_SUM, Scheme, TableDecoder, TableEncoder
 from cellprobe.schemeio import save_scheme
 from cellprobe.schemes import (
     build_bracket_table,
@@ -59,10 +61,14 @@ def _run(argv) -> str:
 def render(name: str, workdir: str) -> dict[str, str]:
     build, c = CASES[name]
     path = os.path.join(workdir, f"{name}.scm")
-    save_scheme(build(), path)
+    scheme = build()
+    save_scheme(scheme, path)
+    separator = ["--bracket-c", "4", "--relax"] if scheme.kind == KIND_MATCH else ["--gap", "4"]
     return {
         "verify": _run(["verify", "--scheme", path, "--format", "machine"]),
         "pipeline": _run(["pipeline", "--scheme", path, "--c", c, "--format", "machine"]),
+        "pipeline-text": _run(["pipeline", "--scheme", path, "--c", c, "--format", "text"]),
+        "separator": _run(["separator", "--scheme", path, *separator, "--format", "machine"]),
     }
 
 

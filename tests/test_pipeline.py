@@ -18,6 +18,7 @@ from cellprobe.entropy_sum import stretch_term
 from cellprobe.schemes import (
     build_bracket_table,
     build_precomputed_sums,
+    build_raw_identity,
     build_two_level_rank,
 )
 
@@ -74,6 +75,35 @@ def test_two_level_pipeline_is_deterministic():
     second = run_prefix_pipeline(build_two_level_rank(16, 4, 8, 17), 2)
     assert first.render_text() == second.render_text()
     assert first.render_machine() == second.render_machine()
+
+
+def test_stuck_stretcher_is_reported_from_the_sweep():
+    # n=4, c=11/10: V2 = 1..4, t = floor(2.2) = 2, guarantee = 2*floor(4/2.2) = 2.
+    # The first window (0,1,2) fails 1-0 >= 1.1*(2-1), so nothing is paired.
+    rep = run_prefix_pipeline(build_precomputed_sums(4), Fraction(11, 10))
+    assert rep.stage("good-cells").field("v2") == (1, 2, 3, 4)
+    st = rep.stage("stretcher")
+    assert [st.field(k) for k in ("t", "w", "w_prime", "guarantee")] == [2, 4, 0, 2]
+    assert st.field("stuck_at") == 0
+    assert st.field("stuck_window") == (0, 1, 2)
+    assert dict(st.checks) == {"pair_rule": True, "w_prime_floor": False,
+                               "sweep_completed": False}
+    assert rep.truncated_at == "stretcher"
+    # n=6: V2 = 2..6, t = floor(1.1*lg 6) = 2, guarantee = 2*floor(5/2.84) = 2.
+    # (0,2,3) pairs since 2 >= 1.1*1; the next window (3,4,5) has 1 < 1.1*1.
+    rep = run_prefix_pipeline(build_precomputed_sums(6), Fraction(11, 10))
+    assert rep.stage("good-cells").field("v2") == (2, 3, 4, 5, 6)
+    st = rep.stage("stretcher")
+    assert [st.field(k) for k in ("t", "w", "w_prime", "guarantee")] == [2, 5, 2, 2]
+    assert st.field("v_prime") == (2, 3)
+    assert st.field("stuck_at") == 2
+    assert st.field("stuck_window") == (3, 4, 5)
+    assert dict(st.checks) == {"pair_rule": True, "w_prime_floor": True,
+                               "sweep_completed": False}
+    # the pairs found before the stuck window still feed the later stages
+    assert rep.truncated_at is None
+    assert (rep.stage("entropy-blocks").field("i"),
+            rep.stage("entropy-blocks").field("j")) == (2, 3)
 
 
 def test_tiny_scheme_truncates_with_stage_named():
@@ -164,3 +194,16 @@ def test_pipeline_input_validation():
         run_bracket_pipeline(build_precomputed_sums(8, 9), 4)
     with pytest.raises(ParameterError):
         run_bracket_pipeline(build_bracket_table(8), 3)
+    # c is decided exactly: a Match c must be an integer, a Sum c must lie in (1, n]
+    for bad in (Fraction(9, 2), 4.5):
+        with pytest.raises(ParameterError):
+            run_bracket_pipeline(build_bracket_table(8), bad)
+        with pytest.raises(ParameterError):
+            run_pipeline(build_bracket_table(8), bad)
+    for bad in (Fraction(10) ** 400, 10 ** 20, Fraction(17, 2), 9):
+        with pytest.raises(ParameterError):
+            run_prefix_pipeline(build_precomputed_sums(8, 9), bad)
+    assert run_prefix_pipeline(build_precomputed_sums(8, 9), 8).c == 8
+    # (lg n)^c past the float range, with c <= n
+    with pytest.raises(ParameterError):
+        run_prefix_pipeline(build_raw_identity(1100, 2), Fraction(1001, 2))

@@ -64,6 +64,7 @@ def test_separator_guarantees_on_random_families():
         assert Fraction(res.w) >= Fraction(n) / (g * max(res.q, 1)) ** res.q
         assert Fraction(len(res.B)) <= Fraction(res.w) / g
         assert pairwise_disjoint([family[v - 1] - res.B for v in res.V])
+        assert res.checks == (("w_floor", True), ("b_small", True))
 
 
 def test_bracket_separator_stage_zero_at_desk_scale():
@@ -76,6 +77,8 @@ def test_bracket_separator_stage_zero_at_desk_scale():
     assert not res.size_floor_ok
     assert res.b_size_ok
     assert res.w == 128
+    assert res.checks == (("b_between", True), ("b_small", True))
+    assert res.v_floor  # 128 >= n / lg^a n = 2^16 / 16^8
 
 
 def test_bracket_separator_preconditions():

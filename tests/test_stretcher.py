@@ -33,6 +33,8 @@ def test_stuck_window_raises_with_diagnostics():
     assert err.value.s == 0
     assert err.value.window == (0, 1, 2, 4, 8)
     assert err.value.pairs_so_far == ()
+    # the sweep's own parameters: t = floor(1.1 * 4), guarantee = 2 * floor(4 / 4.4)
+    assert (err.value.t, err.value.w, err.value.guarantee) == (4, 4, 0)
 
 
 def test_short_input_produces_no_pairs_without_error():
