@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Callable
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     ParameterError,
     RangeError,
+    SizeError,
 )
 from .infotheory import group_rows
 
@@ -32,6 +33,8 @@ KIND_SUM = "sum"
 KIND_MATCH = "match"
 
 _ENCODE_CHUNK = 4096
+# largest bits plus cells matrices one encoding may allocate
+_ENCODE_BUDGET_BYTES = 2 << 30
 
 
 def prefix_sum(x: Bits, i: int) -> int:
@@ -51,22 +54,64 @@ def match_all(x: Bits) -> tuple[int, ...]:
     return matches  # type: ignore[return-value]
 
 
-class TableEncoder:
-    """Encoder backed by an explicit input -> cells table."""
+def _row_keys(bits: np.ndarray) -> np.ndarray:
+    """One byte-string key per row of a 0/1 matrix, for any width; keys sort as rows do."""
+    packed = np.ascontiguousarray(np.packbits(bits, axis=1))
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
-    __slots__ = ("table",)
+
+class TableEncoder:
+    """Encoder backed by an explicit input -> cells table.
+
+    Held as two row-aligned matrices sorted by input: ``inputs`` (k x n int8,
+    distinct 0/1 rows) and ``cells`` (k x u int64).
+    """
+
+    __slots__ = ("inputs", "cells", "_keys")
 
     def __init__(self, table):
-        self.table = {tuple(k): tuple(v) for k, v in table.items()}
+        n, u = (len(next(iter(rows), ())) for rows in (table, table.values()))
+        if any(len(x) != n for x in table) or any(len(v) != u for v in table.values()):
+            raise ConsistencyError("encoder table rows differ in length")
+        try:
+            inputs = np.frombuffer(bytes(chain.from_iterable(table)), dtype=np.uint8)
+            cells = np.fromiter(chain.from_iterable(table.values()), np.int64, len(table) * u)
+        except (TypeError, ValueError, OverflowError):
+            inputs = None
+        if inputs is None or (inputs > 1).any():
+            raise ParameterError("encoder table needs 0/1 inputs and int64 cell values")
+        k = len(table)
+        rows = TableEncoder.from_rows(inputs.view(np.int8).reshape(k, n), cells.reshape(k, u))
+        self.inputs, self.cells, self._keys = rows.inputs, rows.cells, rows._keys
+
+    @classmethod
+    def from_rows(cls, inputs: np.ndarray, cells: np.ndarray) -> TableEncoder:
+        """The table mapping row r of ``inputs`` (0/1 rows) to row r of ``cells``, sorted."""
+        self = cls.__new__(cls)
+        keys = _row_keys(inputs)
+        order = np.argsort(keys, kind="stable")
+        self.inputs, self.cells, self._keys = inputs[order], cells[order], keys[order]
+        return self
+
+    def lookup(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(cells, found)`` for every row of a 0/1 bits matrix, by one sorted-key search."""
+        if not len(self._keys) or bits.shape[1] != self.inputs.shape[1]:
+            return np.zeros((len(bits), self.cells.shape[1]), np.int64), np.zeros(len(bits), bool)
+        keys = _row_keys(bits)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return self.cells[pos], self._keys[pos] == keys
 
     def __call__(self, x: Bits) -> tuple[int, ...]:
-        try:
-            return self.table[tuple(x)]
-        except KeyError:
-            raise DomainError(f"input {x} not present in the encoder table") from None
+        x = tuple(x)
+        if len(x) == self.inputs.shape[1] and set(x) <= {0, 1}:
+            cells, found = self.lookup(np.array([x], dtype=np.int8))
+            if found[0]:
+                return tuple(cells[0].tolist())
+        raise DomainError(f"input {x} not present in the encoder table")
 
     def __eq__(self, other):
-        return isinstance(other, TableEncoder) and self.table == other.table
+        return isinstance(other, TableEncoder) and (self.inputs.tolist(), self.cells.tolist()) == (
+            other.inputs.tolist(), other.cells.tolist())
 
 
 class TableDecoder:
@@ -201,27 +246,40 @@ class Scheme:
         return bits[:limit], cells[:limit]
 
     def _encode(self, limit: int | None) -> tuple[np.ndarray, np.ndarray]:
-        size = self.domain_size() if limit is None else min(limit, self.domain_size())
-        inputs = islice(self.inputs(), size)
-        bits = cells = None
-        start = 0
-        while True:
-            # chunks keep the Python tuples small; the matrices are filled in place
-            xs = list(islice(inputs, _ENCODE_CHUNK))
-            encs = [self.encode(x) for x in xs]
-            if bits is None:
-                # allocated once the first inputs enumerate and encode cleanly
-                bits = np.empty((size, self.n), dtype=np.int8)
-                cells = np.empty((size, self.u), dtype=np.int64)
-            if not xs:
-                break
-            stop = start + len(xs)
-            bits[start:stop] = xs
-            cells[start:stop] = np.array(encs, dtype=np.int64).reshape(len(xs), self.u)
-            start = stop
+        total = self.domain_size()
+        size = total if limit is None else min(limit, total)
+        need = size * (self.n + 8 * self.u)
+        if need > _ENCODE_BUDGET_BYTES:
+            raise SizeError(
+                f"encoding {size} inputs of a domain of {total} takes {need} bytes, over the "
+                f"{_ENCODE_BUDGET_BYTES}-byte budget; encode a prefix with --max-inputs")
+        bits = np.empty((size, self.n), dtype=np.int8)
+        cells = np.empty((size, self.u), dtype=np.int64)
+        inputs = None if self.domain == DOMAIN_ALL else self.inputs()
+        # input number r has bit j at shift n-1-j; the budget keeps r < 2^63
+        shifts = np.minimum(np.arange(self.n - 1, -1, -1), 63)
+        for start in range(0, size, _ENCODE_CHUNK):
+            stop = min(start + _ENCODE_CHUNK, size)
+            if inputs is None:
+                bits[start:stop] = np.arange(start, stop)[:, None] >> shifts & 1
+            else:
+                bits[start:stop] = list(islice(inputs, stop - start))
+            cells[start:stop] = self._encode_rows(bits[start:stop])
         bits.flags.writeable = False
         cells.flags.writeable = False
         return bits, cells
+
+    def _encode_rows(self, bits: np.ndarray) -> np.ndarray:
+        """Cells of a block of domain rows; the first bad row raises as ``encode`` would."""
+        if not isinstance(self.encoder, TableEncoder):
+            encs = [self.encode(x) for x in map(tuple, bits.tolist())]
+            return np.array(encs, dtype=np.int64).reshape(len(bits), self.u)
+        cells, found = self.encoder.lookup(bits)
+        in_alphabet = ((cells >= 0) & (cells < self.cell_alphabet)).all(axis=1)
+        ok = found & in_alphabet & (cells.shape[1] == self.u)
+        if not ok.all():
+            self.encode(tuple(bits[int(np.argmin(ok))].tolist()))
+        return cells
 
     def oracle_rows(self, bits: np.ndarray) -> np.ndarray:
         """Ground-truth answers (rows x n) for every row of a bits matrix."""

@@ -18,7 +18,8 @@ Layout (all integers decimal):
 
 Table-backed schemes replace the encoder line with ``encoder: table``
 followed by ``<bits> -> <cell values>`` lines (inputs in lexicographic
-order), and ``decoders: table`` followed by per-query blocks of
+order; one line per input, n bits, the same number of int64 values on
+every line), and ``decoders: table`` followed by per-query blocks of
 ``<probe values> -> <answer>`` lines.  The empty probe set / value tuple is
 written as ``-``.  A file written by this module, re-read and re-written,
 reproduces its bytes exactly.
@@ -26,13 +27,25 @@ reproduces its bytes exactly.
 
 from __future__ import annotations
 
-from .bits import bits_to_str, parse_bits
+from itertools import compress, takewhile
+
+import numpy as np
+
+from .bits import parse_bits
 from .core import DOMAIN_ALL, DOMAIN_BAL, Scheme, TableDecoder, TableEncoder
-from .errors import ConsistencyError, ParameterError
+from .errors import CellProbeError, ConsistencyError, ParameterError
 from .infotheory import group_rows
 from .schemes import build_builtin
 
 _HEADER_KEYS = ("n", "u", "q", "cell_alphabet", "domain", "kind")
+
+# byte -> bit for the characters of an input, -1 for any other byte
+_BIT = np.full(256, -1, dtype=np.int8)
+_BIT[list(b"01()")] = (0, 1, 1, 0)
+_TEXT = np.ones(256, dtype=bool)
+_TEXT[list(b" \t\n\r\x0b\x0c")] = False
+_NONDIGIT = _TEXT.copy()
+_NONDIGIT[list(b"0123456789")] = False
 
 
 def _values_key(values: tuple[int, ...]) -> str:
@@ -45,12 +58,19 @@ def _format_builtin(tag: tuple) -> str:
     return f"builtin:{name} {rendered}".rstrip()
 
 
-def _encoder_table(scheme: Scheme) -> dict:
+def _encoder_lines(scheme: Scheme) -> list[str]:
+    """The ``<bits> -> <values>`` lines of a table encoder, one string per 4,096 rows."""
     enc = scheme.encoder
-    if isinstance(enc, TableEncoder):
-        return dict(enc.table)
-    bits, cells = scheme.encoded()
-    return dict(zip(map(tuple, bits.tolist()), map(tuple, cells.tolist())))
+    inputs, cells = (enc.inputs, enc.cells) if isinstance(enc, TableEncoder) else scheme.encoded()
+    (k, n), u = inputs.shape, cells.shape[1]
+    template = "\n  %s -> " + (" ".join(["%d"] * u) or "-")
+    blocks = []
+    for block in (slice(start, start + 4096) for start in range(0, k, 4096)):
+        rows = np.empty((len(inputs[block]), 1 + u), dtype=object)
+        rows[:, 0] = (inputs[block] + ord("0")).view(f"S{n}").ravel().astype(str)
+        rows[:, 1:] = cells[block]
+        blocks.append((template * len(rows) % tuple(rows.ravel()))[1:])
+    return blocks
 
 
 def _decoder_tables(scheme: Scheme) -> list[tuple[dict, int]]:
@@ -79,9 +99,7 @@ def write_scheme(scheme: Scheme) -> str:
         lines.append(f"encoder: {_format_builtin(scheme.builtin)}")
     else:
         lines.append("encoder: table")
-        table = _encoder_table(scheme)
-        for x in sorted(table):
-            lines.append(f"  {bits_to_str(x)} -> {_values_key(table[x])}")
+        lines.extend(_encoder_lines(scheme))
     lines.append("probes:")
     for probe in scheme.probes:
         lines.append(f"  {_values_key(probe)}")
@@ -129,6 +147,77 @@ def _parse_values(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split())
     except ValueError:
         raise ParameterError(f"expected integers, got {text!r}") from None
+
+
+def _refuse(bad, numbers: list[int], lines: list[str], n: int, width: int) -> None:
+    """Raise for the first encoder row flagged ``bad``, naming its line."""
+    if bad.any():
+        r = int(np.argmax(bad))
+        number, left, _, right = numbers[r] + 1, *lines[r].partition("->")
+        try:
+            parse_bits(left.strip()), _parse_values(right)
+        except CellProbeError as err:
+            raise type(err)(f"line {number}: {err}") from None
+        raise ParameterError(f"line {number}: an encoder row holds {n} bits, '->' and {width} "
+                             f"values in [-2^63, 2^63), got {lines[r].strip()!r}")
+
+
+def _read_encoder(src: _Lines, n: int) -> TableEncoder:
+    """The ``<bits> -> <values>`` rows after ``encoder: table``, parsed as one byte buffer."""
+    start = src.pos
+    src.pos += sum(1 for _ in takewhile(
+        lambda line: not line or line.startswith("  ") and "->" in line, src.lines[start:]))
+    numbers = list(compress(range(start, src.pos), src.lines[start:src.pos]))
+    if not numbers:
+        return TableEncoder({})
+    lines, k = [src.lines[i] for i in numbers], len(numbers)
+    # the '0' after the last newline is one token past every row
+    buf = np.frombuffer(bytearray("\n".join([*lines, "0"]), "ascii", "replace"), dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    firsts = np.r_[0, ends[:-1] + 1]
+    arrows = np.flatnonzero((buf[:-1] == 45) & (buf[1:] == 62))
+    arrow = arrows[np.searchsorted(arrows, firsts)]
+    buf[arrow] = buf[arrow + 1] = 32  # a row's first '->' ends its input
+    # tokens are runs of text bytes; their bounds alternate start, stop (then size)
+    text = _TEXT[buf]
+    bounds = np.flatnonzero(np.diff(text.view(np.int8), prepend=np.int8(0), append=np.int8(0)))
+    bounds[1::2] -= bounds[0::2]
+    starts, size = bounds[0::2], bounds[1::2]
+    # per row: its first token, its first token right of the arrow, the next row's first
+    lo, mid, hi = (np.searchsorted(starts, at) for at in (firsts, arrow, ends))
+    dash = (hi - mid == 1) & (buf[starts[mid]] == 45) & (size[mid] == 1)
+    width = hi - mid - dash  # a lone '-' stands for no values
+    w = int(np.bincount(width).argmax())  # the value count most rows have
+    bad = (mid - lo != 1) | (size[lo] != n) | (width != w)
+    # a non-digit byte right of the arrow must open a signed value or be a lone '-'
+    odd = np.flatnonzero(_NONDIGIT[buf])
+    row = np.searchsorted(firsts, odd, side="right") - 1
+    odd, row = odd[odd > arrow[row]], row[odd > arrow[row]]
+    digit_next = (buf[odd + 1] >= 48) & (buf[odd + 1] <= 57)
+    sign = ((buf[odd] == 43) | (buf[odd] == 45)) & ~text[odd - 1] & digit_next
+    bad[row[~(sign | dash[row])]] = True
+    _refuse(bad, numbers, lines, n, w)
+    window = np.lib.stride_tricks.sliding_window_view(buf, n, writeable=True)
+    bits = _BIT[window[starts[lo]]]
+    bad = (bits < 0).any(axis=1)
+    # a value of 19 or more characters may pass int64: parse it exactly
+    long = np.flatnonzero(size > 18)
+    row = np.searchsorted(lo, long, side="right") - 1
+    for t, r in zip(long[long >= mid[row]].tolist(), row[long >= mid[row]].tolist()):
+        bad[r] |= not -2 ** 63 <= int(buf[starts[t]:starts[t] + size[t]].tobytes()) < 2 ** 63
+    _refuse(bad, numbers, lines, n, w)
+    window[starts[lo]] = buf[starts[mid[dash]]] = 32
+    del text, bounds, starts, size  # the token arrays outweigh the values parsed next
+    # fromstring reads blank text as one 0, so w = 0 skips it and the count is checked
+    cells = np.fromstring(buf[:-1].tobytes(), np.int64, sep=" ") if w else np.zeros(0, np.int64)
+    if cells.size != k * w:
+        raise ParameterError(f"encoder table: read {cells.size} cell values, expected {k * w}")
+    enc = TableEncoder.from_rows(bits, cells.reshape(k, w))
+    same = np.flatnonzero((enc.inputs[1:] == enc.inputs[:-1]).all(axis=1))
+    if len(same):
+        first, again = np.flatnonzero((bits == enc.inputs[same[0]]).all(axis=1))[:2]
+        raise ParameterError(f"line {numbers[again] + 1}: input repeats line {numbers[first] + 1}")
+    return enc
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -181,11 +270,7 @@ def read_scheme(text: str) -> Scheme:
     if enc_spec.startswith("builtin:"):
         builtin_params = _parse_builtin(enc_spec)
     elif enc_spec == "table":
-        table = {}
-        while (peeked := src.peek()) is not None and peeked.startswith("  ") and "->" in peeked:
-            left, _, right = src.take().partition("->")
-            table[parse_bits(left.strip())] = _parse_values(right)
-        encoder = TableEncoder(table)
+        encoder = _read_encoder(src, n)
     else:
         raise ParameterError(f"encoder must be builtin:<name> or table, got {enc_spec!r}")
 

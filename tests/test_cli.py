@@ -237,16 +237,60 @@ decoders: table
 """
 
 
-@pytest.mark.parametrize("text", [
-    _BUILTIN_FILE.format(params="cell_alphabet=5 n=4 bogus=1"),
-    _BUILTIN_FILE.format(params="cell_alphabet=x n=4"),
-    _TABLE_FILE.format(answer="one"),
-], ids=["unknown-builtin-parameter", "non-integer-builtin-parameter", "non-integer-answer"])
-def test_bad_scheme_file_is_usage_error(text, tmp_path, capsys):
+_ENCODER_FILE = """n: 2
+u: 1
+q: 1
+cell_alphabet: {alphabet}
+domain: all_bitstrings
+kind: sum
+encoder: table
+{rows}probes:
+  0
+  0
+decoders: table
+  query 1
+    0 -> 0
+    1 -> 1
+  query 2
+    0 -> 0
+    1 -> 1
+"""
+
+
+def _encoder_file(*edits, alphabet=2):
+    """A table file whose encoder rows (file lines 8-11) take ``edits``: {row: text}."""
+    rows = dict(enumerate(["00 -> 0", "01 -> 0", "10 -> 1", "11 -> 1"]))
+    for edit in edits:
+        rows.update(edit)
+    body = "".join(f"  {rows[k]}\n" for k in sorted(rows) if rows[k] is not None)
+    return _ENCODER_FILE.format(alphabet=alphabet, rows=body)
+
+
+@pytest.mark.parametrize("text,names", [
+    (_BUILTIN_FILE.format(params="cell_alphabet=5 n=4 bogus=1"), "bogus"),
+    (_BUILTIN_FILE.format(params="cell_alphabet=x n=4"), "cell_alphabet"),
+    (_TABLE_FILE.format(answer="one"), "query 1 answer"),
+    # encoder-table defects: refused at read time, naming the line ...
+    (_encoder_file({1: "0x -> 0"}), "line 9"),
+    (_encoder_file({4: "011 -> 0"}), "line 12"),
+    (_encoder_file({4: "00 -> 1"}), "line 12"),
+    (_encoder_file({2: "10 -> 1 1"}), "line 10"),
+    (_encoder_file({1: "01 -> x"}), "line 9"),
+    (_encoder_file({3: "11 -> 99999999999999999999"}, alphabet=10 ** 20 + 1), "line 11"),
+    # ... or when the domain is encoded, naming the input or its cells
+    (_encoder_file({3: None}), "input (1, 1) not present"),
+    (_encoder_file({3: "11 -> 2"}), "encoder output (2,) leaves the cell alphabet"),
+], ids=["unknown-builtin-parameter", "non-integer-builtin-parameter", "non-integer-answer",
+        "bad-bit-character", "input-longer-than-n", "duplicated-input", "ragged-values",
+        "non-integer-value", "value-past-int64", "input-missing", "value-outside-alphabet"])
+def test_bad_scheme_file_is_usage_error(text, names, tmp_path, capsys):
     path = tmp_path / "bad.scm"
     path.write_text(text, encoding="ascii")
     assert main(["verify", "--scheme", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert names in err
+    assert "Traceback" not in err
 
 
 def test_build_scheme_unknown_parameter_is_usage_error(tmp_path, capsys):
@@ -282,4 +326,23 @@ def test_pipeline_rejects_out_of_range_c_without_traceback(good_scheme, tmp_path
             capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 2, (c, done.stderr)
         assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+
+
+def test_domain_past_the_encoding_budget_is_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "raw1100.scm")
+    assert main(["build-scheme", "--name", "raw_identity", "--n", "1100",
+                 "--alphabet", "2", "--out", path]) == 0
+    # a prefix of the domain still verifies
+    assert main(["verify", "--scheme", path, "--max-inputs", "5", "--format", "machine"]) == 0
+    assert "status=pass" in capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cellprobe.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv in (["pipeline", "--scheme", path, "--c", "3"], ["verify", "--scheme", path]):
+        done = subprocess.run([sys.executable, "-m", "cellprobe", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error:")
+        assert "--max-inputs" in done.stderr
         assert "Traceback" not in done.stderr

@@ -1,6 +1,7 @@
 """Model basics: bit handling, schemes, verification, restriction."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -15,6 +16,7 @@ from cellprobe import (
     ParameterError,
     RangeError,
     Scheme,
+    SizeError,
     TableDecoder,
     TableEncoder,
     answer_query,
@@ -30,7 +32,12 @@ from cellprobe import (
     validate_bits,
     verify_scheme,
 )
-from cellprobe.schemes import build_bracket_table, build_precomputed_sums, build_two_level_rank
+from cellprobe.schemes import (
+    build_bracket_table,
+    build_precomputed_sums,
+    build_raw_identity,
+    build_two_level_rank,
+)
 
 
 def test_prefix_sum_basics():
@@ -219,3 +226,29 @@ def test_oracle_all_matches_per_query_answers():
     sch = build_precomputed_sums(5)
     x = (1, 1, 0, 1, 0)
     assert sch.oracle_all(x) == tuple(sch.answer(x, i) for i in range(1, 6))
+
+
+@pytest.mark.parametrize("build", [lambda: build_precomputed_sums(40),
+                                   lambda: build_raw_identity(1100, 2)],
+                         ids=["sum-n40", "raw-identity-n1100"])
+def test_domain_past_the_encoding_budget_is_refused_before_allocating(build):
+    scheme = build()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="--max-inputs"):
+            scheme.encoded()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a short prefix is still encoded and checked
+    rep = verify_scheme(scheme, max_inputs=5)
+    assert rep.ok and rep.inputs_checked == 5
+
+
+def test_callable_encoders_receive_input_tuples():
+    # a dict's own lookup as the encoder: it needs hashable inputs
+    table = {x: (sum(x),) for x in product((0, 1), repeat=3)}
+    sch = Scheme(n=3, u=1, cell_alphabet=4, domain=DOMAIN_ALL, kind=KIND_SUM,
+                 probes=((0,),) * 3, encoder=table.__getitem__, decoders=(lambda v: v[0],) * 3)
+    assert sch.encoded()[1][:, 0].tolist() == [sum(x) for x in product((0, 1), repeat=3)]

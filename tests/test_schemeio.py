@@ -1,8 +1,13 @@
 """Scheme file format: write, read, and byte-identical round trips."""
 
+import hashlib
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellprobe import (
+    CellProbeError,
     ParameterError,
     ConsistencyError,
     DomainError,
@@ -14,7 +19,8 @@ from cellprobe import (
     save_scheme,
     write_scheme,
 )
-from cellprobe.core import DOMAIN_ALL, KIND_SUM
+from cellprobe.brackets import enumerate_bal
+from cellprobe.core import DOMAIN_ALL, DOMAIN_BAL, KIND_MATCH, KIND_SUM
 from cellprobe.schemes import build_bracket_table, build_precomputed_sums, build_two_level_rank
 
 
@@ -84,3 +90,160 @@ def test_empty_probe_line_round_trips():
     text = write_scheme(sch)
     assert "  -" in text
     assert write_scheme(read_scheme(text)) == text
+
+
+def _mirror16() -> Scheme:
+    """The 3.5 MB mirror table the goldens and the chain16 benchmark load."""
+    return Scheme(n=16, u=16, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
+                  probes=tuple((i,) for i in range(16)),
+                  encoder=TableEncoder({x: x for x in product((0, 1), repeat=16)}),
+                  decoders=(TableDecoder({(0,): 0, (1,): 1}),) * 16)
+
+
+def _bracket_table6() -> Scheme:
+    """``bracket_table(6)`` with its encoder spelled out as a table."""
+    base = build_bracket_table(6)
+    return Scheme(n=6, u=base.u, cell_alphabet=base.cell_alphabet, domain=DOMAIN_BAL,
+                  kind=KIND_MATCH, probes=base.probes,
+                  encoder=TableEncoder({x: base.encode(x) for x in base.inputs()}),
+                  decoders=base.decoders)
+
+
+def _no_cells2() -> Scheme:
+    """u = 0: every table row and probe set is written as ``-``."""
+    return Scheme(n=2, u=0, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
+                  probes=((), ()),
+                  encoder=TableEncoder({x: () for x in product((0, 1), repeat=2)}),
+                  decoders=(TableDecoder({(): 0}), TableDecoder({(): 1}, default=2)))
+
+
+# sha256 of write_scheme's output, recorded before table schemes were held as matrices
+WRITE_DIGESTS = {
+    "mirror16": (_mirror16, "9725be6330806045e02949258345e08e29d53c7989c6ef15742bd1a061a4e22f"),
+    "bracket_table6": (_bracket_table6, "3b1d330b91a092d7020168dfa9f7c1d5374bcbb7c2c2147de267e8283292ec68"),
+    "no_cells2": (_no_cells2, "03467dd738c7f66a664d6c12ee1e5b46fc6a78a460d1933d2e93b939d99759bd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITE_DIGESTS))
+def test_written_table_schemes_keep_their_bytes(name):
+    build, digest = WRITE_DIGESTS[name]
+    text = write_scheme(build())
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+    assert write_scheme(read_scheme(text)) == text
+
+
+@st.composite
+def table_schemes(draw, max_n=6):
+    """Random table schemes: n <= max_n, u <= 4, either domain, decoder defaults.
+
+    Returns the scheme and the dict its encoder was built from.  Tables may
+    miss inputs, have rows one value wider than u, or hold one value just
+    outside the alphabet, so encoding can fail in each of its ways.
+    """
+    domain = draw(st.sampled_from([DOMAIN_ALL, DOMAIN_BAL]))
+    if domain == DOMAIN_ALL:
+        n, kind = draw(st.integers(1, max_n)), KIND_SUM
+        xs = list(product((0, 1), repeat=n))
+    else:
+        n = draw(st.sampled_from([m for m in (2, 4, 6) if m <= max_n]))
+        kind = draw(st.sampled_from([KIND_SUM, KIND_MATCH]))
+        xs = list(enumerate_bal(n))
+    u = draw(st.integers(0, 4))
+    alphabet = draw(st.integers(2, 12))
+    width = u + draw(st.sampled_from([0, 0, 0, 1]))
+    values = draw(st.lists(st.integers(0, alphabet - 1),
+                           min_size=len(xs) * width, max_size=len(xs) * width))
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from([-1, alphabet]))
+    missing = draw(st.sets(st.sampled_from(xs), max_size=2)) if draw(st.booleans()) else set()
+    table = {x: tuple(values[k * width:(k + 1) * width])
+             for k, x in enumerate(xs) if x not in missing}
+    probes, decoders = [], []
+    for _ in range(n):
+        probe = tuple(sorted(draw(st.sets(st.integers(0, u - 1), max_size=u)))) if u else ()
+        keys = st.tuples(*[st.integers(0, alphabet - 1)] * len(probe))
+        entries = draw(st.dictionaries(keys, st.integers(-3, 20), max_size=4))
+        probes.append(probe)
+        decoders.append(TableDecoder(entries, default=draw(st.integers(-2, 3))))
+    scheme = Scheme(n=n, u=u, cell_alphabet=alphabet, domain=domain, kind=kind,
+                    probes=tuple(probes), encoder=TableEncoder(table),
+                    decoders=tuple(decoders))
+    return scheme, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_schemes())
+def test_random_table_schemes_round_trip_byte_stable(drawn):
+    scheme, _ = drawn
+    text = write_scheme(scheme)
+    back = read_scheme(text)
+    assert write_scheme(back) == text
+    assert back == scheme
+
+
+def _reference_rows(scheme: Scheme, table: dict) -> list:
+    """Per-input reference: look each input up in the dict, checked as ``Scheme.encode`` checks."""
+    rows = []
+    for x in scheme.inputs():
+        if x not in table:
+            raise DomainError(f"input {x} not present in the encoder table")
+        cells = table[x]
+        if len(cells) != scheme.u:
+            raise ConsistencyError(f"encoder produced {len(cells)} cells, scheme has {scheme.u}")
+        m = scheme.cell_alphabet
+        if cells and not (0 <= min(cells) and max(cells) < m):
+            raise ConsistencyError(f"encoder output {cells} leaves the cell alphabet [0, {m})")
+        rows.append((x, cells))
+    return rows
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except CellProbeError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_schemes())
+def test_encoded_matches_a_per_input_loop(drawn):
+    scheme, table = drawn
+
+    def encoded_rows(s):
+        bits, cells = s.encoded()
+        return list(zip(map(tuple, bits.tolist()), map(tuple, cells.tolist())))
+
+    expected = _outcome(lambda: _reference_rows(scheme, table))
+    assert _outcome(lambda: encoded_rows(scheme)) == expected
+    assert _outcome(lambda: encoded_rows(read_scheme(write_scheme(scheme)))) == expected
+
+
+@st.composite
+def scheme_texts(draw):
+    """Arbitrary text, or a small table scheme file with a few characters edited."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=200))
+    scheme, _ = draw(table_schemes(max_n=3))
+    text = write_scheme(scheme)
+    pieces = st.sampled_from(list("0123456789-> \n()x:") + ["99999999999999999999", "\t", "é"])
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + draw(st.one_of(st.just(""), pieces)) + text[at + cut:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheme_texts())
+def test_any_text_reads_as_a_scheme_or_a_usage_error(text):
+    try:
+        scheme = read_scheme(text)
+    except CellProbeError:
+        return
+    assert isinstance(scheme, Scheme)
+    if scheme.domain_size() <= 4096:
+        try:
+            scheme.encoded()
+        except CellProbeError:
+            pass
