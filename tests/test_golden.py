@@ -1,10 +1,13 @@
-"""Byte-for-byte oracle: CLI reports of ``verify``, ``pipeline`` and ``separator``.
+"""Byte-for-byte oracle: CLI reports of the scheme and distribution commands.
 
 The files under ``tests/golden/`` hold the reports as the CLI printed them:
 ``verify`` and ``pipeline`` in machine format, ``pipeline`` again in text
 format, and ``separator`` in machine format (``--gap 4`` on a Sum scheme,
-``--bracket-c 4 --relax`` on a Match scheme).  Regenerate them only for a
-change that means to move a report, and say which fields moved:
+``--bracket-c 4 --relax`` on a Match scheme).  The distribution files under
+``tests/golden/inputs/`` are read by ``entropy`` (joint and conditional),
+``goodset cells``, ``goodset blocks`` (on the support, for bit outcomes) and
+``entropy-sum --dist``, each in machine and text format.  Regenerate them
+only for a change that means to move a report, and say which fields moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -29,6 +32,7 @@ from cellprobe.schemes import (
 )
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+INPUTS = os.path.join(GOLDEN, "inputs")
 
 
 def _mirror():
@@ -72,6 +76,40 @@ def render(name: str, workdir: str) -> dict[str, str]:
     }
 
 
+# distribution file name -> cell alphabet
+DIST_CASES = {"uniform4": 2, "skewed3": 3, "primes4": 2}
+
+
+def render_dist(name: str, workdir: str) -> dict[str, str]:
+    alphabet = DIST_CASES[name]
+    path = os.path.join(INPUTS, f"{name}.dist")
+    with open(path, encoding="ascii") as fh:
+        outcomes = [line.split()[0].split(",") for line in fh if not line.startswith("#")]
+    arity = len(outcomes[0])
+    commands = {
+        "entropy": ["entropy", "--dist", path],
+        "entropy-given": ["entropy", "--dist", path, "--target", "1,2", "--given", "0"],
+        "goodset-cells": ["goodset", "cells", "--dist", path, "--q", "2", "--eta", "1/5",
+                          "--alphabet", str(alphabet)],
+        "entropy-sum": ["entropy-sum", "--dist", path, "--p", "1", "--i", "2",
+                        "--j", str(arity), "--c", "1"],
+    }
+    if alphabet == 2:
+        x_path = os.path.join(workdir, f"{name}.bits")
+        with open(x_path, "w", encoding="ascii") as fh:
+            fh.writelines("".join(o) + "\n" for o in outcomes)
+        commands["goodset-blocks"] = ["goodset", "blocks", "--x", x_path, "--sizes", "2,2",
+                                      "--eps", "1/2"]
+    texts = {}
+    for command, argv in commands.items():
+        texts[command] = _run([*argv, "--format", "machine"])
+        texts[f"{command}-text"] = _run([*argv, "--format", "text"])
+    return texts
+
+
+RENDERERS = {**{name: render for name in CASES}, **{name: render_dist for name in DIST_CASES}}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_reports_match_golden(name, tmp_path):
     for command, text in render(name, str(tmp_path)).items():
@@ -79,10 +117,17 @@ def test_reports_match_golden(name, tmp_path):
             assert text == fh.read(), f"{name} {command} report moved"
 
 
+@pytest.mark.parametrize("name", sorted(DIST_CASES))
+def test_distribution_reports_match_golden(name, tmp_path):
+    for command, text in render_dist(name, str(tmp_path)).items():
+        with open(os.path.join(GOLDEN, f"{name}.{command}.txt"), encoding="ascii") as fh:
+            assert text == fh.read(), f"{name} {command} report moved"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
-            for command, text in render(case, tmp).items():
+        for case in sorted(RENDERERS):
+            for command, text in RENDERERS[case](case, tmp).items():
                 with open(os.path.join(GOLDEN, f"{case}.{command}.txt"), "w", encoding="ascii") as fh:
                     fh.write(text)
                 sys.stdout.write(f"wrote {case}.{command}.txt\n")
