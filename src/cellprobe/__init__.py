@@ -58,7 +58,6 @@ from .errors import (
     SizeError,
 )
 from .infotheory import (
-    CountMatrix,
     Distribution,
     GoodSetReport,
     HighEntropyCheck,

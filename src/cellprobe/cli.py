@@ -460,10 +460,7 @@ def main(argv=None) -> int:
     try:
         _check_mode_flags(args)
         return args.func(args)
-    except CellProbeError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except OSError as err:
+    except (CellProbeError, OSError, UnicodeDecodeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

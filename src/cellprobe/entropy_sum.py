@@ -23,7 +23,7 @@ from numbers import Rational
 import numpy as np
 
 from .errors import DomainError, HypothesisError, ParameterError
-from .infotheory import as_counts, entropy_by_group, group_rows, mean_entropy, sum_by
+from .infotheory import entropy_by_group, group_rows, mean_entropy, sum_by
 
 _TOL = 1e-9
 
@@ -89,21 +89,19 @@ def good_prefix_set(dist, p: int, j: int, c,
                     require_hypothesis: bool = True) -> PrefixSetReport:
     """Prefixes y of length p whose conditional block (p..j] keeps near-full entropy.
 
-    ``dist`` is a ``Distribution`` or a ``CountMatrix``.
     Zero-probability prefixes are excluded (their conditional entropy is
     undefined and they carry no mass).  When the entropy hypothesis
     H(block | prefix) >= (j-p) - 1/c fails, either raises or reports per
     ``require_hypothesis``.
     """
-    cm = as_counts(dist)
-    n = cm.width
+    n = dist.arity
     if not 0 <= p < j <= n:
         raise ParameterError(f"need 0 <= p < j <= {n}, got p={p} j={j}")
     if float(c) <= 0:
         raise ParameterError(f"c must be positive, got {c}")
     span = j - p
-    prefixes, weights, entropies = entropy_by_group(cm, range(p, j), range(p))
-    measured = mean_entropy(weights, entropies, cm.denom)
+    prefixes, weights, entropies = entropy_by_group(dist, range(p, j), range(p))
+    measured = mean_entropy(weights, entropies, dist.denom)
     floor = span - 1 / float(c)
     hypothesis_ok = measured >= floor - _TOL
     if require_hypothesis and not hypothesis_ok:
@@ -118,7 +116,7 @@ def good_prefix_set(dist, p: int, j: int, c,
         if h >= member_floor - _TOL:
             members.append(tuple(y))
             mass += w
-    pr_a = Fraction(mass, cm.denom)
+    pr_a = Fraction(mass, dist.denom)
     return PrefixSetReport(
         A=tuple(members),
         pr_A=pr_a,
@@ -140,16 +138,15 @@ class ThresholdReport:
 
 def find_threshold(dist, a_set, p: int) -> ThresholdReport:
     """Largest integer t with Pr[prefix in A and prefix-sum >= t] >= 1/4."""
-    cm = as_counts(dist)
     members = {tuple(y) for y in a_set}
-    prefix = cm.rows[:, :p]
+    prefix = dist.rows[:, :p]
     first, inverse = group_rows(prefix)
     in_a = np.array([tuple(y) in members for y in prefix[first].tolist()], dtype=bool)
     mask = in_a[inverse]
     sums, at_sum = np.unique(prefix[mask].sum(axis=1), return_inverse=True)
-    mass = sum_by(len(sums), at_sum, cm.counts[mask])
+    mass = sum_by(len(sums), at_sum, dist.counts[mask])
     mass_by_sum = dict(zip(sums.tolist(), mass.tolist()))
-    denom = cm.denom
+    denom = dist.denom
     total = sum(mass_by_sum.values())
     if 4 * total < denom:
         raise DomainError(
@@ -246,14 +243,10 @@ def _finish(p, i, j, ell, d, c, prefix_report, a_size, pr_a, threshold,
 
 def entropy_sum_analysis(dist, p: int, i: int, j: int, c,
                          require_hypothesis: bool = True) -> EntropySumWitness:
-    """Exact threshold analysis by enumeration over the distribution's support.
-
-    ``dist`` is a ``Distribution`` or a ``CountMatrix``.
-    """
-    cm = as_counts(dist)
-    ell, d, _ = _validate_indices(cm.width, p, i, j, c)
-    prefix = good_prefix_set(cm, p, j, c, require_hypothesis=require_hypothesis)
-    threshold = find_threshold(cm, prefix.A, p)
+    """Exact threshold analysis by enumeration over the distribution's support."""
+    ell, d, _ = _validate_indices(dist.arity, p, i, j, c)
+    prefix = good_prefix_set(dist, p, j, c, require_hypothesis=require_hypothesis)
+    threshold = find_threshold(dist, prefix.A, p)
     term = stretch_term(c, d)
     s_cut = Fraction(threshold.t) + Fraction(ell + d, 2) + term if isinstance(term, Fraction) \
         else threshold.t + (ell + d) / 2 + term
@@ -261,13 +254,13 @@ def entropy_sum_analysis(dist, p: int, i: int, j: int, c,
     blk_cut = Fraction(d, 2) + term if isinstance(term, Fraction) else d / 2 + term
 
     # the sums are integers, so each real cut compares through its ceiling or floor
-    sum_j = cm.rows[:, :j].sum(axis=1)
-    sum_i = cm.rows[:, :i].sum(axis=1)
+    sum_j = dist.rows[:, :j].sum(axis=1)
+    sum_i = dist.rows[:, :i].sum(axis=1)
     upper = sum_j >= math.ceil(s_cut)
     lower = sum_i < math.ceil(sp_cut)
 
     def prob(mask) -> Fraction:
-        return Fraction(int(cm.counts[mask].sum()), cm.denom)
+        return Fraction(int(dist.counts[mask].sum()), dist.denom)
 
     return _finish(p, i, j, ell, d, c, prefix, len(prefix.A), prefix.pr_A, threshold,
                    prob(upper), prob(lower), prob(sum_i <= math.floor(sp_cut)),

@@ -1,152 +1,180 @@
 """Exact entropy and statistical-distance toolkit over explicit finite distributions.
 
-Probabilities are kept as exact rationals whenever the caller supplies them
-that way; entropies are real-valued (bits, base-2 logs).  Inequality checks
-elsewhere in the package compare against these values with a 1e-9 tolerance.
+A distribution is held as integer counts: its distinct outcomes are the rows
+of an int64 matrix and each row's probability is its count over one common
+denominator.  Probabilities given as exact rationals stay exact; entropies
+are real-valued (bits, base-2 logs).  Inequality checks elsewhere in the
+package compare against these values with a 1e-9 tolerance.
 
-The measurements over large supports run on ``CountMatrix``: outcome rows in
-an int matrix with integer counts over one denominator.  They bucket counts
-with numpy and make a ``Fraction`` only for a value they return.  Each float
-they return is the one the ``Fraction`` route gives, bit for bit: a ratio is
-reduced by its gcd before its log is taken, and sums go through ``fsum``,
-which rounds exactly and so does not depend on order.
+The measurements bucket counts with numpy and make a ``Fraction`` only for
+a value they return.  Each float they return is the one the ``Fraction``
+route gives, bit for bit: a ratio is reduced by its gcd before its log is
+taken, and sums go through ``fsum``, which rounds exactly and so does not
+depend on order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import fsum
+from numbers import Rational
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, SizeError
+from .errors import DomainError, ParameterError, RangeError, SizeError
 
 Outcome = tuple[int, ...]
 
 _SUM_TOL = 1e-12
 
 
-def _lg(p) -> float:
-    """log2 of a probability; splits Fractions to keep precision on tiny values."""
-    if isinstance(p, Fraction):
-        return math.log2(p.numerator) - math.log2(p.denominator)
-    return math.log2(p)
+def _outcome_matrix(outcomes) -> np.ndarray:
+    """The outcomes as the rows of a k x arity int64 matrix; each entry must be an int64."""
+    rows = []
+    for outcome in outcomes:
+        try:
+            row = tuple(operator.index(v) for v in outcome)
+        except TypeError as err:
+            raise DomainError(f"outcome {outcome!r} is not a tuple of integers") from err
+        if any(not -2 ** 63 <= v < 2 ** 63 for v in row):
+            raise DomainError(f"outcome {outcome!r} holds a value past int64")
+        rows.append(row)
+    if not rows:
+        raise ParameterError("distribution needs at least one outcome of positive mass")
+    arity = len(rows[0])
+    if any(len(row) != arity for row in rows):
+        raise DomainError("distribution outcomes must share one arity")
+    return np.array(rows, dtype=np.int64).reshape(len(rows), arity)
 
 
 class Distribution:
     """Finite probability mass function over equal-length int tuples.
 
-    Zero-probability outcomes are dropped on construction; iteration order is
-    the sorted order of outcomes, so downstream reports are deterministic.
+    ``rows`` is a k x arity int64 matrix of the distinct outcomes in
+    lexicographic order and ``counts[r] / denom`` the probability of row r.
+    Counts are int64 while ``denom`` fits int64 and Python ints beyond.
+    Zero-probability outcomes are dropped on construction.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("rows", "counts", "denom")
 
     def __init__(self, pmf):
-        items = []
+        outcomes, probs = [], []
         exact = True
         for outcome, p in pmf.items():
-            outcome = tuple(outcome)
             if not isinstance(p, Fraction):
                 exact = False
+                if not isinstance(p, Rational) and not math.isfinite(p):
+                    raise ParameterError(f"probability {p} for {outcome} is not finite")
             if p < 0:
                 raise ParameterError(f"negative probability {p} for {outcome}")
-            if p == 0:
-                continue
-            items.append((outcome, p))
-        if not items:
-            raise ParameterError("distribution needs at least one outcome of positive mass")
-        arity = len(items[0][0])
-        if any(len(o) != arity for o, _ in items):
-            raise DomainError("distribution outcomes must share one arity")
-        total = sum(p for _, p in items)
+            if p:
+                outcomes.append(outcome)
+                # a float counts at the exact binary value it holds
+                probs.append(p if isinstance(p, Fraction) else Fraction(p))
+        rows = _outcome_matrix(outcomes)
+        total = sum(probs)
         if exact:
             if total != 1:
                 raise ParameterError(f"probabilities sum to {total}, expected exactly 1")
         elif abs(float(total) - 1.0) > _SUM_TOL:
             raise ParameterError(f"probabilities sum to {float(total)}, expected 1")
-        items.sort(key=lambda kv: kv[0])
-        self._items = tuple(items)
+        denom = math.lcm(*(p.denominator for p in probs))
+        self._set(rows, [p.numerator * (denom // p.denominator) for p in probs], denom)
 
     @classmethod
     def uniform(cls, outcomes) -> "Distribution":
         outcomes = [tuple(o) for o in outcomes]
         if len(set(outcomes)) != len(outcomes):
             raise ParameterError("uniform support contains repeated outcomes")
-        p = Fraction(1, len(outcomes))
-        return cls({o: p for o in outcomes})
+        return cls.from_rows(_outcome_matrix(outcomes))
 
     @classmethod
     def from_counts(cls, counts) -> "Distribution":
         total = sum(counts.values())
         return cls({tuple(o): Fraction(c, total) for o, c in counts.items() if c})
 
-    def items(self):
-        return self._items
+    @classmethod
+    def from_rows(cls, rows, counts=None) -> "Distribution":
+        """Distribution of the rows of an int matrix, each row weighted by its
+        count (1 by default); equal rows merge."""
+        rows = np.array(rows, dtype=np.int64)
+        if counts is None:
+            counts = np.ones(len(rows), dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        return cls._of(rows, counts, int(counts.sum()))
+
+    @classmethod
+    def _of(cls, rows: np.ndarray, counts, denom: int) -> "Distribution":
+        return cls.__new__(cls)._set(rows, counts, denom)
+
+    def _set(self, rows: np.ndarray, counts, denom: int) -> "Distribution":
+        """Hold ``rows`` (a matrix of its own) weighted by ``counts`` out of
+        ``denom``; equal rows merge."""
+        if denom <= 0:
+            raise ParameterError("a distribution needs positive total mass")
+        first, inverse = group_rows(rows)
+        # counts never exceed denom; past int64 they stay Python ints
+        counts = np.asarray(counts, dtype=np.int64 if denom < 2 ** 63 else object)
+        # rows already distinct and in order are kept, not copied, so a
+        # full-width marginal of a large set holds one matrix, not two
+        distinct = len(first) == len(rows) and bool((first[1:] > first[:-1]).all())
+        self.rows = rows if distinct else rows[first]
+        self.counts = sum_by(len(first), inverse, counts)
+        self.denom = denom
+        return self
+
+    def items(self) -> tuple[tuple[Outcome, Fraction], ...]:
+        return tuple((o, Fraction(c, self.denom))
+                     for o, c in zip(self.support(), self.counts.tolist()))
 
     def support(self) -> tuple[Outcome, ...]:
-        return tuple(o for o, _ in self._items)
+        return tuple(map(tuple, self.rows.tolist()))
 
     def prob(self, outcome) -> Fraction:
-        outcome = tuple(outcome)
-        for o, p in self._items:
-            if o == outcome:
-                return p
-        return Fraction(0)
+        return dict(self.items()).get(tuple(outcome), Fraction(0))
 
     @property
     def arity(self) -> int:
-        return len(self._items[0][0])
+        return self.rows.shape[1]
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Distribution) and self._items == other._items
+        return isinstance(other, Distribution) and self.items() == other.items()
 
     def __repr__(self) -> str:
-        return f"Distribution({len(self._items)} outcomes over {self.arity} coordinates)"
+        return f"Distribution({len(self)} outcomes over {self.arity} coordinates)"
 
     def is_uniform(self) -> bool:
-        first = self._items[0][1]
-        return all(p == first for _, p in self._items)
+        return bool((self.counts == self.counts[0]).all())
 
     def marginal(self, coords) -> "Distribution":
-        coords = tuple(coords)
-        acc: dict[Outcome, object] = {}
-        for o, p in self._items:
-            key = tuple(o[c] for c in coords)
-            acc[key] = acc.get(key, 0) + p
-        return Distribution(acc)
+        """Distribution of the projection onto ``coords``, each in [0, arity)."""
+        coords = list(coords)
+        bad = [c for c in coords if not 0 <= c < self.arity]
+        if bad:
+            raise RangeError(f"coordinate {bad[0]} outside a distribution of arity {self.arity}")
+        return self._of(self.rows[:, coords], self.counts, self.denom)
 
     def given(self, coords, value) -> "Distribution":
         """Conditional distribution (over full outcomes) given coords == value."""
-        coords = tuple(coords)
-        value = tuple(value)
-        hits = [(o, p) for o, p in self._items if tuple(o[c] for c in coords) == value]
-        if not hits:
+        coords, value = tuple(coords), tuple(value)
+        if value not in self.marginal(coords).support():
             raise DomainError(f"conditioning event {value} on coords {coords} has probability 0")
-        total = sum(p for _, p in hits)
-        return Distribution({o: p / total for o, p in hits})
-
-    def integer_counts(self):
-        """(rows, counts, denom) with counts/denom == probabilities, all exact ints.
-
-        A float probability counts at the exact binary fraction it holds.
-        """
-        probs = [p if isinstance(p, Fraction) else Fraction(p) for _, p in self._items]
-        denom = math.lcm(*(p.denominator for p in probs))
-        rows = [o for o, _ in self._items]
-        counts = [p.numerator * (denom // p.denominator) for p in probs]
-        return rows, counts, denom
+        mask = (self.rows[:, coords] == value).all(axis=1)
+        counts = self.counts[mask]
+        return self._of(self.rows[mask], counts, int(counts.sum()))
 
 
 def entropy(dist: Distribution) -> float:
     """Shannon entropy in bits."""
-    return fsum(-float(p) * _lg(p) for _, p in dist.items())
+    return conditional_entropy(dist, range(dist.arity), ())
 
 
 def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,19 +224,16 @@ def entropy_by_group(dist, target, given) -> tuple[np.ndarray, list[int], list[f
     """H(target-coords | given-coords = g) for every value g of the given coords.
 
     Returns ``(values, weights, entropies)`` in lexicographic order of g:
-    the given-coordinate values, each one's count (out of ``denom`` of the
-    count matrix) and the entropy of the target coordinates under it.
+    the given-coordinate values, each one's count (out of ``dist.denom``)
+    and the entropy of the target coordinates under it.
     """
-    cm = as_counts(dist)
-    target, given = list(target), list(given)
-    g_first, g_inv = group_rows(cm.rows[:, given])
+    given = list(given)
     # pairs sort by (given, target), so each group's pairs are contiguous
-    p_first, p_inv = group_rows(cm.rows[:, given + target])
-    pair_counts = sum_by(len(p_first), p_inv, cm.counts)
-    pair_group = g_inv[p_first]
-    weights = sum_by(len(g_first), pair_group, pair_counts).tolist()
-    ends = np.cumsum(np.bincount(pair_group, minlength=len(g_first))).tolist()
-    pair_counts = pair_counts.tolist()
+    pairs = dist.marginal(given + list(target))
+    g_first, g_inv = group_rows(pairs.rows[:, :len(given)])
+    weights = sum_by(len(g_first), g_inv, pairs.counts).tolist()
+    ends = np.cumsum(np.bincount(g_inv, minlength=len(g_first))).tolist()
+    pair_counts = pairs.counts.tolist()
     terms: dict[tuple[int, int], float] = {}
     entropies = []
     start = 0
@@ -221,7 +246,7 @@ def entropy_by_group(dist, target, given) -> tuple[np.ndarray, list[int], list[f
             parts.append(t)
         entropies.append(fsum(parts))
         start = end
-    return cm.rows[np.ix_(g_first, given)], weights, entropies
+    return pairs.rows[g_first, :len(given)], weights, entropies
 
 
 def mean_entropy(weights, entropies, denom: int) -> float:
@@ -232,16 +257,14 @@ def mean_entropy(weights, entropies, denom: int) -> float:
 def conditional_entropy(dist, target, given) -> float:
     """H(target-coords | given-coords), computed from the definition.
 
-    ``dist`` is a ``Distribution`` or a ``CountMatrix``.  An empty ``given``
-    yields the unconditional entropy of the target marginal.
+    An empty ``given`` yields the unconditional entropy of the target marginal.
     """
-    cm = as_counts(dist)
-    _, weights, entropies = entropy_by_group(cm, target, given)
-    return mean_entropy(weights, entropies, cm.denom)
+    _, weights, entropies = entropy_by_group(dist, target, given)
+    return mean_entropy(weights, entropies, dist.denom)
 
 
 def tv_distance(d1: Distribution, d2: Distribution):
-    """Total variation distance (1/2 L1); exact when both pmfs are exact."""
+    """Exact total variation distance (1/2 L1)."""
     if d1.arity != d2.arity:
         raise DomainError(f"cannot compare supports of arity {d1.arity} and {d2.arity}")
     p1 = dict(d1.items())
@@ -252,17 +275,20 @@ def tv_distance(d1: Distribution, d2: Distribution):
 
 
 def tv_from_uniform(dist: Distribution, space_size: int):
-    """TV distance to the uniform distribution on a space of ``space_size`` points.
+    """Exact TV distance to the uniform distribution on a space of ``space_size`` points.
 
     Outcomes outside the support contribute only missing mass, so the space is
     never materialised.
     """
     if space_size < len(dist):
         raise ParameterError("space smaller than the support it must contain")
-    inv = Fraction(1, space_size)
-    present = sum(abs(p - inv) for _, p in dist.items())
-    missing = (space_size - len(dist)) * inv
-    return (present + missing) / 2
+    counts, denom = dist.counts, dist.denom
+    if space_size * denom < 2 ** 62:
+        present = int(np.abs(counts * space_size - denom).sum())
+    else:
+        present = sum(abs(c * space_size - denom) for c in counts.tolist())
+    missing = (space_size - len(dist)) * denom
+    return Fraction(present + missing, 2 * denom * space_size)
 
 
 @dataclass(frozen=True)
@@ -328,16 +354,6 @@ def validate_blocks(sizes, n: int) -> tuple[int, ...]:
     return sizes
 
 
-def as_uniform_counts(x) -> "CountMatrix":
-    """A uniform CountMatrix from a CountMatrix, a Distribution or a set of outcomes."""
-    if isinstance(x, (Distribution, CountMatrix)):
-        cm = as_counts(x)
-        if (cm.counts != cm.counts[0]).any():
-            raise ParameterError("expected a uniform distribution over the input set")
-        return cm
-    return CountMatrix(Distribution.uniform(x))
-
-
 def good_blocks(x_set, sizes, eps) -> GoodSetReport:
     """Blocks whose conditional entropy given earlier blocks is nearly full.
 
@@ -346,11 +362,13 @@ def good_blocks(x_set, sizes, eps) -> GoodSetReport:
     when H(Z_i | Z_1..Z_{i-1}) >= s_i - eps, measured exactly from X.  At
     least k - a/eps blocks are good, where a = n - lg|X|.
     """
-    dist = as_uniform_counts(x_set)
+    dist = x_set if isinstance(x_set, Distribution) else Distribution.uniform(x_set)
+    if not dist.is_uniform():
+        raise ParameterError("expected a uniform distribution over the input set")
     eps = float(eps)
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    n = dist.width
+    n = dist.arity
     sizes = validate_blocks(sizes, n)
     a = n - math.log2(len(dist))
     scores = []
@@ -376,88 +394,10 @@ def good_blocks(x_set, sizes, eps) -> GoodSetReport:
     )
 
 
-class CountMatrix:
-    """Integer-count view of a distribution, for subset statistics.
-
-    Rows are the distinct support outcomes in lexicographic order,
-    ``counts[i]/denom`` their probabilities.  Counts are int64 while
-    ``denom`` fits int64 and Python ints beyond.  All derived quantities
-    (joint counts, TV distances) stay exact.
-    """
-
-    def __init__(self, dist: Distribution):
-        rows, counts, denom = dist.integer_counts()
-        self._set(np.asarray(rows, dtype=np.int64).reshape(len(rows), dist.arity), counts, denom)
-
-    @classmethod
-    def from_rows(cls, rows, counts=None) -> "CountMatrix":
-        """Distribution of the rows of an int matrix, each row weighted by its
-        count (1 by default); equal rows merge."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if counts is None:
-            counts = np.ones(len(rows), dtype=np.int64)
-        first, inverse = group_rows(rows)
-        merged = sum_by(len(first), inverse, np.asarray(counts, dtype=np.int64))
-        cm = cls.__new__(cls)
-        cm._set(rows[first], merged, int(merged.sum()))
-        return cm
-
-    def _set(self, rows: np.ndarray, counts, denom: int) -> None:
-        if denom <= 0:
-            raise ParameterError("a count matrix needs positive total mass")
-        self.rows = rows
-        # counts never exceed denom; past int64 they stay Python ints
-        self.counts = np.asarray(counts, dtype=np.int64 if denom < 2 ** 63 else object)
-        self.denom = denom
-        self.width = rows.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def _counts_on(self, cols) -> tuple[np.ndarray, np.ndarray]:
-        """(distinct values, counts) of the projection onto ``cols``, in lexicographic order."""
-        cols = list(cols)
-        first, inverse = group_rows(self.rows[:, cols])
-        return self.rows[np.ix_(first, cols)], sum_by(len(first), inverse, self.counts)
-
-    def joint_counts(self, cols, alphabet: int):
-        """Sorted (key, count) pairs for the projection onto ``cols``.
-
-        Keys fold each projected row in base ``alphabet``, first column most
-        significant.
-        """
-        values, acc = self._counts_on(cols)
-        keys = []
-        for row in values.tolist():
-            key = 0
-            for v in row:
-                key = key * alphabet + v
-            keys.append(key)
-        return keys, acc.tolist()
-
-    def tv_uniform(self, cols, alphabet: int) -> Fraction:
-        """Exact TV distance between the projection onto ``cols`` and uniform."""
-        cols = tuple(cols)
-        space = alphabet ** len(cols)
-        if not cols:
-            return Fraction(0)
-        _, acc = self._counts_on(cols)
-        if space * self.denom < 2 ** 62:
-            present = int(np.abs(acc * space - self.denom).sum())
-        else:
-            present = sum(abs(cnt * space - self.denom) for cnt in acc.tolist())
-        missing = (space - len(acc)) * self.denom
-        return Fraction(present + missing, 2 * self.denom * space)
-
-    def column_entropy(self, col: int) -> float:
-        _, acc = self._counts_on((col,))
-        d = self.denom
-        return fsum(-(c / d) * math.log2(c / d) for c in acc.tolist())
-
-
-def as_counts(dist) -> CountMatrix:
-    """``dist`` as a CountMatrix; a Distribution is converted."""
-    return dist if isinstance(dist, CountMatrix) else CountMatrix(dist)
+def _column_entropy(dist: Distribution, col: int) -> float:
+    """Entropy of one column, each log taken of the unreduced ratio c/d as reports print it."""
+    d = dist.denom
+    return fsum(-(c / d) * math.log2(c / d) for c in dist.marginal((col,)).counts.tolist())
 
 
 def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> GoodSetReport:
@@ -476,17 +416,18 @@ def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> 
     eta_f = Fraction(eta) if not isinstance(eta, Fraction) else eta
     if eta_f <= 0:
         raise ParameterError(f"eta must be positive, got {eta}")
-    cm = as_counts(dist)
-    u = cm.width
+    if dist.rows.size and not 0 <= int(dist.rows.min()) <= int(dist.rows.max()) < alphabet:
+        raise DomainError(f"cell values must lie in [0, {alphabet})")
+    u = dist.arity
     n_subsets = math.comb(u, q)
     if n_subsets > max_subsets:
         raise SizeError(f"{n_subsets} subsets of size {q} exceed the exhaustive limit {max_subsets}")
-    a = u * math.log2(alphabet) - math.log2(len(cm))
-    deficiency = tuple(math.log2(alphabet) - cm.column_entropy(c) for c in range(u))
+    a = u * math.log2(alphabet) - math.log2(len(dist))
+    deficiency = tuple(math.log2(alphabet) - _column_entropy(dist, c) for c in range(u))
 
     failing = []
     for subset in combinations(range(u), q):
-        if cm.tv_uniform(subset, alphabet) > eta_f:
+        if tv_from_uniform(dist.marginal(subset), alphabet ** q) > eta_f:
             failing.append(subset)
 
     alive = set(range(u))

@@ -44,7 +44,7 @@ from .core import (
 )
 from .entropy_sum import entropy_sum_analysis
 from .errors import ParameterError, SizeError
-from .infotheory import CountMatrix, good_blocks, good_cells
+from .infotheory import Distribution, good_blocks, good_cells, tv_from_uniform
 from .separator import find_separator, find_separator_brackets, pairwise_disjoint
 from .stretcher import StretcherWindowError, find_stretcher
 from .textfmt import fmt, machine_value as _mval
@@ -286,7 +286,7 @@ def _good_cells(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set, head
     """
     m = scheme.cell_alphabet
     u_p = rs.u_prime
-    y_dist = CountMatrix.from_rows(rs.cells())
+    y_dist = Distribution.from_rows(rs.cells())
     subset_size = min(2 * scheme.q, u_p)
     report = None
     skipped = False
@@ -304,7 +304,7 @@ def _good_cells(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set, head
     max_tv = Fraction(0)
     for i, j in pair_list:
         cols = rs.renamed_probes[i - 1] + rs.renamed_probes[j - 1]
-        tv = y_dist.tv_uniform(cols, m) if cols else Fraction(0)
+        tv = tv_from_uniform(y_dist.marginal(cols), m ** len(cols))
         max_tv = max(max_tv, tv)
     stages.append(StageRecord(
         "good-cells",
@@ -330,7 +330,7 @@ def _good_cells(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set, head
     return v2
 
 
-def _entropy_blocks(x_dist: CountMatrix, n: int, rights, eps):
+def _entropy_blocks(x_dist: Distribution, n: int, rights, eps):
     """Cut [1, n] after each pair's right end and choose a block.
 
     The chosen block is the smallest good one if any, else the best-scoring
@@ -487,7 +487,7 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
     if not pairs:
         return _report("prefix", scheme, c, stages, truncated_at="stretcher")
 
-    x_dist = CountMatrix.from_rows(rs.surviving_bits())
+    x_dist = Distribution.from_rows(rs.surviving_bits())
     k, p_idx, _, fields, checks = _entropy_blocks(x_dist, n, [p.right for p in pairs], eta)
     i_idx, j_idx = pairs[k].left, pairs[k].right
     stages.append(StageRecord(
@@ -605,11 +605,12 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
 
     eps = Fraction(1) / (16 * Fraction(c) ** 2 * Fraction(d_param))
     x_bits = rs.surviving_bits()
-    x_dist = CountMatrix.from_rows(x_bits)
+    x_dist = Distribution.from_rows(x_bits)
     k, block_lo, block_hi, fields, checks = _entropy_blocks(
         x_dist, n, [j for _, j in block_pairs], eps)
     i_idx, j_idx = block_pairs[k]
-    tv_selected = x_dist.tv_uniform(tuple(range(block_lo, block_hi)), 2)
+    block = range(block_lo, block_hi)
+    tv_selected = tv_from_uniform(x_dist.marginal(block), 2 ** len(block))
     closeness_bound = Fraction(1) / (Fraction(c) * Fraction(sqrt_d))
     stages.append(StageRecord(
         "entropy-blocks",

@@ -293,6 +293,37 @@ def test_bad_scheme_file_is_usage_error(text, names, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text,args,names", [
+    ("0,99999999999999999999 1\n", ["entropy", "--target", "0"], "past int64"),
+    ("0,0 1/2\n1,1 1/2\n", ["entropy", "--target", "5"], "coordinate 5"),
+    ("0,0 1/2\n1,1 1/2\n", ["entropy", "--target", "-1"], "coordinate -1"),
+    ("0,0 1/2\n1,1 1/2\n", ["entropy", "--target", "0", "--given", "2"], "coordinate 2"),
+    ("0,5 1/2\n1,1 1/2\n", ["goodset", "cells", "--q", "1", "--eta", "1/4", "--alphabet", "2"],
+     "[0, 2)"),
+    ("0,-1 1/2\n1,1 1/2\n", ["goodset", "cells", "--q", "1", "--eta", "1/4", "--alphabet", "2"],
+     "[0, 2)"),
+    ("0,99999999999999999999 1\n", ["entropy-sum", "--p", "0", "--i", "1", "--j", "2", "--c", "1"],
+     "past int64"),
+], ids=["outcome-past-int64", "target-past-arity", "negative-target", "given-past-arity",
+        "cell-value-past-alphabet", "negative-cell-value", "entropy-sum-outcome-past-int64"])
+def test_bad_distribution_file_is_usage_error(text, args, names, tmp_path, capsys):
+    path = tmp_path / "bad.dist"
+    path.write_text(text, encoding="ascii")
+    assert main([*args, "--dist", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert names in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["verify", "--scheme"], ["entropy", "--dist"]])
+def test_file_that_is_not_text_is_usage_error(args, tmp_path, capsys):
+    path = tmp_path / "binary"
+    path.write_bytes(b"n: \xd0\xff\n0,0 1\n")
+    assert main([*args, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_build_scheme_unknown_parameter_is_usage_error(tmp_path, capsys):
     code = main(["build-scheme", "--name", "precomputed_sums", "--n", "4",
                  "--param", "bogus=1", "--out", str(tmp_path / "x.scm")])

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from cellprobe import (
-    CountMatrix,
     Distribution,
     DomainError,
     ParameterError,
+    RangeError,
     SizeError,
     check_high_entropy_uniform,
     conditional_entropy,
@@ -22,7 +22,7 @@ from cellprobe import (
     tv_distance,
     tv_from_uniform,
 )
-from cellprobe.infotheory import group_rows, validate_blocks
+from cellprobe.infotheory import _column_entropy, group_rows, validate_blocks
 
 
 def test_distribution_requires_unit_mass():
@@ -30,6 +30,57 @@ def test_distribution_requires_unit_mass():
         Distribution({(0,): Fraction(1, 2)})
     d = Distribution({(0,): Fraction(1, 2), (1,): Fraction(1, 2), (2,): Fraction(0)})
     assert d.support() == ((0,), (1,))
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf")])
+def test_distribution_refuses_non_finite_probabilities(p):
+    with pytest.raises(ParameterError):
+        Distribution({(0,): 0.5, (1,): 0.5, (2,): p})
+
+
+@pytest.mark.parametrize("outcome", [(0.5,), (0.0,), ("1",), (2 ** 70,), (-2 ** 63 - 1,), (None,)])
+def test_distribution_refuses_outcomes_that_are_not_int64(outcome):
+    with pytest.raises(DomainError):
+        Distribution({outcome: Fraction(1, 2), (1,): Fraction(1, 2)})
+    with pytest.raises(DomainError):
+        Distribution.uniform([outcome])
+
+
+def test_outcomes_at_the_int64_ends_are_kept():
+    d = Distribution({(-2 ** 63,): Fraction(1, 2), (2 ** 63 - 1,): Fraction(1, 2)})
+    assert d.support() == ((-2 ** 63,), (2 ** 63 - 1,))
+    assert entropy(d) == 1.0
+
+
+def test_coordinates_outside_the_arity_are_refused():
+    d = Distribution.uniform([(0, 0), (0, 1), (1, 0)])
+    for coords in [(2,), (-1,), (0, 5)]:
+        with pytest.raises(RangeError):
+            d.marginal(coords)
+        with pytest.raises(RangeError):
+            conditional_entropy(d, coords, ())
+        with pytest.raises(RangeError):
+            conditional_entropy(d, (0,), coords)
+
+
+def test_good_cells_refuses_values_outside_the_alphabet():
+    for row in [(0, 5), (0, -1)]:
+        d = Distribution.uniform([row, (1, 1)])
+        with pytest.raises(DomainError):
+            good_cells(d, 1, Fraction(1, 4), 2)
+
+
+def test_entropy_is_the_conditional_entropy_of_every_coordinate():
+    rng = random.Random(13)
+    for trial in range(40):
+        arity = rng.randint(1, 4)
+        outcomes = rng.sample(list(product(range(3), repeat=arity)), rng.randint(1, 3 ** arity))
+        if trial % 2:
+            d = Distribution.from_counts({o: rng.randint(1, 30) for o in outcomes})
+        else:
+            weights = [rng.random() + 0.01 for _ in outcomes]
+            d = Distribution({o: w / sum(weights) for o, w in zip(outcomes, weights)})
+        assert entropy(d).hex() == conditional_entropy(d, range(d.arity), ()).hex()
 
 
 def test_distribution_marginal_and_conditioning():
@@ -103,7 +154,8 @@ def test_conditional_entropy_is_bit_identical_to_the_fraction_route():
         given = tuple(rng.sample(coords, rng.randint(0, arity)))
         got = conditional_entropy(d, target, given)
         assert got.hex() == _fraction_conditional_entropy(d, target, given).hex()
-        assert conditional_entropy(CountMatrix(d), target, given).hex() == got.hex()
+        from_rows = Distribution.from_rows(d.rows, d.counts)
+        assert conditional_entropy(from_rows, target, given).hex() == got.hex()
 
 
 def test_denominator_past_int64_and_float_pmfs_still_measure():
@@ -113,8 +165,7 @@ def test_denominator_past_int64_and_float_pmfs_still_measure():
     head = [Fraction(1, q) for q in primes]
     rest = (1 - sum(head)) / (len(outcomes) - len(head))
     d = Distribution({o: head[k] if k < len(head) else rest for k, o in enumerate(outcomes)})
-    cm = CountMatrix(d)
-    assert cm.denom >= 2 ** 63 and cm.counts.dtype == object
+    assert d.denom >= 2 ** 63 and d.counts.dtype == object
     for target, given in [((2, 3), (0, 1)), ((0,), ()), ((1, 3), (2,))]:
         got = conditional_entropy(d, target, given)
         assert got.hex() == _fraction_conditional_entropy(d, target, given).hex()
@@ -221,24 +272,21 @@ def test_count_matrix_matches_direct_counter():
     rows = [tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(40)]
     d = Distribution.from_counts(
         {r: rows.count(r) for r in set(rows)})
-    cm = CountMatrix(d)
-    keys, counts = cm.joint_counts((1, 3), 3)
-    direct: dict[int, int] = {}
+    direct: dict[tuple, int] = {}
     for r in rows:
-        key = r[1] * 3 + r[3]
+        key = (r[1], r[3])
         direct[key] = direct.get(key, 0) + 1
-    assert {int(k): int(v) for k, v in zip(keys, counts)} == direct
+    expected = {k: Fraction(v, len(rows)) for k, v in direct.items()}
+    assert dict(d.marginal((1, 3)).items()) == expected
 
 
 def test_count_matrix_tv_agrees_with_distribution_tv():
     d = Distribution.uniform([(0, 0), (0, 1), (1, 1)])
-    cm = CountMatrix(d)
-    got = cm.tv_uniform((0, 1), 2)
+    got = tv_from_uniform(d.marginal((0, 1)), 4)
     full = Distribution.uniform(list(product((0, 1), repeat=2)))
     assert got == tv_distance(d, full)
 
 
 def test_count_matrix_column_entropy():
     d = Distribution.uniform([(0, 0), (0, 1), (1, 0)])
-    cm = CountMatrix(d)
-    assert cm.column_entropy(0) == pytest.approx(entropy(d.marginal((0,))), abs=1e-12)
+    assert _column_entropy(d, 0) == pytest.approx(entropy(d.marginal((0,))), abs=1e-12)

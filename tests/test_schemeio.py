@@ -1,6 +1,11 @@
 """Scheme file format: write, read, and byte-identical round trips."""
 
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -20,6 +25,7 @@ from cellprobe import (
     write_scheme,
 )
 from cellprobe.brackets import enumerate_bal
+from cellprobe.cli import main
 from cellprobe.core import DOMAIN_ALL, DOMAIN_BAL, KIND_MATCH, KIND_SUM
 from cellprobe.schemes import build_bracket_table, build_precomputed_sums, build_two_level_rank
 
@@ -247,3 +253,51 @@ def test_any_text_reads_as_a_scheme_or_a_usage_error(text):
             scheme.encoded()
         except CellProbeError:
             pass
+
+
+@st.composite
+def distribution_texts(draw):
+    """Arbitrary text, or a small distribution file with a few characters edited."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=200))
+    arity = draw(st.integers(1, 3))
+    outcomes = draw(st.lists(st.tuples(*[st.integers(0, 2)] * arity), min_size=1, max_size=8,
+                             unique=True))
+    weights = [draw(st.integers(1, 9)) for _ in outcomes]
+    text = "".join(f"{','.join(map(str, o))} {Fraction(w, sum(weights))}\n"
+                   for o, w in zip(outcomes, weights))
+    # the long pieces lie just past the int64 range, or far past it
+    pieces = st.sampled_from(list("0123456789-,/ \n#.") + [
+        "\t", "é", "9223372036854775808", "-9223372036854775809", "18446744073709551616",
+        "99999999999999999999"])
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + draw(st.one_of(st.just(""), pieces)) + text[at + cut:]
+    return text
+
+
+# --p 0 keeps the threshold search at t = 0 whatever the outcome values
+_DIST_COMMANDS = (
+    ["entropy", "--target", "0", "--given", "1"],
+    ["entropy"],
+    ["goodset", "cells", "--q", "2", "--eta", "1/4", "--alphabet", "3"],
+    ["entropy-sum", "--p", "0", "--i", "1", "--j", "2", "--c", "1"],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(distribution_texts())
+def test_any_text_reads_as_a_distribution_or_a_usage_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.dist")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in _DIST_COMMANDS:
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                    code = main([*command, "--dist", path])
+            except CellProbeError:
+                continue
+            assert code in (0, 1, 2), out.getvalue()
