@@ -10,6 +10,7 @@ from .brackets import (
     enumerate_bal,
     is_balanced,
     match_index,
+    match_rows,
     scan_matches,
     unmatched_close_prob,
     unmatched_open_prob,
@@ -25,12 +26,6 @@ from .core import (
     TableDecoder,
     TableEncoder,
     VerificationReport,
-    answer_query,
-    check_restriction,
-    match_all,
-    most_likely_cell_values,
-    prefix_sum,
-    prefix_sum_all,
     redundancy,
     restrict_scheme,
     verify_scheme,

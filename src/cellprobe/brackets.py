@@ -10,11 +10,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .bits import Bits
 from .errors import DomainError, ParameterError, RangeError, SizeError
 
 # Full enumeration beyond this length is too large to be useful at desk scale.
 ENUMERATION_LIMIT = 28
+
+# rows per block in match_rows, which keeps a few int64 copies of each block
+_MATCH_BLOCK = 4096
 
 
 def is_balanced(bits) -> bool:
@@ -46,6 +51,31 @@ def scan_matches(bits) -> tuple:
             partners[opener] = pos + 1
             partners[pos] = opener + 1
     return tuple(partners)
+
+
+def match_rows(bits: np.ndarray) -> np.ndarray:
+    """Match for every position of every row of a k x n matrix of balanced strings.
+
+    Entry [r, p] is the 1-based partner of position p+1 in row r.  Partners
+    share a nesting level, along which opens and closes alternate, so a stable
+    sort of each row by level pairs entries 2t and 2t+1.
+    """
+    out = np.empty(bits.shape, dtype=np.int64)
+    for start in range(0, len(bits), _MATCH_BLOCK):
+        block = bits[start:start + _MATCH_BLOCK].astype(np.int64)
+        depth = np.cumsum(2 * block - 1, axis=1)
+        bad = (depth < 0).any(axis=1) | (2 * block.sum(axis=1) != bits.shape[1])
+        if bad.any():
+            x = tuple(block[int(np.argmax(bad))].tolist())
+            raise DomainError(f"input {x} is not a balanced bracket string")
+        # an open sits at the depth after it, a close at the depth before it
+        order = np.argsort(depth + 1 - block, axis=1, kind="stable")
+        rows = np.arange(len(block))[:, None]
+        opens, closes = order[:, 0::2], order[:, 1::2]
+        part = out[start:start + _MATCH_BLOCK]
+        part[rows, opens] = closes + 1
+        part[rows, closes] = opens + 1
+    return out
 
 
 def match_index(bits, i: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,10 @@ __all__ = ["main", "main_entry", "OUTDIR_ENV"]
 
 
 def _num(text: str) -> Fraction:
+    # Fraction expands a decimal exponent in full, so 1e99999999 would never return
+    exponent = re.search(r"[eE][+-]?0*([0-9_]*)", text)
+    if exponent and len(exponent.group(1).replace("_", "")) > 4:
+        raise DomainError(f"decimal exponent past 4 digits: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as err:

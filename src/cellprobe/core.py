@@ -4,19 +4,23 @@ A scheme stores inputs from a domain (every bit string, or the balanced
 bracket strings) in ``u`` cells over a fixed alphabet.  Query ``i`` reads only
 the cells in its probe set and feeds their values, ordered by cell index, to
 its decoder.  Queries are 1-indexed at the API surface; cells are 0-indexed.
+
+Encoders and decoders work on matrices, one row per input: an encoder maps a
+k x n int8 bits matrix to a k x u int64 cells matrix, and decoder i maps a
+k x |probe i| int64 matrix of probed values to a length-k integer column.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice, product
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .bits import Bits, prefix_sums, validate_bits
-from .brackets import catalan_count, enumerate_bal, is_balanced, scan_matches
+from .bits import Bits, validate_bits
+from .brackets import catalan_count, enumerate_bal, is_balanced, match_rows
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -35,23 +39,6 @@ KIND_MATCH = "match"
 _ENCODE_CHUNK = 4096
 # largest bits plus cells matrices one encoding may allocate
 _ENCODE_BUDGET_BYTES = 2 << 30
-
-
-def prefix_sum(x: Bits, i: int) -> int:
-    """Ground-truth Sum(i): number of ones among the first i bits."""
-    return sum(x[:i])
-
-
-# Ground-truth Sum on every prefix; one implementation, kept under both names.
-prefix_sum_all = prefix_sums
-
-
-def match_all(x: Bits) -> tuple[int, ...]:
-    """Ground-truth Match(i) for every position of a balanced string."""
-    matches = scan_matches(x)
-    if any(m is None for m in matches):
-        raise DomainError("match oracle needs a balanced bracket string")
-    return matches  # type: ignore[return-value]
 
 
 def _row_keys(bits: np.ndarray) -> np.ndarray:
@@ -93,21 +80,18 @@ class TableEncoder:
         self.inputs, self.cells, self._keys = inputs[order], cells[order], keys[order]
         return self
 
-    def lookup(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(cells, found)`` for every row of a 0/1 bits matrix, by one sorted-key search."""
-        if not len(self._keys) or bits.shape[1] != self.inputs.shape[1]:
-            return np.zeros((len(bits), self.cells.shape[1]), np.int64), np.zeros(len(bits), bool)
-        keys = _row_keys(bits)
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        return self.cells[pos], self._keys[pos] == keys
-
-    def __call__(self, x: Bits) -> tuple[int, ...]:
-        x = tuple(x)
-        if len(x) == self.inputs.shape[1] and set(x) <= {0, 1}:
-            cells, found = self.lookup(np.array([x], dtype=np.int8))
-            if found[0]:
-                return tuple(cells[0].tolist())
-        raise DomainError(f"input {x} not present in the encoder table")
+    def __call__(self, bits: np.ndarray) -> np.ndarray:
+        """The cells of every row of a 0/1 bits matrix, by one sorted-key search."""
+        found = np.zeros(len(bits), dtype=bool)
+        pos = np.zeros(len(bits), dtype=np.int64)
+        if len(self._keys) and bits.shape[1] == self.inputs.shape[1]:
+            keys = _row_keys(bits)
+            pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+            found = self._keys[pos] == keys
+        if not found.all():
+            x = tuple(bits[int(np.argmin(found))].tolist())
+            raise DomainError(f"input {x} not present in the encoder table")
+        return self.cells[pos]
 
     def __eq__(self, other):
         return isinstance(other, TableEncoder) and (self.inputs.tolist(), self.cells.tolist()) == (
@@ -118,17 +102,22 @@ class TableDecoder:
     """Decoder backed by a probe-values -> answer table.
 
     Value tuples that never arise from the domain default to 0, keeping the
-    decoder total without bloating serialized tables.
+    decoder total without bloating serialized tables.  Answers are int64.
     """
 
     __slots__ = ("table", "default")
 
     def __init__(self, table, default: int = 0):
         self.table = {tuple(k): int(v) for k, v in table.items()}
-        self.default = default
+        self.default = int(default)
+        if not all(-2 ** 63 <= v < 2 ** 63 for v in (*self.table.values(), self.default)):
+            raise ParameterError("decoder answers must lie in [-2^63, 2^63)")
 
-    def __call__(self, values: tuple[int, ...]) -> int:
-        return self.table.get(tuple(values), self.default)
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """The answer for every row of a values matrix, one lookup per distinct row."""
+        first, inverse = group_rows(values)
+        out = [self.table.get(tuple(row), self.default) for row in values[first].tolist()]
+        return np.array(out, dtype=np.int64)[inverse]
 
     def __eq__(self, other):
         return (
@@ -136,13 +125,6 @@ class TableDecoder:
             and self.table == other.table
             and self.default == other.default
         )
-
-
-def map_rows(fn, values: np.ndarray) -> np.ndarray:
-    """``fn(tuple(row))`` for every row of an int matrix, one call per distinct row."""
-    first, inverse = group_rows(values)
-    out = np.asarray([fn(tuple(row)) for row in values[first].tolist()])
-    return out[inverse]
 
 
 def _normalize_probe(cells, u: int) -> tuple[int, ...]:
@@ -157,7 +139,7 @@ class Scheme:
     """A non-adaptive cell-probe data structure (Enc, Q, d).
 
     ``probes[i-1]`` is the sorted probe set of query i; decoder i receives the
-    probed values in that same (ascending cell index) order.
+    probed values in that same (ascending cell index) order, one row per input.
     """
 
     n: int
@@ -166,8 +148,8 @@ class Scheme:
     domain: str
     kind: str
     probes: tuple[tuple[int, ...], ...]
-    encoder: Callable[[Bits], tuple[int, ...]]
-    decoders: tuple[Callable[[tuple[int, ...]], int], ...]
+    encoder: Callable[[np.ndarray], np.ndarray]
+    decoders: tuple[Callable[[np.ndarray], np.ndarray], ...]
     builtin: tuple | None = field(default=None)
     _domain: tuple | None = field(default=None, init=False, repr=False)
 
@@ -203,41 +185,21 @@ class Scheme:
             return 2 ** self.n
         return catalan_count(self.n)
 
-    def inputs(self):
-        """All domain elements in lexicographic order."""
-        if self.domain == DOMAIN_ALL:
-            yield from product((0, 1), repeat=self.n)
-        else:
-            yield from enumerate_bal(self.n)
-
-    def contains(self, x) -> bool:
-        try:
-            x = validate_bits(x)
-        except DomainError:
-            return False
-        if len(x) != self.n:
-            return False
-        return self.domain == DOMAIN_ALL or is_balanced(x)
-
     def encode(self, x: Bits) -> tuple[int, ...]:
-        cells = self.encoder(x)
-        if len(cells) != self.u:
-            raise ConsistencyError(f"encoder produced {len(cells)} cells, scheme has {self.u}")
-        m = self.cell_alphabet
-        if cells and not (0 <= min(cells) and max(cells) < m):
-            raise ConsistencyError(f"encoder output {cells} leaves the cell alphabet [0, {m})")
-        return tuple(cells)
+        """Enc(x) for one input of the domain, checked as every encoded block is."""
+        x = validate_bits(x)
+        if len(x) != self.n or not (self.domain == DOMAIN_ALL or is_balanced(x)):
+            raise DomainError(f"input {x} is outside the scheme's domain ({self.domain})")
+        return tuple(self._encode_rows(np.array([x], dtype=np.int8))[0].tolist())
 
     def encoded(self, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The domain as ``(bits, cells)``: |X| x n bits and |X| x u int64 cells.
 
-        Rows follow ``inputs()`` (lexicographic order).  The whole domain is
+        Rows follow the domain's lexicographic order.  The whole domain is
         encoded once and cached read-only on the scheme; with ``limit`` set
         below the domain size and nothing cached, only the first ``limit``
         inputs are encoded.
         """
-        if limit is not None:
-            limit = max(0, limit)
         if self._domain is None:
             if limit is not None and limit < self.domain_size():
                 return self._encode(limit)
@@ -255,48 +217,67 @@ class Scheme:
                 f"{_ENCODE_BUDGET_BYTES}-byte budget; encode a prefix with --max-inputs")
         bits = np.empty((size, self.n), dtype=np.int8)
         cells = np.empty((size, self.u), dtype=np.int64)
-        inputs = None if self.domain == DOMAIN_ALL else self.inputs()
+        balanced = None if self.domain == DOMAIN_ALL else enumerate_bal(self.n)
         # input number r has bit j at shift n-1-j; the budget keeps r < 2^63
         shifts = np.minimum(np.arange(self.n - 1, -1, -1), 63)
         for start in range(0, size, _ENCODE_CHUNK):
             stop = min(start + _ENCODE_CHUNK, size)
-            if inputs is None:
+            if balanced is None:
                 bits[start:stop] = np.arange(start, stop)[:, None] >> shifts & 1
             else:
-                bits[start:stop] = list(islice(inputs, stop - start))
+                bits[start:stop] = balanced[start:stop]
             cells[start:stop] = self._encode_rows(bits[start:stop])
         bits.flags.writeable = False
         cells.flags.writeable = False
         return bits, cells
 
     def _encode_rows(self, bits: np.ndarray) -> np.ndarray:
-        """Cells of a block of domain rows; the first bad row raises as ``encode`` would."""
-        if not isinstance(self.encoder, TableEncoder):
-            encs = [self.encode(x) for x in map(tuple, bits.tolist())]
-            return np.array(encs, dtype=np.int64).reshape(len(bits), self.u)
-        cells, found = self.encoder.lookup(bits)
-        in_alphabet = ((cells >= 0) & (cells < self.cell_alphabet)).all(axis=1)
-        ok = found & in_alphabet & (cells.shape[1] == self.u)
+        """Cells of a block of inputs, checked; the first bad row raises.
+
+        An input the encoder refuses is found by halving the block, so that a
+        bad row before it is still the one reported.
+        """
+        try:
+            cells = np.asarray(self.encoder(bits), dtype=np.int64)
+        except DomainError:
+            if len(bits) <= 1:
+                raise
+            half = len(bits) // 2
+            return np.concatenate((self._encode_rows(bits[:half]), self._encode_rows(bits[half:])))
+        if cells.ndim != 2 or len(cells) != len(bits):
+            raise ConsistencyError(f"encoder gave a {cells.shape} array for {len(bits)} inputs")
+        if cells.shape[1] != self.u:
+            raise ConsistencyError(f"encoder produced {cells.shape[1]} cells, scheme has {self.u}")
+        m = self.cell_alphabet
+        ok = ((cells >= 0) & (cells < m)).all(axis=1)
         if not ok.all():
-            self.encode(tuple(bits[int(np.argmin(ok))].tolist()))
+            row = tuple(cells[int(np.argmin(ok))].tolist())
+            raise ConsistencyError(f"encoder output {row} leaves the cell alphabet [0, {m})")
         return cells
+
+    def decode(self, i: int, values: np.ndarray) -> np.ndarray:
+        """Decoder i on a k x |probe| matrix of probed values: a length-k integer column."""
+        got = np.asarray(self.decoders[i - 1](values))
+        if got.shape != (len(values),) or got.dtype.kind not in "iu":
+            raise ConsistencyError(f"query {i}: decoder gave a {got.dtype} array of shape "
+                                   f"{got.shape} for {len(values)} rows, not one integer per row")
+        return got
+
+    def _query(self, i: int) -> tuple[int, ...]:
+        if not 1 <= i <= self.n:
+            raise RangeError(f"query index {i} outside [1, {self.n}]")
+        return self.probes[i - 1]
 
     def oracle_rows(self, bits: np.ndarray) -> np.ndarray:
         """Ground-truth answers (rows x n) for every row of a bits matrix."""
         if self.kind == KIND_SUM:
             return np.cumsum(bits, axis=1, dtype=np.int64)
-        return np.array([match_all(x) for x in bits.tolist()], dtype=np.int64).reshape(bits.shape)
+        return match_rows(bits)
 
     def answer(self, x: Bits, i: int) -> int:
+        """Sum(i) or Match(i) on x as the scheme computes it, with full input validation."""
         cells = self.encode(x)
-        probe = self.probes[i - 1]
-        return self.decoders[i - 1](tuple(cells[c] for c in probe))
-
-    def oracle_all(self, x: Bits) -> tuple[int, ...]:
-        """Ground-truth answers for every query on x, per the scheme's kind."""
-        if self.kind == KIND_SUM:
-            return prefix_sum_all(x)
-        return match_all(x)
+        return int(self.decode(i, np.array([[cells[c] for c in self._query(i)]], dtype=np.int64))[0])
 
     def __eq__(self, other):
         if not isinstance(other, Scheme):
@@ -307,16 +288,6 @@ class Scheme:
         if self.builtin is not None or other.builtin is not None:
             return self.builtin == other.builtin
         return self.encoder == other.encoder and self.decoders == other.decoders
-
-
-def answer_query(scheme: Scheme, x, i: int) -> int:
-    """Sum(i) or Match(i) as the scheme computes it, with full input validation."""
-    x = validate_bits(x)
-    if not scheme.contains(x):
-        raise DomainError(f"input {x} is outside the scheme's domain ({scheme.domain})")
-    if not 1 <= i <= scheme.n:
-        raise RangeError(f"query index {i} outside [1, {scheme.n}]")
-    return scheme.answer(x, i)
 
 
 def redundancy(scheme: Scheme) -> float:
@@ -354,6 +325,8 @@ def verify_scheme(scheme: Scheme, *, max_inputs: int | None = None) -> Verificat
     Inputs run in lexicographic order (optionally capped at ``max_inputs``),
     queries in ascending order, so a reported counterexample is the first one.
     """
+    if max_inputs is not None and max_inputs < 1:
+        raise ParameterError(f"max_inputs must be >= 1, got {max_inputs}")
     bits, cells = scheme.encoded(max_inputs)
     # one query column at a time: Sum against a running prefix sum, Match
     # against one scan of every input
@@ -367,7 +340,7 @@ def verify_scheme(scheme: Scheme, *, max_inputs: int | None = None) -> Verificat
             expected += bits[:, i - 1]
         else:
             expected = matches[:, i - 1]
-        got = map_rows(scheme.decoders[i - 1], cells[:, list(scheme.probes[i - 1])])
+        got = scheme.decode(i, cells[:, list(scheme.probes[i - 1])])
         wrong = got != expected
         count = int(np.count_nonzero(wrong))
         failures += count
@@ -379,34 +352,6 @@ def verify_scheme(scheme: Scheme, *, max_inputs: int | None = None) -> Verificat
                                    got=int(got[row]), expected=int(expected[row]))
     status = "pass" if failures == 0 else "fail"
     return VerificationReport(status, len(bits) * scheme.n, len(bits), failures, first)
-
-
-def _cell_set(scheme: Scheme, b_cells) -> tuple[int, ...]:
-    b_sorted = tuple(sorted(set(int(c) for c in b_cells)))
-    if b_sorted and not (0 <= b_sorted[0] and b_sorted[-1] < scheme.u):
-        raise ParameterError(f"cell set {b_sorted} not within [0, {scheme.u})")
-    return b_sorted
-
-
-def _modal_rows(scheme: Scheme, b_sorted: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
-    """Modal value z of the cells in B and the domain rows that carry it."""
-    _, cells = scheme.encoded()
-    if not b_sorted:
-        return (), np.arange(len(cells))
-    first, inverse = group_rows(cells[:, list(b_sorted)])
-    # groups are numbered in lexicographic order, so argmax breaks ties low
-    best = int(np.argmax(np.bincount(inverse)))
-    return tuple(cells[first[best], list(b_sorted)].tolist()), np.flatnonzero(inverse == best)
-
-
-def most_likely_cell_values(scheme: Scheme, b_cells) -> tuple[tuple[int, ...], tuple[Bits, ...]]:
-    """Modal value z of the cells in B over the domain, and its preimage set X.
-
-    Ties go to the lexicographically smallest z.  The pigeonhole bound
-    |X| >= |domain| / alphabet^|B| always holds for the returned X.
-    """
-    z, rows = _modal_rows(scheme, _cell_set(scheme, b_cells))
-    return z, tuple(map(tuple, scheme.encoded()[0][rows].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,81 +377,54 @@ class RestrictedScheme:
     def u_prime(self) -> int:
         return len(self.kept_cells)
 
-    @property
-    def surviving(self) -> tuple[Bits, ...]:
-        """The surviving inputs X, as bit tuples."""
-        return tuple(map(tuple, self.surviving_bits().tolist()))
-
     def surviving_bits(self) -> np.ndarray:
-        """The surviving inputs as a |X| x n bits matrix."""
+        """The surviving inputs X as a |X| x n bits matrix."""
         return self.base.encoded()[0][self.rows]
 
     def cells(self) -> np.ndarray:
         """Enc'(x) for every surviving x, as a |X| x u' matrix (set Y)."""
         return self.base.encoded()[1][np.ix_(self.rows, self.kept_cells)]
 
-    def restricted_encoding(self, x: Bits) -> tuple[int, ...]:
-        cells = self.base.encode(x)
-        return tuple(cells[c] for c in self.kept_cells)
-
-    def encodings(self) -> tuple[tuple[int, ...], ...]:
-        """Enc'(x) for every surviving x, in the surviving order (set Y)."""
-        return tuple(map(tuple, self.cells().tolist()))
-
-    def decode_reduced(self, i: int, values: tuple[int, ...]) -> int:
-        """Apply d'_i: merge fixed cell values back in, then run the base decoder."""
+    def decode_reduced(self, i: int, values: np.ndarray) -> np.ndarray:
+        """Apply d'_i to a k x |reduced probe| matrix: put the fixed values back, then decode."""
         fixed = dict(zip(self.fixed_cells, self.fixed_values))
         probe = self.base.probes[i - 1]
-        it = iter(values)
-        merged = tuple(fixed[c] if c in fixed else next(it) for c in probe)
-        return self.base.decoders[i - 1](merged)
+        merged = np.tile(np.array([fixed.get(c, 0) for c in probe], dtype=np.int64), (len(values), 1))
+        merged[:, [k for k, c in enumerate(probe) if c not in fixed]] = values
+        return self.base.decode(i, merged)
 
     def answer(self, x: Bits, i: int) -> int:
-        if not 1 <= i <= self.base.n:
-            raise RangeError(f"query index {i} outside [1, {self.base.n}]")
+        self.base._query(i)
         cells = self.base.encode(x)
-        values = tuple(cells[c] for c in self.reduced_probes[i - 1])
-        return self.decode_reduced(i, values)
+        values = np.array([[cells[c] for c in self.reduced_probes[i - 1]]], dtype=np.int64)
+        return int(self.decode_reduced(i, values)[0])
 
     def preserves_answers(self) -> bool:
         """Whether d'_i equals d_i on every surviving input."""
         cells, rows = self.base.encoded()[1], self.rows
         for i, (probe, reduced) in enumerate(zip(self.base.probes, self.reduced_probes), start=1):
-            base = map_rows(self.base.decoders[i - 1], cells[np.ix_(rows, probe)])
-            mine = map_rows(lambda v, i=i: self.decode_reduced(i, v), cells[np.ix_(rows, reduced)])
-            if not np.array_equal(mine, base):
+            base = self.base.decode(i, cells[np.ix_(rows, probe)])
+            if not np.array_equal(self.decode_reduced(i, cells[np.ix_(rows, reduced)]), base):
                 return False
         return True
 
 
-def _domain_rows(scheme: Scheme, xs) -> np.ndarray:
-    bits, _ = scheme.encoded()
-    index = {x: k for k, x in enumerate(map(tuple, bits.tolist()))}
-    try:
-        return np.array([index[x] for x in xs], dtype=np.int64)
-    except KeyError as err:
-        raise DomainError(f"input {err.args[0]} is outside the scheme's domain") from None
+def restrict_scheme(scheme: Scheme, b_cells) -> RestrictedScheme:
+    """Fix the cells in B to their most likely joint value z and keep the inputs X that carry it.
 
-
-def restrict_scheme(scheme: Scheme, b_cells, z=None, survivors=None) -> RestrictedScheme:
-    """Fix the cells in B to z and keep only the inputs X that agree with z.
-
-    With z/survivors omitted they default to the most likely value and its
-    preimage.  Supplying an x whose encoding disagrees with z is an error.
+    Ties go to the lexicographically smallest z.  The pigeonhole bound
+    |X| >= |domain| / alphabet^|B| always holds.
     """
-    b_sorted = _cell_set(scheme, b_cells)
-    if z is None or survivors is None:
-        z, rows = _modal_rows(scheme, b_sorted)
-    else:
-        z = tuple(z)
-        survivors = tuple(tuple(x) for x in survivors)
-        if len(z) != len(b_sorted):
-            raise ConsistencyError(f"{len(b_sorted)} cells fixed but {len(z)} values given")
-        rows = _domain_rows(scheme, survivors)
-        agree = (scheme.encoded()[1][np.ix_(rows, b_sorted)] == np.array(z, dtype=np.int64)).all(axis=1)
-        if not agree.all():
-            x = survivors[int(np.argmin(agree))]
-            raise ConsistencyError(f"input {x} does not have value {z} on cells {b_sorted}")
+    b_sorted = tuple(sorted(set(int(c) for c in b_cells)))
+    if b_sorted and not (0 <= b_sorted[0] and b_sorted[-1] < scheme.u):
+        raise ParameterError(f"cell set {b_sorted} not within [0, {scheme.u})")
+    _, cells = scheme.encoded()
+    z, rows = (), np.arange(len(cells))
+    if b_sorted:
+        first, inverse = group_rows(cells[:, list(b_sorted)])
+        # groups are numbered in lexicographic order, so argmax breaks ties low
+        best = int(np.argmax(np.bincount(inverse)))
+        z, rows = tuple(cells[first[best], list(b_sorted)].tolist()), np.flatnonzero(inverse == best)
     b_set = set(b_sorted)
     kept = tuple(c for c in range(scheme.u) if c not in b_set)
     rename = {c: idx for idx, c in enumerate(kept)}
@@ -521,8 +439,3 @@ def restrict_scheme(scheme: Scheme, b_cells, z=None, survivors=None) -> Restrict
         reduced_probes=reduced,
         renamed_probes=renamed,
     )
-
-
-def check_restriction(rs: RestrictedScheme) -> bool:
-    """Exhaustive answer-preservation check over the surviving inputs."""
-    return rs.preserves_answers()

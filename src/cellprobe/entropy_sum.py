@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from fractions import Fraction
 from numbers import Rational
 
@@ -145,25 +146,19 @@ def find_threshold(dist, a_set, p: int) -> ThresholdReport:
     mask = in_a[inverse]
     sums, at_sum = np.unique(prefix[mask].sum(axis=1), return_inverse=True)
     mass = sum_by(len(sums), at_sum, dist.counts[mask])
-    mass_by_sum = dict(zip(sums.tolist(), mass.tolist()))
-    denom = dist.denom
-    total = sum(mass_by_sum.values())
+    mass, denom = mass.tolist(), dist.denom
+    total = sum(mass)
     if 4 * total < denom:
         raise DomainError(
             f"Pr[prefix in A] = {Fraction(total, denom)} < 1/4; no threshold integer exists"
         )
-    t = 0
-    tail = total  # count of sum >= 0 over A
-    while True:
-        next_tail = sum(m for s, m in mass_by_sum.items() if s >= t + 1)
-        if 4 * next_tail < denom:
-            break
-        t += 1
-        tail = next_tail
-    lower = sum(m for s, m in mass_by_sum.items() if s <= t)
-    return ThresholdReport(t=t, pr_at_t=Fraction(tail, denom),
-                           pr_at_next=Fraction(next_tail, denom),
-                           pr_lower_tail=Fraction(lower, denom))
+    # tails[k] = mass of the sums >= sums[k]; it shrinks with k, and t is the
+    # largest sum whose tail keeps 1/4
+    tails = list(accumulate(reversed(mass)))[::-1] + [0]
+    k = sum(4 * tail >= denom for tail in tails) - 1
+    return ThresholdReport(t=int(sums[k]), pr_at_t=Fraction(tails[k], denom),
+                           pr_at_next=Fraction(tails[k + 1], denom),
+                           pr_lower_tail=Fraction(total - tails[k + 1], denom))
 
 
 @dataclass(frozen=True)

@@ -28,17 +28,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
+
+import numpy as np
 
 from .brackets import unmatched_close_prob, unmatched_open_prob
 from .core import (
+    _ENCODE_CHUNK,
     DOMAIN_ALL,
     DOMAIN_BAL,
     KIND_MATCH,
     KIND_SUM,
     RestrictedScheme,
     Scheme,
-    map_rows,
     redundancy,
     restrict_scheme,
 )
@@ -364,22 +366,23 @@ def _event_probs(ei, ej) -> tuple[Fraction, Fraction, Fraction]:
 def _event_probs_y(rs: RestrictedScheme, i: int, j: int, pred_i, pred_j):
     """Joint and marginal event probabilities of the reduced decoders over Y."""
     y = rs.cells()
-
-    def events(query, pred):
-        return map_rows(lambda v: bool(pred(rs.decode_reduced(query, v))),
-                        y[:, list(rs.renamed_probes[query - 1])]).astype(bool)
-
-    return _event_probs(events(i, pred_i), events(j, pred_j))
+    ei, ej = (pred(rs.decode_reduced(query, y[:, list(rs.renamed_probes[query - 1])]))
+              for query, pred in ((i, pred_i), (j, pred_j)))
+    return _event_probs(ei, ej)
 
 
 def _event_prob_uniform(rs: RestrictedScheme, query: int, m: int, pred):
-    """Probability of a decoder event when probed cells are uniform."""
-    probe = rs.renamed_probes[query - 1]
-    space = m ** len(probe)
+    """Probability of a decoder event when probed cells are uniform, over the m^L value grid."""
+    width = len(rs.renamed_probes[query - 1])
+    space = m ** width
     if space > _UNIFORM_SPACE_CAP:
         return None
-    hits = sum(1 for vals in product(range(m), repeat=len(probe))
-               if pred(rs.decode_reduced(query, vals)))
+    weights = m ** np.arange(width - 1, -1, -1)
+    hits = 0
+    for start in range(0, space, _ENCODE_CHUNK):
+        # a block of grid rows: the base-m digits of their numbers
+        grid = np.arange(start, min(start + _ENCODE_CHUNK, space))[:, None] // weights % m
+        hits += int(np.count_nonzero(pred(rs.decode_reduced(query, grid))))
     return Fraction(hits, space)
 
 
@@ -522,7 +525,8 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
         ),
     ))
 
-    s, sp = wit.s, wit.s_prime
+    # answers are integers, so v >= s and v < s' hold exactly when they hold at the ceilings
+    s, sp = math.ceil(wit.s), math.ceil(wit.s_prime)
     chain, chain_checks = _final_chain(
         rs, scheme.cell_alphabet, eta, "1/c", "sum",
         (("j >= s", j_idx, lambda v: v >= s), ("i < s'", i_idx, lambda v: v < sp)),

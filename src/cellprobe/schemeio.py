@@ -75,14 +75,13 @@ def _encoder_lines(scheme: Scheme) -> list[str]:
 
 def _decoder_tables(scheme: Scheme) -> list[tuple[dict, int]]:
     tables = []
-    for probe, dec in zip(scheme.probes, scheme.decoders):
+    for i, (probe, dec) in enumerate(zip(scheme.probes, scheme.decoders), start=1):
         if isinstance(dec, TableDecoder):
             tables.append((dict(dec.table), dec.default))
             continue
         values = scheme.encoded()[1][:, list(probe)]
-        first, _ = group_rows(values)
-        table = {tuple(v): dec(tuple(v)) for v in values[first].tolist()}
-        tables.append((table, 0))
+        keys = values[group_rows(values)[0]]
+        tables.append((dict(zip(map(tuple, keys.tolist()), scheme.decode(i, keys).tolist())), 0))
     return tables
 
 

@@ -2,22 +2,40 @@
 
 Each builder returns a Scheme whose encoder/decoders are formula-driven
 ("builtin") rather than tabulated, tagged so scheme files can reference them
-by name.  All four pass exhaustive verification by construction.
+by name.  All four pass exhaustive verification by construction.  Like every
+encoder and decoder, they work on matrices with one row per input.
 """
 
 from __future__ import annotations
 
 import inspect
-from itertools import accumulate
 
-from .bits import validate_bits
-from .brackets import scan_matches
+import numpy as np
+
+from .brackets import match_rows
 from .core import DOMAIN_ALL, DOMAIN_BAL, KIND_MATCH, KIND_SUM, Scheme
-from .errors import CapacityError, DomainError, ParameterError
+from .errors import CapacityError, ParameterError
 
 
 def _builtin_tag(name: str, **params) -> tuple:
     return (name, tuple(sorted(params.items())))
+
+
+def _read_single(values: np.ndarray) -> np.ndarray:
+    return values[:, 0]
+
+
+def _ones(values: np.ndarray, width: int) -> np.ndarray:
+    """Set bits among the low ``width`` bits of each entry, counted by shifts."""
+    return sum((values >> z) & 1 for z in range(width))
+
+
+def _pack(bits: np.ndarray, width: int) -> np.ndarray:
+    """Each run of ``width`` bits of a row as one int, first bit lowest (the last may be short)."""
+    k, n = bits.shape
+    padded = np.zeros((k, -(-n // width) * width), dtype=np.int64)
+    padded[:, :n] = bits
+    return (padded.reshape(k, -1, width) << np.arange(width)).sum(axis=2)
 
 
 def build_precomputed_sums(n: int, cell_alphabet: int | None = None) -> Scheme:
@@ -29,11 +47,8 @@ def build_precomputed_sums(n: int, cell_alphabet: int | None = None) -> Scheme:
     if cell_alphabet <= n:
         raise CapacityError(f"a cell of alphabet {cell_alphabet} cannot hold sums up to {n}")
 
-    def encode(x):
-        return tuple(accumulate(x))
-
-    def read_single(values):
-        return values[0]
+    def encode(bits):
+        return np.cumsum(bits, axis=1, dtype=np.int64)
 
     return Scheme(
         n=n,
@@ -43,7 +58,7 @@ def build_precomputed_sums(n: int, cell_alphabet: int | None = None) -> Scheme:
         kind=KIND_SUM,
         probes=tuple((i,) for i in range(n)),
         encoder=encode,
-        decoders=(read_single,) * n,
+        decoders=(_read_single,) * n,
         builtin=_builtin_tag("precomputed_sums", n=n, cell_alphabet=cell_alphabet),
     )
 
@@ -71,16 +86,11 @@ def build_two_level_rank(n: int, block: int, superblock: int, cell_alphabet: int
     per_super = superblock // block
     raw_base, partial_base, super_base = 0, n_blocks, 2 * n_blocks
 
-    def encode(x):
-        sums = (0,) + tuple(accumulate(x))
-        raw = tuple(
-            sum(x[t * block + z] << z for z in range(block)) for t in range(n_blocks)
-        )
-        partial = tuple(
-            sums[t * block] - sums[(t // per_super) * superblock] for t in range(n_blocks)
-        )
-        supers = tuple(sums[s * superblock] for s in range(n_super))
-        return raw + partial + supers
+    def encode(bits):
+        sums = np.zeros((len(bits), n + 1), dtype=np.int64)
+        np.cumsum(bits, axis=1, dtype=np.int64, out=sums[:, 1:])
+        partial = sums[:, 0:n:block] - sums[:, np.arange(n_blocks) // per_super * superblock]
+        return np.hstack((_pack(bits, block), partial, sums[:, 0:n:superblock]))
 
     probes = []
     decoders = []
@@ -90,10 +100,9 @@ def build_two_level_rank(n: int, block: int, superblock: int, cell_alphabet: int
         # base offsets keep the three kinds in ascending cell order
         probe = (raw_base + blk, partial_base + blk, super_base + sb)
         within = i - blk * block  # 1..block raw bits to count
-        mask = (1 << within) - 1
 
-        def decode(values, _mask=mask):
-            return values[1] + values[2] + (values[0] & _mask).bit_count()
+        def decode(values, _within=within):
+            return values[:, 1] + values[:, 2] + _ones(values[:, 0], _within)
 
         probes.append(probe)
         decoders.append(decode)
@@ -122,25 +131,18 @@ def build_raw_identity(n: int, cell_alphabet: int) -> Scheme:
         raise ParameterError(f"cell alphabet must be a power of two, got {cell_alphabet}")
     u = -(-n // bits_per_cell)
 
-    def encode(x):
-        return tuple(
-            sum(x[c * bits_per_cell + z] << z
-                for z in range(min(bits_per_cell, n - c * bits_per_cell)))
-            for c in range(u)
-        )
+    def encode(bits):
+        return _pack(bits, bits_per_cell)
 
     probes = []
     decoders = []
     for i in range(1, n + 1):
         last = (i - 1) // bits_per_cell
         within = i - last * bits_per_cell
-        mask = (1 << within) - 1
 
-        def decode(values, _last=last, _mask=mask):
-            total = 0
-            for v in values[:_last]:
-                total += v.bit_count()
-            return total + (values[_last] & _mask).bit_count()
+        def decode(values, _last=last, _within=within):
+            full = _ones(values[:, :_last], bits_per_cell).sum(axis=1, dtype=np.int64)
+            return full + _ones(values[:, _last], _within)
 
         probes.append(tuple(range(last + 1)))
         decoders.append(decode)
@@ -167,15 +169,6 @@ def build_bracket_table(n: int, cell_alphabet: int | None = None) -> Scheme:
     if cell_alphabet <= n:
         raise CapacityError(f"a cell of alphabet {cell_alphabet} cannot hold indices up to {n}")
 
-    def encode(x):
-        matches = scan_matches(validate_bits(x))
-        if any(m is None for m in matches):
-            raise DomainError(f"input {x} is not a balanced bracket string")
-        return matches
-
-    def read_single(values):
-        return values[0]
-
     return Scheme(
         n=n,
         u=n,
@@ -183,8 +176,8 @@ def build_bracket_table(n: int, cell_alphabet: int | None = None) -> Scheme:
         domain=DOMAIN_BAL,
         kind=KIND_MATCH,
         probes=tuple((i,) for i in range(n)),
-        encoder=encode,
-        decoders=(read_single,) * n,
+        encoder=match_rows,
+        decoders=(_read_single,) * n,
         builtin=_builtin_tag("bracket_table", n=n, cell_alphabet=cell_alphabet),
     )
 

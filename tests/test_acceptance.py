@@ -17,7 +17,6 @@ from cellprobe import (
     binomial_tail,
     catalan_count,
     check_high_entropy_uniform,
-    check_restriction,
     conditional_entropy,
     entropy,
     entropy_sum_analysis_uniform,
@@ -272,12 +271,12 @@ def test_criterion_11_pipeline_integrity():
         assert first.render_machine() == second.render_machine()
 
         def dec(vals):
-            return vals[0]
+            return vals[:, 0]
 
         full = run_prefix_pipeline(Scheme(
             n=16, u=16, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
             probes=tuple((i,) for i in range(16)),
-            encoder=lambda x: tuple(x), decoders=tuple(dec for _ in range(16))), 2)
+            encoder=lambda bits: bits, decoders=tuple(dec for _ in range(16))), 2)
         assert full.completed
         es = full.stage("entropy-sum")
         t, ell, d = es.field("t"), es.field("ell"), es.field("d")
@@ -304,7 +303,7 @@ def test_criterion_12_restriction_soundness():
         ]
         for scheme, b_cells in cases:
             rs = restrict_scheme(scheme, b_cells)
-            assert check_restriction(rs)
+            assert rs.preserves_answers()
             bound_num = scheme.domain_size()
             bound_den = scheme.cell_alphabet ** len(b_cells)
-            assert len(rs.surviving) * bound_den >= bound_num
+            assert len(rs.rows) * bound_den >= bound_num

@@ -1,8 +1,11 @@
 """Bracket matching, Catalan enumeration, and unmatched-bracket walk probabilities."""
 
 import math
+import re
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from cellprobe import (
@@ -14,6 +17,7 @@ from cellprobe import (
     enumerate_bal,
     is_balanced,
     match_index,
+    match_rows,
     scan_matches,
     unmatched_close_prob,
     unmatched_open_prob,
@@ -35,6 +39,25 @@ def test_scan_matches_balanced_and_partial():
     # unmatched brackets map to None
     assert scan_matches((0, 1)) == (None, None)
     assert scan_matches((1, 0, 1)) == (2, 1, None)
+
+
+def test_match_rows_equals_the_stack_scan_on_every_balanced_string():
+    for n in range(0, 15, 2):
+        strings = enumerate_bal(n)
+        got = match_rows(np.array(strings, dtype=np.int8).reshape(len(strings), n))
+        assert got.tolist() == [list(scan_matches(x)) for x in strings]
+    # blocks of rows are independent: one matrix past the block size answers the same
+    strings = enumerate_bal(16)
+    assert len(strings) > 1000
+    big = np.array(strings * 4, dtype=np.int8)
+    assert match_rows(big).tolist() == [list(scan_matches(x)) for x in strings] * 4
+
+
+def test_match_rows_refuses_the_first_unbalanced_row():
+    rows = [x for x in product((0, 1), repeat=6)]
+    bad = next(x for x in rows if not is_balanced(x))
+    with pytest.raises(DomainError, match=re.escape(f"input {bad} is not a balanced")):
+        match_rows(np.array(rows, dtype=np.int8))
 
 
 def test_match_index_and_its_errors():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -377,3 +378,38 @@ def test_domain_past_the_encoding_budget_is_usage_error(tmp_path, capsys):
         assert done.stderr.startswith("error:")
         assert "--max-inputs" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_verify_max_inputs_must_be_positive(good_scheme, limit, capsys):
+    assert main(["verify", "--scheme", good_scheme, "--max-inputs", limit]) == 2
+    captured = capsys.readouterr()
+    assert "status" not in captured.out
+    assert captured.err.startswith("error:") and "max_inputs" in captured.err
+
+
+def test_a_huge_decimal_exponent_is_refused_without_expanding_it(tmp_path):
+    # Fraction("1e99999999") builds a 10^8-digit integer and does not come back
+    dist = tmp_path / "huge.dist"
+    dist.write_text("0,1 1e99999999\n1,0 1/2\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cellprobe.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv in (["entropy-sum", "--uniform", "4", "--p", "1", "--i", "2", "--j", "3",
+                  "--c", "1e99999999"],
+                 ["entropy", "--dist", str(dist)]):
+        done = subprocess.run([sys.executable, "-m", "cellprobe", *argv],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error:") and "exponent" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
+def test_small_decimal_exponents_still_parse(capsys):
+    argv = ["entropy-sum", "--uniform", "4", "--p", "1", "--i", "2", "--j", "3", "--format",
+            "machine", "--c"]
+    for c in ("1e-3", "2.5e2"):
+        assert main(argv + [c]) in (0, 1)
+        assert "holds=" in capsys.readouterr().out
+    assert cellprobe.cli._num("1e-3") == Fraction(1, 1000)
+    assert cellprobe.cli._num("2.5e2") == 250

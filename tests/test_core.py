@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cellprobe import (
@@ -19,13 +20,8 @@ from cellprobe import (
     SizeError,
     TableDecoder,
     TableEncoder,
-    answer_query,
     bits_to_str,
-    check_restriction,
-    most_likely_cell_values,
     parse_bits,
-    prefix_sum,
-    prefix_sum_all,
     prefix_sums,
     redundancy,
     restrict_scheme,
@@ -38,6 +34,11 @@ from cellprobe.schemes import (
     build_raw_identity,
     build_two_level_rank,
 )
+from reference import loop_verify, oracle_all, prefix_sum, prefix_sum_all
+
+
+def _read_single(values):
+    return values[:, 0]
 
 
 def test_prefix_sum_basics():
@@ -65,37 +66,36 @@ def test_validate_bits_rejects_non_binary():
 
 def test_table_decoder_default_for_unseen_rows():
     dec = TableDecoder({(1, 2): 7})
-    assert dec((1, 2)) == 7
-    assert dec((0, 0)) == 0
+    assert dec(np.array([[1, 2], [0, 0], [1, 2]])).tolist() == [7, 0, 7]
 
 
 def test_scheme_normalizes_probes_and_validates():
     enc = TableEncoder({(0,): (0,), (1,): (1,)})
     sch = Scheme(n=1, u=1, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
-                 probes=((0, 0),), encoder=enc, decoders=(lambda v: v[0],))
+                 probes=((0, 0),), encoder=enc, decoders=(_read_single,))
     assert sch.probes == ((0,),)
     assert sch.q == 1
     with pytest.raises(ParameterError):
         Scheme(n=1, u=1, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
-               probes=((3,),), encoder=enc, decoders=(lambda v: v[0],))
+               probes=((3,),), encoder=enc, decoders=(_read_single,))
     # Match queries need the balanced domain, and that domain needs even n
     with pytest.raises(ParameterError):
         Scheme(n=1, u=1, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_MATCH,
-               probes=((0,),), encoder=enc, decoders=(lambda v: v[0],))
+               probes=((0,),), encoder=enc, decoders=(_read_single,))
     with pytest.raises(ParameterError):
         Scheme(n=3, u=1, cell_alphabet=2, domain=DOMAIN_BAL, kind=KIND_MATCH,
-               probes=((0,),) * 3, encoder=enc, decoders=(lambda v: v[0],) * 3)
+               probes=((0,),) * 3, encoder=enc, decoders=(_read_single,) * 3)
 
 
 def test_answer_query_domain_and_range_errors():
     sch = build_precomputed_sums(4)
-    assert answer_query(sch, (1, 0, 1, 0), 3) == 2
+    assert sch.answer((1, 0, 1, 0), 3) == 2
     with pytest.raises(DomainError):
-        answer_query(sch, (1, 0), 1)
+        sch.answer((1, 0), 1)
     with pytest.raises(RangeError):
-        answer_query(sch, (1, 0, 1, 0), 5)
+        sch.answer((1, 0, 1, 0), 5)
     with pytest.raises(RangeError):
-        answer_query(sch, (1, 0, 1, 0), 0)
+        sch.answer((1, 0, 1, 0), 0)
 
 
 def test_redundancy_counts_fractional_bits():
@@ -120,7 +120,7 @@ def test_verify_scheme_reports_lex_first_counterexample():
     enc = TableEncoder(table)
     bad = Scheme(n=n, u=n, cell_alphabet=n + 1, domain=DOMAIN_ALL, kind=KIND_SUM,
                  probes=tuple((i,) for i in range(n)), encoder=enc,
-                 decoders=(lambda v: v[0], lambda v: v[0], lambda v: v[0] + 1))
+                 decoders=(_read_single, _read_single, lambda v: v[:, 0] + 1))
     rep = verify_scheme(bad)
     assert not rep.ok and rep.status == "fail"
     ce = rep.counterexample
@@ -136,26 +136,10 @@ def test_verify_scheme_honors_max_inputs():
     partial = Scheme(n=6, u=6, cell_alphabet=7, domain=DOMAIN_ALL, kind=KIND_SUM,
                      probes=tuple((i,) for i in range(6)),
                      encoder=TableEncoder({x: prefix_sum_all(x) for x in first}),
-                     decoders=(lambda v: v[0],) * 6)
+                     decoders=(_read_single,) * 6)
     assert verify_scheme(partial, max_inputs=10).ok
     with pytest.raises(DomainError):
         verify_scheme(partial)
-
-
-def _loop_verify(scheme):
-    """Reference: one decoder call per (input, query), in lexicographic order."""
-    checked = failures = 0
-    first = None
-    for x in scheme.inputs():
-        expected = scheme.oracle_all(x)
-        for i in range(1, scheme.n + 1):
-            got = scheme.answer(x, i)
-            checked += 1
-            if got != expected[i - 1]:
-                failures += 1
-                if first is None:
-                    first = (x, i, got, expected[i - 1])
-    return checked, failures, first
 
 
 @pytest.mark.parametrize("build", [
@@ -166,13 +150,13 @@ def test_verify_scheme_agrees_with_the_per_query_loop(build):
     base = build()
     # corrupt two decoders so that some, not all, answers go wrong
     decoders = list(base.decoders)
-    decoders[2] = lambda v, d=base.decoders[2]: d(v) + (v[0] % 3 == 1)
-    decoders[-1] = lambda v, d=base.decoders[-1]: d(v) ^ (sum(v) % 2)
+    decoders[2] = lambda v, d=base.decoders[2]: d(v) + (v[:, 0] % 3 == 1)
+    decoders[-1] = lambda v, d=base.decoders[-1]: d(v) ^ (v.sum(axis=1) % 2)
     bad = Scheme(n=base.n, u=base.u, cell_alphabet=base.cell_alphabet, domain=base.domain,
                  kind=base.kind, probes=base.probes, encoder=base.encoder,
                  decoders=tuple(decoders))
     rep = verify_scheme(bad)
-    checked, failures, first = _loop_verify(bad)
+    checked, failures, first = loop_verify(bad)
     assert (rep.checked, rep.failures) == (checked, failures)
     assert 0 < failures < checked
     ce = rep.counterexample
@@ -180,52 +164,52 @@ def test_verify_scheme_agrees_with_the_per_query_loop(build):
 
 
 @pytest.mark.parametrize("wrong", [
-    {0: lambda v: v[0] == 1, 3: lambda v: True},                       # query 4 fails first
-    {0: lambda v: v[0] == 1, 1: lambda v: True, 3: lambda v: True},    # tie: query 2 wins
+    {0: lambda v: v[:, 0] == 1, 3: lambda v: v[:, 0] >= 0},                            # query 4 fails first
+    {0: lambda v: v[:, 0] == 1, 1: lambda v: v[:, 0] >= 0, 3: lambda v: v[:, 0] >= 0},  # tie: query 2 wins
 ])
 def test_verify_counterexample_is_first_input_then_first_query(wrong):
     base = build_precomputed_sums(4)
     decoders = tuple(
-        (lambda v, d=d, bad=wrong[k]: d(v) + int(bad(v))) if k in wrong else d
+        (lambda v, d=d, bad=wrong[k]: d(v) + bad(v).astype(np.int64)) if k in wrong else d
         for k, d in enumerate(base.decoders))
     bad = Scheme(n=4, u=base.u, cell_alphabet=base.cell_alphabet + 1, domain=base.domain,
                  kind=base.kind, probes=base.probes, encoder=base.encoder, decoders=decoders)
     ce = verify_scheme(bad).counterexample
-    assert (ce.x, ce.i, ce.got, ce.expected) == _loop_verify(bad)[2]
+    assert (ce.x, ce.i, ce.got, ce.expected) == loop_verify(bad)[2]
 
 
 def test_most_likely_cell_value_is_modal_and_ties_break_low():
     sch = build_two_level_rank(16, 4, 16, 17)
     # the single superblock cell stores 0 for every input
-    z, survivors = most_likely_cell_values(sch, (8,))
-    assert z == (0,)
-    assert len(survivors) == 2 ** 16
+    rs = restrict_scheme(sch, (8,))
+    assert rs.fixed_values == (0,)
+    assert len(rs.rows) == 2 ** 16
     # the first raw cell is uniform over 16 values, so the tie breaks to 0
-    z, survivors = most_likely_cell_values(sch, (0,))
-    assert z == (0,)
-    assert len(survivors) == 2 ** 12
+    rs = restrict_scheme(sch, (0,))
+    assert rs.fixed_values == (0,)
+    assert len(rs.rows) == 2 ** 12
 
 
 def test_restriction_preserves_answers_exactly():
     sch = build_two_level_rank(8, 2, 4, 9)
     rs = restrict_scheme(sch, (1, 4))
-    assert check_restriction(rs)
-    assert rs.encodings() == tuple(rs.restricted_encoding(x) for x in rs.surviving)
+    assert rs.preserves_answers()
+    # Enc' is Enc on the kept cells, input by input
+    assert rs.cells().tolist() == [[sch.encode(x)[c] for c in rs.kept_cells]
+                                   for x in map(tuple, rs.surviving_bits().tolist())]
     assert rs.u_prime == sch.u - 2
     m = sch.cell_alphabet
-    assert len(rs.surviving) * m ** 2 >= sch.domain_size()
-
-
-def test_restriction_rejects_inconsistent_survivors():
-    sch = build_precomputed_sums(4)
-    with pytest.raises(ConsistencyError):
-        restrict_scheme(sch, (0,), z=(0,), survivors=((1, 0, 0, 0),))
+    assert len(rs.rows) * m ** 2 >= sch.domain_size()
+    # and the restricted scheme answers each surviving input as the scheme does
+    for x in map(tuple, rs.surviving_bits()[:40].tolist()):
+        assert [rs.answer(x, i) for i in range(1, 9)] == [sch.answer(x, i) for i in range(1, 9)]
 
 
 def test_oracle_all_matches_per_query_answers():
     sch = build_precomputed_sums(5)
     x = (1, 1, 0, 1, 0)
-    assert sch.oracle_all(x) == tuple(sch.answer(x, i) for i in range(1, 6))
+    assert oracle_all(sch, x) == tuple(sch.answer(x, i) for i in range(1, 6))
+    assert sch.oracle_rows(np.array([x])).tolist() == [list(oracle_all(sch, x))]
 
 
 @pytest.mark.parametrize("build", [lambda: build_precomputed_sums(40),
@@ -246,9 +230,39 @@ def test_domain_past_the_encoding_budget_is_refused_before_allocating(build):
     assert rep.ok and rep.inputs_checked == 5
 
 
-def test_callable_encoders_receive_input_tuples():
-    # a dict's own lookup as the encoder: it needs hashable inputs
-    table = {x: (sum(x),) for x in product((0, 1), repeat=3)}
+def test_callable_encoders_receive_bits_matrices():
+    seen = []
+
+    def encode(bits):
+        seen.append((bits.dtype, bits.shape))
+        return bits.sum(axis=1, keepdims=True)
+
     sch = Scheme(n=3, u=1, cell_alphabet=4, domain=DOMAIN_ALL, kind=KIND_SUM,
-                 probes=((0,),) * 3, encoder=table.__getitem__, decoders=(lambda v: v[0],) * 3)
+                 probes=((0,),) * 3, encoder=encode, decoders=(_read_single,) * 3)
     assert sch.encoded()[1][:, 0].tolist() == [sum(x) for x in product((0, 1), repeat=3)]
+    # the whole domain in one k x n int8 block
+    assert seen == [(np.int8, (8, 3))]
+
+
+@pytest.mark.parametrize("decoder", [
+    lambda v: v[0],                      # written for one input: gives the first row
+    lambda v: v[:-1, 0],                 # one answer short
+    lambda v: v[:, 0] / 2,               # not integers
+    lambda v: v[:, 0] > 0,               # booleans are not answers either
+], ids=["per-input", "short", "float", "bool"])
+def test_a_decoder_must_answer_every_row_with_an_integer(decoder):
+    base = build_precomputed_sums(4)
+    bad = Scheme(n=4, u=base.u, cell_alphabet=base.cell_alphabet, domain=base.domain,
+                 kind=base.kind, probes=base.probes, encoder=base.encoder,
+                 decoders=base.decoders[:2] + (decoder,) + base.decoders[3:])
+    with pytest.raises(ConsistencyError, match="query 3"):
+        verify_scheme(bad)
+    with pytest.raises(ConsistencyError, match="query 3"):
+        restrict_scheme(bad, (0,)).preserves_answers()
+
+
+def test_verify_refuses_a_max_inputs_below_one():
+    for bad in (0, -5):
+        with pytest.raises(ParameterError, match="max_inputs"):
+            verify_scheme(build_precomputed_sums(4), max_inputs=bad)
+    assert verify_scheme(build_precomputed_sums(4), max_inputs=1).inputs_checked == 1

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -67,6 +68,55 @@ def test_find_threshold_needs_a_quarter_of_mass():
     dist = Distribution.uniform(list(product((0, 1), repeat=4)))
     with pytest.raises(DomainError):
         find_threshold(dist, [(0, 0, 0, 0)], 4)
+
+
+def _stepped_threshold(dist, a_set, p):
+    """The threshold search as first written: step t up from 0 while the next tail keeps 1/4."""
+    members = {tuple(y) for y in a_set}
+    mass_by_sum = {}
+    for y, pr in dist.items():
+        if tuple(y[:p]) in members:
+            mass_by_sum[sum(y[:p])] = mass_by_sum.get(sum(y[:p]), 0) + pr
+    t, tail = 0, sum(mass_by_sum.values())
+    while True:
+        next_tail = sum(m for s, m in mass_by_sum.items() if s >= t + 1)
+        if 4 * next_tail < 1:
+            break
+        t, tail = t + 1, next_tail
+    lower = sum(m for s, m in mass_by_sum.items() if s <= t)
+    return t, tail, next_tail, lower
+
+
+def test_find_threshold_equals_the_stepped_search_on_non_negative_sums():
+    rng = random.Random(5)
+    for _ in range(200):
+        arity = rng.randint(1, 4)
+        p = rng.randint(1, arity)
+        outcomes = {tuple(rng.randint(0, 3) for _ in range(arity))
+                    for _ in range(rng.randint(1, 8))}
+        dist = Distribution.from_counts({y: rng.randint(1, 9) for y in outcomes})
+        prefixes = sorted({y[:p] for y in outcomes})
+        a_set = rng.sample(prefixes, rng.randint(1, len(prefixes)))
+        try:
+            rep = find_threshold(dist, a_set, p)
+        except DomainError:
+            assert 4 * sum(pr for y, pr in dist.items() if y[:p] in a_set) < 1
+            continue
+        assert (rep.t, rep.pr_at_t, rep.pr_at_next, rep.pr_lower_tail) == \
+            _stepped_threshold(dist, a_set, p)
+
+
+def test_find_threshold_reads_negative_and_huge_sums_directly():
+    dist = Distribution({(-5, 0, 0): Fraction(1, 2), (-5, 1, 1): Fraction(1, 2)})
+    rep = find_threshold(dist, [(-5,)], 1)
+    assert (rep.t, rep.pr_at_t, rep.pr_at_next, rep.pr_lower_tail) == (-5, 1, 0, 1)
+    # the stepped search took time linear in the largest sum
+    dist = Distribution({(1000000, 0, 0): Fraction(1, 2), (0, 1, 1): Fraction(1, 2)})
+    start = time.perf_counter()
+    rep = find_threshold(dist, [(1000000,), (0,)], 1)
+    assert time.perf_counter() - start < 0.5
+    assert (rep.t, rep.pr_at_t, rep.pr_at_next, rep.pr_lower_tail) == (
+        1000000, Fraction(1, 2), 0, 1)
 
 
 def _skewed_prefix_dist():

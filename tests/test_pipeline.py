@@ -30,12 +30,12 @@ def _mirror_scheme() -> Scheme:
     to work with and the pipeline reaches the final chain.
     """
     def dec(vals):
-        return vals[0]
+        return vals[:, 0]
 
     return Scheme(
         n=16, u=16, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
         probes=tuple((i,) for i in range(16)),
-        encoder=lambda x: tuple(x),
+        encoder=lambda bits: bits,
         decoders=tuple(dec for _ in range(16)),
     )
 

@@ -28,6 +28,7 @@ from cellprobe.brackets import enumerate_bal
 from cellprobe.cli import main
 from cellprobe.core import DOMAIN_ALL, DOMAIN_BAL, KIND_MATCH, KIND_SUM
 from cellprobe.schemes import build_bracket_table, build_precomputed_sums, build_two_level_rank
+from reference import domain_inputs, oracle_all
 
 
 def _table_scheme() -> Scheme:
@@ -64,8 +65,9 @@ def test_bracket_scheme_round_trip():
     sch = build_bracket_table(6)
     back = read_scheme(write_scheme(sch))
     assert back == sch
-    for x in sch.inputs():
-        assert back.oracle_all(x) == sch.oracle_all(x)
+    for x in domain_inputs(sch):
+        assert oracle_all(back, x) == oracle_all(sch, x)
+        assert [back.answer(x, i) for i in range(1, 7)] == [sch.answer(x, i) for i in range(1, 7)]
 
 
 def test_save_and_load(tmp_path):
@@ -98,6 +100,17 @@ def test_empty_probe_line_round_trips():
     assert write_scheme(read_scheme(text)) == text
 
 
+def test_decoder_answers_past_int64_are_refused_when_read():
+    # decoders answer in int64 columns, so such an answer could not be given
+    text = write_scheme(_table_scheme())
+    assert "    2 -> 2" in text
+    for bad in ("9223372036854775808", "-9223372036854775809"):
+        with pytest.raises(ParameterError, match="int64|2\\^63"):
+            read_scheme(text.replace("    2 -> 2", f"    2 -> {bad}", 1))
+    with pytest.raises(ParameterError):
+        TableDecoder({(0,): 0}, default=2 ** 63)
+
+
 def _mirror16() -> Scheme:
     """The 3.5 MB mirror table the goldens and the chain16 benchmark load."""
     return Scheme(n=16, u=16, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
@@ -111,7 +124,7 @@ def _bracket_table6() -> Scheme:
     base = build_bracket_table(6)
     return Scheme(n=6, u=base.u, cell_alphabet=base.cell_alphabet, domain=DOMAIN_BAL,
                   kind=KIND_MATCH, probes=base.probes,
-                  encoder=TableEncoder({x: base.encode(x) for x in base.inputs()}),
+                  encoder=TableEncoder({x: base.encode(x) for x in domain_inputs(base)}),
                   decoders=base.decoders)
 
 
@@ -191,7 +204,7 @@ def test_random_table_schemes_round_trip_byte_stable(drawn):
 def _reference_rows(scheme: Scheme, table: dict) -> list:
     """Per-input reference: look each input up in the dict, checked as ``Scheme.encode`` checks."""
     rows = []
-    for x in scheme.inputs():
+    for x in domain_inputs(scheme):
         if x not in table:
             raise DomainError(f"input {x} not present in the encoder table")
         cells = table[x]

@@ -1,10 +1,13 @@
 """Reference scheme builders: layouts, capacity checks, correctness at small n."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellprobe import (
     CapacityError,
     DOMAIN_BAL,
+    DomainError,
     KIND_MATCH,
     ParameterError,
     verify_scheme,
@@ -17,6 +20,7 @@ from cellprobe.schemes import (
     build_raw_identity,
     build_two_level_rank,
 )
+from reference import CLOSURES, domain_inputs
 
 
 def test_precomputed_sums_layout():
@@ -72,7 +76,7 @@ def test_bracket_table_is_a_match_scheme():
     sch = build_bracket_table(6)
     assert sch.domain == DOMAIN_BAL and sch.kind == KIND_MATCH
     assert sch.q == 1
-    assert len(list(sch.inputs())) == 5
+    assert len(sch.encoded()[0]) == 5 == len(domain_inputs(sch))
     assert verify_scheme(sch).ok
 
 
@@ -100,3 +104,48 @@ def test_all_reference_schemes_verify_at_n8():
     ]
     for sch in schemes:
         assert verify_scheme(sch).ok
+
+
+@st.composite
+def builtin_params(draw):
+    """A builtin's name and random small valid parameters."""
+    name = draw(st.sampled_from(sorted(BUILTIN_BUILDERS)))
+    if name == "precomputed_sums":
+        n = draw(st.integers(1, 9))
+        return name, dict(n=n, cell_alphabet=draw(st.integers(n + 1, n + 4)))
+    if name == "two_level_rank":
+        block = draw(st.integers(1, 3))
+        superblock = block * draw(st.integers(1, 3))
+        n = superblock * draw(st.integers(1, 10 // superblock))
+        alphabet = max(2 ** block, n + 1) + draw(st.integers(0, 3))
+        return name, dict(n=n, block=block, superblock=superblock, cell_alphabet=alphabet)
+    if name == "raw_identity":
+        return name, dict(n=draw(st.integers(1, 9)), cell_alphabet=2 ** draw(st.integers(1, 4)))
+    n = draw(st.sampled_from([2, 4, 6, 8, 10]))
+    return name, dict(n=n, cell_alphabet=draw(st.integers(n + 1, n + 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(builtin_params(), st.randoms(use_true_random=False))
+def test_builtins_agree_with_their_per_input_closures(drawn, rnd):
+    name, params = drawn
+    sch = build_builtin(name, **params)
+    encode, decoders = CLOSURES[name](**params)
+    bits, cells = sch.encoded()
+    inputs = domain_inputs(sch)
+    assert bits.tolist() == [list(x) for x in inputs]
+    assert cells.tolist() == [list(encode(x)) for x in inputs]
+    # decoders on every value the cells take, and on random values of the alphabet
+    m = sch.cell_alphabet
+    for i, (probe, ref) in enumerate(zip(sch.probes, decoders), start=1):
+        values = np.vstack((cells[:, list(probe)],
+                            [[rnd.randrange(m) for _ in probe] for _ in range(30)]))
+        assert sch.decode(i, values).tolist() == [ref(tuple(v)) for v in values.tolist()]
+
+
+def test_bracket_table_encoder_refuses_unbalanced_input():
+    sch = build_bracket_table(4)
+    with pytest.raises(DomainError, match="not a balanced bracket string"):
+        sch.encoder(np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=np.int8))
+    with pytest.raises(DomainError):
+        sch.encode((0, 1, 1, 0))
