@@ -129,9 +129,8 @@ def _cmd_redundancy(args) -> int:
 
 def _cmd_separator(args) -> int:
     scheme = load_scheme(args.scheme)
-    family = [set(p) for p in scheme.probes]
     if args.bracket_c is not None:
-        res = find_separator_brackets(family, int(args.bracket_c),
+        res = find_separator_brackets(scheme.probes, int(args.bracket_c),
                                       require_preconditions=not args.relax)
         checks = [*res.checks, ("v_nonempty", res.w > 0)]
         pairs = [
@@ -150,7 +149,7 @@ def _cmd_separator(args) -> int:
     else:
         if args.gap is None:
             raise DomainError("separator needs --gap or --bracket-c")
-        res = find_separator(family, _num(args.gap))
+        res = find_separator(scheme.probes, _num(args.gap))
         checks = list(res.checks)
         pairs = [
             ("mode", "prefix"),

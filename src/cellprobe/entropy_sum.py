@@ -45,8 +45,10 @@ def binomial_tail(n_trials: int, threshold) -> Fraction:
     lo = max(0, math.ceil(threshold))
     if lo > n_trials:
         return Fraction(0)
-    total = sum(math.comb(n_trials, k) for k in range(lo, n_trials + 1))
-    return Fraction(total, 2 ** n_trials)
+    # C(n, k+1) = C(n, k)*(n-k)/(k+1), exactly, from one C(n, lo)
+    terms = accumulate(range(lo, n_trials), lambda term, k: term * (n_trials - k) // (k + 1),
+                       initial=math.comb(n_trials, lo))
+    return Fraction(sum(terms), 2 ** n_trials)
 
 
 def _sixth_root(m: int):
@@ -201,8 +203,11 @@ class EntropySumWitness:
 def _validate_indices(n: int, p: int, i: int, j: int, c) -> tuple[int, int, bool]:
     if not 0 <= p < i < j <= n:
         raise ParameterError(f"need 0 <= p < i < j <= {n}, got p={p} i={i} j={j}")
-    if float(c) <= 0:
-        raise ParameterError(f"c must be positive, got {c}")
+    try:
+        if float(c) <= 0:
+            raise ParameterError(f"c must be positive, got {c}")
+    except OverflowError:
+        raise ParameterError("c is past the float range") from None
     ell, d = i - p, j - i
     return ell, d, ell >= float(c) * d
 

@@ -454,7 +454,7 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
         gap = Fraction(lg) ** int(cf) if cf.denominator == 1 else Fraction(lg ** float(cf))
     except OverflowError:
         raise ParameterError(f"(lg n)^c overflows a float for c = {c}") from None
-    sep = find_separator([set(p) for p in scheme.probes], gap)
+    sep = find_separator(scheme.probes, gap)
     rs = _separate_and_fix(scheme, sep, (("g", gap), ("k0", sep.k0)), (), sep.checks, stages)
 
     floors = (
@@ -552,8 +552,7 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
     c = int(cf)
     stages: list[StageRecord] = []
 
-    sep = find_separator_brackets([set(p) for p in scheme.probes], c,
-                                  require_preconditions=False)
+    sep = find_separator_brackets(scheme.probes, c, require_preconditions=False)
     a = sep.a
     rs = _separate_and_fix(scheme, sep, (("a", a), ("b", sep.b)),
                            (("size_floor_ok", sep.size_floor_ok),),

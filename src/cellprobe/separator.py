@@ -13,29 +13,61 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
 
 from .errors import ConsistencyError, ParameterError, SizeError
 
 _BRACKET_EXPONENT_LIMIT = 10_000
 
 
-def _as_sets(family) -> list[frozenset]:
-    sets = [frozenset(int(e) for e in s) for s in family]
-    if not sets:
-        raise ParameterError("separator needs a nonempty family of sets")
-    return sets
+def _as_matrix(family) -> tuple[np.ndarray, np.ndarray]:
+    """The family as an n x q matrix of compact cell ids (rows sorted, -1 pads), and the ids."""
+    rows = list(family)
+    sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, int(sizes.sum()))
+    except OverflowError:
+        raise ParameterError("separator family: every cell id must fit int64") from None
+    cells, ids = np.unique(flat, return_inverse=True)
+    matrix = np.full((len(rows), int(sizes.max(initial=0))), -1, np.int64)
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    matrix[np.repeat(np.arange(len(rows)), sizes), np.arange(len(flat)) - starts] = ids
+    matrix.sort(axis=1)
+    matrix[:, 1:][matrix[:, 1:] == matrix[:, :-1]] = -1     # a repeated cell counts once
+    matrix.sort(axis=1)
+    q = int((matrix >= 0).sum(axis=1).max(initial=0))
+    return matrix[:, matrix.shape[1] - q:], cells
+
+
+def _greedy(matrix: np.ndarray, blocked: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Greedy disjoint rows outside the blocked cells: their 1-based indices, the cells used."""
+    live = np.where(np.append(blocked, True)[matrix], -1, matrix)   # -1 reads the appended True
+    if (live >= 0).sum(axis=1).max(initial=0) <= 1:
+        # each row is empty or one cell: take the empty rows and each cell's first row
+        cell = live.max(axis=1, initial=-1)
+        found, first = np.unique(cell, return_index=True)
+        chosen = np.sort(np.append(np.flatnonzero(cell < 0), first[found >= 0])) + 1
+        return tuple(chosen.tolist()), found[found >= 0]
+    taken = bytearray(len(blocked) + 1)
+    chosen = []
+    # rows zipped from column lists: n row lists alive at once would set off full gc passes
+    for idx, row in enumerate(zip(*live.T.tolist()), start=1):
+        for c in row:
+            if taken[c]:
+                break
+        else:
+            chosen.append(idx)
+            for c in row:
+                taken[c] = c >= 0    # the padding's slot stays clear
+    return tuple(chosen), np.flatnonzero(taken[:-1])
 
 
 def greedy_disjoint(family) -> tuple[int, ...]:
     """1-based indices of a maximal disjoint subfamily, scanning in index order."""
-    chosen = []
-    used: set = set()
-    for idx, s in enumerate(family, start=1):
-        s = frozenset(s)
-        if used.isdisjoint(s):
-            chosen.append(idx)
-            used |= s
-    return tuple(chosen)
+    matrix, cells = _as_matrix(family)
+    return _greedy(matrix, np.zeros(len(cells), bool))[0]
 
 
 def pairwise_disjoint(sets) -> bool:
@@ -88,32 +120,33 @@ def find_separator(family, g) -> SeparatorResult:
     Stage i succeeds when the greedy count reaches k0*(g*q)^i where
     k0 = n/(g*q)^q; otherwise B absorbs every element of the greedy family.
     """
-    sets = _as_sets(family)
-    n = len(sets)
-    q = max(len(s) for s in sets)
+    matrix, cells = _as_matrix(family)
+    n, q = matrix.shape
+    if not n:
+        raise ParameterError("separator needs a nonempty family of sets")
     gap = Fraction(g)
     if gap < 1:
         raise ParameterError(f"gap must be >= 1, got {g}")
     k0 = Fraction(n) / (gap * q) ** q if q else Fraction(n)
-    blocker: set = set()
+    blocked = np.zeros(len(cells), bool)
+    b_size = 0
     log: list[StageLog] = []
     for i in range(q + 1):
-        reduced = [s - blocker for s in sets]
-        chosen = greedy_disjoint(reduced)
+        chosen, used = _greedy(matrix, blocked)
         threshold = k0 * (gap * q) ** i
         bound_now = k0 * gap ** (i - 1) * q ** i if i >= 1 else Fraction(0)
         if len(chosen) >= threshold:
             log.append(StageLog(i, len(chosen), threshold, True,
-                                len(blocker), bound_now, len(blocker) <= bound_now))
+                                b_size, bound_now, b_size <= bound_now))
             return SeparatorResult(
-                B=frozenset(blocker), V=chosen, w=len(chosen), n=n, q=q,
+                B=frozenset(cells[blocked].tolist()), V=chosen, w=len(chosen), n=n, q=q,
                 gap=gap, k0=k0, stages_run=i + 1, log=tuple(log),
             )
-        for v in chosen:
-            blocker |= reduced[v - 1]
+        blocked[used] = True
+        b_size += len(used)
         bound_after = k0 * gap ** i * q ** (i + 1)
         log.append(StageLog(i, len(chosen), threshold, False,
-                            len(blocker), bound_after, len(blocker) <= bound_after))
+                            b_size, bound_after, b_size <= bound_after))
     raise ConsistencyError("separator failed to terminate; stage q cannot fail")
 
 
@@ -169,14 +202,15 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True) 
     ``require_preconditions`` off the schedule still runs and the result
     records which size bounds actually held.
     """
-    sets = _as_sets(family)
-    n = len(sets)
+    matrix, cells = _as_matrix(family)
+    n, q = matrix.shape
+    if not n:
+        raise ParameterError("separator needs a nonempty family of sets")
     c = int(c)
     if c < 4:
         raise ParameterError(f"the bracket schedule needs c >= 4, got {c}")
     if n < 4:
         raise ParameterError(f"need n >= 4 so lg lg n is positive, got {n}")
-    q = max(len(s) for s in sets)
     if require_preconditions and q > math.log2(math.log2(n)) / c:
         raise ParameterError(
             f"q = {q} exceeds (lg lg n)/c = {math.log2(math.log2(n)) / c:.4f}"
@@ -185,31 +219,31 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True) 
     if d ** q > _BRACKET_EXPONENT_LIMIT:
         raise SizeError(f"schedule exponent d^q = {d ** q} exceeds {_BRACKET_EXPONENT_LIMIT}")
     lg_l = math.log2(math.log2(n))
-    blocker: set = set()
+    blocked = np.zeros(len(cells), bool)
+    b_size = 0
     log: list[StageLog] = []
     for i in range(q + 1):
-        reduced = [s - blocker for s in sets]
-        chosen = greedy_disjoint(reduced)
+        chosen, used = _greedy(matrix, blocked)
         exponent = d ** (q - i)
         # threshold n/L^exponent rendered as a float when it fits
         threshold = n * 2.0 ** (-exponent * lg_l) if exponent * lg_l < 1000 else 0.0
         if _meets(len(chosen), n, lg_l, exponent):
             a, b = exponent, c * exponent
-            b_size_ok = _b_within(len(blocker), n, lg_l, b)
+            b_size_ok = _b_within(b_size, n, lg_l, b)
             log.append(StageLog(i, len(chosen), threshold, True,
-                                len(blocker), f"n/lg^{b} n", b_size_ok))
+                                b_size, f"n/lg^{b} n", b_size_ok))
             return BracketSeparatorResult(
-                B=frozenset(blocker), V=chosen, a=a, b=b, n=n, q=q, c=c,
+                B=frozenset(cells[blocked].tolist()), V=chosen, a=a, b=b, n=n, q=q, c=c,
                 stages_run=i + 1, log=tuple(log),
                 size_floor_ok=math.log2(n) >= b * lg_l - 1e-12,
                 b_size_ok=b_size_ok,
             )
-        for v in chosen:
-            blocker |= reduced[v - 1]
+        blocked[used] = True
+        b_size += len(used)
         next_exp = c * d ** (q - i - 1)
         log.append(StageLog(i, len(chosen), threshold, False,
-                            len(blocker), f"n/lg^{next_exp} n",
-                            _b_within(len(blocker), n, lg_l, next_exp)))
+                            b_size, f"n/lg^{next_exp} n",
+                            _b_within(b_size, n, lg_l, next_exp)))
     raise ConsistencyError("bracket separator failed to terminate; stage q cannot fail")
 
 

@@ -87,8 +87,11 @@ def find_stretcher(indices, n: int, c) -> StretcherResult:
     if cf <= 1:
         raise ParameterError(f"c must be > 1, got {c}")
     w = len(v)
-    t = math.floor(float(cf) * math.log2(n))
-    guarantee = 2 * math.floor(w / (float(cf) * math.log2(n)))
+    try:
+        t = math.floor(float(cf) * math.log2(n))
+        guarantee = 2 * math.floor(w / (float(cf) * math.log2(n)))
+    except OverflowError:
+        raise ParameterError("c * lg n is past the float range") from None
 
     seq = (0,) + v  # sentinel v_0 := 0
     pairs: list[StretchPair] = []

@@ -2,13 +2,34 @@
 
 The package encodes and decodes whole matrices; these are the plain
 one-input-at-a-time formulas: the builtin schemes' encoders and decoders as
-tuple closures, a Python prefix-sum and Match oracle, and a verification loop
-that asks the scheme one (input, query) pair at a time.
+tuple closures, a Python prefix-sum and Match oracle, a verification loop
+that asks the scheme one (input, query) pair at a time, and the staged
+separators on frozensets.
 """
 
+import math
+from fractions import Fraction
 from itertools import accumulate, product
 
-from cellprobe import DOMAIN_ALL, KIND_SUM, DomainError, enumerate_bal, prefix_sums, scan_matches
+from cellprobe import (
+    DOMAIN_ALL,
+    KIND_SUM,
+    ConsistencyError,
+    DomainError,
+    ParameterError,
+    SizeError,
+    enumerate_bal,
+    prefix_sums,
+    scan_matches,
+)
+from cellprobe.separator import (
+    _BRACKET_EXPONENT_LIMIT,
+    BracketSeparatorResult,
+    SeparatorResult,
+    StageLog,
+    _b_within,
+    _meets,
+)
 
 
 def prefix_sum(x, i: int) -> int:
@@ -111,3 +132,98 @@ CLOSURES = {
     "raw_identity": raw_identity,
     "bracket_table": bracket_table,
 }
+
+
+def _as_sets(family) -> list[frozenset]:
+    sets = [frozenset(int(e) for e in s) for s in family]
+    if not sets:
+        raise ParameterError("separator needs a nonempty family of sets")
+    return sets
+
+
+def greedy_disjoint(family) -> tuple[int, ...]:
+    """1-based indices of a maximal disjoint subfamily, scanning in index order."""
+    chosen = []
+    used: set = set()
+    for idx, s in enumerate(family, start=1):
+        s = frozenset(s)
+        if used.isdisjoint(s):
+            chosen.append(idx)
+            used |= s
+    return tuple(chosen)
+
+
+def find_separator(family, g) -> SeparatorResult:
+    """``separator.find_separator`` with one frozenset per probe set."""
+    sets = _as_sets(family)
+    n = len(sets)
+    q = max(len(s) for s in sets)
+    gap = Fraction(g)
+    if gap < 1:
+        raise ParameterError(f"gap must be >= 1, got {g}")
+    k0 = Fraction(n) / (gap * q) ** q if q else Fraction(n)
+    blocker: set = set()
+    log: list[StageLog] = []
+    for i in range(q + 1):
+        reduced = [s - blocker for s in sets]
+        chosen = greedy_disjoint(reduced)
+        threshold = k0 * (gap * q) ** i
+        bound_now = k0 * gap ** (i - 1) * q ** i if i >= 1 else Fraction(0)
+        if len(chosen) >= threshold:
+            log.append(StageLog(i, len(chosen), threshold, True,
+                                len(blocker), bound_now, len(blocker) <= bound_now))
+            return SeparatorResult(
+                B=frozenset(blocker), V=chosen, w=len(chosen), n=n, q=q,
+                gap=gap, k0=k0, stages_run=i + 1, log=tuple(log),
+            )
+        for v in chosen:
+            blocker |= reduced[v - 1]
+        bound_after = k0 * gap ** i * q ** (i + 1)
+        log.append(StageLog(i, len(chosen), threshold, False,
+                            len(blocker), bound_after, len(blocker) <= bound_after))
+    raise ConsistencyError("separator failed to terminate; stage q cannot fail")
+
+
+def find_separator_brackets(family, c: int, require_preconditions: bool = True):
+    """``separator.find_separator_brackets`` with one frozenset per probe set."""
+    sets = _as_sets(family)
+    n = len(sets)
+    c = int(c)
+    if c < 4:
+        raise ParameterError(f"the bracket schedule needs c >= 4, got {c}")
+    if n < 4:
+        raise ParameterError(f"need n >= 4 so lg lg n is positive, got {n}")
+    q = max(len(s) for s in sets)
+    if require_preconditions and q > math.log2(math.log2(n)) / c:
+        raise ParameterError(
+            f"q = {q} exceeds (lg lg n)/c = {math.log2(math.log2(n)) / c:.4f}"
+        )
+    d = 2 * c
+    if d ** q > _BRACKET_EXPONENT_LIMIT:
+        raise SizeError(f"schedule exponent d^q = {d ** q} exceeds {_BRACKET_EXPONENT_LIMIT}")
+    lg_l = math.log2(math.log2(n))
+    blocker: set = set()
+    log: list[StageLog] = []
+    for i in range(q + 1):
+        reduced = [s - blocker for s in sets]
+        chosen = greedy_disjoint(reduced)
+        exponent = d ** (q - i)
+        threshold = n * 2.0 ** (-exponent * lg_l) if exponent * lg_l < 1000 else 0.0
+        if _meets(len(chosen), n, lg_l, exponent):
+            a, b = exponent, c * exponent
+            b_size_ok = _b_within(len(blocker), n, lg_l, b)
+            log.append(StageLog(i, len(chosen), threshold, True,
+                                len(blocker), f"n/lg^{b} n", b_size_ok))
+            return BracketSeparatorResult(
+                B=frozenset(blocker), V=chosen, a=a, b=b, n=n, q=q, c=c,
+                stages_run=i + 1, log=tuple(log),
+                size_floor_ok=math.log2(n) >= b * lg_l - 1e-12,
+                b_size_ok=b_size_ok,
+            )
+        for v in chosen:
+            blocker |= reduced[v - 1]
+        next_exp = c * d ** (q - i - 1)
+        log.append(StageLog(i, len(chosen), threshold, False,
+                            len(blocker), f"n/lg^{next_exp} n",
+                            _b_within(len(blocker), n, lg_l, next_exp)))
+    raise ConsistencyError("bracket separator failed to terminate; stage q cannot fail")

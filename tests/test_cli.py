@@ -405,6 +405,20 @@ def test_a_huge_decimal_exponent_is_refused_without_expanding_it(tmp_path):
         assert "Traceback" not in done.stderr
 
 
+def test_a_c_past_the_float_range_is_refused_without_traceback():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cellprobe.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv in (["stretcher", "--indices", "1,2,3", "--n", "8", "--c", "1e400"],
+                 ["entropy-sum", "--uniform", "4", "--p", "1", "--i", "2", "--j", "3",
+                  "--c", "1e400"]):
+        done = subprocess.run([sys.executable, "-m", "cellprobe", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error:") and "float range" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
 def test_small_decimal_exponents_still_parse(capsys):
     argv = ["entropy-sum", "--uniform", "4", "--p", "1", "--i", "2", "--j", "3", "--format",
             "machine", "--c"]

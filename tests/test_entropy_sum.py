@@ -43,6 +43,14 @@ def test_binomial_tail_values_and_real_thresholds():
         thr = rng.randint(-1, n + 1)
         direct = sum(Fraction(math.comb(n, k), 2 ** n) for k in range(max(0, thr), n + 1))
         assert binomial_tail(n, thr) == direct
+    # long tails and real thresholds, where the running term does most of the work
+    for _ in range(200):
+        n = rng.randint(0, 400)
+        thr = rng.choice((rng.randint(-2, n + 2), Fraction(rng.randint(-6, 3 * n + 6), 3),
+                          rng.uniform(-1, n + 1)))
+        lo = max(0, math.ceil(thr))
+        assert binomial_tail(n, thr) == Fraction(sum(math.comb(n, k) for k in range(lo, n + 1)),
+                                                 2 ** n)
 
 
 def test_stretch_term_exact_when_sixth_power():

@@ -3,9 +3,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference
 from cellprobe import (
+    CellProbeError,
     ParameterError,
     SizeError,
     find_separator,
@@ -13,6 +17,7 @@ from cellprobe import (
     greedy_disjoint,
     pairwise_disjoint,
 )
+from cellprobe.separator import _as_matrix, _greedy
 
 
 def test_greedy_disjoint_takes_first_compatible():
@@ -104,3 +109,83 @@ def test_bracket_separator_thresholds_decrease_with_stage():
     family = [{0} for _ in range(n)]
     res = find_separator_brackets(family, 4)
     assert res.V and res.w >= 1
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except CellProbeError as err:
+        return type(err), str(err)
+
+
+# a few hot cells shared by many sets (so stage 0 fails), plain, negative and near-2^62 ids
+_CELL_IDS = st.one_of(st.integers(0, 3), st.integers(-4, 40), st.integers(2**62 - 2, 2**62 + 2))
+
+
+@st.composite
+def probe_sets(draw):
+    """A set of 0 to 4 distinct cells, as a set, a list or a tuple that may repeat cells."""
+    cells = sorted(draw(st.sets(_CELL_IDS, max_size=4)))
+    kind = draw(st.sampled_from(("set", "list", "tuple")))
+    if kind == "set":
+        return set(cells)
+    repeats = draw(st.lists(st.sampled_from(cells), max_size=2)) if cells else []
+    ordered = draw(st.permutations(cells + repeats))
+    return list(ordered) if kind == "list" else tuple(ordered)
+
+
+families = st.lists(probe_sets(), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families, st.sampled_from((1, Fraction(3, 2), 2, 4)))
+@example([{1}] * 4, 2)                                   # q = 1, stage 0 fails on a hot cell
+@example([(7, 7, 1), [1, 2], {2, 3}, (), {3, 9}], 2)     # q = 2, repeated cells, the row loop
+@example([set(), ()], 2)                                 # q = 0
+def test_separator_matches_the_frozenset_reference(family, gap):
+    # equal dataclasses: the same B, V, w, q, k0 and stage log
+    assert _outcome(find_separator, family, gap) == _outcome(reference.find_separator, family, gap)
+    assert greedy_disjoint(family) == reference.greedy_disjoint(
+        [frozenset(map(int, s)) for s in family])
+
+
+@settings(max_examples=300, deadline=None)
+@given(families, st.sampled_from((4, 5, 6)))
+@example([{i % 3} for i in range(16)], 4)
+@example([(i % 5, (i * 3) % 7 + 10, 10) for i in range(20)], 4)
+def test_bracket_separator_matches_the_frozenset_reference(family, c):
+    got = _outcome(find_separator_brackets, family, c, require_preconditions=False)
+    want = _outcome(reference.find_separator_brackets, family, c, require_preconditions=False)
+    assert got == want
+
+
+def test_both_greedy_branches_match_the_reference():
+    rng = random.Random(5)
+    single = [set(rng.sample(range(6), rng.randint(0, 1))) for _ in range(50)]
+    multi = [set(rng.sample(range(12), rng.randint(0, 3))) for _ in range(50)]
+    # at most one live cell in every row takes the np.unique branch, more takes the row loop
+    for family, most_live in ((single, 1), (multi, 3)):
+        matrix, cells = _as_matrix(family)
+        blocked = np.zeros(len(cells), bool)
+        blocked[::3] = True
+        chosen, used = _greedy(matrix, blocked)
+        outside = [s - set(cells[blocked].tolist()) for s in family]
+        assert max(map(len, outside)) == most_live
+        assert chosen == reference.greedy_disjoint(outside)
+        assert set(cells[used].tolist()) == set().union(*(outside[v - 1] for v in chosen))
+
+
+def test_cell_ids_past_int64_are_a_parameter_error():
+    for call in (lambda f: find_separator(f, 1), lambda f: find_separator_brackets(f, 4),
+                 greedy_disjoint):
+        for family in ([{2**70}, {1}], [{1}, {2}, {3}, (-2**63 - 1,)]):
+            with pytest.raises(ParameterError, match="separator family"):
+                call(family)
+
+
+def test_ids_that_int_coerces_give_the_old_result():
+    family = [{True, -3}, (np.int32(1), np.int64(-3)), [-3, 1, True], {np.int32(-3), 1}] * 2
+    res = find_separator(family, 1)
+    assert res == reference.find_separator(family, 1)
+    assert res.B == frozenset({1, -3}) and res.V == tuple(range(1, 9))
+    assert {type(x) for x in res.B} == {int} and {type(v) for v in res.V} == {int}
