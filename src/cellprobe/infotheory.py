@@ -275,20 +275,40 @@ def tv_distance(d1: Distribution, d2: Distribution):
 
 
 def tv_from_uniform(dist: Distribution, space_size: int):
-    """Exact TV distance to the uniform distribution on a space of ``space_size`` points.
-
-    Outcomes outside the support contribute only missing mass, so the space is
-    never materialised.
-    """
+    """Exact TV distance to the uniform distribution on a space of ``space_size`` points."""
     if space_size < len(dist):
         raise ParameterError("space smaller than the support it must contain")
-    counts, denom = dist.counts, dist.denom
-    if space_size * denom < 2 ** 62:
-        present = int(np.abs(counts * space_size - denom).sum())
+    return _tv(dist.counts, dist.denom, space_size)
+
+
+def columns_tv(columns, counts, denom: int, m: int) -> Fraction:
+    """Exact TV distance to uniform on [0, m)^k of k value columns, row r weighing counts[r]/denom:
+    ``tv_from_uniform(dist.marginal(cols), m ** k)`` without building the marginal."""
+    return _tv(_tallies(columns, counts, denom, m), denom, m ** len(columns))
+
+
+def _tallies(columns, counts, denom: int, m: int) -> np.ndarray:
+    """Total count of each base-m key the columns spell, in key order: all m^k slots by
+    ``np.bincount`` while few and float-exact (denom < 2^53), else the keys present, by a sort."""
+    space = m ** len(columns)
+    if space > max(4 * len(counts), 1 << 16) or denom >= 2 ** 53:
+        first, inverse = group_rows(np.array(columns, np.int64).reshape(len(columns), len(counts)).T)
+        return sum_by(len(first), inverse, counts)
+    key = np.zeros(len(counts), dtype=np.int64)
+    for col in columns:
+        key *= m
+        key += col
+    return np.bincount(key, weights=counts, minlength=space).astype(np.int64)
+
+
+def _tv(tallies, denom: int, space: int) -> Fraction:
+    """TV distance to uniform on ``space`` points of ``tallies`` out of ``denom``; the
+    points not listed hold no mass, so the space is never materialised."""
+    if space * denom < 2 ** 62:
+        present = int(np.abs(tallies * space - denom).sum())
     else:
-        present = sum(abs(c * space_size - denom) for c in counts.tolist())
-    missing = (space_size - len(dist)) * denom
-    return Fraction(present + missing, 2 * denom * space_size)
+        present = sum(abs(c * space - denom) for c in tallies.tolist())
+    return Fraction(present + (space - len(tallies)) * denom, 2 * denom * space)
 
 
 @dataclass(frozen=True)
@@ -394,10 +414,10 @@ def good_blocks(x_set, sizes, eps) -> GoodSetReport:
     )
 
 
-def _column_entropy(dist: Distribution, col: int) -> float:
+def _column_entropy(column, counts, denom: int, m: int) -> float:
     """Entropy of one column, each log taken of the unreduced ratio c/d as reports print it."""
-    d = dist.denom
-    return fsum(-(c / d) * math.log2(c / d) for c in dist.marginal((col,)).counts.tolist())
+    tallies = _tallies((column,), counts, denom, m)
+    return fsum(-(c / denom) * math.log2(c / denom) for c in tallies[tallies > 0].tolist())
 
 
 def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> GoodSetReport:
@@ -408,6 +428,10 @@ def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> 
     marginal entropy deficiency, then most failures, then smallest index) is
     dropped, which only ever removes subsets from consideration.  The lemma's
     floor |G| >= u' - 16*q*a/eta^2 is reported, not enforced.
+
+    The support bound decides first: each q-subset is at least (m^q - |support|)/m^q
+    from uniform.  Past eta, all fail, so G is the q - 1 cells of lowest deficiency
+    (ties to the larger index), found with no subset listed or ``SizeError``.
     """
     if q < 1:
         raise ParameterError(f"subset size must be >= 1, got {q}")
@@ -419,18 +443,19 @@ def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> 
     if dist.rows.size and not 0 <= int(dist.rows.min()) <= int(dist.rows.max()) < alphabet:
         raise DomainError(f"cell values must lie in [0, {alphabet})")
     u = dist.arity
+    all_fail = Fraction(alphabet ** q - len(dist), alphabet ** q) > eta_f
     n_subsets = math.comb(u, q)
-    if n_subsets > max_subsets:
+    if n_subsets > max_subsets and not all_fail:
         raise SizeError(f"{n_subsets} subsets of size {q} exceed the exhaustive limit {max_subsets}")
     a = u * math.log2(alphabet) - math.log2(len(dist))
-    deficiency = tuple(math.log2(alphabet) - _column_entropy(dist, c) for c in range(u))
+    by_col = np.ascontiguousarray(dist.rows.T)  # each column read contiguously
+    deficiency = tuple(math.log2(alphabet) - _column_entropy(col, dist.counts, dist.denom, alphabet)
+                       for col in by_col)
 
-    failing = []
-    for subset in combinations(range(u), q):
-        if tv_from_uniform(dist.marginal(subset), alphabet ** q) > eta_f:
-            failing.append(subset)
-
-    alive = set(range(u))
+    alive = set(sorted(range(u), key=lambda c: (deficiency[c], -c))[:q - 1] if all_fail else range(u))
+    failing = [] if all_fail else [
+        s for s in combinations(range(u), q)
+        if columns_tv([by_col[c] for c in s], dist.counts, dist.denom, alphabet) > eta_f]
     while failing:
         involved: dict[int, int] = {}
         for subset in failing:

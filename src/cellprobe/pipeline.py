@@ -25,6 +25,7 @@ report with that stage named.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,8 +47,8 @@ from .core import (
 )
 from .entropy_sum import entropy_sum_analysis
 from .errors import ParameterError, SizeError
-from .infotheory import Distribution, good_blocks, good_cells, tv_from_uniform
-from .separator import find_separator, find_separator_brackets, pairwise_disjoint
+from .infotheory import Distribution, columns_tv, good_blocks, good_cells
+from .separator import _BRACKET_EXPONENT_LIMIT, find_separator, find_separator_brackets, pairwise_disjoint
 from .stretcher import StretcherWindowError, find_stretcher
 from .textfmt import fmt, machine_value as _mval
 
@@ -127,6 +128,13 @@ def contradiction_chain(p_joint, p_upper, p_lower, closeness) -> ContradictionCh
 
 def _exact(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _short(c: Fraction) -> str:
+    """c for an error message: exact when short, else to three significant digits."""
+    if max(c.numerator.bit_length(), c.denominator.bit_length()) <= 64:
+        return str(c)
+    return str(decimal.Context(prec=3, Emax=decimal.MAX_EMAX).divide(c.numerator, c.denominator))
 
 
 @dataclass(frozen=True)
@@ -290,24 +298,19 @@ def _good_cells(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set, head
     u_p = rs.u_prime
     y_dist = Distribution.from_rows(rs.cells())
     subset_size = min(2 * scheme.q, u_p)
-    report = None
-    skipped = False
-    if u_p == 0 or subset_size == 0:
-        good0: frozenset[int] = frozenset(range(u_p))
-    else:
-        try:
-            report = good_cells(y_dist, subset_size, eta, m)
-            good0 = frozenset(k - 1 for k in report.good)
-        except SizeError:
-            skipped = True
-            good0 = frozenset(range(u_p))
+    try:
+        report = good_cells(y_dist, subset_size, eta, m) if subset_size else None
+    except SizeError:
+        report = None
+    skipped = bool(subset_size) and report is None
+    good0 = frozenset(range(u_p)) if report is None else frozenset(k - 1 for k in report.good)
     v2 = tuple(v for v in v_set if set(rs.renamed_probes[v - 1]) <= good0)
     pair_list = list(combinations(v2, 2))
+    by_col = np.ascontiguousarray(y_dist.rows.T) if pair_list else None
     max_tv = Fraction(0)
     for i, j in pair_list:
         cols = rs.renamed_probes[i - 1] + rs.renamed_probes[j - 1]
-        tv = tv_from_uniform(y_dist.marginal(cols), m ** len(cols))
-        max_tv = max(max_tv, tv)
+        max_tv = max(max_tv, columns_tv([by_col[c] for c in cols], y_dist.counts, y_dist.denom, m))
     stages.append(StageRecord(
         "good-cells",
         (
@@ -445,7 +448,7 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
     # decided on the exact Fraction, before any float or power of c is formed
     cf = _exact(c)
     if not 1 < cf <= n:
-        raise ParameterError(f"c must exceed 1 and be at most n = {n}, got {c}")
+        raise ParameterError(f"c must exceed 1 and be at most n = {n}, got {_short(cf)}")
     eta = 1 / cf
     stages: list[StageRecord] = []
 
@@ -453,7 +456,7 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
     try:
         gap = Fraction(lg) ** int(cf) if cf.denominator == 1 else Fraction(lg ** float(cf))
     except OverflowError:
-        raise ParameterError(f"(lg n)^c overflows a float for c = {c}") from None
+        raise ParameterError(f"(lg n)^c overflows a float for c = {_short(cf)}") from None
     sep = find_separator(scheme.probes, gap)
     rs = _separate_and_fix(scheme, sep, (("g", gap), ("k0", sep.k0)), (), sep.checks, stages)
 
@@ -548,8 +551,10 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
         raise ParameterError("the bracket pipeline needs even n >= 4")
     cf = _exact(c)
     if cf.denominator != 1:
-        raise ParameterError(f"c must be an integer, got {c}")
+        raise ParameterError(f"c must be an integer, got {_short(cf)}")
     c = int(cf)
+    if c >= 4 and (2 * c) ** scheme.q > _BRACKET_EXPONENT_LIMIT:
+        raise ParameterError(f"c = {_short(cf)} puts (2c)^q past {_BRACKET_EXPONENT_LIMIT}")
     stages: list[StageRecord] = []
 
     sep = find_separator_brackets(scheme.probes, c, require_preconditions=False)
@@ -612,8 +617,7 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
     k, block_lo, block_hi, fields, checks = _entropy_blocks(
         x_dist, n, [j for _, j in block_pairs], eps)
     i_idx, j_idx = block_pairs[k]
-    block = range(block_lo, block_hi)
-    tv_selected = tv_from_uniform(x_dist.marginal(block), 2 ** len(block))
+    tv_selected = columns_tv(x_dist.rows.T[block_lo:block_hi], x_dist.counts, x_dist.denom, 2)
     closeness_bound = Fraction(1) / (Fraction(c) * Fraction(sqrt_d))
     stages.append(StageRecord(
         "entropy-blocks",

@@ -3,24 +3,28 @@
 The package encodes and decodes whole matrices; these are the plain
 one-input-at-a-time formulas: the builtin schemes' encoders and decoders as
 tuple closures, a Python prefix-sum and Match oracle, a verification loop
-that asks the scheme one (input, query) pair at a time, and the staged
-separators on frozensets.
+that asks the scheme one (input, query) pair at a time, the staged
+separators on frozensets, and the good-cells filter that builds one
+marginal per subset.
 """
 
 import math
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
+from math import fsum
 
 from cellprobe import (
     DOMAIN_ALL,
     KIND_SUM,
     ConsistencyError,
     DomainError,
+    GoodSetReport,
     ParameterError,
     SizeError,
     enumerate_bal,
     prefix_sums,
     scan_matches,
+    tv_from_uniform,
 )
 from cellprobe.separator import (
     _BRACKET_EXPONENT_LIMIT,
@@ -227,3 +231,53 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True):
                             len(blocker), f"n/lg^{next_exp} n",
                             _b_within(len(blocker), n, lg_l, next_exp)))
     raise ConsistencyError("bracket separator failed to terminate; stage q cannot fail")
+
+
+def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> GoodSetReport:
+    """``infotheory.good_cells`` with one marginal per q-subset and no support bound."""
+    if q < 1:
+        raise ParameterError(f"subset size must be >= 1, got {q}")
+    if alphabet < 2:
+        raise ParameterError(f"alphabet must be >= 2, got {alphabet}")
+    eta_f = Fraction(eta) if not isinstance(eta, Fraction) else eta
+    if eta_f <= 0:
+        raise ParameterError(f"eta must be positive, got {eta}")
+    if dist.rows.size and not 0 <= int(dist.rows.min()) <= int(dist.rows.max()) < alphabet:
+        raise DomainError(f"cell values must lie in [0, {alphabet})")
+    u = dist.arity
+    n_subsets = math.comb(u, q)
+    if n_subsets > max_subsets:
+        raise SizeError(f"{n_subsets} subsets of size {q} exceed the exhaustive limit {max_subsets}")
+    a = u * math.log2(alphabet) - math.log2(len(dist))
+    d = dist.denom
+    deficiency = tuple(
+        math.log2(alphabet)
+        - fsum(-(c / d) * math.log2(c / d) for c in dist.marginal((col,)).counts.tolist())
+        for col in range(u))
+
+    failing = []
+    for subset in combinations(range(u), q):
+        if tv_from_uniform(dist.marginal(subset), alphabet ** q) > eta_f:
+            failing.append(subset)
+
+    alive = set(range(u))
+    while failing:
+        involved: dict[int, int] = {}
+        for subset in failing:
+            for c in subset:
+                involved[c] = involved.get(c, 0) + 1
+        worst = max(involved, key=lambda c: (deficiency[c], involved[c], -c))
+        alive.discard(worst)
+        failing = [s for s in failing if worst not in s]
+
+    good = tuple(c + 1 for c in sorted(alive))
+    size_bound = u - 16 * q * a / float(eta_f) ** 2
+    return GoodSetReport(
+        kind="cells",
+        good=good,
+        deficiency=a,
+        parameter=float(eta_f),
+        scores=deficiency,
+        size_bound=size_bound,
+        size_bound_ok=len(good) >= size_bound - 1e-9,
+    )

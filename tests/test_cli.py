@@ -361,6 +361,25 @@ def test_pipeline_rejects_out_of_range_c_without_traceback(good_scheme, tmp_path
         assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("c", ["1e400", "1e4000", "1e9999"])
+def test_pipeline_echoes_a_huge_c_in_short_form(good_scheme, tmp_path, c):
+    # a Sum c past n and a Match c past the schedule's exponent limit are refused
+    # without printing the expanded Fraction (10^9999 has more digits than str allows)
+    brackets = tmp_path / "brackets20.scm"
+    save_scheme(build_bracket_table(20), str(brackets))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cellprobe.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for scheme in (good_scheme, str(brackets)):
+        done = subprocess.run(
+            [sys.executable, "-m", "cellprobe", "pipeline", "--scheme", scheme, "--c", c],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2, (scheme, done.stderr)
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+        assert len(done.stderr.encode()) < 200, done.stderr
+        assert f"1.00E+{c[2:]}" in done.stderr
+
+
 def test_domain_past_the_encoding_budget_is_usage_error(tmp_path, capsys):
     path = str(tmp_path / "raw1100.scm")
     assert main(["build-scheme", "--name", "raw_identity", "--n", "1100",

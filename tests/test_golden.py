@@ -49,6 +49,8 @@ def _mirror():
 CASES = {
     "mirror16": (_mirror, "2"),
     "two_level_rank16": (lambda: build_two_level_rank(16, 4, 8, 17), "2"),
+    # every 6-cell subset fails by the support bound (17^6 points, 2^16 inputs)
+    "two_level_rank16_2_4": (lambda: build_two_level_rank(16, 2, 4, 17), "2"),
     "bracket_table14": (lambda: build_bracket_table(14), "4"),
     "precomputed_sums8": (lambda: build_precomputed_sums(8), "2"),
     "raw_identity8": (lambda: build_raw_identity(8, 4), "2"),

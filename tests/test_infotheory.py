@@ -7,7 +7,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference
 from cellprobe import (
     Distribution,
     DomainError,
@@ -22,7 +24,7 @@ from cellprobe import (
     tv_distance,
     tv_from_uniform,
 )
-from cellprobe.infotheory import _column_entropy, group_rows, validate_blocks
+from cellprobe.infotheory import _column_entropy, columns_tv, group_rows, validate_blocks
 
 
 def test_distribution_requires_unit_mass():
@@ -289,4 +291,120 @@ def test_count_matrix_tv_agrees_with_distribution_tv():
 
 def test_count_matrix_column_entropy():
     d = Distribution.uniform([(0, 0), (0, 1), (1, 0)])
-    assert _column_entropy(d, 0) == pytest.approx(entropy(d.marginal((0,))), abs=1e-12)
+    got = _column_entropy(d.rows[:, 0], d.counts, d.denom, 2)
+    assert got == pytest.approx(entropy(d.marginal((0,))), abs=1e-12)
+
+
+@st.composite
+def weighted_rows(draw):
+    """(distribution, alphabet): rows over [0, m) weighted in one of four ways.
+
+    ``unit`` weighs every drawn row 1 (repeated rows merge); ``counts`` draws
+    small counts; ``past53`` counts whose total passes 2^53, so no float
+    weight is exact; ``past63`` probabilities whose common denominator passes
+    2^63, so the counts are Python ints.
+    """
+    m = draw(st.sampled_from((2, 3, 5, 17)))
+    arity = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * arity), min_size=1, max_size=12))
+    mode = draw(st.sampled_from(("unit", "counts", "past53", "past63")))
+    if mode == "unit":
+        return Distribution.from_rows(rows), m
+    if mode == "counts":
+        return Distribution.from_rows(rows, draw(st.lists(
+            st.integers(1, 9), min_size=len(rows), max_size=len(rows)))), m
+    if mode == "past53":
+        return Distribution.from_rows(rows, draw(st.lists(
+            st.integers(2 ** 53, 2 ** 58), min_size=len(rows), max_size=len(rows)))), m
+    distinct = sorted(set(rows))
+    # one count of 1 keeps the full total as the common denominator
+    counts = [1] + draw(st.lists(st.integers(2 ** 64, 2 ** 70),
+                                 min_size=len(distinct) - 1, max_size=len(distinct) - 1))
+    total = sum(counts)
+    return Distribution({r: Fraction(c, total) for r, c in zip(distinct, counts)}), m
+
+
+def _tv_by_definition(dist, space):
+    """Half the L1 distance to uniform on ``space`` points, one Fraction per outcome."""
+    present = sum(abs(p - Fraction(1, space)) for _, p in dist.items())
+    return (present + Fraction(space - len(dist), space)) / 2
+
+
+@settings(max_examples=400, deadline=None)
+@given(weighted_rows(), st.data())
+def test_columns_tv_equals_the_marginal_route(dm, data):
+    dist, m = dm
+    cols = data.draw(st.lists(st.integers(0, dist.arity - 1), max_size=5))
+    by_col = np.ascontiguousarray(dist.rows.T)
+    got = columns_tv(by_col[cols], dist.counts, dist.denom, m)
+    assert got == tv_from_uniform(dist.marginal(cols), m ** len(cols))
+    assert got == _tv_by_definition(dist.marginal(cols), m ** len(cols))
+    for c in range(dist.arity):
+        d = dist.denom
+        want = math.fsum(-(k / d) * math.log2(k / d) for k in dist.marginal((c,)).counts.tolist())
+        assert _column_entropy(by_col[c], dist.counts, d, m) == want
+
+
+def test_columns_tv_reaches_every_counting_route():
+    rows = [(0, 1, 2), (2, 2, 0), (0, 1, 2), (1, 0, 0)]
+    # unit counts; space * denom just past 2^63 (no int64 product); denom past 2^53
+    for counts, past in ((None, 1), ([3 * 2 ** 58, 3 * 2 ** 58 - 7, 3, 4], 2 ** 60),
+                         ([2 ** 60, 1, 3, 2 ** 59], 2 ** 53)):
+        dist = Distribution.from_rows(rows, counts)
+        assert dist.denom >= past
+        for cols, m in (((0, 2), 3), ((0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1), 3), ((2, 1), 2 ** 40)):
+            got = columns_tv(np.ascontiguousarray(dist.rows.T)[list(cols)], dist.counts, dist.denom, m)
+            assert got == tv_from_uniform(dist.marginal(cols), m ** len(cols))
+            assert got == _tv_by_definition(dist.marginal(cols), m ** len(cols))
+    big = Distribution({(0, 1): Fraction(1, 2 ** 64 + 13), (1, 1): 1 - Fraction(1, 2 ** 64 + 13)})
+    assert big.counts.dtype == object
+    for cols in ((0,), (0, 1), (1, 1, 0)):
+        got = columns_tv(np.ascontiguousarray(big.rows.T)[list(cols)], big.counts, big.denom, 2)
+        assert got == tv_from_uniform(big.marginal(cols), 2 ** len(cols))
+        assert got == _tv_by_definition(big.marginal(cols), 2 ** len(cols))
+
+
+def _bound_fires(dist, q, eta, m):
+    return Fraction(m ** q - len(dist), m ** q) > eta
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_rows(), st.integers(1, 4),
+       st.sampled_from((Fraction(1, 100), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10))))
+@example((Distribution.from_rows([(0, 0, 1), (1, 1, 0), (1, 0, 1)]), 2), 2, Fraction(1, 4))
+@example((Distribution.from_rows(list(product(range(3), repeat=3))[:20]), 3), 2, Fraction(1, 2))
+def test_good_cells_matches_the_marginal_reference(dm, q, eta):
+    dist, m = dm
+    assert good_cells(dist, q, eta, m) == reference.good_cells(dist, q, eta, m)
+
+
+@pytest.mark.parametrize("m, q, size, eta, fires", [
+    (2, 2, 3, Fraction(1, 8), True),       # bound 1/4
+    (2, 2, 3, Fraction(1, 3), False),
+    (2, 2, 2, Fraction(1, 2), False),      # bound equal to eta: not past it
+    (2, 2, 4, Fraction(1, 8), False),      # full support, bound 0
+    (3, 2, 4, Fraction(1, 3), True),       # bound 5/9
+    (3, 3, 20, Fraction(1, 8), True),      # bound 7/27
+    (3, 3, 20, Fraction(1, 3), False),
+    (5, 2, 24, Fraction(1, 8), False),     # bound 1/25
+    (17, 2, 30, Fraction(3, 4), True),     # bound 259/289
+    (17, 2, 280, Fraction(1, 8), False),   # bound 9/289
+])
+def test_good_cells_on_both_sides_of_the_support_bound(m, q, size, eta, fires):
+    rng = random.Random(m * 1000 + q * 100 + size)
+    rows = rng.sample(list(product(range(m), repeat=5)), size)
+    dist = Distribution.from_rows(rows)
+    assert _bound_fires(dist, q, eta, m) == fires
+    assert good_cells(dist, q, eta, m) == reference.good_cells(dist, q, eta, m)
+
+
+def test_bound_decided_scheme_needs_no_subset_budget():
+    # 12 cells over 17 values, 40 rows: 17^6 - 40 of 17^6 points carry no mass
+    rng = random.Random(8)
+    dist = Distribution.from_rows([[rng.randrange(17) for _ in range(12)] for _ in range(40)])
+    assert _bound_fires(dist, 6, Fraction(1, 2), 17)
+    report = good_cells(dist, 6, Fraction(1, 2), 17, max_subsets=100)
+    assert report == reference.good_cells(dist, 6, Fraction(1, 2), 17)
+    assert len(report.good) == 5
+    with pytest.raises(SizeError):
+        reference.good_cells(dist, 6, Fraction(1, 2), 17, max_subsets=100)
