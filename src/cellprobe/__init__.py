@@ -47,7 +47,6 @@ from .errors import (
     CellProbeError,
     ConsistencyError,
     DomainError,
-    HypothesisError,
     ParameterError,
     RangeError,
     SizeError,

@@ -8,9 +8,12 @@ the largest integer t such that the good prefixes still carry sum-tail mass
     P_lower = Pr[sum of first i bits <  s'],  s' = t + ell/2
     P_joint = Pr[both]
 
-all in exact rational arithmetic.  Two routes are provided: enumeration over
-an explicit distribution, and a closed binomial form for the exactly uniform
-distribution on {0,1}^n, which never materializes the space.
+all in exact rational arithmetic.  It is one analysis with two ways of
+measuring it.  t comes from one tail scan, and s, s' and the block cut are
+computed once and turned into integer cuts, since every sum is an integer.
+Only the five probabilities at those cuts are measured two ways: by
+enumeration over an explicit distribution, or in closed binomial form for the
+exactly uniform distribution on {0,1}^n, which never materializes the space.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, ParameterError
+from .errors import DomainError, ParameterError
 from .infotheory import entropy_by_group, group_rows, mean_entropy, sum_by
 
 _TOL = 1e-9
@@ -88,14 +91,13 @@ class PrefixSetReport:
     claim_half_ok: bool         # Pr[Y in A] >= 1/2
 
 
-def good_prefix_set(dist, p: int, j: int, c,
-                    require_hypothesis: bool = True) -> PrefixSetReport:
+def good_prefix_set(dist, p: int, j: int, c) -> PrefixSetReport:
     """Prefixes y of length p whose conditional block (p..j] keeps near-full entropy.
 
     Zero-probability prefixes are excluded (their conditional entropy is
-    undefined and they carry no mass).  When the entropy hypothesis
-    H(block | prefix) >= (j-p) - 1/c fails, either raises or reports per
-    ``require_hypothesis``.
+    undefined and they carry no mass).  The entropy hypothesis
+    H(block | prefix) >= (j-p) - 1/c is measured and reported in
+    ``hypothesis_ok``, never raised.
     """
     n = dist.arity
     if not 0 <= p < j <= n:
@@ -106,12 +108,6 @@ def good_prefix_set(dist, p: int, j: int, c,
     prefixes, weights, entropies = entropy_by_group(dist, range(p, j), range(p))
     measured = mean_entropy(weights, entropies, dist.denom)
     floor = span - 1 / float(c)
-    hypothesis_ok = measured >= floor - _TOL
-    if require_hypothesis and not hypothesis_ok:
-        raise HypothesisError(
-            f"H(block|prefix) = {measured:.9f} below the floor {floor:.9f}",
-            measured=measured,
-        )
     member_floor = span - 2 / float(c)
     members = []
     mass = 0
@@ -125,7 +121,7 @@ def good_prefix_set(dist, p: int, j: int, c,
         pr_A=pr_a,
         hypothesis_entropy=measured,
         hypothesis_floor=floor,
-        hypothesis_ok=hypothesis_ok,
+        hypothesis_ok=measured >= floor - _TOL,
         member_floor=member_floor,
         claim_half_ok=pr_a >= Fraction(1, 2),
     )
@@ -139,16 +135,9 @@ class ThresholdReport:
     pr_lower_tail: Fraction  # Pr[Y in A and sum <= t]
 
 
-def find_threshold(dist, a_set, p: int) -> ThresholdReport:
-    """Largest integer t with Pr[prefix in A and prefix-sum >= t] >= 1/4."""
-    members = {tuple(y) for y in a_set}
-    prefix = dist.rows[:, :p]
-    first, inverse = group_rows(prefix)
-    in_a = np.array([tuple(y) in members for y in prefix[first].tolist()], dtype=bool)
-    mask = in_a[inverse]
-    sums, at_sum = np.unique(prefix[mask].sum(axis=1), return_inverse=True)
-    mass = sum_by(len(sums), at_sum, dist.counts[mask])
-    mass, denom = mass.tolist(), dist.denom
+def _threshold(sums, mass, denom: int) -> ThresholdReport:
+    """Largest sum t whose tail keeps 1/4: ``mass[k]`` out of ``denom`` sits at
+    ``sums[k]``, and the sums ascend."""
     total = sum(mass)
     if 4 * total < denom:
         raise DomainError(
@@ -161,6 +150,17 @@ def find_threshold(dist, a_set, p: int) -> ThresholdReport:
     return ThresholdReport(t=int(sums[k]), pr_at_t=Fraction(tails[k], denom),
                            pr_at_next=Fraction(tails[k + 1], denom),
                            pr_lower_tail=Fraction(total - tails[k + 1], denom))
+
+
+def find_threshold(dist, a_set, p: int) -> ThresholdReport:
+    """Largest integer t with Pr[prefix in A and prefix-sum >= t] >= 1/4."""
+    members = {tuple(y) for y in a_set}
+    prefix = dist.rows[:, :p]
+    first, inverse = group_rows(prefix)
+    in_a = np.array([tuple(y) in members for y in prefix[first].tolist()], dtype=bool)
+    mask = in_a[inverse]
+    sums, at_sum = np.unique(prefix[mask].sum(axis=1), return_inverse=True)
+    return _threshold(sums, sum_by(len(sums), at_sum, dist.counts[mask]).tolist(), dist.denom)
 
 
 @dataclass(frozen=True)
@@ -196,11 +196,12 @@ class EntropySumWitness:
         return self.holds_upper and self.holds_lower and self.holds_joint
 
     @property
-    def strict_vs_leq_differs(self) -> bool:
-        return self.P_lower != self.P_lower_leq
+    def hypothesis_ok(self) -> bool:
+        """The entropy hypothesis; it holds by construction on the closed form."""
+        return self.prefix_report is None or self.prefix_report.hypothesis_ok
 
 
-def _validate_indices(n: int, p: int, i: int, j: int, c) -> tuple[int, int, bool]:
+def _validate_indices(n: int, p: int, i: int, j: int, c) -> None:
     if not 0 <= p < i < j <= n:
         raise ParameterError(f"need 0 <= p < i < j <= {n}, got p={p} i={i} j={j}")
     try:
@@ -208,17 +209,25 @@ def _validate_indices(n: int, p: int, i: int, j: int, c) -> tuple[int, int, bool
             raise ParameterError(f"c must be positive, got {c}")
     except OverflowError:
         raise ParameterError("c is past the float range") from None
+
+
+def _witness(p, i, j, c, prefix_report, a_size, pr_a, threshold, measure) -> EntropySumWitness:
+    """The cuts at t, and the witness of what ``measure`` finds at them.
+
+    ``measure(upper, lower, lower_leq, block)`` returns P_upper, P_lower,
+    P_lower_leq, P_joint and block_bound at integer cuts: sum_j >= upper,
+    sum_i < lower, sum_i <= lower_leq, block sum >= block.
+    """
     ell, d = i - p, j - i
-    return ell, d, ell >= float(c) * d
-
-
-def _finish(p, i, j, ell, d, c, prefix_report, a_size, pr_a, threshold,
-            P_upper, P_lower, P_lower_leq, P_joint, block_bound) -> EntropySumWitness:
     term = stretch_term(c, d)
     s_exact = isinstance(term, Fraction)
     s = Fraction(threshold.t) + Fraction(ell + d, 2) + term if s_exact \
         else threshold.t + (ell + d) / 2 + term
-    tenth, thousandth = Fraction(1, 10), Fraction(1, 1000)
+    s_prime = Fraction(threshold.t) + Fraction(ell, 2)
+    block = Fraction(d, 2) + term if s_exact else d / 2 + term
+    # the sums are integers, so each real cut compares through its ceiling or floor
+    P_upper, P_lower, P_lower_leq, P_joint, block_bound = measure(
+        math.ceil(s), math.ceil(s_prime), math.floor(s_prime), math.ceil(block))
     return EntropySumWitness(
         p=p, i=i, j=j, ell=ell, d=d, c=c,
         ratio_ok=ell >= float(c) * d,
@@ -228,89 +237,67 @@ def _finish(p, i, j, ell, d, c, prefix_report, a_size, pr_a, threshold,
         t=threshold.t,
         threshold_report=threshold,
         s=s,
-        s_prime=Fraction(threshold.t) + Fraction(ell, 2),
+        s_prime=s_prime,
         s_exact=s_exact,
         P_upper=P_upper,
         P_lower=P_lower,
         P_lower_leq=P_lower_leq,
         P_joint=P_joint,
         block_bound=block_bound,
-        holds_upper=P_upper >= tenth,
-        holds_lower=P_lower >= tenth,
-        holds_joint=P_joint <= thousandth,
+        holds_upper=P_upper >= Fraction(1, 10),
+        holds_lower=P_lower >= Fraction(1, 10),
+        holds_joint=P_joint <= Fraction(1, 1000),
     )
 
 
-def entropy_sum_analysis(dist, p: int, i: int, j: int, c,
-                         require_hypothesis: bool = True) -> EntropySumWitness:
+def entropy_sum_analysis(dist, p: int, i: int, j: int, c) -> EntropySumWitness:
     """Exact threshold analysis by enumeration over the distribution's support."""
-    ell, d, _ = _validate_indices(dist.arity, p, i, j, c)
-    prefix = good_prefix_set(dist, p, j, c, require_hypothesis=require_hypothesis)
-    threshold = find_threshold(dist, prefix.A, p)
-    term = stretch_term(c, d)
-    s_cut = Fraction(threshold.t) + Fraction(ell + d, 2) + term if isinstance(term, Fraction) \
-        else threshold.t + (ell + d) / 2 + term
-    sp_cut = Fraction(threshold.t) + Fraction(ell, 2)
-    blk_cut = Fraction(d, 2) + term if isinstance(term, Fraction) else d / 2 + term
-
-    # the sums are integers, so each real cut compares through its ceiling or floor
+    _validate_indices(dist.arity, p, i, j, c)
+    prefix = good_prefix_set(dist, p, j, c)
     sum_j = dist.rows[:, :j].sum(axis=1)
     sum_i = dist.rows[:, :i].sum(axis=1)
-    upper = sum_j >= math.ceil(s_cut)
-    lower = sum_i < math.ceil(sp_cut)
 
     def prob(mask) -> Fraction:
         return Fraction(int(dist.counts[mask].sum()), dist.denom)
 
-    return _finish(p, i, j, ell, d, c, prefix, len(prefix.A), prefix.pr_A, threshold,
-                   prob(upper), prob(lower), prob(sum_i <= math.floor(sp_cut)),
-                   prob(upper & lower), prob(sum_j - sum_i >= math.ceil(blk_cut)))
+    def measure(upper, lower, lower_leq, block):
+        above, below = sum_j >= upper, sum_i < lower
+        return (prob(above), prob(below), prob(sum_i <= lower_leq), prob(above & below),
+                prob(sum_j - sum_i >= block))
+
+    return _witness(p, i, j, c, prefix, len(prefix.A), prefix.pr_A,
+                    find_threshold(dist, prefix.A, p), measure)
+
+
+def _binomial_row(n: int) -> list[int]:
+    """C(n, 0), ..., C(n, n)."""
+    return list(accumulate(range(n), lambda term, k: term * (n - k) // (k + 1), initial=1))
 
 
 def entropy_sum_analysis_uniform(n: int, p: int, i: int, j: int, c) -> EntropySumWitness:
     """Same analysis for the exactly uniform distribution on {0,1}^n, in closed form.
 
     Every prefix is good (each conditional block is exactly uniform), so A is
-    all of {0,1}^p and the three probabilities reduce to binomial sums over
-    independent prefix/gap/block coordinates.
+    all of {0,1}^p, the prefix sum is Bin(p), and the first-i sum Bin(i) and
+    the block sum Bin(d) are independent.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    ell, d, _ = _validate_indices(n, p, i, j, c)
+    _validate_indices(n, p, i, j, c)
+    d = j - i
 
-    # t: largest integer with Pr[Bin(p) >= t] >= 1/4 (A carries all the mass)
-    quarter = Fraction(1, 4)
-    if binomial_tail(p, 0) < quarter:
-        raise DomainError("impossible: the full space has mass 1")
-    t = 0
-    while binomial_tail(p, t + 1) >= quarter:
-        t += 1
-    threshold = ThresholdReport(
-        t=t,
-        pr_at_t=binomial_tail(p, t),
-        pr_at_next=binomial_tail(p, t + 1),
-        pr_lower_tail=Fraction(1) - binomial_tail(p, t + 1),
-    )
+    def measure(upper, lower, lower_leq, block):
+        row_i = _binomial_row(i)
+        below_i = list(accumulate(row_i, initial=0))   # below_i[a] = #{sum_i < a}
+        tail_d = list(accumulate(reversed(_binomial_row(d))))[::-1] + [0]
 
-    term = stretch_term(c, d)
-    exact = isinstance(term, Fraction)
-    s_cut = Fraction(t) + Fraction(ell + d, 2) + term if exact else t + (ell + d) / 2 + term
-    sp_cut = Fraction(t) + Fraction(ell, 2)
-    blk_cut = Fraction(d, 2) + term if exact else d / 2 + term
+        def block_tail(b):   # #{block sums >= b}
+            return tail_d[min(max(b, 0), d + 1)]
 
-    P_upper = binomial_tail(j, s_cut)
-    # strict <: complement of Pr[Bin(i) >= s'], and <= uses >= s'+ (just past s')
-    P_lower = Fraction(1) - binomial_tail(i, sp_cut)
-    if Fraction(sp_cut).denominator == 1:
-        P_lower_leq = Fraction(1) - binomial_tail(i, int(sp_cut) + 1)
-    else:
-        P_lower_leq = P_lower
-    # P_joint: split on the first-i sum a < s', then the d block needs >= s - a
-    P_joint = Fraction(0)
-    for a in range(0, i + 1):
-        if not a < sp_cut:
-            break
-        P_joint += binomial_point(i, a) * binomial_tail(d, s_cut - a)
-    block_bound = binomial_tail(d, blk_cut)
-    return _finish(p, i, j, ell, d, c, None, 2 ** p, Fraction(1),
-                   threshold, P_upper, P_lower, P_lower_leq, P_joint, block_bound)
+        # split on the first-i sum a < s'; the block then needs >= s - a
+        joint = sum(count * block_tail(upper - a)
+                    for a, count in enumerate(row_i[:lower]))
+        return (binomial_tail(j, upper), Fraction(below_i[lower], 2 ** i),
+                Fraction(below_i[lower_leq + 1], 2 ** i), Fraction(joint, 2 ** j),
+                Fraction(block_tail(block), 2 ** d))
+
+    return _witness(p, i, j, c, None, 2 ** p, Fraction(1),
+                    _threshold(range(p + 1), _binomial_row(p), 2 ** p), measure)

@@ -33,11 +33,3 @@ class ConsistencyError(CellProbeError, ValueError):
 
 class SizeError(CellProbeError, ValueError):
     """An exhaustive computation would be infeasibly large."""
-
-
-class HypothesisError(CellProbeError, ValueError):
-    """A lemma-style entropy hypothesis failed; carries the measured value."""
-
-    def __init__(self, message: str, measured: float):
-        super().__init__(message)
-        self.measured = measured

@@ -101,12 +101,17 @@ class Distribution:
     @classmethod
     def from_rows(cls, rows, counts=None) -> "Distribution":
         """Distribution of the rows of an int matrix, each row weighted by its
-        count (1 by default); equal rows merge."""
+        count (1 by default); equal rows merge and zero-count rows drop."""
         rows = np.array(rows, dtype=np.int64)
         if counts is None:
-            counts = np.ones(len(rows), dtype=np.int64)
+            return cls._of(rows, np.ones(len(rows), dtype=np.int64), len(rows))
         counts = np.asarray(counts, dtype=np.int64)
-        return cls._of(rows, counts, int(counts.sum()))
+        if (counts < 0).any():
+            raise ParameterError(f"negative count {counts.min()}")
+        if not counts.all():
+            rows, counts = rows[counts > 0], counts[counts > 0]
+        # the int64 sum wraps past 2^63; the total is summed exactly
+        return cls._of(rows, counts, sum(counts.tolist()))
 
     @classmethod
     def _of(cls, rows: np.ndarray, counts, denom: int) -> "Distribution":

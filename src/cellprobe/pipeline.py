@@ -499,29 +499,16 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
     stages.append(StageRecord(
         "entropy-blocks", fields + (("p", p_idx), ("i", i_idx), ("j", j_idx)), checks))
 
-    wit = entropy_sum_analysis(x_dist, p_idx, i_idx, j_idx, c, require_hypothesis=False)
-    prefix_rep = wit.prefix_report
+    wit = entropy_sum_analysis(x_dist, p_idx, i_idx, j_idx, c)
     stages.append(StageRecord(
         "entropy-sum",
+        tuple((name, getattr(wit, name)) for name in (
+            "ell", "d", "t", "s", "s_prime", "s_exact", "a_size", "pr_A", "P_upper", "P_lower",
+            "P_lower_leq", "P_joint", "block_bound")),
         (
-            ("ell", wit.ell),
-            ("d", wit.d),
-            ("t", wit.t),
-            ("s", wit.s),
-            ("s_prime", wit.s_prime),
-            ("s_exact", wit.s_exact),
-            ("a_size", wit.a_size),
-            ("pr_A", wit.pr_A),
-            ("P_upper", wit.P_upper),
-            ("P_lower", wit.P_lower),
-            ("P_lower_leq", wit.P_lower_leq),
-            ("P_joint", wit.P_joint),
-            ("block_bound", wit.block_bound),
-        ),
-        (
-            ("hypothesis", prefix_rep.hypothesis_ok if prefix_rep else True),
+            ("hypothesis", wit.hypothesis_ok),
             ("ratio", wit.ratio_ok),
-            ("prefix_mass", prefix_rep.claim_half_ok if prefix_rep else True),
+            ("prefix_mass", wit.prefix_report.claim_half_ok),
             ("upper_tail", wit.holds_upper),
             ("lower_tail", wit.holds_lower),
             ("joint_tail", wit.holds_joint),

@@ -223,7 +223,7 @@ def test_criterion_08_threshold_is_maximal():
             removed = set(rng.sample(range(len(space)), rng.randint(0, 6)))
             dist = Distribution.uniform(
                 [o for idx, o in enumerate(space) if idx not in removed])
-            rep = good_prefix_set(dist, m, m + 2, 2, require_hypothesis=False)
+            rep = good_prefix_set(dist, m, m + 2, 2)
             thr = find_threshold(dist, rep.A, m)
             members = set(rep.A)
             mass: dict[int, Fraction] = {}

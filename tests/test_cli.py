@@ -158,6 +158,26 @@ def test_entropy_sum_uniform(capsys):
     assert "holds=yes" in lines
 
 
+def test_exact_answers_past_the_int_print_limit_are_refused_up_front(capsys, monkeypatch):
+    argv = ["entropy-sum", "--uniform", "20000", "--p", "5000", "--i", "15000",
+            "--j", "20000", "--c", "8", "--format", "machine"]
+    if not hasattr(sys, "get_int_max_str_digits"):
+        # Python before 3.10.7 prints an int of any length
+        assert main(argv) == 1
+        return
+    monkeypatch.setattr(cellprobe.cli, "entropy_sum_analysis_uniform", None)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert main(argv) == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 2^20000 has 6021 digits, past the 4300-digit limit on "
+                            "printing an int\n")
+
+
 def test_pipeline_writes_report_to_outdir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(OUTDIR_ENV, str(tmp_path))
     scheme_path = tmp_path / "bracket_n8.scm"

@@ -1,17 +1,20 @@
 """Binomial helpers, good-prefix extraction, and the threshold-sum analysis."""
 
+import dataclasses
 import math
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellprobe import (
     Distribution,
     DomainError,
-    HypothesisError,
     ParameterError,
     binomial_point,
     binomial_tail,
@@ -150,12 +153,39 @@ def test_good_prefix_set_excludes_degraded_prefix():
     assert rep.claim_half_ok
 
 
-def test_good_prefix_set_hypothesis_failure_raises_with_measurement():
-    with pytest.raises(HypothesisError) as exc:
-        good_prefix_set(_skewed_prefix_dist(), 1, 3, 4)
-    assert exc.value.measured == pytest.approx(1.5, abs=1e-12)
-    rep = good_prefix_set(_skewed_prefix_dist(), 1, 3, 4, require_hypothesis=False)
+def test_good_prefix_set_reports_a_failed_hypothesis_with_its_measurement():
+    rep = good_prefix_set(_skewed_prefix_dist(), 1, 3, 4)
     assert not rep.hypothesis_ok
+    assert rep.hypothesis_entropy == pytest.approx(1.5, abs=1e-12)
+    assert rep.hypothesis_floor == pytest.approx(1.75, abs=1e-12)
+
+
+@lru_cache(maxsize=None)
+def _uniform_bits(n):
+    return Distribution.uniform(list(product((0, 1), repeat=n)))
+
+
+@st.composite
+def _index_triples(draw):
+    n = draw(st.integers(2, 9))
+    p = draw(st.integers(0, n - 2))
+    i = draw(st.integers(p + 1, n - 1))
+    return n, p, i, draw(st.integers(i + 1, n))
+
+
+def _assert_routes_agree(n, p, i, j, c):
+    by_enum = entropy_sum_analysis(_uniform_bits(n), p, i, j, c)
+    by_formula = entropy_sum_analysis_uniform(n, p, i, j, c)
+    # the closed form measures no prefix set: every prefix is good
+    assert by_formula.prefix_report is None
+    assert by_enum.prefix_report.A == tuple(product((0, 1), repeat=p))
+    for field in dataclasses.fields(by_enum):
+        if field.name != "prefix_report":
+            got, want = getattr(by_enum, field.name), getattr(by_formula, field.name)
+            assert (got, type(got)) == (want, type(want)), field.name
+    assert by_enum.hypothesis_ok and by_formula.hypothesis_ok
+    assert by_enum.pr_A == 1
+    assert by_enum.ratio_ok == (i - p >= c * (j - i))
 
 
 @pytest.mark.parametrize("n,p,i,j,c", [
@@ -165,20 +195,14 @@ def test_good_prefix_set_hypothesis_failure_raises_with_measurement():
     (9, 3, 7, 9, 64),
 ])
 def test_enumeration_agrees_with_binomial_route(n, p, i, j, c):
-    dist = Distribution.uniform(list(product((0, 1), repeat=n)))
-    by_enum = entropy_sum_analysis(dist, p, i, j, c)
-    by_formula = entropy_sum_analysis_uniform(n, p, i, j, c)
-    assert by_enum.t == by_formula.t
-    assert by_enum.a_size == by_formula.a_size
-    assert by_enum.pr_A == by_formula.pr_A == 1
-    assert by_enum.s == by_formula.s
-    assert by_enum.s_prime == by_formula.s_prime
-    assert by_enum.P_upper == by_formula.P_upper
-    assert by_enum.P_lower == by_formula.P_lower
-    assert by_enum.P_lower_leq == by_formula.P_lower_leq
-    assert by_enum.P_joint == by_formula.P_joint
-    assert by_enum.block_bound == by_formula.block_bound
-    assert by_enum.ratio_ok == by_formula.ratio_ok == (i - p >= c * (j - i))
+    _assert_routes_agree(n, p, i, j, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_index_triples(), st.sampled_from((1, 2, 3, Fraction(7, 3), 8, 64)))
+def test_routes_agree_on_small_uniform_spaces(npij, c):
+    # exact s (c = 1, 8, 64 on suitable d) and float s (c = 2, 3, 7/3) alike
+    _assert_routes_agree(*npij, c)
 
 
 def test_uniform_long_prefix_witness():
@@ -193,13 +217,12 @@ def test_uniform_long_prefix_witness():
     assert w.block_bound == binomial_tail(4, 10) == 0
     assert w.holds
     assert w.P_lower_leq == Fraction(1, 2) + binomial_point(257, 129)
-    assert w.strict_vs_leq_differs
 
 
 def test_joint_probability_never_exceeds_its_factors():
     dist = Distribution.from_counts(
         {o: 1 + sum(o) for o in product((0, 1), repeat=6)})
-    w = entropy_sum_analysis(dist, 1, 4, 6, 2, require_hypothesis=False)
+    w = entropy_sum_analysis(dist, 1, 4, 6, 2)
     assert w.P_joint <= w.P_upper
     assert w.P_joint <= w.P_lower_leq
     assert w.P_lower_leq >= w.P_lower

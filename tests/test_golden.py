@@ -6,7 +6,9 @@ format, and ``separator`` in machine format (``--gap 4`` on a Sum scheme,
 ``--bracket-c 4 --relax`` on a Match scheme).  The distribution files under
 ``tests/golden/inputs/`` are read by ``entropy`` (joint and conditional),
 ``goodset cells``, ``goodset blocks`` (on the support, for bit outcomes) and
-``entropy-sum --dist``, each in machine and text format.  Regenerate them
+``entropy-sum --dist``, each in machine and text format, and
+``entropy-sum --uniform`` runs the closed binomial form on four parameter
+sets, in machine and text format too.  Regenerate them
 only for a change that means to move a report, and say which fields moved:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -109,7 +111,24 @@ def render_dist(name: str, workdir: str) -> dict[str, str]:
     return texts
 
 
-RENDERERS = {**{name: render for name in CASES}, **{name: render_dist for name in DIST_CASES}}
+# name -> entropy-sum --uniform arguments n, p, i, j, c
+UNIFORM_CASES = {
+    "binomial261": ("261", "1", "257", "261", "64"),     # exact s
+    "binomial1024": ("1024", "256", "900", "932", "8"),  # float s
+    "binomial40": ("40", "5", "21", "30", "7/3"),        # odd d, non-integer c
+    "binomial41": ("41", "4", "21", "30", "7/3"),        # odd ell: s' is not an integer
+}
+
+
+def render_uniform(name: str, workdir: str) -> dict[str, str]:
+    n, p, i, j, c = UNIFORM_CASES[name]
+    argv = ["entropy-sum", "--uniform", n, "--p", p, "--i", i, "--j", j, "--c", c]
+    return {"entropy-sum": _run([*argv, "--format", "machine"]),
+            "entropy-sum-text": _run([*argv, "--format", "text"])}
+
+
+RENDERERS = {**{name: render for name in CASES}, **{name: render_dist for name in DIST_CASES},
+             **{name: render_uniform for name in UNIFORM_CASES}}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -122,6 +141,13 @@ def test_reports_match_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(DIST_CASES))
 def test_distribution_reports_match_golden(name, tmp_path):
     for command, text in render_dist(name, str(tmp_path)).items():
+        with open(os.path.join(GOLDEN, f"{name}.{command}.txt"), encoding="ascii") as fh:
+            assert text == fh.read(), f"{name} {command} report moved"
+
+
+@pytest.mark.parametrize("name", sorted(UNIFORM_CASES))
+def test_uniform_entropy_sum_reports_match_golden(name, tmp_path):
+    for command, text in render_uniform(name, str(tmp_path)).items():
         with open(os.path.join(GOLDEN, f"{name}.{command}.txt"), encoding="ascii") as fh:
             assert text == fh.read(), f"{name} {command} report moved"
 

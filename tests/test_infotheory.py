@@ -48,6 +48,26 @@ def test_distribution_refuses_outcomes_that_are_not_int64(outcome):
         Distribution.uniform([outcome])
 
 
+def test_from_rows_drops_zero_counts():
+    d = Distribution.from_rows([[0], [1]], [0, 2])
+    assert d.support() == ((1,),) and d.denom == 2
+    assert entropy(d) == 0.0
+    with pytest.raises(ParameterError):
+        Distribution.from_rows([[0], [1]], [0, 0])
+
+
+def test_from_rows_sums_counts_past_int64_exactly():
+    d = Distribution.from_rows([[0], [1]], [2 ** 62, 2 ** 62])
+    assert d.denom == 2 ** 63
+    assert d.items() == (((0,), Fraction(1, 2)), ((1,), Fraction(1, 2)))
+    assert entropy(d) == 1.0
+
+
+def test_from_rows_refuses_negative_counts():
+    with pytest.raises(ParameterError):
+        Distribution.from_rows([[0], [1]], [-1, 2])
+
+
 def test_outcomes_at_the_int64_ends_are_kept():
     d = Distribution({(-2 ** 63,): Fraction(1, 2), (2 ** 63 - 1,): Fraction(1, 2)})
     assert d.support() == ((-2 ** 63,), (2 ** 63 - 1,))
