@@ -1,7 +1,11 @@
 """Command-line entry point for the cell-probe workbench.
 
 One command per invocation; every report is reproducible byte-for-byte for
-identical inputs.  Exit codes: 0 success, 1 a reported guarantee failure
+identical inputs.  Each command is one row of ``COMMANDS``: its name, help,
+arguments, the flags each of its modes needs, and a runner that returns the
+report and whether every guarantee it reports held.  ``main`` alone builds
+the parser, checks the mode flags, renders the report in ``--format`` and
+owns the exit codes: 0 success, 1 a reported guarantee failure
 (verification counterexample, stuck stretcher window, failed lemma bound,
 truncated pipeline), 2 usage or parameter errors.
 """
@@ -14,10 +18,11 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .bits import bits_to_str, parse_bits
 from .brackets import catalan_count, enumerate_bal, match_index, unmatched_close_prob, unmatched_open_prob
-from .core import KIND_SUM, redundancy, verify_scheme
+from .core import redundancy, verify_scheme
 from .entropy_sum import entropy_sum_analysis, entropy_sum_analysis_uniform
 from .errors import CellProbeError, DomainError
 from .infotheory import Distribution, conditional_entropy, entropy, good_blocks, good_cells
@@ -79,22 +84,12 @@ def _read_bitstrings(path: str) -> tuple:
 
 
 def _resolve_out(name: str) -> str:
-    if os.path.isabs(name):
-        return name
+    # an absolute name stands as it is: join drops every part before it
     return os.path.join(os.environ.get(OUTDIR_ENV, "."), name)
 
 
-def _emit(pairs, fmt_kind: str, stream) -> None:
-    for key, value in pairs:
-        if fmt_kind == "machine":
-            stream.write(f"{key}={machine_value(value)}\n")
-        else:
-            stream.write(f"{key}: {fmt(value)}\n")
-
-
-def _cmd_verify(args) -> int:
-    scheme = load_scheme(args.scheme)
-    report = verify_scheme(scheme, max_inputs=args.max_inputs)
+def _cmd_verify(args):
+    report = verify_scheme(load_scheme(args.scheme), max_inputs=args.max_inputs)
     pairs = [
         ("status", report.status),
         ("inputs_checked", report.inputs_checked),
@@ -109,25 +104,22 @@ def _cmd_verify(args) -> int:
             ("counterexample_got", ce.got),
             ("counterexample_expected", ce.expected),
         ]
-    _emit(pairs, args.format, sys.stdout)
-    return 0 if report.ok else 1
+    return pairs, report.ok
 
 
-def _cmd_redundancy(args) -> int:
+def _cmd_redundancy(args):
     scheme = load_scheme(args.scheme)
-    pairs = [
+    return [
         ("n", scheme.n),
         ("u", scheme.u),
         ("q", scheme.q),
         ("alphabet", scheme.cell_alphabet),
         ("domain_size", scheme.domain_size()),
         ("redundancy_bits", redundancy(scheme)),
-    ]
-    _emit(pairs, args.format, sys.stdout)
-    return 0
+    ], True
 
 
-def _cmd_separator(args) -> int:
+def _cmd_separator(args):
     scheme = load_scheme(args.scheme)
     if args.bracket_c is not None:
         res = find_separator_brackets(scheme.probes, int(args.bracket_c),
@@ -171,25 +163,22 @@ def _cmd_separator(args) -> int:
             (f"{prefix}.b_size", entry.b_size),
         ]
     pairs += [(f"check.{k}", ok) for k, ok in checks]
-    _emit(pairs, args.format, sys.stdout)
-    return 0 if all(ok for _, ok in checks) else 1
+    return pairs, all(ok for _, ok in checks)
 
 
-def _cmd_stretcher(args) -> int:
+def _cmd_stretcher(args):
     indices = _csv_ints(args.indices)
     try:
         res = find_stretcher(indices, args.n, _num(args.c))
     except StretcherWindowError as err:
-        pairs = [
+        return [
             ("status", "stuck"),
             ("stuck_at", err.s),
             ("window", tuple(err.window)),
             ("pairs_found", len(err.pairs_so_far)),
             ("v_prime", tuple(x for p in err.pairs_so_far for x in (p.left, p.right))),
-        ]
-        _emit(pairs, args.format, sys.stdout)
-        return 1
-    pairs = [
+        ], False
+    return [
         ("status", "ok"),
         ("n", res.n),
         ("c", res.c),
@@ -199,12 +188,10 @@ def _cmd_stretcher(args) -> int:
         ("v_prime", res.v_prime),
         ("guarantee", res.guarantee),
         ("guarantee_ok", res.guarantee_ok),
-    ]
-    _emit(pairs, args.format, sys.stdout)
-    return 0 if res.guarantee_ok else 1
+    ], res.guarantee_ok
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args):
     dist = _read_distribution(args.dist)
     pairs = [("arity", dist.arity), ("support", len(dist))]
     if args.target is not None:
@@ -213,18 +200,17 @@ def _cmd_entropy(args) -> int:
         pairs.append(("conditional_entropy", conditional_entropy(dist, target, given)))
     else:
         pairs.append(("entropy", entropy(dist)))
-    _emit(pairs, args.format, sys.stdout)
-    return 0
+    return pairs, True
 
 
-def _cmd_goodset(args) -> int:
+def _cmd_goodset(args):
     if args.mode == "cells":
         dist = _read_distribution(args.dist)
         report = good_cells(dist, args.q, _num(args.eta), args.alphabet)
     else:
         x_set = _read_bitstrings(args.x)
         report = good_blocks(x_set, _csv_ints(args.sizes), _num(args.eps))
-    pairs = [
+    return [
         ("kind", report.kind),
         ("good", report.good),
         ("good_count", len(report.good)),
@@ -233,12 +219,10 @@ def _cmd_goodset(args) -> int:
         ("scores", report.scores),
         ("size_bound", report.size_bound),
         ("size_bound_ok", report.size_bound_ok),
-    ]
-    _emit(pairs, args.format, sys.stdout)
-    return 0 if report.size_bound_ok else 1
+    ], report.size_bound_ok
 
 
-def _cmd_entropy_sum(args) -> int:
+def _cmd_entropy_sum(args):
     c = _num(args.c)
     if args.uniform is not None:
         # the exact answers have denominators up to 2^j, and Python refuses to
@@ -257,57 +241,41 @@ def _cmd_entropy_sum(args) -> int:
     names = ("p", "i", "j", "ell", "d", "hypothesis_ok", "a_size", "pr_A", "t", "s", "s_prime",
              "s_exact", "P_upper", "P_lower", "P_joint", "block_bound", "holds_upper",
              "holds_lower", "holds_joint", "holds")
-    _emit([(name, getattr(wit, name)) for name in names], args.format, sys.stdout)
-    return 0 if (wit.holds and wit.hypothesis_ok) else 1
+    return [(name, getattr(wit, name)) for name in names], wit.holds and wit.hypothesis_ok
 
 
-def _cmd_brackets(args) -> int:
+def _cmd_brackets(args):
     if args.mode == "count":
-        if args.format == "machine":
-            sys.stdout.write(f"count={catalan_count(args.n)}\n")
-        else:
-            sys.stdout.write(f"{catalan_count(args.n)}\n")
-        return 0
+        count = catalan_count(args.n)
+        return [("count", count)] if args.format == "machine" else fmt(count) + "\n", True
     if args.mode == "match":
-        partner = match_index(parse_bits(args.x), args.i)
-        _emit([("match", partner)], args.format, sys.stdout)
-        return 0
+        return [("match", match_index(parse_bits(args.x), args.i))], True
     if args.mode == "walk":
         p_open = unmatched_open_prob(args.d)
-        p_close = unmatched_close_prob(args.d)
-        pairs = [
+        return [
             ("d", args.d),
             ("open_prob", p_open),
-            ("close_prob", p_close),
+            ("close_prob", unmatched_close_prob(args.d)),
             ("sqrt_d_times_prob", math.sqrt(args.d) * float(p_open)),
-        ]
-        _emit(pairs, args.format, sys.stdout)
-        return 0
-    strings = enumerate_bal(args.n)
+        ], True
+    strings = [bits_to_str(s) for s in enumerate_bal(args.n)]
     if args.format == "machine":
-        for idx, s in enumerate(strings):
-            sys.stdout.write(f"bal.{idx}={bits_to_str(s)}\n")
-    else:
-        for s in strings:
-            sys.stdout.write(bits_to_str(s) + "\n")
-    return 0
+        return [(f"bal.{idx}", s) for idx, s in enumerate(strings)], True
+    return "".join(s + "\n" for s in strings), True
 
 
-def _cmd_pipeline(args) -> int:
-    scheme = load_scheme(args.scheme)
-    report = run_pipeline(scheme, _num(args.c))
+def _cmd_pipeline(args):
+    report = run_pipeline(load_scheme(args.scheme), _num(args.c))
     text = report.render_machine() if args.format == "machine" else report.render_text()
-    if args.out is not None:
-        path = _resolve_out(args.out)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        sys.stdout.write(f"written: {path}\n")
-    else:
-        sys.stdout.write(text)
-    return 0 if report.completed else 1
+    if args.out is None:
+        return text, report.completed
+    path = _resolve_out(args.out)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return f"written: {path}\n", report.completed
 
 
-def _cmd_build_scheme(args) -> int:
+def _cmd_build_scheme(args):
     params: dict[str, int] = {"n": args.n}
     if args.alphabet is not None:
         params["cell_alphabet"] = args.alphabet
@@ -320,139 +288,126 @@ def _cmd_build_scheme(args) -> int:
         except ValueError as err:
             raise DomainError(f"bad --param value: {item!r}") from err
     scheme = build_builtin(args.name, **params)
-    out = args.out if args.out is not None else f"{args.name}_n{args.n}.scm"
-    path = _resolve_out(out)
+    path = _resolve_out(args.out if args.out is not None else f"{args.name}_n{args.n}.scm")
     save_scheme(scheme, path)
-    pairs = [
+    return [
         ("written", path),
         ("n", scheme.n),
         ("u", scheme.u),
         ("q", scheme.q),
         ("alphabet", scheme.cell_alphabet),
         ("kind", scheme.kind),
-    ]
-    _emit(pairs, args.format, sys.stdout)
-    return 0
+    ], True
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Command(NamedTuple):
+    name: str
+    help: str
+    arguments: tuple   # (flag, add_argument keywords) in --help order, after --format
+    run: Callable      # parsed args -> (report, ok): (key, value) pairs or rendered text
+    modes: tuple = ()  # (mode, the flags that mode needs)
+
+
+COMMANDS = (
+    _Command("verify", "check a scheme against the exact query oracle", (
+        ("--scheme", dict(required=True)),
+        ("--max-inputs", dict(type=int)),
+    ), _cmd_verify),
+    _Command("redundancy", "bits of storage above the information minimum", (
+        ("--scheme", dict(required=True)),
+    ), _cmd_redundancy),
+    _Command("separator", "find disjoint probe sets outside a small blocked-cell set", (
+        ("--scheme", dict(required=True)),
+        ("--gap", dict(help="gap factor g (prefix mode)")),
+        ("--bracket-c", dict(type=int, help="run the bracket schedule with this c")),
+        ("--relax", dict(action="store_true", help="skip the bracket-mode size preconditions")),
+    ), _cmd_separator),
+    _Command("stretcher", "select index pairs with geometrically spread gaps", (
+        ("--indices", dict(required=True, help="ascending, comma-separated")),
+        ("--n", dict(type=int, required=True)),
+        ("--c", dict(required=True)),
+    ), _cmd_stretcher),
+    _Command("entropy", "entropy of a distribution file", (
+        ("--dist", dict(required=True)),
+        ("--target", dict(help="coordinates, comma-separated, 0-based")),
+        ("--given", dict(help="conditioning coordinates")),
+    ), _cmd_entropy),
+    _Command("goodset", "near-uniform cells or high-entropy blocks", (
+        ("mode", dict(choices=("cells", "blocks"))),
+        ("--dist", dict(help="distribution file (cells mode)")),
+        ("--q", dict(type=int, help="subset size (cells mode)")),
+        ("--eta", dict(help="closeness bound (cells mode)")),
+        ("--alphabet", dict(type=int, help="cell alphabet (cells mode)")),
+        ("--x", dict(help="bitstring-set file (blocks mode)")),
+        ("--sizes", dict(help="block sizes, comma-separated (blocks mode)")),
+        ("--eps", dict(help="entropy slack (blocks mode)")),
+    ), _cmd_goodset, (
+        ("cells", ("--dist", "--q", "--eta", "--alphabet")),
+        ("blocks", ("--x", "--sizes", "--eps")),
+    )),
+    _Command("entropy-sum", "threshold analysis for a block between two indices", (
+        ("--dist", dict()),
+        ("--uniform", dict(type=int, help="use the uniform distribution on this many bits")),
+        ("--p", dict(type=int, required=True)),
+        ("--i", dict(type=int, required=True)),
+        ("--j", dict(type=int, required=True)),
+        ("--c", dict(required=True)),
+    ), _cmd_entropy_sum),
+    _Command("brackets", "balanced-bracket utilities", (
+        ("mode", dict(choices=("count", "match", "walk", "list"))),
+        ("--n", dict(type=int)),
+        ("--x", dict(help="bracket string (match mode)")),
+        ("--i", dict(type=int, help="1-based position (match mode)")),
+        ("--d", dict(type=int, help="window length (walk mode)")),
+    ), _cmd_brackets, (
+        ("count", ("--n",)),
+        ("match", ("--x", "--i")),
+        ("walk", ("--d",)),
+        ("list", ("--n",)),
+    )),
+    _Command("pipeline", "run the full adversary argument against a scheme", (
+        ("--scheme", dict(required=True)),
+        ("--c", dict(required=True)),
+        ("--out", dict(help="write the report to this file")),
+    ), _cmd_pipeline),
+    _Command("build-scheme", "emit a reference scheme to a file", (
+        ("--name", dict(required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--alphabet", dict(type=int)),
+        ("--param", dict(action="append", metavar="KEY=VALUE")),
+        ("--out", dict()),
+    ), _cmd_build_scheme),
+)
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cellprobe",
         description="workbench for non-adaptive cell-probe schemes "
                     "(prefix sums and bracket matching)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, helptext):
-        p = sub.add_parser(name, help=helptext)
+    for row in COMMANDS:
+        p = sub.add_parser(row.name, help=row.help)
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        return p
-
-    p = add("verify", "check a scheme against the exact query oracle")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--max-inputs", type=int, default=None)
-    p.set_defaults(func=_cmd_verify)
-
-    p = add("redundancy", "bits of storage above the information minimum")
-    p.add_argument("--scheme", required=True)
-    p.set_defaults(func=_cmd_redundancy)
-
-    p = add("separator", "find disjoint probe sets outside a small blocked-cell set")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--gap", default=None, help="gap factor g (prefix mode)")
-    p.add_argument("--bracket-c", type=int, default=None,
-                   help="run the bracket schedule with this c")
-    p.add_argument("--relax", action="store_true",
-                   help="skip the bracket-mode size preconditions")
-    p.set_defaults(func=_cmd_separator)
-
-    p = add("stretcher", "select index pairs with geometrically spread gaps")
-    p.add_argument("--indices", required=True, help="ascending, comma-separated")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", required=True)
-    p.set_defaults(func=_cmd_stretcher)
-
-    p = add("entropy", "entropy of a distribution file")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--target", default=None, help="coordinates, comma-separated, 0-based")
-    p.add_argument("--given", default=None, help="conditioning coordinates")
-    p.set_defaults(func=_cmd_entropy)
-
-    p = add("goodset", "near-uniform cells or high-entropy blocks")
-    p.add_argument("mode", choices=("cells", "blocks"))
-    p.add_argument("--dist", default=None, help="distribution file (cells mode)")
-    p.add_argument("--q", type=int, default=None, help="subset size (cells mode)")
-    p.add_argument("--eta", default=None, help="closeness bound (cells mode)")
-    p.add_argument("--alphabet", type=int, default=None, help="cell alphabet (cells mode)")
-    p.add_argument("--x", default=None, help="bitstring-set file (blocks mode)")
-    p.add_argument("--sizes", default=None, help="block sizes, comma-separated (blocks mode)")
-    p.add_argument("--eps", default=None, help="entropy slack (blocks mode)")
-    p.set_defaults(func=_cmd_goodset)
-
-    p = add("entropy-sum", "threshold analysis for a block between two indices")
-    p.add_argument("--dist", default=None)
-    p.add_argument("--uniform", type=int, default=None,
-                   help="use the uniform distribution on this many bits")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--c", required=True)
-    p.set_defaults(func=_cmd_entropy_sum)
-
-    p = add("brackets", "balanced-bracket utilities")
-    p.add_argument("mode", choices=("count", "match", "walk", "list"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--x", default=None, help="bracket string (match mode)")
-    p.add_argument("--i", type=int, default=None, help="1-based position (match mode)")
-    p.add_argument("--d", type=int, default=None, help="window length (walk mode)")
-    p.set_defaults(func=_cmd_brackets)
-
-    p = add("pipeline", "run the full adversary argument against a scheme")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--out", default=None, help="write the report to this file")
-    p.set_defaults(func=_cmd_pipeline)
-
-    p = add("build-scheme", "emit a reference scheme to a file")
-    p.add_argument("--name", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alphabet", type=int, default=None)
-    p.add_argument("--param", action="append", default=None, metavar="KEY=VALUE")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_build_scheme)
-
-    return parser
-
-
-def _check_mode_flags(args) -> None:
-    if args.command == "goodset":
-        if args.mode == "cells":
-            missing = [f for f, v in (("--dist", args.dist), ("--q", args.q),
-                                      ("--eta", args.eta), ("--alphabet", args.alphabet))
-                       if v is None]
-        else:
-            missing = [f for f, v in (("--x", args.x), ("--sizes", args.sizes),
-                                      ("--eps", args.eps)) if v is None]
-        if missing:
-            raise DomainError(f"goodset {args.mode} needs {', '.join(missing)}")
-    if args.command == "brackets":
-        needed = {"count": ("--n", args.n), "list": ("--n", args.n),
-                  "walk": ("--d", args.d)}.get(args.mode)
-        if needed and needed[1] is None:
-            raise DomainError(f"brackets {args.mode} needs {needed[0]}")
-        if args.mode == "match" and (args.x is None or args.i is None):
-            raise DomainError("brackets match needs --x and --i")
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
+        for flag, keywords in row.arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(row=row)
     args = parser.parse_args(argv)
     try:
-        _check_mode_flags(args)
-        return args.func(args)
+        needs = dict(args.row.modes).get(getattr(args, "mode", None), ())
+        missing = [flag for flag in needs if getattr(args, flag[2:].replace("-", "_")) is None]
+        if missing:
+            raise DomainError(f"{args.command} {args.mode} needs {', '.join(missing)}")
+        report, ok = args.row.run(args)
+        if not isinstance(report, str):
+            show, sep = (machine_value, "=") if args.format == "machine" else (fmt, ": ")
+            report = "".join(f"{key}{sep}{show(value)}\n" for key, value in report)
+        sys.stdout.write(report)
     except (CellProbeError, OSError, UnicodeDecodeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
+    return 0 if ok else 1
 
 
 def main_entry() -> None:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .infotheory import entropy_by_group, group_rows, mean_entropy, sum_by
+from .textfmt import fmt_short
 
 _TOL = 1e-9
 
@@ -103,7 +104,7 @@ def good_prefix_set(dist, p: int, j: int, c) -> PrefixSetReport:
     if not 0 <= p < j <= n:
         raise ParameterError(f"need 0 <= p < j <= {n}, got p={p} j={j}")
     if float(c) <= 0:
-        raise ParameterError(f"c must be positive, got {c}")
+        raise ParameterError(f"c must be positive, got {fmt_short(c)}")
     span = j - p
     prefixes, weights, entropies = entropy_by_group(dist, range(p, j), range(p))
     measured = mean_entropy(weights, entropies, dist.denom)
@@ -182,6 +183,7 @@ class EntropySumWitness:
     s: object                   # t + (ell+d)/2 + c^(1/3)*sqrt(d); Fraction when exact
     s_prime: Fraction
     s_exact: bool
+    cuts: tuple                 # the integer cuts measured: ceil s, ceil s', floor s', block
     P_upper: Fraction
     P_lower: Fraction           # strict: sum < s'
     P_lower_leq: Fraction       # variant: sum <= s'
@@ -206,7 +208,7 @@ def _validate_indices(n: int, p: int, i: int, j: int, c) -> None:
         raise ParameterError(f"need 0 <= p < i < j <= {n}, got p={p} i={i} j={j}")
     try:
         if float(c) <= 0:
-            raise ParameterError(f"c must be positive, got {c}")
+            raise ParameterError(f"c must be positive, got {fmt_short(c)}")
     except OverflowError:
         raise ParameterError("c is past the float range") from None
 
@@ -226,8 +228,8 @@ def _witness(p, i, j, c, prefix_report, a_size, pr_a, threshold, measure) -> Ent
     s_prime = Fraction(threshold.t) + Fraction(ell, 2)
     block = Fraction(d, 2) + term if s_exact else d / 2 + term
     # the sums are integers, so each real cut compares through its ceiling or floor
-    P_upper, P_lower, P_lower_leq, P_joint, block_bound = measure(
-        math.ceil(s), math.ceil(s_prime), math.floor(s_prime), math.ceil(block))
+    cuts = (math.ceil(s), math.ceil(s_prime), math.floor(s_prime), math.ceil(block))
+    P_upper, P_lower, P_lower_leq, P_joint, block_bound = measure(*cuts)
     return EntropySumWitness(
         p=p, i=i, j=j, ell=ell, d=d, c=c,
         ratio_ok=ell >= float(c) * d,
@@ -239,6 +241,7 @@ def _witness(p, i, j, c, prefix_report, a_size, pr_a, threshold, measure) -> Ent
         s=s,
         s_prime=s_prime,
         s_exact=s_exact,
+        cuts=cuts,
         P_upper=P_upper,
         P_lower=P_lower,
         P_lower_leq=P_lower_leq,

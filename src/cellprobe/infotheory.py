@@ -26,6 +26,7 @@ from numbers import Rational
 import numpy as np
 
 from .errors import DomainError, ParameterError, RangeError, SizeError
+from .textfmt import fmt_short
 
 Outcome = tuple[int, ...]
 
@@ -71,7 +72,7 @@ class Distribution:
                 if not isinstance(p, Rational) and not math.isfinite(p):
                     raise ParameterError(f"probability {p} for {outcome} is not finite")
             if p < 0:
-                raise ParameterError(f"negative probability {p} for {outcome}")
+                raise ParameterError(f"negative probability {fmt_short(p)} for {outcome}")
             if p:
                 outcomes.append(outcome)
                 # a float counts at the exact binary value it holds
@@ -80,7 +81,8 @@ class Distribution:
         total = sum(probs)
         if exact:
             if total != 1:
-                raise ParameterError(f"probabilities sum to {total}, expected exactly 1")
+                raise ParameterError(f"probabilities sum to {fmt_short(total)}, "
+                                     f"{fmt_short(total - 1)} off exactly 1")
         elif abs(float(total) - 1.0) > _SUM_TOL:
             raise ParameterError(f"probabilities sum to {float(total)}, expected 1")
         denom = math.lcm(*(p.denominator for p in probs))
@@ -105,7 +107,13 @@ class Distribution:
         rows = np.array(rows, dtype=np.int64)
         if counts is None:
             return cls._of(rows, np.ones(len(rows), dtype=np.int64), len(rows))
-        counts = np.asarray(counts, dtype=np.int64)
+        # each count must be an integer; one past int64 is held exactly, as _set
+        # holds the counts of a denominator past int64
+        try:
+            counts = np.array([operator.index(c) for c in np.asarray(counts, dtype=object)],
+                              dtype=object)
+        except TypeError as err:
+            raise DomainError("counts must be integers") from err
         if (counts < 0).any():
             raise ParameterError(f"negative count {counts.min()}")
         if not counts.all():
@@ -390,7 +398,10 @@ def good_blocks(x_set, sizes, eps) -> GoodSetReport:
     dist = x_set if isinstance(x_set, Distribution) else Distribution.uniform(x_set)
     if not dist.is_uniform():
         raise ParameterError("expected a uniform distribution over the input set")
-    eps = float(eps)
+    try:
+        eps = float(eps)
+    except OverflowError:
+        raise ParameterError("eps is past the float range") from None
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     n = dist.arity
@@ -444,7 +455,13 @@ def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> 
         raise ParameterError(f"alphabet must be >= 2, got {alphabet}")
     eta_f = Fraction(eta) if not isinstance(eta, Fraction) else eta
     if eta_f <= 0:
-        raise ParameterError(f"eta must be positive, got {eta}")
+        raise ParameterError(f"eta must be positive, got {fmt_short(eta_f)}")
+    try:
+        eta_sq = float(eta_f) ** 2
+    except OverflowError:
+        eta_sq = math.inf
+    if not 0 < eta_sq < math.inf:
+        raise ParameterError(f"eta = {fmt_short(eta_f)} squared is outside the float range")
     if dist.rows.size and not 0 <= int(dist.rows.min()) <= int(dist.rows.max()) < alphabet:
         raise DomainError(f"cell values must lie in [0, {alphabet})")
     u = dist.arity
@@ -471,7 +488,7 @@ def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> 
         failing = [s for s in failing if worst not in s]
 
     good = tuple(c + 1 for c in sorted(alive))
-    size_bound = u - 16 * q * a / float(eta_f) ** 2
+    size_bound = u - 16 * q * a / eta_sq
     return GoodSetReport(
         kind="cells",
         good=good,

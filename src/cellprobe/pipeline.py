@@ -25,7 +25,6 @@ report with that stage named.
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +49,7 @@ from .errors import ParameterError, SizeError
 from .infotheory import Distribution, columns_tv, good_blocks, good_cells
 from .separator import _BRACKET_EXPONENT_LIMIT, find_separator, find_separator_brackets, pairwise_disjoint
 from .stretcher import StretcherWindowError, find_stretcher
-from .textfmt import fmt, machine_value as _mval
+from .textfmt import fmt, fmt_short, machine_value as _mval
 
 __all__ = [
     "ChainLine",
@@ -128,13 +127,6 @@ def contradiction_chain(p_joint, p_upper, p_lower, closeness) -> ContradictionCh
 
 def _exact(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _short(c: Fraction) -> str:
-    """c for an error message: exact when short, else to three significant digits."""
-    if max(c.numerator.bit_length(), c.denominator.bit_length()) <= 64:
-        return str(c)
-    return str(decimal.Context(prec=3, Emax=decimal.MAX_EMAX).divide(c.numerator, c.denominator))
 
 
 @dataclass(frozen=True)
@@ -448,7 +440,7 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
     # decided on the exact Fraction, before any float or power of c is formed
     cf = _exact(c)
     if not 1 < cf <= n:
-        raise ParameterError(f"c must exceed 1 and be at most n = {n}, got {_short(cf)}")
+        raise ParameterError(f"c must exceed 1 and be at most n = {n}, got {fmt_short(cf)}")
     eta = 1 / cf
     stages: list[StageRecord] = []
 
@@ -456,7 +448,7 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
     try:
         gap = Fraction(lg) ** int(cf) if cf.denominator == 1 else Fraction(lg ** float(cf))
     except OverflowError:
-        raise ParameterError(f"(lg n)^c overflows a float for c = {_short(cf)}") from None
+        raise ParameterError(f"(lg n)^c overflows a float for c = {fmt_short(cf)}") from None
     sep = find_separator(scheme.probes, gap)
     rs = _separate_and_fix(scheme, sep, (("g", gap), ("k0", sep.k0)), (), sep.checks, stages)
 
@@ -515,8 +507,9 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
         ),
     ))
 
-    # answers are integers, so v >= s and v < s' hold exactly when they hold at the ceilings
-    s, sp = math.ceil(wit.s), math.ceil(wit.s_prime)
+    # answers are integers, so v >= s and v < s' hold exactly when they hold at the
+    # witness's integer cuts, ceil s and ceil s'
+    s, sp = wit.cuts[:2]
     chain, chain_checks = _final_chain(
         rs, scheme.cell_alphabet, eta, "1/c", "sum",
         (("j >= s", j_idx, lambda v: v >= s), ("i < s'", i_idx, lambda v: v < sp)),
@@ -538,10 +531,10 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
         raise ParameterError("the bracket pipeline needs even n >= 4")
     cf = _exact(c)
     if cf.denominator != 1:
-        raise ParameterError(f"c must be an integer, got {_short(cf)}")
+        raise ParameterError(f"c must be an integer, got {fmt_short(cf)}")
     c = int(cf)
     if c >= 4 and (2 * c) ** scheme.q > _BRACKET_EXPONENT_LIMIT:
-        raise ParameterError(f"c = {_short(cf)} puts (2c)^q past {_BRACKET_EXPONENT_LIMIT}")
+        raise ParameterError(f"c = {fmt_short(cf)} puts (2c)^q past {_BRACKET_EXPONENT_LIMIT}")
     stages: list[StageRecord] = []
 
     sep = find_separator_brackets(scheme.probes, c, require_preconditions=False)
@@ -552,25 +545,20 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
 
     lg = math.log2(n)
     try:
-        d_param = 16.0 * lg ** a
+        d_param = math.ldexp(lg ** a, 4)  # 16 (lg n)^a exactly; each step raises past the range
     except OverflowError:
-        d_param = math.inf
+        raise ParameterError(
+            f"d = 16 (lg n)^a is past the float range for c = {c} (a = {a})") from None
     eta = Fraction(1) / (Fraction(c) * Fraction(d_param))
     sqrt_d = math.sqrt(d_param)
-    try:
-        v2_floor = n / (2.0 * lg ** a)
-    except OverflowError:
-        v2_floor = 0.0
+    v2_floor = n / (2.0 * lg ** a)
     v2 = _good_cells(rs, scheme, eta, sep.V, (("d", d_param),), (("v2_floor", v2_floor),), stages)
 
     v2_sorted = sorted(v2)
     raw_pairs = [(v2_sorted[2 * t], v2_sorted[2 * t + 1])
                  for t in range(len(v2_sorted) // 2)]
     kept = [(i, j) for i, j in raw_pairs if j - i < d_param]
-    try:
-        v3_floor = n / (16.0 * lg ** a)
-    except OverflowError:
-        v3_floor = 0.0
+    v3_floor = n / (16.0 * lg ** a)
     stages.append(StageRecord(
         "close-pairs",
         (

@@ -18,6 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError, SizeError
+from .textfmt import fmt_short
 
 _BRACKET_EXPONENT_LIMIT = 10_000
 
@@ -126,7 +127,7 @@ def find_separator(family, g) -> SeparatorResult:
         raise ParameterError("separator needs a nonempty family of sets")
     gap = Fraction(g)
     if gap < 1:
-        raise ParameterError(f"gap must be >= 1, got {g}")
+        raise ParameterError(f"gap must be >= 1, got {fmt_short(gap)}")
     k0 = Fraction(n) / (gap * q) ** q if q else Fraction(n)
     blocked = np.zeros(len(cells), bool)
     b_size = 0

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CellProbeError, ParameterError
+from .textfmt import fmt_short
 
 
 class StretcherWindowError(CellProbeError):
@@ -85,7 +86,7 @@ def find_stretcher(indices, n: int, c) -> StretcherResult:
         raise ParameterError(f"n must be >= 2, got {n}")
     cf = Fraction(c)
     if cf <= 1:
-        raise ParameterError(f"c must be > 1, got {c}")
+        raise ParameterError(f"c must be > 1, got {fmt_short(cf)}")
     w = len(v)
     try:
         t = math.floor(float(cf) * math.log2(n))

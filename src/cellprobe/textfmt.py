@@ -6,9 +6,12 @@ runs produce byte-identical output.
 
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
 
-__all__ = ["fmt", "fmt_exact", "fmt_float", "machine_value"]
+from .errors import DomainError
+
+__all__ = ["fmt", "fmt_exact", "fmt_float", "fmt_short", "machine_value"]
 
 
 def fmt_float(x: float) -> str:
@@ -27,11 +30,28 @@ def fmt_exact(x) -> str:
         return "yes" if x else "no"
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+            return _text(x.numerator)
+        return f"{_text(x.numerator)}/{_text(x.denominator)}"
     if isinstance(x, float):
         return fmt_float(x)
-    return str(x)
+    return _text(x)
+
+
+def fmt_short(x) -> str:
+    """x for an error message: exact when short, else to three significant digits."""
+    if not isinstance(x, (int, Fraction)):
+        return str(x)
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) <= 64:
+        return str(x)
+    return str(decimal.Context(prec=3, Emax=decimal.MAX_EMAX).divide(x.numerator, x.denominator))
+
+
+def _text(x) -> str:
+    """str(x); an int past Python's limit on the digits str() prints is refused."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DomainError(f"{fmt_short(x)} has more digits than Python prints") from None
 
 
 def machine_value(v) -> str:
@@ -48,7 +68,7 @@ def machine_value(v) -> str:
         return ",".join(str(x) for x in sorted(v)) or "-"
     if isinstance(v, (tuple, list)):
         return ",".join(machine_value(x) for x in v) or "-"
-    return str(v)
+    return _text(v)
 
 
 def fmt(x) -> str:
@@ -57,8 +77,8 @@ def fmt(x) -> str:
         return "yes" if x else "no"
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator} (~{float(x):.6g})"
+            return _text(x.numerator)
+        return f"{_text(x.numerator)}/{_text(x.denominator)} (~{float(x):.6g})"
     if isinstance(x, float):
         return fmt_float(x)
     if isinstance(x, frozenset):
@@ -67,4 +87,5 @@ def fmt(x) -> str:
         return "(" + ", ".join(fmt(v) for v in x) + ")"
     if x is None:
         return "-"
-    return str(x)
+    return _text(x)
+

@@ -178,6 +178,25 @@ def test_exact_answers_past_the_int_print_limit_are_refused_up_front(capsys, mon
                             "printing an int\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="Python before 3.10.7 prints an int of any length")
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_a_report_value_past_the_int_print_limit_is_refused(good_scheme, capsys, fmt):
+    # g = 10^9999, and the 30000th Catalan number has about 18,000 digits
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        codes = [main(["separator", "--scheme", good_scheme, "--gap", "1e9999", "--format", fmt]),
+                 main(["brackets", "count", "--n", "30000", "--format", fmt])]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert codes == [2, 2]
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == "error: 1.00E+9999 has more digits than Python prints"
+    assert captured.err.splitlines()[1].endswith(" has more digits than Python prints")
+
+
 def test_pipeline_writes_report_to_outdir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(OUTDIR_ENV, str(tmp_path))
     scheme_path = tmp_path / "bracket_n8.scm"

@@ -211,6 +211,8 @@ def test_uniform_long_prefix_witness():
     assert w.t == 1
     assert w.s_exact and w.s == 139
     assert w.s_prime == Fraction(129)
+    # ceil s, ceil s', floor s' and ceil(d/2 + c^(1/3) sqrt d): the cuts that were measured
+    assert w.cuts == (139, 129, 129, 10)
     assert float(w.P_upper) == pytest.approx(0.16099726, abs=1e-7)
     assert w.P_lower == Fraction(1, 2)
     assert w.P_joint == 0
@@ -237,3 +239,8 @@ def test_index_validation():
         entropy_sum_analysis_uniform(8, 1, 4, 8, 0)
     with pytest.raises(ParameterError):
         entropy_sum_analysis_uniform(0, 0, 1, 2, 2)
+    # a float c of -inf is refused as it is written, not converted to a Fraction
+    with pytest.raises(ParameterError, match="c must be positive, got -inf"):
+        entropy_sum_analysis_uniform(8, 1, 4, 8, float("-inf"))
+    with pytest.raises(ParameterError, match="c must be positive, got -inf"):
+        good_prefix_set(Distribution.uniform(list(product((0, 1), repeat=4))), 0, 2, float("-inf"))

@@ -1,15 +1,16 @@
 """Byte-for-byte oracle: CLI reports of the scheme and distribution commands.
 
-The files under ``tests/golden/`` hold the reports as the CLI printed them:
-``verify`` and ``pipeline`` in machine format, ``pipeline`` again in text
-format, and ``separator`` in machine format (``--gap 4`` on a Sum scheme,
-``--bracket-c 4 --relax`` on a Match scheme).  The distribution files under
-``tests/golden/inputs/`` are read by ``entropy`` (joint and conditional),
-``goodset cells``, ``goodset blocks`` (on the support, for bit outcomes) and
-``entropy-sum --dist``, each in machine and text format, and
-``entropy-sum --uniform`` runs the closed binomial form on four parameter
-sets, in machine and text format too.  Regenerate them
-only for a change that means to move a report, and say which fields moved:
+The files under ``tests/golden/`` hold the reports as the CLI printed them,
+each in machine and text format with its exit code.  On each scheme:
+``verify``, ``redundancy``, ``pipeline`` and ``separator`` (``--gap 4`` on a
+Sum scheme, ``--bracket-c 4 --relax`` on a Match scheme).  The distribution
+files under ``tests/golden/inputs/`` are read by ``entropy`` (joint and
+conditional), ``goodset cells``, ``goodset blocks`` (on the support, for bit
+outcomes) and ``entropy-sum --dist``; ``entropy-sum --uniform`` runs the
+closed binomial form on four parameter sets.  The commands that read no file
+(``stretcher``, ``brackets`` in its four modes and ``build-scheme``) are
+pinned too.  Regenerate them only for a change that means to move a report,
+and say which fields moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -23,7 +24,7 @@ from itertools import product
 
 import pytest
 
-from cellprobe.cli import main
+from cellprobe.cli import OUTDIR_ENV, main
 from cellprobe.core import DOMAIN_ALL, KIND_MATCH, KIND_SUM, Scheme, TableDecoder, TableEncoder
 from cellprobe.schemeio import save_scheme
 from cellprobe.schemes import (
@@ -74,9 +75,13 @@ def render(name: str, workdir: str) -> dict[str, str]:
     separator = ["--bracket-c", "4", "--relax"] if scheme.kind == KIND_MATCH else ["--gap", "4"]
     return {
         "verify": _run(["verify", "--scheme", path, "--format", "machine"]),
+        "verify-text": _run(["verify", "--scheme", path, "--format", "text"]),
+        "redundancy": _run(["redundancy", "--scheme", path, "--format", "machine"]),
+        "redundancy-text": _run(["redundancy", "--scheme", path, "--format", "text"]),
         "pipeline": _run(["pipeline", "--scheme", path, "--c", c, "--format", "machine"]),
         "pipeline-text": _run(["pipeline", "--scheme", path, "--c", c, "--format", "text"]),
         "separator": _run(["separator", "--scheme", path, *separator, "--format", "machine"]),
+        "separator-text": _run(["separator", "--scheme", path, *separator, "--format", "text"]),
     }
 
 
@@ -127,8 +132,44 @@ def render_uniform(name: str, workdir: str) -> dict[str, str]:
             "entropy-sum-text": _run([*argv, "--format", "text"])}
 
 
+# name -> {command: argv} for the commands that read no input file
+TOOL_CASES = {
+    "stretcher20": {"stretcher": ["stretcher", "--indices", ",".join(map(str, range(1, 21))),
+                                  "--n", "256", "--c", "2"]},
+    # the window (0, 1, 2, 4, 8) holds no pair at c = 11/10
+    "stretcher_stuck": {"stretcher": ["stretcher", "--indices", "1,2,4,8", "--n", "16",
+                                      "--c", "11/10"]},
+    "brackets8": {
+        "brackets-count": ["brackets", "count", "--n", "8"],
+        "brackets-match": ["brackets", "match", "--x", "11010010", "--i", "2"],
+        "brackets-walk": ["brackets", "walk", "--d", "8"],
+        "brackets-list": ["brackets", "list", "--n", "8"],
+    },
+    # run in the work directory with a relative --out, so the printed path is stable
+    "two_level_rank8": {"build-scheme": ["build-scheme", "--name", "two_level_rank", "--n", "8",
+                                         "--alphabet", "9", "--param", "block=2",
+                                         "--param", "superblock=4", "--out", "rank8.scm"]},
+}
+
+
+def render_tool(name: str, workdir: str) -> dict[str, str]:
+    texts = {}
+    cwd, outdir = os.getcwd(), os.environ.pop(OUTDIR_ENV, None)
+    os.chdir(workdir)
+    try:
+        for command, argv in TOOL_CASES[name].items():
+            texts[command] = _run([*argv, "--format", "machine"])
+            texts[f"{command}-text"] = _run([*argv, "--format", "text"])
+    finally:
+        os.chdir(cwd)
+        if outdir is not None:
+            os.environ[OUTDIR_ENV] = outdir
+    return texts
+
+
 RENDERERS = {**{name: render for name in CASES}, **{name: render_dist for name in DIST_CASES},
-             **{name: render_uniform for name in UNIFORM_CASES}}
+             **{name: render_uniform for name in UNIFORM_CASES},
+             **{name: render_tool for name in TOOL_CASES}}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -148,6 +189,13 @@ def test_distribution_reports_match_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(UNIFORM_CASES))
 def test_uniform_entropy_sum_reports_match_golden(name, tmp_path):
     for command, text in render_uniform(name, str(tmp_path)).items():
+        with open(os.path.join(GOLDEN, f"{name}.{command}.txt"), encoding="ascii") as fh:
+            assert text == fh.read(), f"{name} {command} report moved"
+
+
+@pytest.mark.parametrize("name", sorted(TOOL_CASES))
+def test_tool_reports_match_golden(name, tmp_path):
+    for command, text in render_tool(name, str(tmp_path)).items():
         with open(os.path.join(GOLDEN, f"{name}.{command}.txt"), encoding="ascii") as fh:
             assert text == fh.read(), f"{name} {command} report moved"
 

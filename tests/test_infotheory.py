@@ -63,6 +63,21 @@ def test_from_rows_sums_counts_past_int64_exactly():
     assert entropy(d) == 1.0
 
 
+@pytest.mark.parametrize("counts", [[1.7, 1], [1.0, 1], ["1", 1], [None, 1]])
+def test_from_rows_refuses_a_count_that_is_not_an_integer(counts):
+    # a float count was truncated: [1.7, 1] read as 1/2, 1/2
+    with pytest.raises(DomainError):
+        Distribution.from_rows([[0], [1]], counts)
+
+
+@pytest.mark.parametrize("big", [2 ** 63, 2 ** 64, 3 ** 50])
+def test_from_rows_takes_a_python_count_past_int64_exactly(big):
+    d = Distribution.from_rows([[0], [1]], [big, 1])
+    assert d.denom == big + 1
+    assert d.items() == (((0,), Fraction(big, big + 1)), ((1,), Fraction(1, big + 1)))
+    assert Distribution.from_rows([[0]], [big]).items() == (((0,), Fraction(1)),)
+
+
 def test_from_rows_refuses_negative_counts():
     with pytest.raises(ParameterError):
         Distribution.from_rows([[0], [1]], [-1, 2])
