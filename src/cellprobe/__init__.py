@@ -54,8 +54,6 @@ from .errors import (
 from .infotheory import (
     Distribution,
     GoodSetReport,
-    HighEntropyCheck,
-    check_high_entropy_uniform,
     conditional_entropy,
     entropy,
     good_blocks,

@@ -124,37 +124,21 @@ def enumerate_bal(n: int) -> list[Bits]:
 def unmatched_open_prob(d: int) -> Fraction:
     """Pr over uniform x in {0,1}^d that x_1 is open and never matched in x.
 
-    Counted by a nesting-level walk: after the forced open at position 1 the
-    level starts at 1 and must never return to 0.
+    After the forced open at position 1 the nesting level starts at 1 and must
+    never return to 0 in the remaining d-1 bits.  A +-1 walk of d-1 steps that
+    never drops below its start has C(d-1, floor((d-1)/2)) paths (a ballot
+    count), so the probability is that count over 2^d.
     """
     if d < 1:
         raise ParameterError(f"window length must be >= 1, got {d}")
-    levels = {1: 1}
-    for _ in range(d - 1):
-        nxt: dict[int, int] = {}
-        for level, ways in levels.items():
-            nxt[level + 1] = nxt.get(level + 1, 0) + ways
-            if level - 1 >= 1:
-                nxt[level - 1] = nxt.get(level - 1, 0) + ways
-        levels = nxt
-    return Fraction(sum(levels.values()), 2**d)
+    return Fraction(math.comb(d - 1, (d - 1) // 2), 2**d)
 
 
 def unmatched_close_prob(d: int) -> Fraction:
     """Pr over uniform x in {0,1}^d that x_d is closed and never matched in x.
 
-    Tracks the stack height (count of currently unmatched opens); closes that
-    arrive at height 0 are absorbed.  x_d is an unmatched close exactly when
-    the height is 0 after the first d-1 bits.
+    x_d is an unmatched close exactly when the first d-1 bits end at their
+    running minimum of the nesting level; reversing those bits maps such walks
+    onto the walks of ``unmatched_open_prob``, so the two probabilities agree.
     """
-    if d < 1:
-        raise ParameterError(f"window length must be >= 1, got {d}")
-    heights = {0: 1}
-    for _ in range(d - 1):
-        nxt: dict[int, int] = {}
-        for height, ways in heights.items():
-            nxt[height + 1] = nxt.get(height + 1, 0) + ways
-            down = max(height - 1, 0)
-            nxt[down] = nxt.get(down, 0) + ways
-        heights = nxt
-    return Fraction(heights.get(0, 0), 2**d)
+    return unmatched_open_prob(d)

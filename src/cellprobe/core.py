@@ -43,8 +43,11 @@ _ENCODE_BUDGET_BYTES = 2 << 30
 
 def _row_keys(bits: np.ndarray) -> np.ndarray:
     """One byte-string key per row of a 0/1 matrix, for any width; keys sort as rows do."""
-    packed = np.ascontiguousarray(np.packbits(bits, axis=1))
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    (k, n), width = bits.shape, -(-bits.shape[1] // 8)
+    padded = np.zeros((k, 8 * width), dtype=np.uint8)  # whole bytes, so one flat pack
+    padded[:, :n] = bits
+    packed = np.packbits(padded.reshape(-1)).reshape(k, width)
+    return packed.view(np.dtype((np.void, width))).ravel()
 
 
 class TableEncoder:
@@ -76,7 +79,10 @@ class TableEncoder:
         """The table mapping row r of ``inputs`` (0/1 rows) to row r of ``cells``, sorted."""
         self = cls.__new__(cls)
         keys = _row_keys(inputs)
-        order = np.argsort(keys, kind="stable")
+        # keys compare as byte strings in the order they sort; a written table is in order
+        strings = keys.view(f"S{keys.itemsize}")
+        ordered = (strings[1:] >= strings[:-1]).all()
+        order = slice(None) if ordered else np.argsort(keys, kind="stable")
         self.inputs, self.cells, self._keys = inputs[order], cells[order], keys[order]
         return self
 

@@ -324,38 +324,6 @@ def _tv(tallies, denom: int, space: int) -> Fraction:
     return Fraction(present + (space - len(tallies)) * denom, 2 * denom * space)
 
 
-@dataclass(frozen=True)
-class HighEntropyCheck:
-    """Outcome of the near-uniformity test for a high-entropy distribution."""
-
-    entropy: float
-    floor: float            # lg|S| - alpha
-    precondition_ok: bool
-    distance: object        # Fraction | None
-    bound: float            # 4 * sqrt(alpha)
-    holds: bool
-
-
-def check_high_entropy_uniform(dist: Distribution, space, alpha: float) -> HighEntropyCheck:
-    """Check that entropy >= lg|S| - alpha forces TV-closeness 4*sqrt(alpha) to uniform.
-
-    ``space`` is the ambient set S the distribution lives in.  When the entropy
-    precondition fails the check reports that instead of a distance.
-    """
-    if alpha < 0:
-        raise ParameterError(f"alpha must be >= 0, got {alpha}")
-    space = {tuple(s) for s in space}
-    if not set(dist.support()) <= space:
-        raise DomainError("distribution support is not contained in the given space")
-    h = entropy(dist)
-    floor = math.log2(len(space)) - alpha
-    if h < floor - 1e-9:
-        return HighEntropyCheck(h, floor, False, None, 4 * math.sqrt(alpha), False)
-    dist_tv = tv_from_uniform(dist, len(space))
-    bound = 4 * math.sqrt(alpha)
-    return HighEntropyCheck(h, floor, True, dist_tv, bound, float(dist_tv) <= bound + 1e-9)
-
-
 # ---------------------------------------------------------------------------
 # good-index extraction
 

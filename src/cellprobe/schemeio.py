@@ -2,18 +2,16 @@
 
 Layout (all integers decimal):
 
-    n: 4
-    u: 4
+    n: 2
+    u: 2
     q: 1
-    cell_alphabet: 5
+    cell_alphabet: 3
     domain: all_bitstrings
     kind: sum
-    encoder: builtin:precomputed_sums cell_alphabet=5 n=4
+    encoder: builtin:precomputed_sums cell_alphabet=3 n=2
     probes:
       0
       1
-      2
-      3
     decoders: builtin
 
 Table-backed schemes replace the encoder line with ``encoder: table``
@@ -27,7 +25,7 @@ reproduces its bytes exactly.
 
 from __future__ import annotations
 
-from itertools import compress, takewhile
+import re
 
 import numpy as np
 
@@ -38,14 +36,11 @@ from .infotheory import group_rows
 from .schemes import build_builtin
 
 _HEADER_KEYS = ("n", "u", "q", "cell_alphabet", "domain", "kind")
-
-# byte -> bit for the characters of an input, -1 for any other byte
-_BIT = np.full(256, -1, dtype=np.int8)
-_BIT[list(b"01()")] = (0, 1, 1, 0)
-_TEXT = np.ones(256, dtype=bool)
-_TEXT[list(b" \t\n\r\x0b\x0c")] = False
-_NONDIGIT = _TEXT.copy()
-_NONDIGIT[list(b"0123456789")] = False
+_LINE = re.compile(r"^.*\S.*$", re.MULTILINE)
+_TOKEN = re.compile(rb"\S+")
+_NUMERAL = re.compile(rb"[+-]?[0-9]+")
+# the ASCII line breaks str.splitlines knows besides '\n', and '\x1f', which str.rstrip strips
+_ODD = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _values_key(values: tuple[int, ...]) -> str:
@@ -86,32 +81,17 @@ def _decoder_tables(scheme: Scheme) -> list[tuple[dict, int]]:
 
 
 def write_scheme(scheme: Scheme) -> str:
-    lines = [
-        f"n: {scheme.n}",
-        f"u: {scheme.u}",
-        f"q: {scheme.q}",
-        f"cell_alphabet: {scheme.cell_alphabet}",
-        f"domain: {scheme.domain}",
-        f"kind: {scheme.kind}",
-    ]
-    if scheme.builtin is not None:
-        lines.append(f"encoder: {_format_builtin(scheme.builtin)}")
-    else:
-        lines.append("encoder: table")
-        lines.extend(_encoder_lines(scheme))
-    lines.append("probes:")
-    for probe in scheme.probes:
-        lines.append(f"  {_values_key(probe)}")
-    if scheme.builtin is not None:
-        lines.append("decoders: builtin")
-    else:
-        lines.append("decoders: table")
-        for i, (table, default) in enumerate(_decoder_tables(scheme), start=1):
-            lines.append(f"  query {i}")
-            if default:
-                lines.append(f"    default {default}")
-            for values in sorted(table):
-                lines.append(f"    {_values_key(values)} -> {table[values]}")
+    table = scheme.builtin is None
+    lines = [f"{key}: {getattr(scheme, key)}" for key in _HEADER_KEYS]
+    lines += ["encoder: table", *_encoder_lines(scheme)] if table else [
+        f"encoder: {_format_builtin(scheme.builtin)}"]
+    lines += ["probes:", *(f"  {_values_key(probe)}" for probe in scheme.probes)]
+    lines.append(f"decoders: {'table' if table else 'builtin'}")
+    for i, (entries, default) in enumerate(_decoder_tables(scheme) if table else [], start=1):
+        lines.append(f"  query {i}")
+        if default:
+            lines.append(f"    default {default}")
+        lines += [f"    {_values_key(values)} -> {entries[values]}" for values in sorted(entries)]
     return "\n".join(lines) + "\n"
 
 
@@ -121,101 +101,141 @@ def save_scheme(scheme: Scheme, path) -> None:
 
 
 class _Lines:
+    """The non-blank lines of a text whose only line break is '\n', rstripped, from ``pos``."""
+
     def __init__(self, text: str):
-        self.lines = [ln.rstrip() for ln in text.splitlines()]
-        self.pos = 0
+        self.text, self.pos, self.next = text, 0, 0
 
     def peek(self) -> str | None:
-        while self.pos < len(self.lines) and not self.lines[self.pos].strip():
-            self.pos += 1
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
+        found = _LINE.search(self.text, self.pos)
+        if found:
+            self.pos, self.next = found.start(), found.end() + 1
+        return found and found.group().rstrip()
 
     def take(self) -> str:
-        line = self.peek()
-        if line is None:
+        if (line := self.peek()) is None:
             raise ParameterError("scheme file ended early")
-        self.pos += 1
+        self.pos = self.next
         return line
 
 
 def _parse_values(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if text == "-":
-        return ()
     try:
-        return tuple(int(tok) for tok in text.split())
+        return () if text == "-" else tuple(int(tok) for tok in text.split())
     except ValueError:
         raise ParameterError(f"expected integers, got {text!r}") from None
 
 
-def _refuse(bad, numbers: list[int], lines: list[str], n: int, width: int) -> None:
-    """Raise for the first encoder row flagged ``bad``, naming its line."""
-    if bad.any():
-        r = int(np.argmax(bad))
-        number, left, _, right = numbers[r] + 1, *lines[r].partition("->")
-        try:
-            parse_bits(left.strip()), _parse_values(right)
-        except CellProbeError as err:
-            raise type(err)(f"line {number}: {err}") from None
-        raise ParameterError(f"line {number}: an encoder row holds {n} bits, '->' and {width} "
-                             f"values in [-2^63, 2^63), got {lines[r].strip()!r}")
+def _refusal(number: int, line: str, n: int, width: int) -> CellProbeError:
+    """The error for a bad encoder row on line ``number``: its own parse error, if it has one."""
+    left, _, right = line.partition("->")
+    try:
+        parse_bits(left.strip()), _parse_values(right)
+    except CellProbeError as err:
+        return type(err)(f"line {number}: {err}")
+    return ParameterError(f"line {number}: an encoder row holds {n} bits, '->' and {width} "
+                          f"values in [-2^63, 2^63), got {line.strip()!r}")
+
+
+def _rows(mask: np.ndarray) -> np.ndarray:
+    """Which rows of a boolean matrix hold a True; one test of the whole matrix first."""
+    return mask.any(axis=1) if mask.any() else np.zeros(len(mask), dtype=bool)
+
+
+def _values(full: np.ndarray, at: np.ndarray):
+    """The numerals at columns 1.. of ``at``, token starts in ``full``, as int64, with masks of
+    the tokens that are no numeral and of the values past int64.  A numeral is a sign or none,
+    then digits: Horner's rule in uint64 reads up to 19 exactly, more go through Python int."""
+    b = full[at]
+    neg, sign = b == 45, (b == 45) | (b == 43)
+    if sign.any():
+        at += sign
+        b = full[at]
+    digit = b - np.uint8(48)
+    bad = digit > 9  # right after the sign a gap is no digit either
+    value = digit.astype(np.uint64)
+    live = ~bad
+    live[:, 0] = False  # column 0 is the input
+    for j in range(1, 20):
+        b = full[j:][at]
+        live &= b > 32  # a numeral ends at its first gap
+        digit = b - np.uint8(48)
+        bad |= live & (digit > 9)
+        live &= digit <= 9
+        if j == 19 or not live.any():
+            break
+        np.multiply(value, 10, out=value, where=live)
+        np.add(value, digit, out=value, where=live, casting="unsafe")
+    past = value > 2 ** 63 - 1 if j == 19 else np.zeros(value.shape, dtype=bool)  # 19 digits
+    if past.any():  # -2^63 fits
+        past &= (value != 2 ** 63) | ~neg
+    value = value.view(np.int64)
+    np.negative(value, out=value, where=neg)
+    for t in np.flatnonzero(live).tolist():  # 20 digits or more
+        token = _TOKEN.match(full.data, int(at.flat[t] - sign.flat[t])).group()
+        bad.flat[t] = not _NUMERAL.fullmatch(token)
+        past.flat[t] = not bad.flat[t] and not -2 ** 63 <= int(token) < 2 ** 63
+        value.flat[t] = int(token) if not (bad.flat[t] or past.flat[t]) else 0
+    return value[:, 1:], bad[:, 1:], past[:, 1:]
 
 
 def _read_encoder(src: _Lines, n: int) -> TableEncoder:
-    """The ``<bits> -> <values>`` rows after ``encoder: table``, parsed as one byte buffer."""
-    start = src.pos
-    src.pos += sum(1 for _ in takewhile(
-        lambda line: not line or line.startswith("  ") and "->" in line, src.lines[start:]))
-    numbers = list(compress(range(start, src.pos), src.lines[start:src.pos]))
-    if not numbers:
+    """The ``<bits> -> <values>`` rows after ``encoder: table``, read from one byte buffer
+    in numpy passes: the rows run to the first line that is neither blank nor indented two
+    spaces and holding a '->'."""
+    text, start, size = src.text, src.pos, len(src.text) - src.pos
+    span = min(max(n, 0), size) + 1  # an input token and the gap after it
+    # the rest of the text between two '\n', then room for reads to run past its end
+    full = np.full(size + span + 21, 10, dtype=np.uint8)
+    buf = full[:size + 2]
+    buf[1:-1] = np.frombuffer(text.encode("ascii", "replace"), np.uint8)[start:]
+    ends = np.flatnonzero(buf == 10)  # line j lies between ends[j] and ends[j + 1]
+    firsts, gt = ends[:-1] + 1, np.flatnonzero(buf == 62)
+    arrows = np.append(gt[buf[gt - 1] == 45] - 1, len(buf))
+    arrow = arrows[np.searchsorted(arrows, firsts)]  # each line's first '->', if before its end
+    row_like = (buf[firsts] == 32) & (full[firsts + 1] == 32) & (arrow < ends[1:])
+    full[arrow[row_like]] = full[arrow[row_like] + 1] = 32  # a row's first '->' ends its input
+    if np.count_nonzero(buf < 32) > len(ends):  # a tab is a gap, any other control byte text
+        ctrl = np.flatnonzero((buf < 32) & (buf != 10))
+        buf[ctrl] = np.where(buf[ctrl] == 9, 32, 63)
+    gap = buf <= 32  # tokens are the runs between gaps, now only ' ' and '\n'
+    starts = np.flatnonzero(gap[:-1] > gap[1:])
+    starts += 1
+    line_token = np.searchsorted(starts, ends)  # the index of each line's first token
+    count = np.diff(line_token)
+    stop = int(np.argmax(np.append(~row_like & (count > 0), True)))  # the first line past the rows
+    src.pos = start + int(ends[stop])
+    lines = np.flatnonzero(count[:stop])
+    if not len(lines):
         return TableEncoder({})
-    lines, k = [src.lines[i] for i in numbers], len(numbers)
-    # the '0' after the last newline is one token past every row
-    buf = np.frombuffer(bytearray("\n".join([*lines, "0"]), "ascii", "replace"), dtype=np.uint8)
-    ends = np.flatnonzero(buf == 10)
-    firsts = np.r_[0, ends[:-1] + 1]
-    arrows = np.flatnonzero((buf[:-1] == 45) & (buf[1:] == 62))
-    arrow = arrows[np.searchsorted(arrows, firsts)]
-    buf[arrow] = buf[arrow + 1] = 32  # a row's first '->' ends its input
-    # tokens are runs of text bytes; their bounds alternate start, stop (then size)
-    text = _TEXT[buf]
-    bounds = np.flatnonzero(np.diff(text.view(np.int8), prepend=np.int8(0), append=np.int8(0)))
-    bounds[1::2] -= bounds[0::2]
-    starts, size = bounds[0::2], bounds[1::2]
-    # per row: its first token, its first token right of the arrow, the next row's first
-    lo, mid, hi = (np.searchsorted(starts, at) for at in (firsts, arrow, ends))
-    dash = (hi - mid == 1) & (buf[starts[mid]] == 45) & (size[mid] == 1)
-    width = hi - mid - dash  # a lone '-' stands for no values
+    # per row: its first token, the next row's first, and its first token right of the arrow
+    lo, hi, arrow = line_token[lines], line_token[lines + 1], arrow[lines]
+    mid = np.minimum(lo + 1, len(starts) - 1)
+    odd = ~((starts[lo] < arrow) & ((hi == lo + 1) | (starts[mid] > arrow)))
+    mid[odd] = np.searchsorted(starts, arrow[odd])  # rows without one token left of '->'
+    at = starts[np.minimum(mid, len(starts) - 1)]
+    width = hi - mid - ((hi - mid == 1) & (full[at] == 45) & (full[at + 1] <= 32))  # '-' is none
     w = int(np.bincount(width).argmax())  # the value count most rows have
-    bad = (mid - lo != 1) | (size[lo] != n) | (width != w)
-    # a non-digit byte right of the arrow must open a signed value or be a lone '-'
-    odd = np.flatnonzero(_NONDIGIT[buf])
-    row = np.searchsorted(firsts, odd, side="right") - 1
-    odd, row = odd[odd > arrow[row]], row[odd > arrow[row]]
-    digit_next = (buf[odd + 1] >= 48) & (buf[odd + 1] <= 57)
-    sign = ((buf[odd] == 43) | (buf[odd] == 45)) & ~text[odd - 1] & digit_next
-    bad[row[~(sign | dash[row])]] = True
-    _refuse(bad, numbers, lines, n, w)
-    window = np.lib.stride_tricks.sliding_window_view(buf, n, writeable=True)
-    bits = _BIT[window[starts[lo]]]
-    bad = (bits < 0).any(axis=1)
-    # a value of 19 or more characters may pass int64: parse it exactly
-    long = np.flatnonzero(size > 18)
-    row = np.searchsorted(lo, long, side="right") - 1
-    for t, r in zip(long[long >= mid[row]].tolist(), row[long >= mid[row]].tolist()):
-        bad[r] |= not -2 ** 63 <= int(buf[starts[t]:starts[t] + size[t]].tobytes()) < 2 ** 63
-    _refuse(bad, numbers, lines, n, w)
-    window[starts[lo]] = buf[starts[mid[dash]]] = 32
-    del text, bounds, starts, size  # the token arrays outweigh the values parsed next
-    # fromstring reads blank text as one 0, so w = 0 skips it and the count is checked
-    cells = np.fromstring(buf[:-1].tobytes(), np.int64, sep=" ") if w else np.zeros(0, np.int64)
-    if cells.size != k * w:
-        raise ParameterError(f"encoder table: read {cells.size} cell values, expected {k * w}")
-    enc = TableEncoder.from_rows(bits, cells.reshape(k, w))
-    same = np.flatnonzero((enc.inputs[1:] == enc.inputs[:-1]).all(axis=1))
+    win = np.lib.stride_tricks.sliding_window_view(full, span)[starts[lo]]
+    gap = win <= 32  # an input token is n bytes and a gap
+    bad = (mid - lo != 1) | (width != w) | (n != span - 1) | ~gap[:, -1] | _rows(gap[:, :-1])
+    m = int(np.argmax(bad)) if bad.any() else len(lines)  # rows before m hold 1 + w tokens
+    cells, malformed, past = _values(full, starts[lo[0]:lo[0] + m * (1 + w)].reshape(m, 1 + w))
+    bad[:m] |= _rows(malformed)
+    win = win[:, :-1]
+    bits = (win == 49) | (win == 40)  # '1' and '(' are 1, '0' and ')' are 0
+    if not bad.any():
+        bad = _rows(~(bits | (win == 48) | (win == 41))) | _rows(past)
+    number = text.count("\n", 0, start) + 1 + lines  # the line number of each row
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise _refusal(number[r], text[start + ends[lines[r]]:start + ends[lines[r] + 1] - 1], n, w)
+    enc = TableEncoder.from_rows(bits.view(np.int8), cells)
+    same = np.flatnonzero(enc._keys[1:] == enc._keys[:-1])
     if len(same):
-        first, again = np.flatnonzero((bits == enc.inputs[same[0]]).all(axis=1))[:2]
-        raise ParameterError(f"line {numbers[again] + 1}: input repeats line {numbers[first] + 1}")
+        first, again = number[(bits == enc.inputs[same[0]]).all(axis=1)][:2]
+        raise ParameterError(f"line {again}: input repeats line {first}")
     return enc
 
 
@@ -227,8 +247,7 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def _parse_builtin(spec: str):
-    head, _, rest = spec.partition(" ")
-    name = head[len("builtin:"):]
+    name, _, rest = spec[len("builtin:"):].partition(" ")
     params = {}
     for tok in rest.split():
         key, eq, value = tok.partition("=")
@@ -240,6 +259,9 @@ def _parse_builtin(spec: str):
 
 def read_scheme(text: str) -> Scheme:
     """Parse a scheme document, rebuilding builtins and cross-checking headers."""
+    if not text.isascii() or any(c in text for c in _ODD):
+        # the lines the line-by-line reader saw: split by str.splitlines, each rstripped
+        text = "\n".join(line.rstrip() for line in text.splitlines())
     src = _Lines(text)
     header: dict[str, str] = {}
     for key in _HEADER_KEYS:
@@ -249,54 +271,41 @@ def read_scheme(text: str) -> Scheme:
             raise ParameterError(f"expected header {key!r}, got {line!r}")
         header[key] = value.strip()
     try:
-        n = int(header["n"])
-        u = int(header["u"])
-        q = int(header["q"])
-        alphabet = int(header["cell_alphabet"])
+        n, u, q, alphabet = (int(header[key]) for key in _HEADER_KEYS[:4])
     except ValueError as exc:
         raise ParameterError(f"non-integer header field: {exc}") from None
-    domain = header["domain"]
+    domain, kind = header["domain"], header["kind"]
     if domain not in (DOMAIN_ALL, DOMAIN_BAL):
         raise ParameterError(f"unknown domain {domain!r}")
-    kind = header["kind"]
-
     line = src.take()
     if not line.startswith("encoder:"):
         raise ParameterError(f"expected encoder line, got {line!r}")
     enc_spec = line.partition(":")[2].strip()
-    builtin_params = None
-    encoder = None
+    builtin_params = encoder = None
     if enc_spec.startswith("builtin:"):
         builtin_params = _parse_builtin(enc_spec)
     elif enc_spec == "table":
         encoder = _read_encoder(src, n)
     else:
         raise ParameterError(f"encoder must be builtin:<name> or table, got {enc_spec!r}")
-
     line = src.take()
     if line.strip() != "probes:":
         raise ParameterError(f"expected 'probes:', got {line!r}")
     probes = tuple(_parse_values(src.take()) for _ in range(n))
-
     line = src.take()
     if not line.startswith("decoders:"):
         raise ParameterError(f"expected decoders line, got {line!r}")
     dec_spec = line.partition(":")[2].strip()
-
     if builtin_params is not None:
         if dec_spec != "builtin":
             raise ParameterError("builtin encoder requires 'decoders: builtin'")
         name, params = builtin_params
         scheme = build_builtin(name, **params)
         stated = (n, u, q, alphabet, domain, kind, probes)
-        actual = (
-            scheme.n, scheme.u, scheme.q, scheme.cell_alphabet,
-            scheme.domain, scheme.kind, scheme.probes,
-        )
+        actual = tuple(getattr(scheme, key) for key in (*_HEADER_KEYS, "probes"))
         if stated != actual:
             raise ConsistencyError(
-                f"scheme file disagrees with builtin {name!r}: stated {stated}, built {actual}"
-            )
+                f"scheme file disagrees with builtin {name!r}: stated {stated}, built {actual}")
         return scheme
 
     if dec_spec != "table":
@@ -306,8 +315,7 @@ def read_scheme(text: str) -> Scheme:
         line = src.take()
         if line.strip() != f"query {i}":
             raise ParameterError(f"expected 'query {i}', got {line!r}")
-        default = 0
-        table = {}
+        default, table = 0, {}
         while (peeked := src.peek()) is not None and peeked.startswith("    "):
             entry = src.take().strip()
             if entry.startswith("default "):
@@ -319,21 +327,13 @@ def read_scheme(text: str) -> Scheme:
             table[_parse_values(left)] = _parse_int(right.strip(), f"query {i} answer")
         decoders.append(TableDecoder(table, default))
 
-    scheme = Scheme(
-        n=n,
-        u=u,
-        cell_alphabet=alphabet,
-        domain=domain,
-        kind=kind,
-        probes=probes,
-        encoder=encoder,
-        decoders=tuple(decoders),
-    )
+    scheme = Scheme(n=n, u=u, cell_alphabet=alphabet, domain=domain, kind=kind, probes=probes,
+                    encoder=encoder, decoders=tuple(decoders))
     if scheme.q != q:
         raise ConsistencyError(f"header says q={q} but probe sets give q={scheme.q}")
     return scheme
 
 
 def load_scheme(path) -> Scheme:
-    with open(path, "r", encoding="ascii") as fh:
-        return read_scheme(fh.read())
+    with open(path, "rb") as fh:
+        return read_scheme(fh.read().decode("ascii"))

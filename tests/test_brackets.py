@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import reference
 from cellprobe import (
     DomainError,
     ParameterError,
@@ -123,6 +124,15 @@ def test_unmatched_frozen_values():
     assert unmatched_open_prob(4) == Fraction(3, 16)
     with pytest.raises(ParameterError):
         unmatched_open_prob(0)
+
+
+def test_closed_form_matches_the_walks():
+    opens, closes = reference.unmatched_open_probs(400), reference.unmatched_close_probs(400)
+    for d in range(1, 401):
+        assert unmatched_open_prob(d) == opens[d - 1]
+        assert unmatched_close_prob(d) == closes[d - 1]
+    with pytest.raises(ParameterError):
+        unmatched_close_prob(0)
 
 
 def test_open_equals_close_by_reversal():

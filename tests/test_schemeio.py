@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -28,6 +29,7 @@ from cellprobe.brackets import enumerate_bal
 from cellprobe.cli import main
 from cellprobe.core import DOMAIN_ALL, DOMAIN_BAL, KIND_MATCH, KIND_SUM
 from cellprobe.schemes import build_bracket_table, build_precomputed_sums, build_two_level_rank
+import reference
 from reference import domain_inputs, oracle_all
 
 
@@ -266,6 +268,147 @@ def test_any_text_reads_as_a_scheme_or_a_usage_error(text):
             scheme.encoded()
         except CellProbeError:
             pass
+
+
+# values of 19 and 20 characters at both ends of int64, inside and just outside it
+_EDGE_VALUES = ("9223372036854775807", "9223372036854775808", "-9223372036854775808",
+                "-9223372036854775809", "+9223372036854775807", "09223372036854775807",
+                "09223372036854775808", "-09223372036854775808", "99999999999999999999")
+
+
+def _edit_row(draw, row: str) -> str:
+    """One edit of an encoder row ``  <bits> -> <values>``, of a kind the reader must judge."""
+    left, _, right = row.partition("->")
+    values = right.split()
+    kind = draw(st.sampled_from(["tab", "sign", "edge", "dash", "arrow", "letter", "spaces"]))
+    if kind == "tab":
+        at = draw(st.integers(0, len(row)))
+        return row[:at] + "\t" + row[at:]
+    if kind == "arrow":  # a second '->', none, or one in another place
+        tokens, at = left.split() + ["->"] + values, len(left.split())
+        step = at + 1 if values else max(at - 1, 0)
+        tokens[at], tokens[step] = tokens[step], tokens[at]  # the arrow one token later or earlier
+        return draw(st.sampled_from([row + " -> 1", row.replace("->", "-> ->"),
+                                     row.replace("->", ""), row.replace(" -> ", "->"),
+                                     row.replace("->", "-->"), "  " + " ".join(tokens)]))
+    if kind == "spaces":  # an indent other than two spaces, or bits split or spaced out
+        return draw(st.sampled_from([row.lstrip(), " " + row, "\t" + row.lstrip(), row + "  ",
+                                     row.replace(left.strip(), " ".join(left.strip()), 1)]))
+    if kind == "dash":
+        return draw(st.sampled_from([left + "-> -", left + "-> - 1", left + "-> --", left + "->",
+                                     left + "-> -1", left + "-> +"]))
+    if not values or values == ["-"]:
+        return row + draw(st.sampled_from(["", " 0", " +0", " é"]))
+    i = draw(st.integers(0, len(values) - 1))
+    if kind == "sign":
+        values[i] = draw(st.sampled_from(["+", "-", "+-", "--", "-+"])) + values[i]
+    elif kind == "edge":
+        values[i] = draw(st.sampled_from(_EDGE_VALUES))
+    else:  # a non-digit inside a value, or a byte past ASCII
+        at = draw(st.integers(0, len(values[i])))
+        letter = draw(st.sampled_from(["x", "_", ".", "/", ":", "é", "\u2028", "\xa0", "\x00"]))
+        values[i] = values[i][:at] + letter + values[i][at:]
+    return left + "-> " + " ".join(values)
+
+
+@st.composite
+def edited_table_texts(draw):
+    """A small table scheme file as written, or with one to three edits to its encoder rows,
+    blank lines, line endings or characters."""
+    scheme, _ = draw(table_schemes(max_n=4))
+    lines = write_scheme(scheme).split("\n")
+    rows = [i for i, line in enumerate(lines) if line.startswith("  ") and "->" in line
+            and not line.startswith("    ")]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["row", "row", "row", "repeat", "blank", "crlf", "char"]))
+        at = draw(st.sampled_from(rows)) if rows else 0
+        if kind == "row" and rows:
+            lines[at] = _edit_row(draw, lines[at])
+        elif kind == "repeat" and rows:  # one row's input on another row
+            bits = lines[draw(st.sampled_from(rows))].lstrip().partition(" ")[0]
+            lines[at] = "  " + bits + " " + lines[at].lstrip().partition(" ")[2]
+        elif kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", "  ", " \t ", "\t", "\r", "\x0c", "\x1f"])))
+        elif kind == "crlf":
+            lines = [line + "\r" for line in lines]
+        else:
+            line = lines[at]
+            cut = draw(st.integers(0, len(line)))
+            piece = draw(st.sampled_from(list("é\x85\x0b\x1c\x01 01-")))
+            lines[at] = line[:cut] + piece + line[cut + draw(st.integers(0, 1)):]
+    return "\n".join(lines)
+
+
+def _read_outcome(read, text):
+    """The scheme ``read`` makes of ``text``, with its table as lists, or its error."""
+    try:
+        scheme = read(text)
+    except Exception as err:  # the two readers must fail alike, whatever they raise
+        return type(err), str(err)
+    enc = scheme.encoder
+    table = (enc.inputs.tolist(), enc.cells.tolist()) if isinstance(enc, TableEncoder) else None
+    return scheme, table
+
+
+@settings(max_examples=400, deadline=None)
+@given(edited_table_texts())
+def test_byte_reader_matches_the_line_reader(text):
+    assert _read_outcome(read_scheme, text) == _read_outcome(reference.read_scheme, text)
+
+
+_ROW = "  01 -> 0 1"
+# (edit, old text, new text) on the table of _table_scheme; "u0" edits the table of _no_cells2
+_LISTED_EDITS = [
+    ("blank line", _ROW, "\n" + _ROW), ("spaces and tab line", _ROW, " \t \n" + _ROW),
+    ("unit separator line", _ROW, "\x1f\n" + _ROW), ("crlf", "\n", "\r\n"),
+    ("lone cr", _ROW + "\n", _ROW + "\r"), ("form feed", _ROW + "\n", _ROW + "\x0c"),
+    ("tabs between tokens", _ROW, "  01\t->\t0\t1"), ("tab indent", _ROW, "\t01 -> 0 1"),
+    ("trailing tab", _ROW, _ROW + "\t"), ("signs", _ROW, "  01 -> +0 -1"),
+    ("signs again", _ROW, "  01 -> -0 +1"), ("double sign", _ROW, "  01 -> --0 1"),
+    ("sign after", _ROW, "  01 -> 0 1-"), ("lone plus", _ROW, "  01 -> 0 +"),
+    *((f"edge {v}", _ROW, f"  01 -> 0 {v}") for v in _EDGE_VALUES),
+    ("u0 two dashes", "  01 -> -", "  01 -> - -"), ("u0 nothing", "  01 -> -", "  01 ->"),
+    ("u0 plus", "  01 -> -", "  01 -> +"), ("u0 value", "  01 -> -", "  01 -> 0"),
+    ("u0 signed zero", "  01 -> -", "  01 -> -0"), ("second arrow", _ROW, "  01 -> 0 -> 1"),
+    ("arrow at end", _ROW, _ROW + " ->"), ("arrow one token late", _ROW, "  01 0 -> 1"),
+    ("arrow first", _ROW, "  -> 01 0 1"), ("arrow unspaced", _ROW, "  01->0 1"),
+    *((f"{c!r} in a value", _ROW, f"  01 -> 0 1{c}5") for c in "x:/_."),
+    ("byte past ascii", _ROW, _ROW + "é"), ("nbsp inside", _ROW, "  01 -> 0 \xa01"),
+    ("nbsp after", _ROW, _ROW + "\xa0"), ("line separator", _ROW, _ROW + "\u2028"),
+    ("control byte", _ROW, "  01 -> 0 \x011"), ("repeated input", _ROW, "  00 -> 0 1"),
+    ("bracket bit", _ROW, "  0( -> 0 1"), ("long input", _ROW, "  012 -> 0 1"),
+    ("short input", _ROW, "  0 -> 0 1"), ("split input", _ROW, "  0 1 -> 0 1"),
+]
+
+
+@pytest.mark.parametrize("edit,old,new", _LISTED_EDITS, ids=[e[0] for e in _LISTED_EDITS])
+def test_byte_reader_matches_the_line_reader_on_listed_edits(edit, old, new):
+    text = write_scheme(_no_cells2() if edit.startswith("u0") else _table_scheme())
+    assert old in text
+    text = text.replace(old, new) if edit == "crlf" else text.replace(old, new, 1)
+    assert _read_outcome(read_scheme, text) == _read_outcome(reference.read_scheme, text)
+
+
+@pytest.mark.parametrize("where", ["header", "encoder row", "decoder"])
+def test_a_byte_past_ascii_is_a_usage_error(where, tmp_path, capsys):
+    text = write_scheme(_table_scheme())
+    old = {"header": "kind: sum", "encoder row": "  01 -> 0 1", "decoder": "    1 -> 1"}[where]
+    path = tmp_path / "utf8.scm"
+    path.write_bytes(text.replace(old, old + "é", 1).encode("utf-8"))
+    assert main(["verify", "--scheme", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_reading_the_mirror_table_stays_under_40_mib():
+    text = write_scheme(_mirror16())
+    tracemalloc.start()
+    try:
+        read_scheme(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 @st.composite
