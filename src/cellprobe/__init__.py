@@ -6,6 +6,7 @@ pipelines that replay the argument against a concrete scheme.
 
 from .bits import Bits, bits_to_str, parse_bits, prefix_sums, validate_bits
 from .brackets import (
+    balanced_rows,
     catalan_count,
     enumerate_bal,
     is_balanced,

@@ -96,29 +96,33 @@ def catalan_count(n: int) -> int:
     return math.comb(n, half) // (half + 1)
 
 
-def enumerate_bal(n: int) -> list[Bits]:
-    """All balanced strings of length ``n`` in lexicographic order (0 < 1)."""
+def balanced_rows(n: int) -> np.ndarray:
+    """All balanced strings of length ``n`` as the rows of an int8 matrix, in
+    lexicographic order (0 < 1).
+
+    Built a position at a time over the prefixes, each held as its value and
+    depth: a prefix takes a 0 while its depth is positive and a 1 while the
+    positions left can still close it.  The values are sorted, then unpacked.
+    """
     if n < 0 or n % 2:
         raise ParameterError(f"balanced strings need even non-negative length, got {n}")
     if n > ENUMERATION_LIMIT:
         raise SizeError(f"refusing to enumerate balanced strings of length {n} > {ENUMERATION_LIMIT}")
-    out: list[Bits] = []
-    buf = [0] * n
+    values = np.zeros(1, dtype=np.int64)
+    depth = np.zeros(1, dtype=np.int64)
+    for pos in range(n):
+        close, open_ = depth > 0, depth + 1 <= n - pos - 1
+        values = np.concatenate((2 * values[close], 2 * values[open_] + 1))
+        depth = np.concatenate((depth[close] - 1, depth[open_] + 1))
+    values.sort()
+    # n <= 28 bits: four big-endian bytes per value, of which the last n bits are the string
+    words = values.astype(">u4").view(np.uint8).reshape(len(values), 4)
+    return np.unpackbits(words, axis=1)[:, 32 - n:].astype(np.int8)
 
-    def rec(pos: int, depth: int) -> None:
-        if pos == n:
-            out.append(tuple(buf))
-            return
-        if depth > 0:
-            buf[pos] = 0
-            rec(pos + 1, depth - 1)
-        # an open bracket is legal while the remaining positions can close it
-        if depth + 1 <= n - pos - 1:
-            buf[pos] = 1
-            rec(pos + 1, depth + 1)
 
-    rec(0, 0)
-    return out
+def enumerate_bal(n: int) -> list[Bits]:
+    """All balanced strings of length ``n`` in lexicographic order (0 < 1), as tuples."""
+    return list(map(tuple, balanced_rows(n).tolist()))
 
 
 def unmatched_open_prob(d: int) -> Fraction:

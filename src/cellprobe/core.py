@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .bits import Bits, validate_bits
-from .brackets import catalan_count, enumerate_bal, is_balanced, match_rows
+from .brackets import balanced_rows, catalan_count, is_balanced, match_rows
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -28,7 +28,7 @@ from .errors import (
     RangeError,
     SizeError,
 )
-from .infotheory import group_rows
+from .infotheory import fold_keys, group_rows, is_dense
 
 DOMAIN_ALL = "all_bitstrings"
 DOMAIN_BAL = "balanced_brackets"
@@ -84,13 +84,24 @@ class TableEncoder:
         ordered = (strings[1:] >= strings[:-1]).all()
         order = slice(None) if ordered else np.argsort(keys, kind="stable")
         self.inputs, self.cells, self._keys = inputs[order], cells[order], keys[order]
+        # __call__ hands out slices of the table
+        self.inputs.flags.writeable = self.cells.flags.writeable = False
         return self
 
     def __call__(self, bits: np.ndarray) -> np.ndarray:
-        """The cells of every row of a 0/1 bits matrix, by one sorted-key search."""
+        """The cells of every row of a 0/1 bits matrix.
+
+        A block that is a run of the table's own rows in order, as ``Scheme.encoded()``
+        asks for, is found by its first key and read as one slice; any other block
+        is looked up row by row with one sorted-key search.
+        """
         found = np.zeros(len(bits), dtype=bool)
         pos = np.zeros(len(bits), dtype=np.int64)
         if len(self._keys) and bits.shape[1] == self.inputs.shape[1]:
+            start = int(np.searchsorted(self._keys, _row_keys(bits[:1]))[0]) if len(bits) else 0
+            run = slice(start, start + len(bits))
+            if np.array_equal(self.inputs[run], bits):
+                return self.cells[run]
             keys = _row_keys(bits)
             pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
             found = self._keys[pos] == keys
@@ -120,10 +131,27 @@ class TableDecoder:
             raise ParameterError("decoder answers must lie in [-2^63, 2^63)")
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """The answer for every row of a values matrix, one lookup per distinct row."""
-        first, inverse = group_rows(values)
-        out = [self.table.get(tuple(row), self.default) for row in values[first].tolist()]
-        return np.array(out, dtype=np.int64)[inverse]
+        """The answer for every row of a values matrix, one lookup per distinct row.
+
+        Each row folds into one base-radix key.  While the key space is small beside
+        the rows, the keys present are found by counting and each is looked up once;
+        past that, the rows are grouped by ``group_rows``'s sort.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        (k, w), get = values.shape, self.table.get
+        lo = int(values.min()) if values.size else 0
+        radix = int(values.max()) - lo + 1 if values.size else 1
+        space = radix ** w
+        if not is_dense(space, k):
+            first, inverse = group_rows(values)
+            out = [get(tuple(row), self.default) for row in values[first].tolist()]
+            return np.array(out, dtype=np.int64)[inverse]
+        key = fold_keys(values.T, k, radix, lo)
+        present = np.flatnonzero(np.bincount(key, minlength=space))
+        rows = present[:, None] // radix ** np.arange(w - 1, -1, -1) % radix + lo
+        answers = np.zeros(space, dtype=np.int64)
+        answers[present] = [get(row, self.default) for row in map(tuple, rows.tolist())]
+        return answers[key]
 
     def __eq__(self, other):
         return (
@@ -223,7 +251,7 @@ class Scheme:
                 f"{_ENCODE_BUDGET_BYTES}-byte budget; encode a prefix with --max-inputs")
         bits = np.empty((size, self.n), dtype=np.int8)
         cells = np.empty((size, self.u), dtype=np.int64)
-        balanced = None if self.domain == DOMAIN_ALL else enumerate_bal(self.n)
+        balanced = None if self.domain == DOMAIN_ALL else balanced_rows(self.n)
         # input number r has bit j at shift n-1-j; the budget keeps r < 2^63
         shifts = np.minimum(np.arange(self.n - 1, -1, -1), 63)
         for start in range(0, size, _ENCODE_CHUNK):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import fsum
@@ -210,14 +210,27 @@ def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inverse = np.empty(k, dtype=np.int64)
         inverse[order] = np.cumsum(starts) - 1
         return order[starts], inverse
-    # fold each row into one key; key order is lexicographic row order
-    key = np.zeros(k, dtype=np.int64)
-    for c in range(w):
-        key = key * radix + (values[:, c] - lo)
+    key = fold_keys(values.T, k, radix, lo)
     # the narrowest unsigned key type lets numpy's stable sort use radix passes
     key = key.astype(np.min_scalar_type(space - 1))
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return first, inverse.reshape(k)
+
+
+def fold_keys(columns, k: int, radix: int, lo: int = 0) -> np.ndarray:
+    """One int64 key per row of k-long value columns: the values less ``lo`` read as
+    base-``radix`` digits, the first column most significant, so keys sort as rows do.
+    The caller keeps radix ** len(columns) within int64."""
+    key = np.zeros(k, dtype=np.int64)
+    for col in columns:
+        key *= radix
+        key += col - lo if lo else col
+    return key
+
+
+def is_dense(space: int, k: int) -> bool:
+    """Whether an array over all ``space`` keys is cheap beside k rows (then it fits int64)."""
+    return space <= max(4 * k, 1 << 16)
 
 
 def sum_by(groups: int, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -304,14 +317,18 @@ def _tallies(columns, counts, denom: int, m: int) -> np.ndarray:
     """Total count of each base-m key the columns spell, in key order: all m^k slots by
     ``np.bincount`` while few and float-exact (denom < 2^53), else the keys present, by a sort."""
     space = m ** len(columns)
-    if space > max(4 * len(counts), 1 << 16) or denom >= 2 ** 53:
+    if not is_dense(space, len(counts)) or denom >= 2 ** 53:
         first, inverse = group_rows(np.array(columns, np.int64).reshape(len(columns), len(counts)).T)
         return sum_by(len(first), inverse, counts)
-    key = np.zeros(len(counts), dtype=np.int64)
-    for col in columns:
-        key *= m
-        key += col
+    key = fold_keys(columns, len(counts), m)
     return np.bincount(key, weights=counts, minlength=space).astype(np.int64)
+
+
+def value_columns(rows: np.ndarray, m: int) -> np.ndarray:
+    """The columns of a matrix of values in [0, m) as the rows of a C-order matrix, so
+    each reads contiguously, in the narrowest unsigned type that holds them (int64 past
+    2^32, since a uint64 column would not add into an int64 key)."""
+    return rows.T.astype(np.min_scalar_type(m - 1) if m <= 2 ** 32 else np.int64, order="C")
 
 
 def _tv(tallies, denom: int, space: int) -> Fraction:
@@ -335,6 +352,8 @@ class GoodSetReport:
     ``good`` uses 1-based indices (block k, or the k-th kept cell column).
     ``scores`` holds the measured quantity each index was judged by: the
     conditional entropy for blocks, the marginal entropy deficiency for cells.
+    ``subset_tvs`` maps each q-subset of cells that was counted (0-based, sorted)
+    to its exact distance from uniform; it takes no part in equality.
     """
 
     kind: str
@@ -344,6 +363,7 @@ class GoodSetReport:
     scores: tuple[float, ...]
     size_bound: float
     size_bound_ok: bool
+    subset_tvs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def validate_blocks(sizes, n: int) -> tuple[int, ...]:
@@ -438,14 +458,15 @@ def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> 
     if n_subsets > max_subsets and not all_fail:
         raise SizeError(f"{n_subsets} subsets of size {q} exceed the exhaustive limit {max_subsets}")
     a = u * math.log2(alphabet) - math.log2(len(dist))
-    by_col = np.ascontiguousarray(dist.rows.T)  # each column read contiguously
+    by_col = value_columns(dist.rows, alphabet)
     deficiency = tuple(math.log2(alphabet) - _column_entropy(col, dist.counts, dist.denom, alphabet)
                        for col in by_col)
 
     alive = set(sorted(range(u), key=lambda c: (deficiency[c], -c))[:q - 1] if all_fail else range(u))
-    failing = [] if all_fail else [
-        s for s in combinations(range(u), q)
-        if columns_tv([by_col[c] for c in s], dist.counts, dist.denom, alphabet) > eta_f]
+    tvs = {} if all_fail else {
+        s: columns_tv([by_col[c] for c in s], dist.counts, dist.denom, alphabet)
+        for s in combinations(range(u), q)}
+    failing = [s for s, tv in tvs.items() if tv > eta_f]
     while failing:
         involved: dict[int, int] = {}
         for subset in failing:
@@ -465,4 +486,5 @@ def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> 
         scores=deficiency,
         size_bound=size_bound,
         size_bound_ok=len(good) >= size_bound - 1e-9,
+        subset_tvs=tvs,
     )

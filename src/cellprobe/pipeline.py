@@ -46,7 +46,7 @@ from .core import (
 )
 from .entropy_sum import entropy_sum_analysis
 from .errors import ParameterError, SizeError
-from .infotheory import Distribution, columns_tv, good_blocks, good_cells
+from .infotheory import Distribution, columns_tv, good_blocks, good_cells, value_columns
 from .separator import _BRACKET_EXPONENT_LIMIT, find_separator, find_separator_brackets, pairwise_disjoint
 from .stretcher import StretcherWindowError, find_stretcher
 from .textfmt import fmt, fmt_short, machine_value as _mval
@@ -298,11 +298,20 @@ def _good_cells(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set, head
     good0 = frozenset(range(u_p)) if report is None else frozenset(k - 1 for k in report.good)
     v2 = tuple(v for v in v_set if set(rs.renamed_probes[v - 1]) <= good0)
     pair_list = list(combinations(v2, 2))
-    by_col = np.ascontiguousarray(y_dist.rows.T) if pair_list else None
+    # good_cells counted every subset_size-subset unless the support bound or a SizeError
+    # stopped it, and TV to uniform does not depend on column order: only pairs on fewer
+    # distinct cells, or not counted there, are counted here, from a copy made on demand
+    counted = report.subset_tvs if report else {}
+    by_col = None
     max_tv = Fraction(0)
     for i, j in pair_list:
         cols = rs.renamed_probes[i - 1] + rs.renamed_probes[j - 1]
-        max_tv = max(max_tv, columns_tv([by_col[c] for c in cols], y_dist.counts, y_dist.denom, m))
+        tv = counted.get(tuple(sorted(cols)))
+        if tv is None:
+            if by_col is None:
+                by_col = value_columns(y_dist.rows, m)
+            tv = columns_tv([by_col[c] for c in cols], y_dist.counts, y_dist.denom, m)
+        max_tv = max(max_tv, tv)
     stages.append(StageRecord(
         "good-cells",
         (

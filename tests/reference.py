@@ -4,11 +4,13 @@ The package encodes and decodes whole matrices; these are the plain
 one-input-at-a-time formulas: the builtin schemes' encoders and decoders as
 tuple closures, a Python prefix-sum and Match oracle, a verification loop
 that asks the scheme one (input, query) pair at a time, the staged
-separators on frozensets, and the good-cells filter that builds one
-marginal per subset.  Also kept here: the nesting-level walks that
-counted the unmatched-bracket probabilities before their closed form, the
-float near-uniformity check no package code calls, and the line-by-line
-scheme-file reader the byte-buffer reader is checked against.
+separators on frozensets, the good-cells filter that builds one
+marginal per subset, the recursive balanced-string enumeration and the
+table decoder that groups its rows by a sort.  Also kept here: the
+nesting-level walks that counted the unmatched-bracket probabilities before
+their closed form, the float near-uniformity check no package code calls,
+and the line-by-line scheme-file reader the byte-buffer reader is checked
+against.
 """
 
 import math
@@ -35,12 +37,12 @@ from cellprobe import (
     TableEncoder,
     build_builtin,
     entropy,
-    enumerate_bal,
     parse_bits,
     prefix_sums,
     scan_matches,
     tv_from_uniform,
 )
+from cellprobe.infotheory import group_rows
 from cellprobe.separator import (
     _BRACKET_EXPONENT_LIMIT,
     BracketSeparatorResult,
@@ -73,11 +75,41 @@ def oracle_all(scheme, x) -> tuple[int, ...]:
     return prefix_sum_all(x) if scheme.kind == KIND_SUM else match_all(x)
 
 
+def enumerate_bal(n: int) -> list:
+    """All balanced strings of length ``n`` in lexicographic order (0 < 1), by recursion."""
+    if n < 0 or n % 2:
+        raise ParameterError(f"balanced strings need even non-negative length, got {n}")
+    out: list = []
+    buf = [0] * n
+
+    def rec(pos: int, depth: int) -> None:
+        if pos == n:
+            out.append(tuple(buf))
+            return
+        if depth > 0:
+            buf[pos] = 0
+            rec(pos + 1, depth - 1)
+        # an open bracket is legal while the remaining positions can close it
+        if depth + 1 <= n - pos - 1:
+            buf[pos] = 1
+            rec(pos + 1, depth + 1)
+
+    rec(0, 0)
+    return out
+
+
 def domain_inputs(scheme) -> list:
     """All domain elements in lexicographic order."""
     if scheme.domain == DOMAIN_ALL:
         return list(product((0, 1), repeat=scheme.n))
     return enumerate_bal(scheme.n)
+
+
+def table_decode(decoder: TableDecoder, values) -> np.ndarray:
+    """``TableDecoder.__call__`` by grouping the rows with a sort, then one lookup per group."""
+    first, inverse = group_rows(values)
+    out = [decoder.table.get(tuple(row), decoder.default) for row in values[first].tolist()]
+    return np.array(out, dtype=np.int64)[inverse]
 
 
 def loop_verify(scheme):

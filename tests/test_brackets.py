@@ -14,6 +14,7 @@ from cellprobe import (
     ParameterError,
     RangeError,
     SizeError,
+    balanced_rows,
     catalan_count,
     enumerate_bal,
     is_balanced,
@@ -82,6 +83,17 @@ def test_catalan_count_matches_enumeration():
         assert all(is_balanced(s) for s in strings)
         assert strings == sorted(strings)
         assert len(set(strings)) == len(strings)
+
+
+def test_balanced_rows_equals_the_recursive_enumeration():
+    for n in range(0, 23, 2):
+        rows = balanced_rows(n)
+        assert rows.dtype == np.int8 and rows.shape == (catalan_count(n), n)
+        assert rows.flags.c_contiguous
+        assert list(map(tuple, rows.tolist())) == reference.enumerate_bal(n) == enumerate_bal(n)
+    for bad, error in ((3, ParameterError), (-2, ParameterError), (30, SizeError)):
+        with pytest.raises(error):
+            balanced_rows(bad)
 
 
 def test_enumerate_bal_conventions():

@@ -1,11 +1,15 @@
 """Model basics: bit handling, schemes, verification, restriction."""
 
 import math
+import re
 import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import reference
 
 from cellprobe import (
     DOMAIN_ALL,
@@ -266,3 +270,126 @@ def test_verify_refuses_a_max_inputs_below_one():
         with pytest.raises(ParameterError, match="max_inputs"):
             verify_scheme(build_precomputed_sums(4), max_inputs=bad)
     assert verify_scheme(build_precomputed_sums(4), max_inputs=1).inputs_checked == 1
+
+
+# values that fold into small keys, and values at both int64 ends, whose key
+# space passes int64 and sends the decoder to the grouping sort
+_DECODER_VALUES = st.one_of(st.integers(-3, 3),
+                            st.sampled_from([-2 ** 63, -2 ** 63 + 1, 2 ** 63 - 2, 2 ** 63 - 1]))
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@st.composite
+def _decoder_cases(draw):
+    width = draw(st.integers(0, 4))
+    pool = draw(st.lists(_DECODER_VALUES, min_size=1, max_size=5, unique=True))
+    row = st.tuples(*[st.sampled_from(pool)] * width)
+    table = draw(st.dictionaries(row, _INT64, max_size=8))
+    # rows are drawn from the table's keys and from the pool, so some miss the table
+    keys = st.sampled_from(sorted(table)) if table else row
+    rows = draw(st.lists(st.one_of(keys, row), max_size=40))
+    values = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    return TableDecoder(table, draw(_INT64)), values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decoder_cases())
+@example((TableDecoder({(): 5}), np.zeros((3, 0), dtype=np.int64)))
+@example((TableDecoder({(1, 2): 7}, default=-1), np.zeros((0, 2), dtype=np.int64)))
+@example((TableDecoder({(-2 ** 63 + 1,): 4}), np.array([[-2 ** 63], [-2 ** 63 + 1]])))
+@example((TableDecoder({(-2 ** 63, 2 ** 63 - 1): 1}),
+          np.array([[-2 ** 63, 2 ** 63 - 1], [0, 0], [-2 ** 63, 2 ** 63 - 1]])))
+def test_table_decoder_agrees_with_the_grouping_reference(case):
+    decoder, values = case
+    got = decoder(values)
+    assert got.dtype == np.int64
+    assert got.tolist() == reference.table_decode(decoder, values).tolist()
+
+
+def test_table_decoder_counts_keys_while_the_key_space_is_small_beside_the_rows():
+    rng = np.random.default_rng(5)
+    # 50^3 keys: past 2^16, within four per row of 40,000 rows
+    values = rng.integers(0, 50, size=(40_000, 3))
+    decoder = TableDecoder({tuple(r): int(a) for r, a in zip(values[:500].tolist(),
+                                                            rng.integers(-9, 9, 500))}, 3)
+    assert decoder(values).tolist() == reference.table_decode(decoder, values).tolist()
+
+
+def _encode_by_dict(table: dict, bits: np.ndarray) -> list:
+    for x in map(tuple, bits.tolist()):
+        if x not in table:
+            raise DomainError(f"input {x} not present in the encoder table")
+    return [list(table[x]) for x in map(tuple, bits.tolist())]
+
+
+@st.composite
+def _encoder_cases(draw):
+    n = draw(st.integers(1, 6))
+    domain = list(product((0, 1), repeat=n))
+    # the whole domain, or all of it but one input, or a random part
+    kind = draw(st.sampled_from(["full", "missing one", "part"]))
+    if kind == "full":
+        inputs = domain
+    elif kind == "missing one":
+        gone = draw(st.sampled_from(domain))
+        inputs = [x for x in domain if x != gone]
+    else:
+        inputs = draw(st.lists(st.sampled_from(domain), unique=True))
+    u = draw(st.integers(0, 3))
+    table = {x: tuple(draw(st.lists(st.integers(0, 9), min_size=u, max_size=u))) for x in inputs}
+    # a run of the domain in order, as Scheme.encoded() asks, or any rows at all
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(domain)))
+        rows = domain[start:draw(st.integers(start, len(domain)))]
+    else:
+        rows = draw(st.lists(st.sampled_from(domain), max_size=20))
+    return table, np.array(rows, dtype=np.int8).reshape(len(rows), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_encoder_cases())
+def test_table_encoder_agrees_with_a_lookup_per_row(case):
+    table, bits = case
+    encoder = TableEncoder(table)
+    try:
+        expected = _encode_by_dict(table, bits)
+    except DomainError as err:
+        with pytest.raises(DomainError) as got:
+            encoder(bits)
+        assert str(got.value) == str(err)
+    else:
+        assert encoder(bits).tolist() == expected
+
+
+def test_table_encoder_reads_the_domain_as_runs_of_its_own_rows(monkeypatch):
+    import cellprobe.core
+
+    n = 14
+    domain = list(product((0, 1), repeat=n))
+    table = {x: (sum(x), x[0]) for x in domain}
+    packed = []
+
+    def row_keys(bits, _kernel=cellprobe.core._row_keys):
+        packed.append(len(bits))
+        return _kernel(bits)
+    monkeypatch.setattr(cellprobe.core, "_row_keys", row_keys)
+
+    def scheme(encoder, domain_kind=DOMAIN_ALL):
+        return Scheme(n=n, u=2, cell_alphabet=n + 1, domain=domain_kind, kind=KIND_SUM,
+                      probes=((0,),) * n, encoder=encoder, decoders=(_read_single,) * n)
+
+    # a full table: one key per 4,096-row block, no per-row search
+    full = TableEncoder(table)
+    packed.clear()
+    _, cells = scheme(full).encoded()
+    assert cells.tolist() == [list(table[x]) for x in domain]
+    assert packed == [1] * (len(domain) // 4096)
+    # extra rows: the balanced strings are no run of a table over every string
+    packed.clear()
+    bits, cells = scheme(full, DOMAIN_BAL).encoded()
+    assert cells.tolist() == [list(table[x]) for x in map(tuple, bits.tolist())]
+    assert max(packed) > 1
+    # one input missing: the same refusal, naming it
+    gone = domain[5000]
+    with pytest.raises(DomainError, match=re.escape(f"input {gone} not present in the encoder table")):
+        scheme(TableEncoder({x: c for x, c in table.items() if x != gone})).encoded()

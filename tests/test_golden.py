@@ -200,6 +200,23 @@ def test_tool_reports_match_golden(name, tmp_path):
             assert text == fh.read(), f"{name} {command} report moved"
 
 
+@pytest.mark.parametrize("name, subsets", [("mirror16", 120), ("two_level_rank16_2_4", 0)])
+def test_pair_test_reuses_the_subsets_good_cells_counted(name, subsets, tmp_path,
+                                                         columns_tv_calls):
+    """With q = 1 every V2 pair is a 2-subset good_cells already measured, so the pair
+    test counts none of its own; where the support bound decides good cells, no subset
+    is counted and the pair test counts each of its pairs.  The report does not move."""
+    build, c = CASES[name]
+    path = os.path.join(str(tmp_path), f"{name}.scm")
+    save_scheme(build(), path)
+    text = _run(["pipeline", "--scheme", path, "--c", c, "--format", "machine"])
+    with open(os.path.join(GOLDEN, f"{name}.pipeline.txt"), encoding="ascii") as fh:
+        assert text == fh.read()
+    pairs = int(next(line for line in text.splitlines()
+                     if line.startswith("stage.good-cells.pairs_tested=")).split("=")[1])
+    assert columns_tv_calls == {"subsets": subsets, "pairs": 0 if subsets else pairs}
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(RENDERERS):

@@ -407,6 +407,9 @@ def _bound_fires(dist, q, eta, m):
        st.sampled_from((Fraction(1, 100), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10))))
 @example((Distribution.from_rows([(0, 0, 1), (1, 1, 0), (1, 0, 1)]), 2), 2, Fraction(1, 4))
 @example((Distribution.from_rows(list(product(range(3), repeat=3))[:20]), 3), 2, Fraction(1, 2))
+# columns held as uint32, and past 2^32 as int64
+@example((Distribution.from_rows([(0, 2 ** 32 - 1), (2 ** 31, 5), (7, 7)]), 2 ** 32), 1, Fraction(1, 2))
+@example((Distribution.from_rows([(0, 2 ** 40), (2 ** 33, 5), (7, 7)]), 2 ** 41), 1, Fraction(1, 2))
 def test_good_cells_matches_the_marginal_reference(dm, q, eta):
     dist, m = dm
     assert good_cells(dist, q, eta, m) == reference.good_cells(dist, q, eta, m)

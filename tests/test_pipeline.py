@@ -2,19 +2,24 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cellprobe import (
     DOMAIN_ALL,
     KIND_SUM,
+    Distribution,
     ParameterError,
     Scheme,
     contradiction_chain,
+    restrict_scheme,
     run_bracket_pipeline,
     run_pipeline,
     run_prefix_pipeline,
+    tv_from_uniform,
 )
 from cellprobe.entropy_sum import stretch_term
+from cellprobe.pipeline import _good_cells
 from cellprobe.schemes import (
     build_bracket_table,
     build_precomputed_sums,
@@ -207,3 +212,39 @@ def test_pipeline_input_validation():
     # (lg n)^c past the float range, with c <= n
     with pytest.raises(ParameterError):
         run_prefix_pipeline(build_raw_identity(1100, 2), Fraction(1001, 2))
+
+
+def _zeros(values):
+    return np.zeros(len(values), dtype=np.int64)
+
+
+def _first(values):
+    return values[:, 0]
+
+
+@pytest.mark.parametrize("u, alphabet, probes, counted, own", [
+    # every 2-subset fails by the support bound (8^2 points, 8 inputs): good_cells
+    # counts none and keeps cell 2 alone; pairs on no cell or on cell 2 alone remain
+    (3, 8, ((), (), (2,)), 0, 3),
+    # queries 1 and 2 share cell 0: their pair is no 2-subset, the other two are
+    (2, 2, ((0,), (0,), (1,)), 1, 1),
+])
+def test_pair_test_counts_the_pairs_good_cells_did_not(u, alphabet, probes, counted, own,
+                                                        columns_tv_calls):
+    def encoder(bits):
+        # two input bits and, on a third cell, the number of ones
+        return np.column_stack((bits[:, 0], bits[:, 1], bits.sum(axis=1)))[:, :u]
+
+    scheme = Scheme(n=3, u=u, cell_alphabet=alphabet, domain=DOMAIN_ALL, kind=KIND_SUM,
+                    probes=probes, encoder=encoder,
+                    decoders=tuple(_first if p else _zeros for p in probes))
+    rs = restrict_scheme(scheme, ())
+    stages = []
+    v2 = _good_cells(rs, scheme, Fraction(1, 2), (1, 2, 3), (), (), stages)
+    assert v2 == (1, 2, 3)
+    assert columns_tv_calls == {"subsets": counted, "pairs": own}
+    y = Distribution.from_rows(rs.cells())
+    expected = max(tv_from_uniform(y.marginal(probes[i] + probes[j]), alphabet ** len(probes[i] + probes[j]))
+                   for i, j in ((0, 1), (0, 2), (1, 2)))
+    assert stages[0].field("max_pair_tv") == expected > 0
+    assert stages[0].field("pairs_tested") == 3
