@@ -90,6 +90,6 @@ from .separator import (
     greedy_disjoint,
     pairwise_disjoint,
 )
-from .stretcher import StretcherResult, StretcherWindowError, StretchPair, find_stretcher
+from .stretcher import StretcherResult, StretchPair, find_stretcher
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .pipeline import run_pipeline
 from .schemeio import load_scheme, save_scheme
 from .schemes import build_builtin
 from .separator import find_separator, find_separator_brackets
-from .stretcher import StretcherWindowError, find_stretcher
+from .stretcher import find_stretcher
 from .textfmt import fmt, machine_value
 
 OUTDIR_ENV = "CELLPROBE_OUTDIR"
@@ -167,16 +167,14 @@ def _cmd_separator(args):
 
 
 def _cmd_stretcher(args):
-    indices = _csv_ints(args.indices)
-    try:
-        res = find_stretcher(indices, args.n, _num(args.c))
-    except StretcherWindowError as err:
+    res = find_stretcher(_csv_ints(args.indices), args.n, _num(args.c))
+    if res.stuck_at is not None:
         return [
             ("status", "stuck"),
-            ("stuck_at", err.s),
-            ("window", tuple(err.window)),
-            ("pairs_found", len(err.pairs_so_far)),
-            ("v_prime", tuple(x for p in err.pairs_so_far for x in (p.left, p.right))),
+            ("stuck_at", res.stuck_at),
+            ("window", res.window),
+            ("pairs_found", len(res.pairs)),
+            ("v_prime", res.v_prime),
         ], False
     return [
         ("status", "ok"),

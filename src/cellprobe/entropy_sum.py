@@ -14,6 +14,9 @@ computed once and turned into integer cuts, since every sum is an integer.
 Only the five probabilities at those cuts are measured two ways: by
 enumeration over an explicit distribution, or in closed binomial form for the
 exactly uniform distribution on {0,1}^n, which never materializes the space.
+When the good prefixes carry under 1/4 of the mass no t exists, and the
+witness reports that instead of raising: t and everything measured at it are
+None, and no tail bound holds.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .infotheory import entropy_by_group, group_rows, mean_entropy, sum_by
 from .textfmt import fmt_short
 
@@ -136,14 +139,12 @@ class ThresholdReport:
     pr_lower_tail: Fraction  # Pr[Y in A and sum <= t]
 
 
-def _threshold(sums, mass, denom: int) -> ThresholdReport:
+def _threshold(sums, mass, denom: int) -> ThresholdReport | None:
     """Largest sum t whose tail keeps 1/4: ``mass[k]`` out of ``denom`` sits at
-    ``sums[k]``, and the sums ascend."""
+    ``sums[k]``, and the sums ascend.  None when the whole mass is under 1/4."""
     total = sum(mass)
     if 4 * total < denom:
-        raise DomainError(
-            f"Pr[prefix in A] = {Fraction(total, denom)} < 1/4; no threshold integer exists"
-        )
+        return None
     # tails[k] = mass of the sums >= sums[k]; it shrinks with k, and t is the
     # largest sum whose tail keeps 1/4
     tails = list(accumulate(reversed(mass)))[::-1] + [0]
@@ -153,8 +154,11 @@ def _threshold(sums, mass, denom: int) -> ThresholdReport:
                            pr_lower_tail=Fraction(total - tails[k + 1], denom))
 
 
-def find_threshold(dist, a_set, p: int) -> ThresholdReport:
-    """Largest integer t with Pr[prefix in A and prefix-sum >= t] >= 1/4."""
+def find_threshold(dist, a_set, p: int) -> ThresholdReport | None:
+    """Largest integer t with Pr[prefix in A and prefix-sum >= t] >= 1/4.
+
+    When Pr[prefix in A] < 1/4 no integer qualifies, and the result is None.
+    """
     members = {tuple(y) for y in a_set}
     prefix = dist.rows[:, :p]
     first, inverse = group_rows(prefix)
@@ -178,17 +182,18 @@ class EntropySumWitness:
     prefix_report: PrefixSetReport | None
     a_size: int
     pr_A: Fraction
-    t: int
-    threshold_report: ThresholdReport
+    # t and everything measured at it are None when Pr[prefix in A] < 1/4
+    t: int | None
+    threshold_report: ThresholdReport | None
     s: object                   # t + (ell+d)/2 + c^(1/3)*sqrt(d); Fraction when exact
-    s_prime: Fraction
+    s_prime: Fraction | None
     s_exact: bool
-    cuts: tuple                 # the integer cuts measured: ceil s, ceil s', floor s', block
-    P_upper: Fraction
-    P_lower: Fraction           # strict: sum < s'
-    P_lower_leq: Fraction       # variant: sum <= s'
-    P_joint: Fraction
-    block_bound: Fraction       # Pr[sum over (i, j] >= d/2 + c^(1/3)*sqrt(d)]
+    cuts: tuple | None          # the integer cuts measured: ceil s, ceil s', floor s', block
+    P_upper: Fraction | None
+    P_lower: Fraction | None    # strict: sum < s'
+    P_lower_leq: Fraction | None  # variant: sum <= s'
+    P_joint: Fraction | None
+    block_bound: Fraction | None  # Pr[sum over (i, j] >= d/2 + c^(1/3)*sqrt(d)]
     holds_upper: bool
     holds_lower: bool
     holds_joint: bool
@@ -218,25 +223,30 @@ def _witness(p, i, j, c, prefix_report, a_size, pr_a, threshold, measure) -> Ent
 
     ``measure(upper, lower, lower_leq, block)`` returns P_upper, P_lower,
     P_lower_leq, P_joint and block_bound at integer cuts: sum_j >= upper,
-    sum_i < lower, sum_i <= lower_leq, block sum >= block.
+    sum_i < lower, sum_i <= lower_leq, block sum >= block.  Without a
+    threshold nothing is measured: the cuts and probabilities are None, and
+    no tail bound holds.
     """
     ell, d = i - p, j - i
     term = stretch_term(c, d)
     s_exact = isinstance(term, Fraction)
-    s = Fraction(threshold.t) + Fraction(ell + d, 2) + term if s_exact \
-        else threshold.t + (ell + d) / 2 + term
-    s_prime = Fraction(threshold.t) + Fraction(ell, 2)
-    block = Fraction(d, 2) + term if s_exact else d / 2 + term
-    # the sums are integers, so each real cut compares through its ceiling or floor
-    cuts = (math.ceil(s), math.ceil(s_prime), math.floor(s_prime), math.ceil(block))
-    P_upper, P_lower, P_lower_leq, P_joint, block_bound = measure(*cuts)
+    t = s = s_prime = cuts = None
+    P_upper = P_lower = P_lower_leq = P_joint = block_bound = None
+    if threshold is not None:
+        t = threshold.t
+        s = Fraction(t) + Fraction(ell + d, 2) + term if s_exact else t + (ell + d) / 2 + term
+        s_prime = Fraction(t) + Fraction(ell, 2)
+        block = Fraction(d, 2) + term if s_exact else d / 2 + term
+        # the sums are integers, so each real cut compares through its ceiling or floor
+        cuts = (math.ceil(s), math.ceil(s_prime), math.floor(s_prime), math.ceil(block))
+        P_upper, P_lower, P_lower_leq, P_joint, block_bound = measure(*cuts)
     return EntropySumWitness(
         p=p, i=i, j=j, ell=ell, d=d, c=c,
         ratio_ok=ell >= float(c) * d,
         prefix_report=prefix_report,
         a_size=a_size,
         pr_A=pr_a,
-        t=threshold.t,
+        t=t,
         threshold_report=threshold,
         s=s,
         s_prime=s_prime,
@@ -247,9 +257,9 @@ def _witness(p, i, j, c, prefix_report, a_size, pr_a, threshold, measure) -> Ent
         P_lower_leq=P_lower_leq,
         P_joint=P_joint,
         block_bound=block_bound,
-        holds_upper=P_upper >= Fraction(1, 10),
-        holds_lower=P_lower >= Fraction(1, 10),
-        holds_joint=P_joint <= Fraction(1, 1000),
+        holds_upper=t is not None and P_upper >= Fraction(1, 10),
+        holds_lower=t is not None and P_lower >= Fraction(1, 10),
+        holds_joint=t is not None and P_joint <= Fraction(1, 1000),
     )
 
 

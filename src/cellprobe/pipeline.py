@@ -19,8 +19,11 @@ and both pipelines walk its shared skeleton:
 Sum also runs entropy-sum between steps 5 and 6.  Every claimed inequality is
 measured exactly on the given scheme.  At workbench sizes many asymptotic
 guarantees fail; every check is recorded honestly and the run continues
-best-effort.  A stage that receives genuinely empty input truncates the
-report with that stage named.
+best-effort.  Each step returns one result that carries its own outcome, and
+its stage reads that result.  A stage whose step leaves nothing to go on
+truncates the report with that stage named: stretcher when the sweep found no
+pair, close-pairs when V holds fewer than two queries, and entropy-sum when
+the good prefixes carry under 1/4 of the mass, so no threshold exists.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .entropy_sum import entropy_sum_analysis
 from .errors import ParameterError, SizeError
 from .infotheory import Distribution, columns_tv, good_blocks, good_cells, value_columns
 from .separator import _BRACKET_EXPONENT_LIMIT, find_separator, find_separator_brackets, pairwise_disjoint
-from .stretcher import StretcherWindowError, find_stretcher
+from .stretcher import find_stretcher
 from .textfmt import fmt, fmt_short, machine_value as _mval
 
 __all__ = [
@@ -164,9 +167,6 @@ class PipelineReport:
             if st.name == name:
                 return st
         raise KeyError(name)
-
-    def has_stage(self, name: str) -> bool:
-        return any(st.name == name for st in self.stages)
 
     def render_text(self) -> str:
         title = {
@@ -467,29 +467,14 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
     )
     v2 = _good_cells(rs, scheme, eta, sep.V, (), floors, stages)
 
-    stuck_at = stuck_window = None
-    try:
-        st = find_stretcher(sorted(v2), n, c)
-        pairs = st.pairs
-    except StretcherWindowError as err:
-        st, pairs = err, err.pairs_so_far
-        stuck_at, stuck_window = err.s, tuple(err.window)
+    st = find_stretcher(sorted(v2), n, c)
+    pairs = st.pairs
     stages.append(StageRecord(
         "stretcher",
-        (
-            ("t", st.t),
-            ("w", st.w),
-            ("w_prime", 2 * len(pairs)),
-            ("v_prime", tuple(x for p in pairs for x in (p.left, p.right))),
-            ("guarantee", st.guarantee),
-            ("stuck_at", stuck_at),
-            ("stuck_window", stuck_window),
-        ),
-        (
-            ("pair_rule", all(p.satisfies(c) for p in pairs)),
-            ("w_prime_floor", 2 * len(pairs) >= st.guarantee),
-            ("sweep_completed", stuck_at is None),
-        ),
+        (("t", st.t), ("w", st.w), ("w_prime", st.w_prime), ("v_prime", st.v_prime),
+         ("guarantee", st.guarantee), ("stuck_at", st.stuck_at), ("stuck_window", st.window)),
+        (("pair_rule", all(p.satisfies(c) for p in pairs)), ("w_prime_floor", st.guarantee_ok),
+         ("sweep_completed", st.stuck_at is None)),
     ))
     if not pairs:
         return _report("prefix", scheme, c, stages, truncated_at="stretcher")
@@ -515,6 +500,8 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
             ("joint_tail", wit.holds_joint),
         ),
     ))
+    if wit.t is None:
+        return _report("prefix", scheme, c, stages, truncated_at="entropy-sum")
 
     # answers are integers, so v >= s and v < s' hold exactly when they hold at the
     # witness's integer cuts, ceil s and ceil s'

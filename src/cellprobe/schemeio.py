@@ -206,18 +206,24 @@ def _read_encoder(src: _Lines, n: int) -> TableEncoder:
     count = np.diff(line_token)
     stop = int(np.argmax(np.append(~row_like & (count > 0), True)))  # the first line past the rows
     src.pos = start + int(ends[stop])
-    lines = np.flatnonzero(count[:stop])
+    lines = np.flatnonzero(row_like[:stop])  # a row of a bare '->' holds no token
     if not len(lines):
         return TableEncoder({})
     # per row: its first token, the next row's first, and its first token right of the arrow
     lo, hi, arrow = line_token[lines], line_token[lines + 1], arrow[lines]
-    mid = np.minimum(lo + 1, len(starts) - 1)
-    odd = ~((starts[lo] < arrow) & ((hi == lo + 1) | (starts[mid] > arrow)))
+    if not len(starts):
+        starts = np.array([len(buf)])  # a token past the text, whose rows then hold none
+
+    def token_start(k):  # where token k starts; the token after the last lies past the text
+        return np.where(k < len(starts), starts[np.minimum(k, len(starts) - 1)], len(buf))
+
+    mid = np.minimum(lo + 1, len(starts))
+    odd = ~((token_start(lo) < arrow) & ((hi == lo + 1) | (token_start(mid) > arrow)))
     mid[odd] = np.searchsorted(starts, arrow[odd])  # rows without one token left of '->'
-    at = starts[np.minimum(mid, len(starts) - 1)]
+    at = token_start(mid)
     width = hi - mid - ((hi - mid == 1) & (full[at] == 45) & (full[at + 1] <= 32))  # '-' is none
     w = int(np.bincount(width).argmax())  # the value count most rows have
-    win = np.lib.stride_tricks.sliding_window_view(full, span)[starts[lo]]
+    win = np.lib.stride_tricks.sliding_window_view(full, span)[token_start(lo)]
     gap = win <= 32  # an input token is n bytes and a gap
     bad = (mid - lo != 1) | (width != w) | (n != span - 1) | ~gap[:, -1] | _rows(gap[:, :-1])
     m = int(np.argmax(bad)) if bad.any() else len(lines)  # rows before m hold 1 + w tokens

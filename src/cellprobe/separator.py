@@ -212,14 +212,13 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True) 
         raise ParameterError(f"the bracket schedule needs c >= 4, got {c}")
     if n < 4:
         raise ParameterError(f"need n >= 4 so lg lg n is positive, got {n}")
-    if require_preconditions and q > math.log2(math.log2(n)) / c:
-        raise ParameterError(
-            f"q = {q} exceeds (lg lg n)/c = {math.log2(math.log2(n)) / c:.4f}"
-        )
+    lg_l = math.log2(math.log2(n))
+    if require_preconditions and q * c > lg_l:  # c may be past the float range
+        raise ParameterError(f"q = {q} exceeds (lg lg n)/c = {float(Fraction(lg_l) / c):.4f}")
     d = 2 * c
     if d ** q > _BRACKET_EXPONENT_LIMIT:
-        raise SizeError(f"schedule exponent d^q = {d ** q} exceeds {_BRACKET_EXPONENT_LIMIT}")
-    lg_l = math.log2(math.log2(n))
+        raise SizeError(
+            f"schedule exponent d^q = {fmt_short(d ** q)} exceeds {_BRACKET_EXPONENT_LIMIT}")
     blocked = np.zeros(len(cells), bool)
     b_size = 0
     log: list[StageLog] = []

@@ -8,8 +8,9 @@ subsequence v'_1 < ... < v'_{w'} with
 of length w' >= 2*floor(w/(c*lg n)).  Each window of t = floor(c*lg n)
 consecutive indices must contain a qualifying position; otherwise the gaps
 would grow geometrically past n.  At small n that existence argument can
-genuinely fail, in which case the sweep raises a diagnostic error naming the
-stuck window instead of looping.
+genuinely fail.  The sweep then stops and its result names the stuck position
+and window beside the pairs found before it, so a caller reads one result
+whether or not the sweep completed.
 """
 
 from __future__ import annotations
@@ -18,28 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CellProbeError, ParameterError
+from .errors import ParameterError
 from .textfmt import fmt_short
-
-
-class StretcherWindowError(CellProbeError):
-    """No position in the current window satisfied the gap inequality.
-
-    Besides the stuck position it carries the sweep's window length ``t``,
-    input length ``w`` and ``guarantee``, as a ``StretcherResult`` would.
-    """
-
-    def __init__(self, s: int, window: tuple[int, ...], pairs_so_far: tuple,
-                 t: int, w: int, guarantee: int):
-        super().__init__(
-            f"no qualifying index in the window starting at position {s}: {window}"
-        )
-        self.s = s
-        self.window = window
-        self.pairs_so_far = pairs_so_far
-        self.t = t
-        self.w = w
-        self.guarantee = guarantee
 
 
 @dataclass(frozen=True)
@@ -73,10 +54,16 @@ class StretcherResult:
     w: int
     guarantee: int            # 2*floor(w/(c*lg n))
     guarantee_ok: bool
+    stuck_at: int | None = None               # the position whose window held no pair
+    window: tuple[int, ...] | None = None     # v_s .. v_{s+t} there, v_0 := 0
 
 
 def find_stretcher(indices, n: int, c) -> StretcherResult:
-    """Run the window sweep, always taking the first qualifying position."""
+    """Run the window sweep, always taking the first qualifying position.
+
+    A window with no qualifying position stops the sweep: ``stuck_at`` and
+    ``window`` then name it, and the pairs are those found before it.
+    """
     v = tuple(int(x) for x in indices)
     if any(v[k] >= v[k + 1] for k in range(len(v) - 1)):
         raise ParameterError("indices must be strictly ascending")
@@ -97,6 +84,7 @@ def find_stretcher(indices, n: int, c) -> StretcherResult:
     seq = (0,) + v  # sentinel v_0 := 0
     pairs: list[StretchPair] = []
     s = 0
+    stuck_at = window = None
     while t >= 1 and s <= w - t:
         for i in range(1, t):
             if seq[s + i] - seq[s] >= cf * (seq[s + i + 1] - seq[s + i]):
@@ -104,20 +92,12 @@ def find_stretcher(indices, n: int, c) -> StretcherResult:
                 s = s + i + 1
                 break
         else:
-            raise StretcherWindowError(
-                s, window=seq[s:s + t + 1], pairs_so_far=tuple(pairs),
-                t=t, w=w, guarantee=guarantee,
-            )
+            stuck_at, window = s, seq[s:s + t + 1]
+            break
 
     v_prime = tuple(x for p in pairs for x in (p.left, p.right))
     return StretcherResult(
-        v_prime=v_prime,
-        w_prime=len(v_prime),
-        pairs=tuple(pairs),
-        n=n,
-        c=cf,
-        t=t,
-        w=w,
-        guarantee=guarantee,
-        guarantee_ok=len(v_prime) >= guarantee,
+        v_prime=v_prime, w_prime=len(v_prime), pairs=tuple(pairs), n=n, c=cf, t=t, w=w,
+        guarantee=guarantee, guarantee_ok=len(v_prime) >= guarantee,
+        stuck_at=stuck_at, window=window,
     )

@@ -109,6 +109,35 @@ def test_stretcher_ok_and_stuck(capsys):
     assert "window: (0, 1, 2, 4, 8)" in out
 
 
+def test_entropy_sum_without_a_threshold_prints_dashes(tmp_path, capsys):
+    # the good prefix 0 carries 1/8 of the mass, under the 1/4 a threshold needs
+    dist = tmp_path / "light.dist"
+    dist.write_text("0,0,0 1/32\n0,0,1 1/32\n0,1,0 1/32\n0,1,1 1/32\n1,0,0 7/8\n",
+                    encoding="ascii")
+    argv = ["entropy-sum", "--dist", str(dist), "--p", "1", "--i", "2", "--j", "3", "--c", "4",
+            "--format", "machine"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert "pr_A=1/8" in lines
+    for name in ("t", "s", "s_prime", "P_upper", "P_lower", "P_joint", "block_bound"):
+        assert f"{name}=-" in lines
+    for name in ("holds_upper", "holds_lower", "holds_joint", "holds"):
+        assert f"{name}=no" in lines
+
+
+def test_a_huge_bracket_c_is_refused_in_short_form(tmp_path, capsys):
+    # (2c)^3 has about 4,500 digits, more than str() prints
+    path = str(tmp_path / "rank8.scm")
+    assert main(["build-scheme", "--name", "two_level_rank", "--n", "8", "--alphabet", "9",
+                 "--param", "block=2", "--param", "superblock=4", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["separator", "--scheme", path, "--bracket-c", "9" * 1500, "--relax"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: schedule exponent d^q = 8.00E+4500 exceeds 10000\n"
+
+
 def test_entropy_command(tmp_path, capsys):
     dist = tmp_path / "d.dist"
     dist.write_text(

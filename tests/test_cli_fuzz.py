@@ -3,7 +3,8 @@
 Each draw picks a row of ``cli.COMMANDS`` and fills its declared arguments
 with bounded values: ints in [-2, 20], fixed n = 8 scheme files, small
 distribution and bit-set files, and number strings that include values past
-the float range.  Every call must return 0, 1 or 2, or exit 2 in argparse.
+the float range.  ``--bracket-c`` alone may also take a 1,500-digit int: the
+schedule refuses it at once, where an ``--n`` that size would never finish.  Every call must return 0, 1 or 2, or exit 2 in argparse.
 """
 
 import contextlib
@@ -44,6 +45,8 @@ BY_FLAG = {
     "--scheme": st.sampled_from([*SCHEMES, "missing.scm", "uniform3.dist"]),
     "--dist": st.sampled_from([*TEXT_FILES, "missing.dist"]),
     "--x": st.sampled_from(["bits3.txt", "110100", "1100", "10", "0", ""]),
+    # a c of 1,500 digits makes the schedule exponent (2c)^q too long for str()
+    "--bracket-c": st.one_of(st.integers(-2, 20), st.integers(10 ** 1499, 10 ** 1500 - 1)).map(str),
     "--indices": INT_LISTS,
     "--sizes": INT_LISTS,
     "--target": INT_LISTS,
@@ -101,6 +104,8 @@ def workdir(tmp_path_factory):
 @example(["separator", "--scheme=bracket_table8.scm", "--gap=-1e-9999"])
 @example(["separator", "--scheme=precomputed_sums8.scm", "--gap=1e9999"])
 @example(["entropy-sum", "--uniform=4", "--p=1", "--i=2", "--j=3", "--c=-1e-9999"])
+@example(["separator", "--scheme=raw_identity8.scm", "--bracket-c=" + "9" * 1500, "--relax"])
+@example(["separator", "--scheme=precomputed_sums8.scm", "--bracket-c=1" + "0" * 1499])
 def test_no_command_ends_in_a_traceback(workdir, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

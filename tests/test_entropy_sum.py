@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from cellprobe import (
     Distribution,
-    DomainError,
     ParameterError,
     binomial_point,
     binomial_tail,
@@ -77,8 +76,7 @@ def test_find_threshold_on_uniform_prefixes():
 
 def test_find_threshold_needs_a_quarter_of_mass():
     dist = Distribution.uniform(list(product((0, 1), repeat=4)))
-    with pytest.raises(DomainError):
-        find_threshold(dist, [(0, 0, 0, 0)], 4)
+    assert find_threshold(dist, [(0, 0, 0, 0)], 4) is None
 
 
 def _stepped_threshold(dist, a_set, p):
@@ -108,9 +106,8 @@ def test_find_threshold_equals_the_stepped_search_on_non_negative_sums():
         dist = Distribution.from_counts({y: rng.randint(1, 9) for y in outcomes})
         prefixes = sorted({y[:p] for y in outcomes})
         a_set = rng.sample(prefixes, rng.randint(1, len(prefixes)))
-        try:
-            rep = find_threshold(dist, a_set, p)
-        except DomainError:
+        rep = find_threshold(dist, a_set, p)
+        if rep is None:
             assert 4 * sum(pr for y, pr in dist.items() if y[:p] in a_set) < 1
             continue
         assert (rep.t, rep.pr_at_t, rep.pr_at_next, rep.pr_lower_tail) == \
@@ -158,6 +155,19 @@ def test_good_prefix_set_reports_a_failed_hypothesis_with_its_measurement():
     assert not rep.hypothesis_ok
     assert rep.hypothesis_entropy == pytest.approx(1.5, abs=1e-12)
     assert rep.hypothesis_floor == pytest.approx(1.75, abs=1e-12)
+
+
+def test_an_analysis_without_a_threshold_measures_nothing():
+    # prefix 0 keeps a uniform 2-bit block but carries only 1/8 of the mass
+    pmf = {(0, a, b): Fraction(1, 32) for a, b in product((0, 1), repeat=2)}
+    pmf[(1, 0, 0)] = Fraction(7, 8)
+    wit = entropy_sum_analysis(Distribution(pmf), 1, 2, 3, 4)
+    assert wit.prefix_report.A == ((0,),) and wit.pr_A == Fraction(1, 8)
+    assert wit.threshold_report is None
+    assert (wit.t, wit.s, wit.s_prime, wit.cuts) == (None,) * 4
+    assert (wit.P_upper, wit.P_lower, wit.P_lower_leq, wit.P_joint, wit.block_bound) == (None,) * 5
+    assert not (wit.holds_upper or wit.holds_lower or wit.holds_joint or wit.holds)
+    assert (wit.ell, wit.d, wit.a_size) == (1, 1, 1)
 
 
 @lru_cache(maxsize=None)

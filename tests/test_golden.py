@@ -57,6 +57,14 @@ CASES = {
     "bracket_table14": (lambda: build_bracket_table(14), "4"),
     "precomputed_sums8": (lambda: build_precomputed_sums(8), "2"),
     "raw_identity8": (lambda: build_raw_identity(8, 4), "2"),
+    # a correct Sum scheme whose run reaches chain lines 0-7
+    "precomputed_sums8_c11_10": (lambda: build_precomputed_sums(8), "11/10"),
+    # the sweep sticks at 2 with window (3, 4, 5) after one pair; the run completes
+    "precomputed_sums6_c11_10": (lambda: build_precomputed_sums(6), "11/10"),
+    # the sweep sticks at 0 with no pair, so the run is truncated at stretcher
+    "precomputed_sums4_c11_10": (lambda: build_precomputed_sums(4), "11/10"),
+    # the good prefixes carry under 1/4 of the mass: truncated at entropy-sum, exit 1
+    "raw_identity4_c3_2": (lambda: build_raw_identity(4, 16), "3/2"),
 }
 
 

@@ -111,6 +111,37 @@ def test_stuck_stretcher_is_reported_from_the_sweep():
             rep.stage("entropy-blocks").field("j")) == (2, 3)
 
 
+def test_light_good_prefixes_truncate_at_entropy_sum():
+    # the good prefixes carry no mass, so no threshold exists and nothing is measured at it
+    rep = run_prefix_pipeline(build_raw_identity(4, 16), Fraction(3, 2))
+    assert [s.name for s in rep.stages] == [
+        "separator", "cell-fixing", "good-cells", "stretcher", "entropy-blocks", "entropy-sum"]
+    st = rep.stage("entropy-sum")
+    assert st.field("pr_A") == 0
+    for name in ("t", "s", "s_prime", "P_upper", "P_lower", "P_lower_leq", "P_joint",
+                 "block_bound"):
+        assert st.field(name) is None
+    checks = dict(st.checks)
+    assert not (checks["upper_tail"] or checks["lower_tail"] or checks["joint_tail"])
+    assert rep.chain == () and rep.chain_checks == ()
+    assert rep.truncated_at == "entropy-sum"
+    assert rep.verdict == "truncated at entropy-sum"
+
+
+def test_uniform_space_cap_skips_chain_lines_2_to_4(monkeypatch):
+    uncapped = run_prefix_pipeline(build_precomputed_sums(8), Fraction(11, 10))
+    monkeypatch.setattr("cellprobe.pipeline._UNIFORM_SPACE_CAP", 1)
+    capped = run_prefix_pipeline(build_precomputed_sums(8), Fraction(11, 10))
+    before = uncapped.render_machine().splitlines()
+    after = capped.render_machine().splitlines()
+    assert len(before) == len(after)
+    skipped = ["chain.2.value=-", "chain.2.status=skip", "chain.3.value=-",
+               "chain.3.status=skip", "chain.4.status=skip"]
+    assert "check.relations=fail" in after
+    # every other line, check.relations=fail among them, matches the uncapped report
+    assert [a for b, a in zip(before, after) if b != a] == skipped
+
+
 def test_tiny_scheme_truncates_with_stage_named():
     rep = run_pipeline(build_precomputed_sums(2, 3), 2)
     assert rep.truncated_at == "stretcher"

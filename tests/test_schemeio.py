@@ -378,6 +378,7 @@ _LISTED_EDITS = [
     ("control byte", _ROW, "  01 -> 0 \x011"), ("repeated input", _ROW, "  00 -> 0 1"),
     ("bracket bit", _ROW, "  0( -> 0 1"), ("long input", _ROW, "  012 -> 0 1"),
     ("short input", _ROW, "  0 -> 0 1"), ("split input", _ROW, "  0 1 -> 0 1"),
+    ("bare arrow", _ROW, "  ->\n" + _ROW), ("u0 bare arrow", "  01 -> -", "  ->"),
 ]
 
 

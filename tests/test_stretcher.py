@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cellprobe import ParameterError, StretcherWindowError, find_stretcher
+from cellprobe import ParameterError, find_stretcher
 
 
 def test_consecutive_indices_yield_early_pairs():
@@ -18,6 +18,7 @@ def test_consecutive_indices_yield_early_pairs():
     assert res.w_prime == 4
     assert res.guarantee == 2
     assert res.guarantee_ok
+    assert res.stuck_at is None and res.window is None
 
 
 def test_first_pair_measures_gap_from_zero():
@@ -27,14 +28,25 @@ def test_first_pair_measures_gap_from_zero():
     assert Fraction(first.left - 0) >= 2 * Fraction(first.right - first.left)
 
 
-def test_stuck_window_raises_with_diagnostics():
-    with pytest.raises(StretcherWindowError) as err:
-        find_stretcher((1, 2, 4, 8), 16, Fraction(11, 10))
-    assert err.value.s == 0
-    assert err.value.window == (0, 1, 2, 4, 8)
-    assert err.value.pairs_so_far == ()
+def test_stuck_window_is_reported_with_diagnostics():
+    res = find_stretcher((1, 2, 4, 8), 16, Fraction(11, 10))
+    assert res.stuck_at == 0
+    assert res.window == (0, 1, 2, 4, 8)
+    assert res.pairs == ()
+    assert (res.v_prime, res.w_prime) == ((), 0)
     # the sweep's own parameters: t = floor(1.1 * 4), guarantee = 2 * floor(4 / 4.4)
-    assert (err.value.t, err.value.w, err.value.guarantee) == (4, 4, 0)
+    assert (res.t, res.w, res.guarantee) == (4, 4, 0)
+    assert res.guarantee_ok
+
+
+def test_a_sweep_stuck_after_a_pair_keeps_that_pair():
+    # t = floor(1.1 * lg 6) = 2: the window (0, 2, 3) holds the pair (2, 3), (3, 4, 5) none
+    res = find_stretcher((2, 3, 4, 5, 6), 6, Fraction(11, 10))
+    assert [(p.prev, p.left, p.right) for p in res.pairs] == [(0, 2, 3)]
+    assert (res.v_prime, res.w_prime) == ((2, 3), 2)
+    assert res.stuck_at == 2
+    assert res.window == (3, 4, 5)
+    assert res.guarantee == 2 and res.guarantee_ok
 
 
 def test_short_input_produces_no_pairs_without_error():
@@ -63,12 +75,12 @@ def test_random_runs_satisfy_pair_rule_and_floor():
         w = rng.randint(2, 40)
         indices = tuple(sorted(rng.sample(range(1, n + 1), w)))
         c = rng.choice([2, 4])
-        try:
-            res = find_stretcher(indices, n, c)
-        except StretcherWindowError:
-            continue
+        res = find_stretcher(indices, n, c)
         seq = (0,) + res.v_prime
         for k in range(0, len(seq) - 2, 2):
             assert seq[k + 1] - seq[k] >= c * (seq[k + 2] - seq[k + 1])
-        assert res.w_prime >= 2 * math.floor(w / (c * math.log2(n)))
         assert set(res.v_prime) <= set(indices)
+        if res.stuck_at is not None:  # the floor is owed only by a completed sweep
+            assert len(res.window) == res.t + 1
+            continue
+        assert res.w_prime >= 2 * math.floor(w / (c * math.log2(n)))
