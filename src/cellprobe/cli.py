@@ -31,7 +31,7 @@ from .schemeio import load_scheme, save_scheme
 from .schemes import build_builtin
 from .separator import find_separator, find_separator_brackets
 from .stretcher import find_stretcher
-from .textfmt import fmt, machine_value
+from .textfmt import LongFraction, fmt, machine_value
 
 OUTDIR_ENV = "CELLPROBE_OUTDIR"
 
@@ -249,11 +249,12 @@ def _cmd_brackets(args):
     if args.mode == "match":
         return [("match", match_index(parse_bits(args.x), args.i))], True
     if args.mode == "walk":
-        p_open = unmatched_open_prob(args.d)
+        # the exact probability has a 2^d denominator: printed in full at any d
+        p_open = LongFraction(unmatched_open_prob(args.d))
         return [
             ("d", args.d),
             ("open_prob", p_open),
-            ("close_prob", unmatched_close_prob(args.d)),
+            ("close_prob", LongFraction(unmatched_close_prob(args.d))),
             ("sqrt_d_times_prob", math.sqrt(args.d) * float(p_open)),
         ], True
     strings = [bits_to_str(s) for s in enumerate_bal(args.n)]

@@ -28,7 +28,7 @@ from .errors import (
     RangeError,
     SizeError,
 )
-from .infotheory import fold_keys, group_rows, is_dense
+from .infotheory import fold_rows, group_rows, is_dense
 
 DOMAIN_ALL = "all_bitstrings"
 DOMAIN_BAL = "balanced_brackets"
@@ -146,7 +146,7 @@ class TableDecoder:
             first, inverse = group_rows(values)
             out = [get(tuple(row), self.default) for row in values[first].tolist()]
             return np.array(out, dtype=np.int64)[inverse]
-        key = fold_keys(values.T, k, radix, lo)
+        key = fold_rows(values, radix, lo)
         present = np.flatnonzero(np.bincount(key, minlength=space))
         rows = present[:, None] // radix ** np.arange(w - 1, -1, -1) % radix + lo
         answers = np.zeros(space, dtype=np.int64)
@@ -421,11 +421,16 @@ class RestrictedScheme:
 
     def decode_reduced(self, i: int, values: np.ndarray) -> np.ndarray:
         """Apply d'_i to a k x |reduced probe| matrix: put the fixed values back, then decode."""
+        return self.base.decode(i, self.probe_values(i, values))
+
+    def probe_values(self, i: int, values: np.ndarray) -> np.ndarray:
+        """Query i's full k x |probe| values: the reduced probe's values with the fixed ones
+        put back in their slots."""
         fixed = dict(zip(self.fixed_cells, self.fixed_values))
         probe = self.base.probes[i - 1]
         merged = np.tile(np.array([fixed.get(c, 0) for c in probe], dtype=np.int64), (len(values), 1))
         merged[:, [k for k, c in enumerate(probe) if c not in fixed]] = values
-        return self.base.decode(i, merged)
+        return merged
 
     def answer(self, x: Bits, i: int) -> int:
         self.base._query(i)
@@ -434,11 +439,19 @@ class RestrictedScheme:
         return int(self.decode_reduced(i, values)[0])
 
     def preserves_answers(self) -> bool:
-        """Whether d'_i equals d_i on every surviving input."""
+        """Whether d'_i equals d_i on every surviving input.
+
+        d_i is decoded once on the base side.  d'_i decodes the values that
+        ``probe_values`` rebuilds, so it is decoded only on the rows where they
+        differ from the base's values; by construction of X there are none.
+        """
         cells, rows = self.base.encoded()[1], self.rows
         for i, (probe, reduced) in enumerate(zip(self.base.probes, self.reduced_probes), start=1):
-            base = self.base.decode(i, cells[np.ix_(rows, probe)])
-            if not np.array_equal(self.decode_reduced(i, cells[np.ix_(rows, reduced)]), base):
+            values = cells[np.ix_(rows, probe)]
+            base = self.base.decode(i, values)
+            rebuilt = self.probe_values(i, values[:, [probe.index(c) for c in reduced]])
+            moved = (rebuilt != values).any(axis=1)
+            if moved.any() and not np.array_equal(self.base.decode(i, rebuilt[moved]), base[moved]):
                 return False
         return True
 

@@ -10,7 +10,9 @@ The measurements bucket counts with numpy and make a ``Fraction`` only for
 a value they return.  Each float they return is the one the ``Fraction``
 route gives, bit for bit: a ratio is reduced by its gcd before its log is
 taken, and sums go through ``fsum``, which rounds exactly and so does not
-depend on order.
+depend on order.  A sum of n equal terms is taken as n times the term: the
+exact sum is that product, and one float multiplication rounds it correctly,
+as ``fsum`` does (with ``fsum``'s +0.0 for a sum of -0.0 terms).
 """
 
 from __future__ import annotations
@@ -103,8 +105,12 @@ class Distribution:
     @classmethod
     def from_rows(cls, rows, counts=None) -> "Distribution":
         """Distribution of the rows of an int matrix, each row weighted by its
-        count (1 by default); equal rows merge and zero-count rows drop."""
-        rows = np.array(rows, dtype=np.int64)
+        count (1 by default); equal rows merge and zero-count rows drop.
+
+        An int64 matrix is held as given, not copied: a caller that hands over a
+        fresh matrix holds it once, and one that goes on to write to its matrix
+        passes a copy."""
+        rows = np.asarray(rows, dtype=np.int64)
         if counts is None:
             return cls._of(rows, np.ones(len(rows), dtype=np.int64), len(rows))
         # each count must be an integer; one past int64 is held exactly, as _set
@@ -126,7 +132,7 @@ class Distribution:
         return cls.__new__(cls)._set(rows, counts, denom)
 
     def _set(self, rows: np.ndarray, counts, denom: int) -> "Distribution":
-        """Hold ``rows`` (a matrix of its own) weighted by ``counts`` out of
+        """Hold ``rows`` (read, never written) weighted by ``counts`` out of
         ``denom``; equal rows merge."""
         if denom <= 0:
             raise ParameterError("a distribution needs positive total mass")
@@ -173,7 +179,11 @@ class Distribution:
         bad = [c for c in coords if not 0 <= c < self.arity]
         if bad:
             raise RangeError(f"coordinate {bad[0]} outside a distribution of arity {self.arity}")
-        return self._of(self.rows[:, coords], self.counts, self.denom)
+        cols = coords
+        if coords and coords == list(range(coords[0], coords[-1] + 1)):
+            # a run of coordinates, such as a prefix, is a view and not a copy
+            cols = slice(coords[0], coords[-1] + 1)
+        return self._of(self.rows[:, cols], self.counts, self.denom)
 
     def given(self, coords, value) -> "Distribution":
         """Conditional distribution (over full outcomes) given coords == value."""
@@ -195,7 +205,8 @@ def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(first, inverse)``.  Groups are numbered in lexicographic order
     of their rows, ``first[g]`` is the index of the first row of group g and
-    ``inverse[r]`` is the group of row r.
+    ``inverse[r]`` is the group of row r.  Rows already in order, as every
+    prefix of a lexicographic domain is, group as runs without a sort.
     """
     values = np.asarray(values, dtype=np.int64)
     k, w = values.shape
@@ -210,21 +221,29 @@ def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inverse = np.empty(k, dtype=np.int64)
         inverse[order] = np.cumsum(starts) - 1
         return order[starts], inverse
-    key = fold_keys(values.T, k, radix, lo)
+    key = fold_rows(values, radix, lo)
+    if (key[1:] >= key[:-1]).all():
+        starts = np.ones(k, dtype=bool)
+        starts[1:] = key[1:] != key[:-1]
+        return np.flatnonzero(starts), np.cumsum(starts) - 1
     # the narrowest unsigned key type lets numpy's stable sort use radix passes
     key = key.astype(np.min_scalar_type(space - 1))
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return first, inverse.reshape(k)
 
 
-def fold_keys(columns, k: int, radix: int, lo: int = 0) -> np.ndarray:
-    """One int64 key per row of k-long value columns: the values less ``lo`` read as
+def fold_rows(values: np.ndarray, radix: int, lo: int = 0) -> np.ndarray:
+    """One int64 key per row of a k x w int64 matrix: the row less ``lo`` read as
     base-``radix`` digits, the first column most significant, so keys sort as rows do.
-    The caller keeps radix ** len(columns) within int64."""
-    key = np.zeros(k, dtype=np.int64)
-    for col in columns:
-        key *= radix
-        key += col - lo if lo else col
+    The caller keeps radix ** w within int64."""
+    if values.shape[1] == 1:
+        # a lone column is its own key, and cheaper than a product
+        return values[:, 0] - lo
+    powers = radix ** np.arange(values.shape[1] - 1, -1, -1, dtype=np.int64)
+    key = values @ powers
+    if lo:
+        # the product may wrap past int64, and the offset wraps with it: the key fits
+        key -= (lo * int(powers.sum()) + 2 ** 63) % 2 ** 64 - 2 ** 63
     return key
 
 
@@ -257,13 +276,38 @@ def entropy_by_group(dist, target, given) -> tuple[np.ndarray, list[int], list[f
     # pairs sort by (given, target), so each group's pairs are contiguous
     pairs = dist.marginal(given + list(target))
     g_first, g_inv = group_rows(pairs.rows[:, :len(given)])
-    weights = sum_by(len(g_first), g_inv, pairs.counts).tolist()
-    ends = np.cumsum(np.bincount(g_inv, minlength=len(g_first))).tolist()
-    pair_counts = pairs.counts.tolist()
+    weights = sum_by(len(g_first), g_inv, pairs.counts)
+    values = pairs.rows[g_first, :len(given)]
+    if weights.dtype == object:
+        return values, weights.tolist(), _entropies_exact(pairs.counts.tolist(), weights.tolist(),
+                                                          g_first.tolist())
+    # one term per distinct (pair count, group weight), gathered to every pair
+    cw = np.stack((pairs.counts, weights[g_inv]), axis=1)
+    t_first, t_inv = group_rows(cw)
+    terms = np.array([_neg_plogp(c, w) for c, w in cw[t_first].tolist()], dtype=np.float64)
+    # fsum of n equal terms is their correctly rounded product; + 0.0 gives fsum's +0.0
+    # for the -0.0 of a one-outcome group
+    sizes = np.diff(np.append(g_first, len(t_inv)))
+    entropies = (sizes * terms[t_inv[g_first]] + 0.0).tolist()
+    # a group whose term changes from one pair to the next sums its own by fsum
+    changes = np.flatnonzero(t_inv[1:] != t_inv[:-1]) + 1
+    mixed = np.zeros(len(g_first), dtype=bool)
+    mixed[g_inv[changes[g_inv[changes] == g_inv[changes - 1]]]] = True
+    mixed = np.flatnonzero(mixed).tolist()
+    if mixed:
+        pair_terms = terms[t_inv].tolist()
+        starts = g_first.tolist()
+        ends = starts[1:] + [len(t_inv)]
+        for g in mixed:
+            entropies[g] = fsum(pair_terms[starts[g]:ends[g]])
+    return values, weights.tolist(), entropies
+
+
+def _entropies_exact(pair_counts: list[int], weights: list[int], starts: list[int]) -> list[float]:
+    """Each group's entropy from Python-int counts, for counts past int64."""
     terms: dict[tuple[int, int], float] = {}
     entropies = []
-    start = 0
-    for w, end in zip(weights, ends):
+    for w, start, end in zip(weights, starts, starts[1:] + [len(pair_counts)]):
         parts = []
         for c in pair_counts[start:end]:
             t = terms.get((c, w))
@@ -271,8 +315,7 @@ def entropy_by_group(dist, target, given) -> tuple[np.ndarray, list[int], list[f
                 t = terms[(c, w)] = _neg_plogp(c, w)
             parts.append(t)
         entropies.append(fsum(parts))
-        start = end
-    return pairs.rows[g_first, :len(given)], weights, entropies
+    return entropies
 
 
 def mean_entropy(weights, entropies, denom: int) -> float:
@@ -320,7 +363,16 @@ def _tallies(columns, counts, denom: int, m: int) -> np.ndarray:
     if not is_dense(space, len(counts)) or denom >= 2 ** 53:
         first, inverse = group_rows(np.array(columns, np.int64).reshape(len(columns), len(counts)).T)
         return sum_by(len(first), inverse, counts)
-    key = fold_keys(columns, len(counts), m)
+    # keys in the narrowest unsigned type that holds them, or the columns' own if wider
+    columns = [np.asarray(col) for col in columns]
+    key = np.zeros(len(counts), dtype=np.result_type(np.min_scalar_type(space - 1), *columns))
+    for idx, col in enumerate(columns):
+        # m itself fits the key's type once a second column needs it
+        if idx:
+            key *= m
+        key += col
+    if len(counts) and (counts == counts[0]).all():
+        return np.bincount(key, minlength=space) * counts[0]
     return np.bincount(key, weights=counts, minlength=space).astype(np.int64)
 
 

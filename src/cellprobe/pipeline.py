@@ -369,8 +369,8 @@ def _event_probs(ei, ej) -> tuple[Fraction, Fraction, Fraction]:
 
 def _event_probs_y(rs: RestrictedScheme, i: int, j: int, pred_i, pred_j):
     """Joint and marginal event probabilities of the reduced decoders over Y."""
-    y = rs.cells()
-    ei, ej = (pred(rs.decode_reduced(query, y[:, list(rs.renamed_probes[query - 1])]))
+    cells = rs.base.encoded()[1]
+    ei, ej = (pred(rs.decode_reduced(query, cells[np.ix_(rs.rows, rs.reduced_probes[query - 1])]))
               for query, pred in ((i, pred_i), (j, pred_j)))
     return _event_probs(ei, ej)
 

@@ -7,11 +7,19 @@ runs produce byte-identical output.
 from __future__ import annotations
 
 import decimal
+import sys
 from fractions import Fraction
 
 from .errors import DomainError
 
-__all__ = ["fmt", "fmt_exact", "fmt_float", "fmt_short", "machine_value"]
+__all__ = ["LongFraction", "fmt", "fmt_exact", "fmt_float", "fmt_short", "machine_value"]
+
+
+class LongFraction(Fraction):
+    """A Fraction whose terms print in full, past Python's limit on the digits
+    ``str`` gives an int; every other int past that limit is refused."""
+
+    __slots__ = ()
 
 
 def fmt_float(x: float) -> str:
@@ -29,9 +37,10 @@ def fmt_exact(x) -> str:
     if isinstance(x, bool):
         return "yes" if x else "no"
     if isinstance(x, Fraction):
+        text = _digits if isinstance(x, LongFraction) else _text
         if x.denominator == 1:
-            return _text(x.numerator)
-        return f"{_text(x.numerator)}/{_text(x.denominator)}"
+            return text(x.numerator)
+        return f"{text(x.numerator)}/{text(x.denominator)}"
     if isinstance(x, float):
         return fmt_float(x)
     return _text(x)
@@ -52,6 +61,20 @@ def _text(x) -> str:
         return str(x)
     except ValueError:
         raise DomainError(f"{fmt_short(x)} has more digits than Python prints") from None
+
+
+def _digits(x: int) -> str:
+    """str(x) for an int of any length: split at a power of ten until each part
+    prints within Python's int-to-str digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # under 3 * limit bits is under 0.91 * limit digits
+    if not limit or x.bit_length() < 3 * limit:
+        return str(x)
+    if x < 0:
+        return "-" + _digits(-x)
+    half = x.bit_length() * 3 // 20  # about half its digits
+    high, low = divmod(x, 10 ** half)
+    return _digits(high) + _digits(low).zfill(half)
 
 
 def machine_value(v) -> str:
@@ -76,9 +99,10 @@ def fmt(x) -> str:
     if isinstance(x, bool):
         return "yes" if x else "no"
     if isinstance(x, Fraction):
+        text = _digits if isinstance(x, LongFraction) else _text
         if x.denominator == 1:
-            return _text(x.numerator)
-        return f"{_text(x.numerator)}/{_text(x.denominator)} (~{float(x):.6g})"
+            return text(x.numerator)
+        return f"{text(x.numerator)}/{text(x.denominator)} (~{float(x):.6g})"
     if isinstance(x, float):
         return fmt_float(x)
     if isinstance(x, frozenset):

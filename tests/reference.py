@@ -6,11 +6,13 @@ tuple closures, a Python prefix-sum and Match oracle, a verification loop
 that asks the scheme one (input, query) pair at a time, the staged
 separators on frozensets, the good-cells filter that builds one
 marginal per subset, the recursive balanced-string enumeration and the
-table decoder that groups its rows by a sort.  Also kept here: the
-nesting-level walks that counted the unmatched-bracket probabilities before
-their closed form, the float near-uniformity check no package code calls,
-and the line-by-line scheme-file reader the byte-buffer reader is checked
-against.
+table decoder that groups its rows by a sort.  The counting kernels are
+kept as they were before each did its pass once: row grouping by a column
+fold and a sort, group entropies by a loop over every count, and column
+tallies by an int64 key.  Also kept here: the nesting-level walks that
+counted the unmatched-bracket probabilities before their closed form, the
+float near-uniformity check no package code calls, and the line-by-line
+scheme-file reader the byte-buffer reader is checked against.
 """
 
 import math
@@ -42,7 +44,7 @@ from cellprobe import (
     scan_matches,
     tv_from_uniform,
 )
-from cellprobe.infotheory import group_rows
+from cellprobe.infotheory import _neg_plogp, group_rows
 from cellprobe.separator import (
     _BRACKET_EXPONENT_LIMIT,
     BracketSeparatorResult,
@@ -110,6 +112,67 @@ def table_decode(decoder: TableDecoder, values) -> np.ndarray:
     first, inverse = group_rows(values)
     out = [decoder.table.get(tuple(row), decoder.default) for row in values[first].tolist()]
     return np.array(out, dtype=np.int64)[inverse]
+
+
+def group_rows_by_unique(values) -> tuple[np.ndarray, np.ndarray]:
+    """``group_rows`` for rows in any order: a column-by-column key fold, then
+    ``np.unique``'s sort (``np.lexsort`` past int64)."""
+    values = np.asarray(values, dtype=np.int64)
+    k, w = values.shape
+    lo = int(values.min()) if values.size else 0
+    radix = int(values.max()) - lo + 1 if values.size else 1
+    space = radix ** w
+    if space >= 2 ** 63:
+        order = np.lexsort(values.T[::-1])
+        ordered = values[order]
+        starts = np.ones(k, dtype=bool)
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        inverse = np.empty(k, dtype=np.int64)
+        inverse[order] = np.cumsum(starts) - 1
+        return order[starts], inverse
+    key = np.zeros(k, dtype=np.int64)
+    for col in values.T:
+        key *= radix
+        key += col - lo
+    key = key.astype(np.min_scalar_type(space - 1))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse.reshape(k)
+
+
+def entropy_by_group(dist, target, given) -> tuple[np.ndarray, list[int], list[float]]:
+    """``infotheory.entropy_by_group`` by a Python loop over every (group, outcome)
+    count: one ``_neg_plogp`` term per distinct (count, weight), one ``fsum`` per group."""
+    given = list(given)
+    pairs = dist.marginal(given + list(target))
+    g_first, g_inv = group_rows_by_unique(pairs.rows[:, :len(given)])
+    weights = [0] * len(g_first)
+    for g, c in zip(g_inv.tolist(), pairs.counts.tolist()):
+        weights[g] += c
+    ends = np.cumsum(np.bincount(g_inv, minlength=len(g_first))).tolist()
+    pair_counts = pairs.counts.tolist()
+    terms: dict[tuple[int, int], float] = {}
+    entropies = []
+    start = 0
+    for w, end in zip(weights, ends):
+        parts = []
+        for c in pair_counts[start:end]:
+            t = terms.get((c, w))
+            if t is None:
+                t = terms[(c, w)] = _neg_plogp(c, w)
+            parts.append(t)
+        entropies.append(fsum(parts))
+        start = end
+    return pairs.rows[g_first, :len(given)], weights, entropies
+
+
+def column_tallies(columns, counts, m: int) -> np.ndarray:
+    """Total count of each of the m^k keys that k value columns spell: every column
+    folded into one int64 key, then one weighted ``np.bincount`` (counts below 2^53)."""
+    key = np.zeros(len(counts), dtype=np.int64)
+    for col in columns:
+        key *= m
+        key += col
+    return np.bincount(key, weights=counts, minlength=m ** len(columns)).astype(np.int64)
 
 
 def loop_verify(scheme):

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: output shape and exit codes."""
 
+import math
 import os
 import subprocess
 import sys
@@ -224,6 +225,30 @@ def test_a_report_value_past_the_int_print_limit_is_refused(good_scheme, capsys,
     assert captured.out == ""
     assert captured.err.splitlines()[0] == "error: 1.00E+9999 has more digits than Python prints"
     assert captured.err.splitlines()[1].endswith(" has more digits than Python prints")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="Python before 3.10.7 prints an int of any length")
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_a_walk_past_the_int_print_limit_prints_its_exact_fraction(capsys, fmt):
+    # 2^20000 has 6021 digits; the walk prints it in parts, each within the limit
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        code = main(["brackets", "walk", "--d", "20000", "--format", fmt])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    lines = dict(line.split(": " if fmt == "text" else "=", 1)
+                 for line in capsys.readouterr().out.splitlines())
+    want = Fraction(math.comb(19999, 9999), 2 ** 20000)
+    try:
+        sys.set_int_max_str_digits(0)
+        for key in ("open_prob", "close_prob"):
+            assert Fraction(lines[key].split(" (~")[0]) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert lines["d"] == "20000"
 
 
 def test_pipeline_writes_report_to_outdir(tmp_path, monkeypatch, capsys):

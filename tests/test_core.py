@@ -32,6 +32,7 @@ from cellprobe import (
     validate_bits,
     verify_scheme,
 )
+from cellprobe.core import RestrictedScheme
 from cellprobe.schemes import (
     build_bracket_table,
     build_precomputed_sums,
@@ -207,6 +208,21 @@ def test_restriction_preserves_answers_exactly():
     # and the restricted scheme answers each surviving input as the scheme does
     for x in map(tuple, rs.surviving_bits()[:40].tolist()):
         assert [rs.answer(x, i) for i in range(1, 9)] == [sch.answer(x, i) for i in range(1, 9)]
+
+
+def test_the_preservation_check_catches_a_misplaced_fixed_value(monkeypatch):
+    sch = build_two_level_rank(8, 2, 4, 9)
+    rs = restrict_scheme(sch, (1, 4))
+    assert rs.preserves_answers()
+
+    def misplaced(self, i, values, _assemble=RestrictedScheme.probe_values):
+        # a probe holding a fixed cell gets each value one slot to the right
+        merged = _assemble(self, i, values)
+        fixed = set(self.fixed_cells) & set(self.base.probes[i - 1])
+        return np.roll(merged, 1, axis=1) if fixed else merged
+
+    monkeypatch.setattr(RestrictedScheme, "probe_values", misplaced)
+    assert not rs.preserves_answers()
 
 
 def test_oracle_all_matches_per_query_answers():

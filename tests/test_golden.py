@@ -225,6 +225,18 @@ def test_pair_test_reuses_the_subsets_good_cells_counted(name, subsets, tmp_path
     assert columns_tv_calls == {"subsets": subsets, "pairs": 0 if subsets else pairs}
 
 
+def test_the_preservation_check_decodes_each_query_once(tmp_path, decoder_calls):
+    """mirror16 fixes no cell, so the reduced side rebuilds the base's own values and
+    is never decoded: one decoder call per query, and the report does not move."""
+    build, c = CASES["mirror16"]
+    path = os.path.join(str(tmp_path), "mirror16.scm")
+    save_scheme(build(), path)
+    text = _run(["pipeline", "--scheme", path, "--c", c, "--format", "machine"])
+    with open(os.path.join(GOLDEN, "mirror16.pipeline.txt"), encoding="ascii") as fh:
+        assert text == fh.read()
+    assert decoder_calls["preserves_answers"] == 16
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(RENDERERS):

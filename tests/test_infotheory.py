@@ -23,7 +23,14 @@ from cellprobe import (
     tv_distance,
     tv_from_uniform,
 )
-from cellprobe.infotheory import _column_entropy, columns_tv, group_rows, validate_blocks
+from cellprobe.infotheory import (
+    _column_entropy,
+    _tallies,
+    columns_tv,
+    entropy_by_group,
+    group_rows,
+    validate_blocks,
+)
 
 
 def test_distribution_requires_unit_mass():
@@ -396,6 +403,99 @@ def test_columns_tv_reaches_every_counting_route():
         got = columns_tv(np.ascontiguousarray(big.rows.T)[list(cols)], big.counts, big.denom, 2)
         assert got == tv_from_uniform(big.marginal(cols), 2 ** len(cols))
         assert got == _tv_by_definition(big.marginal(cols), 2 ** len(cols))
+
+
+_INT64_ENDS = (-2 ** 63, -2 ** 63 + 1, -2 ** 63 + 5, 2 ** 63 - 6, 2 ** 63 - 2, 2 ** 63 - 1)
+
+
+@st.composite
+def row_matrices(draw):
+    """A k x w int64 matrix: small values, negatives, values at one end of int64 (lo far
+    from 0, the key folds wrap), or at both ends (key space past 2^63); rows in
+    lexicographic order, reversed, shuffled or all equal."""
+    k = draw(st.sampled_from((0, 1, draw(st.integers(2, 40)))))
+    w = draw(st.integers(0, 4))
+    ends = draw(st.sampled_from(("small", "negative", "low end", "high end", "both ends")))
+    value = {"small": st.integers(0, 3), "negative": st.integers(-5, 2),
+             "low end": st.integers(-2 ** 63, -2 ** 63 + 9),
+             "high end": st.integers(2 ** 63 - 10, 2 ** 63 - 1),
+             "both ends": st.sampled_from(_INT64_ENDS)}[ends]
+    rows = draw(st.lists(st.tuples(*[value] * w), min_size=k, max_size=k))
+    order = draw(st.sampled_from(("ordered", "reversed", "shuffled", "constant")))
+    if order == "ordered":
+        rows.sort()
+    elif order == "reversed":
+        rows.sort(reverse=True)
+    elif order == "shuffled":
+        rows = draw(st.permutations(rows))
+    elif rows:
+        rows = [rows[0]] * k
+    return np.array(rows, dtype=np.int64).reshape(k, w)
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_matrices())
+@example(np.array([[2 ** 62 - 1, 2 ** 62], [2 ** 62, 2 ** 62 - 1]], dtype=np.int64))
+@example(np.array([[-2 ** 63, 2 ** 63 - 1], [-2 ** 63, -2 ** 63]], dtype=np.int64))
+@example(np.zeros((3, 0), dtype=np.int64))
+@example(np.array([[3], [-2], [0], [-2]], dtype=np.int64))
+@example(np.array([[2 ** 63 - 1], [2 ** 63 - 10], [2 ** 63 - 1]], dtype=np.int64))
+def test_group_rows_equals_the_sorting_fold(values):
+    first, inverse = group_rows(values)
+    want_first, want_inverse = reference.group_rows_by_unique(values)
+    assert first.tolist() == want_first.tolist()
+    assert inverse.tolist() == want_inverse.tolist()
+
+
+def _same_groups(got, want):
+    (values, weights, entropies), (want_values, want_weights, want_entropies) = got, want
+    assert values.tolist() == want_values.tolist()
+    assert weights == want_weights
+    assert [h.hex() for h in entropies] == [h.hex() for h in want_entropies]
+
+
+@settings(max_examples=400, deadline=None)
+@given(weighted_rows(), st.data())
+def test_entropy_by_group_is_bit_identical_to_the_loop(dm, data):
+    # unit counts give uniform groups, drawn counts mixed terms, past63 Python-int counts
+    dist, _ = dm
+    coords = st.lists(st.integers(0, dist.arity - 1), max_size=dist.arity, unique=True)
+    target, given_coords = data.draw(coords), data.draw(coords)
+    _same_groups(entropy_by_group(dist, target, given_coords),
+                 reference.entropy_by_group(dist, target, given_coords))
+
+
+def test_entropy_by_group_on_each_kind_of_group():
+    skewed = Distribution.from_rows([(0, 0), (0, 1), (0, 1), (1, 0), (1, 1), (2, 1)], [1, 2, 3, 4, 4, 5])
+    big = Distribution({(0, 0): Fraction(1, 2 ** 64 + 13), (0, 1): Fraction(1, 2),
+                        (1, 1): Fraction(1, 2) - Fraction(1, 2 ** 64 + 13)})
+    assert big.denom >= 2 ** 63
+    uniform = Distribution.uniform(product((0, 1), repeat=3))
+    # group 0 mixes terms, group 1 shares one, group 2 holds one pair; one-pair
+    # groups everywhere when the target adds nothing, so each term is -0.0
+    for dist in (skewed, big, uniform):
+        for target, given_coords in (((1,), (0,)), ((), (0, 1)), ((0, 1), ()), ((1,), (1, 0))):
+            got = entropy_by_group(dist, target, given_coords)
+            _same_groups(got, reference.entropy_by_group(dist, target, given_coords))
+    assert entropy_by_group(skewed, (1,), (0,))[2][2].hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_tallies_equal_the_int64_fold_for_each_column_type(dtype):
+    rng = np.random.default_rng(3)
+    m = 5
+    rows = rng.integers(0, m, (300, 4))
+    # equal counts take the unweighted count, unequal ones the weighted
+    for counts in (np.full(300, 7, dtype=np.int64), rng.integers(1, 50, 300)):
+        columns = np.ascontiguousarray(rows.T).astype(dtype)
+        denom = int(counts.sum())
+        for cols in ((0,), (2, 0), (1, 3, 2), (0, 1, 2, 3)):
+            got = _tallies([columns[c] for c in cols], counts, denom, m)
+            want = reference.column_tallies([rows[:, c] for c in cols], counts, m)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            dist = Distribution.from_rows(rows, counts)
+            assert columns_tv(columns[list(cols)], counts, denom, m) == \
+                tv_from_uniform(dist.marginal(cols), m ** len(cols))
 
 
 def _bound_fires(dist, q, eta, m):

@@ -1,5 +1,6 @@
 """Stage-by-stage adversary pipelines and the closing contradiction chain."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from cellprobe import (
     tv_from_uniform,
 )
 from cellprobe.entropy_sum import stretch_term
-from cellprobe.pipeline import _good_cells
+from cellprobe.pipeline import _final_chain, _good_cells
 from cellprobe.schemes import (
     build_bracket_table,
     build_precomputed_sums,
@@ -279,3 +280,36 @@ def test_pair_test_counts_the_pairs_good_cells_did_not(u, alphabet, probes, coun
                    for i, j in ((0, 1), (0, 2), (1, 2)))
     assert stages[0].field("max_pair_tv") == expected > 0
     assert stages[0].field("pairs_tested") == 3
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_y_is_held_once():
+    """On mirror16 Y is every 8 MiB of the cached cells: good-cells holds one copy of
+    it (a second raised its peak to 16 MiB), and the final chain gathers only the
+    two queries' probed columns (a fresh Y raised its peak to 9 MiB)."""
+    scheme = _mirror_scheme()
+    scheme.encoded()
+    rs = restrict_scheme(scheme, ())
+    assert rs.cells().nbytes == 8 * 2 ** 20
+    stages = []
+    peak = _traced_peak(lambda: _good_cells(rs, scheme, Fraction(1, 2), tuple(range(1, 17)),
+                                            (), (), stages))
+    assert stages[0].field("v2") == tuple(range(1, 17))
+    assert peak < 12 * 2 ** 20
+    events = (("a", 1, lambda v: v == 1), ("b", 3, lambda v: v == 1))
+    x_probs = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
+    tail = (("line 6", Fraction(0), "why"), ("line 7", Fraction(0), "why"))
+    chain = []
+    peak = _traced_peak(lambda: chain.extend(_final_chain(
+        rs, 2, Fraction(1, 2), "eta", "Sum", events, x_probs, ("check", "why", True), tail)[0]))
+    # Y's events are the decoders' own: both queries read a uniform bit
+    assert [line.value for line in chain[1:2]] == [Fraction(1, 4)]
+    assert peak < 3 * 2 ** 20
