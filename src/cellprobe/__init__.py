@@ -35,7 +35,6 @@ from .entropy_sum import (
     EntropySumWitness,
     PrefixSetReport,
     ThresholdReport,
-    binomial_point,
     binomial_tail,
     entropy_sum_analysis,
     entropy_sum_analysis_uniform,
@@ -64,10 +63,8 @@ from .infotheory import (
 )
 from .pipeline import (
     ChainLine,
-    ContradictionChain,
     PipelineReport,
     StageRecord,
-    contradiction_chain,
     run_bracket_pipeline,
     run_pipeline,
     run_prefix_pipeline,

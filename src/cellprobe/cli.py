@@ -120,6 +120,8 @@ def _cmd_redundancy(args):
 
 
 def _cmd_separator(args):
+    if args.bracket_c is not None and args.gap is not None:
+        raise DomainError("separator takes --gap or --bracket-c, not both")
     scheme = load_scheme(args.scheme)
     if args.bracket_c is not None:
         res = find_separator_brackets(scheme.probes, int(args.bracket_c),
@@ -282,8 +284,12 @@ def _cmd_build_scheme(args):
         if "=" not in item:
             raise DomainError(f"bad --param (need key=value): {item!r}")
         key, _, value = item.partition("=")
+        key = key.strip()
+        if key in params:
+            raise DomainError(
+                f"--param {key}: --n, --alphabet or an earlier --param sets it already")
         try:
-            params[key.strip()] = int(value)
+            params[key] = int(value)
         except ValueError as err:
             raise DomainError(f"bad --param value: {item!r}") from err
     scheme = build_builtin(args.name, **params)

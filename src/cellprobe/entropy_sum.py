@@ -36,15 +36,6 @@ from .textfmt import fmt_short
 _TOL = 1e-9
 
 
-def binomial_point(n_trials: int, k: int) -> Fraction:
-    """Pr[Bin(n_trials, 1/2) = k], exactly."""
-    if n_trials < 0:
-        raise ParameterError(f"trial count must be >= 0, got {n_trials}")
-    if k < 0 or k > n_trials:
-        return Fraction(0)
-    return Fraction(math.comb(n_trials, k), 2 ** n_trials)
-
-
 def binomial_tail(n_trials: int, threshold) -> Fraction:
     """Pr[Bin(n_trials, 1/2) >= threshold]; the threshold may be any real."""
     if n_trials < 0:

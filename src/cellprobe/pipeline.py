@@ -35,8 +35,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .brackets import unmatched_close_prob, unmatched_open_prob
+from .brackets import match_rows, unmatched_close_prob, unmatched_open_prob
 from .core import (
+    _ENCODE_BUDGET_BYTES,
     _ENCODE_CHUNK,
     DOMAIN_ALL,
     DOMAIN_BAL,
@@ -56,16 +57,12 @@ from .textfmt import fmt, fmt_short, machine_value as _mval
 
 __all__ = [
     "ChainLine",
-    "ContradictionChain",
     "PipelineReport",
     "StageRecord",
-    "contradiction_chain",
     "run_bracket_pipeline",
     "run_pipeline",
     "run_prefix_pipeline",
 ]
-
-_UNIFORM_SPACE_CAP = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -101,35 +98,6 @@ class ChainLine:
     relation: str | None
     justification: str
     ok: bool | None
-
-
-@dataclass(frozen=True)
-class ContradictionChain:
-    """Exact evaluation of (p1 - eta)(p2 - eta) - eta against a joint bound."""
-
-    p_joint: Fraction
-    p_upper: Fraction
-    p_lower: Fraction
-    closeness: Fraction
-    bound: Fraction
-    contradiction: bool
-
-
-def contradiction_chain(p_joint, p_upper, p_lower, closeness) -> ContradictionChain:
-    """Check whether a measured joint probability undercuts the product bound.
-
-    The argument needs Pr[both events] to stay below
-    (Pr[first] - closeness) * (Pr[second] - closeness) - closeness; a strict
-    shortfall is the contradiction the adversary is after.
-    """
-    eta = _exact(closeness)
-    pj, p1, p2 = _exact(p_joint), _exact(p_upper), _exact(p_lower)
-    bound = (p1 - eta) * (p2 - eta) - eta
-    return ContradictionChain(pj, p1, p2, eta, bound, pj < bound)
-
-
-def _exact(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -376,10 +344,13 @@ def _event_probs_y(rs: RestrictedScheme, i: int, j: int, pred_i, pred_j):
 
 
 def _event_prob_uniform(rs: RestrictedScheme, query: int, m: int, pred):
-    """Probability of a decoder event when probed cells are uniform, over the m^L value grid."""
+    """Probability of a decoder event when probed cells are uniform, over the m^L value grid.
+
+    None when the grid, as the m^L x L int64 matrix it would be, passes the encoding budget.
+    """
     width = len(rs.renamed_probes[query - 1])
     space = m ** width
-    if space > _UNIFORM_SPACE_CAP:
+    if space * width * 8 > _ENCODE_BUDGET_BYTES:
         return None
     weights = m ** np.arange(width - 1, -1, -1)
     hits = 0
@@ -388,6 +359,11 @@ def _event_prob_uniform(rs: RestrictedScheme, query: int, m: int, pred):
         grid = np.arange(start, min(start + _ENCODE_CHUNK, space))[:, None] // weights % m
         hits += int(np.count_nonzero(pred(rs.decode_reduced(query, grid))))
     return Fraction(hits, space)
+
+
+def _product_bound(p1, p2, inner, outer) -> Fraction:
+    """(p1 - inner)(p2 - inner) - outer: chain lines 4 and 5, and the Match line 6."""
+    return (p1 - inner) * (p2 - inner) - outer
 
 
 def _final_chain(rs: RestrictedScheme, m: int, eta: Fraction, eta_name: str,
@@ -409,8 +385,8 @@ def _final_chain(rs: RestrictedScheme, m: int, eta: Fraction, eta_name: str,
     pu_a = _event_prob_uniform(rs, query_a, m, pred_a)
     pu_b = _event_prob_uniform(rs, query_b, m, pred_b)
     v2 = v3 = None if pu_a is None or pu_b is None else pu_a * pu_b - eta
-    v4 = (py_a - eta) * (py_b - eta) - eta
-    cc = contradiction_chain(px_joint, px_a, px_b, eta)
+    v4 = _product_bound(py_a, py_b, eta, eta)
+    v5 = _product_bound(px_a, px_b, eta, eta)
     chain = (
         ChainLine(f"Pr_X[{x_name}_{a} and {x_name}_{b}]", px_joint, None, why0, ok0),
         ChainLine(f"Pr_Y[dec_{a} and dec_{b}]", py_joint, "=",
@@ -421,9 +397,9 @@ def _final_chain(rs: RestrictedScheme, m: int, eta: Fraction, eta_name: str,
                   "probe sets disjoint", None if v3 is None else v2 == v3),
         ChainLine(f"(Pr_Y[dec_{a}] - {e})(Pr_Y[dec_{b}] - {e}) - {e}", v4, ">=",
                   "near-uniform cells, factor by factor", None if v3 is None else v3 >= v4),
-        ChainLine(f"(Pr_X[{x_name}_{a}] - {e})(Pr_X[{x_name}_{b}] - {e}) - {e}", cc.bound, "=",
-                  "answers preserved under fixing", v4 == cc.bound),
-        ChainLine(label6, v6, ">=", why6, cc.bound >= v6),
+        ChainLine(f"(Pr_X[{x_name}_{a}] - {e})(Pr_X[{x_name}_{b}] - {e}) - {e}", v5, "=",
+                  "answers preserved under fixing", v4 == v5),
+        ChainLine(label6, v6, ">=", why6, v5 >= v6),
         ChainLine(label7, v7, ">", why7, v6 > v7),
     )
     relations_ok = all(line.ok for line in chain[1:])
@@ -433,7 +409,7 @@ def _final_chain(rs: RestrictedScheme, m: int, eta: Fraction, eta_name: str,
         ("relations", relations_ok),
         ("ends_above_floor", v6 > v7),
         ("probes_disjoint", not set(probes_a) & set(probes_b)),
-        ("joint_under_product_bound", cc.contradiction),
+        ("joint_under_product_bound", px_joint < v5),
         ("contradiction", ok0 and relations_ok),
     )
     return chain, chain_checks
@@ -447,7 +423,7 @@ def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
     if n < 2:
         raise ParameterError("the prefix pipeline needs n >= 2")
     # decided on the exact Fraction, before any float or power of c is formed
-    cf = _exact(c)
+    cf = Fraction(c)
     if not 1 < cf <= n:
         raise ParameterError(f"c must exceed 1 and be at most n = {n}, got {fmt_short(cf)}")
     eta = 1 / cf
@@ -525,7 +501,7 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
     n = scheme.n
     if n < 4 or n % 2:
         raise ParameterError("the bracket pipeline needs even n >= 4")
-    cf = _exact(c)
+    cf = Fraction(c)
     if cf.denominator != 1:
         raise ParameterError(f"c must be an integer, got {fmt_short(cf)}")
     c = int(cf)
@@ -605,11 +581,11 @@ def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
         ),
     ))
 
-    matches = scheme.oracle_rows(x_bits)
+    matches = match_rows(x_bits)
     x_probs = _event_probs(matches[:, i_idx - 1] > j_idx, matches[:, j_idx - 1] < i_idx)
     window = j_idx - i_idx + 1
     eta2 = Fraction(2.0 / (c * sqrt_d))
-    v6 = (unmatched_open_prob(window) - eta2) * (unmatched_close_prob(window) - eta2) - eta
+    v6 = _product_bound(unmatched_open_prob(window), unmatched_close_prob(window), eta2, eta)
     chain, chain_checks = _final_chain(
         rs, scheme.cell_alphabet, eta, "1/(cd)", "match",
         (("i > j", i_idx, lambda v: v > j_idx), ("j < i", j_idx, lambda v: v < i_idx)),

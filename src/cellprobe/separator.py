@@ -185,8 +185,8 @@ class BracketSeparatorResult:
 
     @property
     def v_floor(self) -> bool:
-        """w >= n/lg^a n, the count the successful stage was held to."""
-        return _meets(self.w, self.n, math.log2(math.log2(self.n)), self.a)
+        """w >= n/lg^a n: the test the successful stage passed, as its log records it."""
+        return self.log[-1].success
 
 
 def _meets(count: int, n: int, lg_l: float, exponent: int) -> bool:

@@ -95,6 +95,14 @@ def test_separator_prefix_mode(good_scheme, capsys):
     assert "check.b_small: yes" in out
 
 
+def test_separator_refuses_a_gap_beside_a_bracket_c(good_scheme, capsys):
+    code = main(["separator", "--scheme", good_scheme, "--gap", "4", "--bracket-c", "4"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: separator takes --gap or --bracket-c, not both\n"
+
+
 def test_stretcher_ok_and_stuck(capsys):
     ok = main(["stretcher", "--indices", ",".join(str(k) for k in range(1, 21)),
                "--n", "256", "--c", "2"])
@@ -423,6 +431,20 @@ def test_build_scheme_unknown_parameter_is_usage_error(tmp_path, capsys):
                  "--param", "bogus=1", "--out", str(tmp_path / "x.scm")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("extra, key", [
+    (["--param", "n=8"], "n"),
+    (["--alphabet", "9", "--param", "cell_alphabet=6"], "cell_alphabet"),
+    (["--param", "cell_alphabet=6", "--param", "cell_alphabet=7"], "cell_alphabet"),
+])
+def test_build_scheme_refuses_a_param_that_repeats_a_key(extra, key, tmp_path, capsys):
+    out = tmp_path / "x.scm"
+    code = main(["build-scheme", "--name", "precomputed_sums", "--n", "4", *extra,
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: --param {key}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("module", ["cellprobe", "cellprobe.cli"])

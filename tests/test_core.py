@@ -25,6 +25,7 @@ from cellprobe import (
     TableDecoder,
     TableEncoder,
     bits_to_str,
+    match_rows,
     parse_bits,
     prefix_sums,
     redundancy,
@@ -229,7 +230,10 @@ def test_oracle_all_matches_per_query_answers():
     sch = build_precomputed_sums(5)
     x = (1, 1, 0, 1, 0)
     assert oracle_all(sch, x) == tuple(sch.answer(x, i) for i in range(1, 6))
-    assert sch.oracle_rows(np.array([x])).tolist() == [list(oracle_all(sch, x))]
+    bal = build_bracket_table(6)
+    bits = bal.encoded()[0]
+    want = [list(oracle_all(bal, x)) for x in map(tuple, bits.tolist())]
+    assert match_rows(bits).tolist() == want
 
 
 @pytest.mark.parametrize("build", [lambda: build_precomputed_sums(40),

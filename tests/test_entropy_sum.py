@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from cellprobe import (
     Distribution,
     ParameterError,
-    binomial_point,
     binomial_tail,
     entropy_sum_analysis,
     entropy_sum_analysis_uniform,
@@ -23,14 +22,6 @@ from cellprobe import (
     good_prefix_set,
     stretch_term,
 )
-
-
-def test_binomial_point_matches_comb():
-    assert binomial_point(4, 2) == Fraction(3, 8)
-    assert binomial_point(4, -1) == 0
-    assert binomial_point(4, 5) == 0
-    with pytest.raises(ParameterError):
-        binomial_point(-1, 0)
 
 
 def test_binomial_tail_values_and_real_thresholds():
@@ -228,7 +219,7 @@ def test_uniform_long_prefix_witness():
     assert w.P_joint == 0
     assert w.block_bound == binomial_tail(4, 10) == 0
     assert w.holds
-    assert w.P_lower_leq == Fraction(1, 2) + binomial_point(257, 129)
+    assert w.P_lower_leq == Fraction(1, 2) + Fraction(math.comb(257, 129), 2 ** 257)
 
 
 def test_joint_probability_never_exceeds_its_factors():

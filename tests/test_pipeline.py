@@ -1,5 +1,7 @@
 """Stage-by-stage adversary pipelines and the closing contradiction chain."""
 
+import glob
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +14,6 @@ from cellprobe import (
     Distribution,
     ParameterError,
     Scheme,
-    contradiction_chain,
     restrict_scheme,
     run_bracket_pipeline,
     run_pipeline,
@@ -46,15 +47,26 @@ def _mirror_scheme() -> Scheme:
     )
 
 
-def test_contradiction_chain_frozen_bound():
-    chain = contradiction_chain(
-        Fraction(1, 1000), Fraction(1, 10), Fraction(1, 10), Fraction(1, 200))
-    assert chain.bound == Fraction(161, 40000)
-    assert chain.contradiction
-    no = contradiction_chain(
-        Fraction(1, 100), Fraction(1, 10), Fraction(1, 10), Fraction(1, 200))
-    assert no.bound == Fraction(161, 40000)
-    assert not no.contradiction
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def test_golden_chains_read_the_joint_check_from_lines_0_and_5():
+    kinds = []
+    for path in sorted(glob.glob(os.path.join(GOLDEN, "*.pipeline.txt"))):
+        with open(path, encoding="ascii") as fh:
+            report = dict(line.rstrip("\n").split("=", 1) for line in fh)
+        if "chain.5.value" not in report:
+            continue
+        kinds.append(report["pipeline"])
+        joint, bound = Fraction(report["chain.0.value"]), Fraction(report["chain.5.value"])
+        assert report["check.joint_under_product_bound"] == ("ok" if joint < bound else "fail")
+        if report["pipeline"] == "prefix":
+            # line 5 is (P_upper - 1/c)(P_lower - 1/c) - 1/c on the entropy-sum stage's fields
+            eta = 1 / Fraction(report["c"])
+            upper = Fraction(report["stage.entropy-sum.P_upper"])
+            lower = Fraction(report["stage.entropy-sum.P_lower"])
+            assert bound == (upper - eta) * (lower - eta) - eta
+    assert sorted(kinds) == ["brackets"] + ["prefix"] * 3
 
 
 def test_two_level_pipeline_truncates_at_stretcher():
@@ -131,7 +143,8 @@ def test_light_good_prefixes_truncate_at_entropy_sum():
 
 def test_uniform_space_cap_skips_chain_lines_2_to_4(monkeypatch):
     uncapped = run_prefix_pipeline(build_precomputed_sums(8), Fraction(11, 10))
-    monkeypatch.setattr("cellprobe.pipeline._UNIFORM_SPACE_CAP", 1)
+    # a grid of any width past the budget: one byte
+    monkeypatch.setattr("cellprobe.pipeline._ENCODE_BUDGET_BYTES", 1)
     capped = run_prefix_pipeline(build_precomputed_sums(8), Fraction(11, 10))
     before = uncapped.render_machine().splitlines()
     after = capped.render_machine().splitlines()

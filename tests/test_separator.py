@@ -1,5 +1,6 @@
 """Separator searches: greedy disjoint families, staged blocking, bracket schedule."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from cellprobe import (
     greedy_disjoint,
     pairwise_disjoint,
 )
-from cellprobe.separator import _as_matrix, _greedy
+from cellprobe.separator import BracketSeparatorResult, _as_matrix, _greedy, _meets
 
 
 def test_greedy_disjoint_takes_first_compatible():
@@ -84,6 +85,7 @@ def test_bracket_separator_stage_zero_at_desk_scale():
     assert res.w == 128
     assert res.checks == (("b_between", True), ("b_small", True))
     assert res.v_floor  # 128 >= n / lg^a n = 2^16 / 16^8
+    assert res.v_floor == res.log[-1].success
 
 
 def test_bracket_separator_preconditions():
@@ -96,6 +98,7 @@ def test_bracket_separator_preconditions():
         find_separator_brackets(fam_q2, 4)
     res = find_separator_brackets(fam_q2, 4, require_preconditions=False)
     assert res.a == 64 and res.b == 256
+    assert res.v_floor == res.log[-1].success
 
 
 def test_bracket_separator_exponent_limit():
@@ -109,6 +112,7 @@ def test_bracket_separator_thresholds_decrease_with_stage():
     family = [{0} for _ in range(n)]
     res = find_separator_brackets(family, 4)
     assert res.V and res.w >= 1
+    assert res.v_floor == res.log[-1].success
 
 
 def _outcome(fn, *args, **kwargs):
@@ -157,6 +161,10 @@ def test_bracket_separator_matches_the_frozenset_reference(family, c):
     got = _outcome(find_separator_brackets, family, c, require_preconditions=False)
     want = _outcome(reference.find_separator_brackets, family, c, require_preconditions=False)
     assert got == want
+    if isinstance(got, BracketSeparatorResult):
+        # the logged success is the test w >= n/lg^a n, decided again here
+        lg_l = math.log2(math.log2(got.n))
+        assert got.v_floor == got.log[-1].success == _meets(got.w, got.n, lg_l, got.a)
 
 
 def test_both_greedy_branches_match_the_reference():
