@@ -65,9 +65,7 @@ from .pipeline import (
     ChainLine,
     PipelineReport,
     StageRecord,
-    run_bracket_pipeline,
     run_pipeline,
-    run_prefix_pipeline,
 )
 from .schemeio import load_scheme, read_scheme, save_scheme, write_scheme
 from .schemes import (

@@ -78,6 +78,18 @@ def match_rows(bits: np.ndarray) -> np.ndarray:
     return out
 
 
+def unmatched_ends(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of a k x w bits matrix: whether its first bracket opens and stays
+    unmatched within the row, and whether its last closes and stays unmatched.
+
+    The first stays open when every prefix holds more opens than closes, the
+    last stays closed when every suffix holds more closes than opens.
+    """
+    steps = 2 * window.astype(np.int64) - 1
+    return ((np.cumsum(steps, axis=1) >= 1).all(axis=1),
+            (np.cumsum(-steps[:, ::-1], axis=1) >= 1).all(axis=1))
+
+
 def match_index(bits, i: int) -> int:
     """1-based partner of position ``i`` in a balanced string."""
     bits = tuple(bits)

@@ -1,7 +1,7 @@
-"""Adversary pipelines that replay the lower-bound argument on a scheme.
+"""The adversary pipeline: one walk that replays the lower-bound argument on a scheme.
 
 The prefix-sum (Sum) and bracket-matching (Match) bounds share one argument,
-and both pipelines walk its shared skeleton:
+and ``run_pipeline`` walks it once for both query kinds:
 
 1. separator: a small blocker set B and queries V whose probes are disjoint
    outside B;
@@ -9,21 +9,24 @@ and both pipelines walk its shared skeleton:
    the inputs X that agree with it;
 3. good-cells: keep the near-uniform cells of Y = enc(X) and the queries V2
    whose probes stay inside them;
-4. the kind's own stages, which pick index pairs from V2 (Sum: stretcher;
+4. the kind's pair stage, which picks index pairs from V2 (Sum: stretcher;
    Match: close-pairs);
 5. entropy-blocks: cut [1, n] after each pair and choose a high-entropy block;
-6. final-chain: eight lines from Pr_X of the joint event down to a floor.
-   Lines 0-5 and the chain checks are the same for both kinds; each kind
-   names its two events and supplies lines 6-7 and its first check.
+6. Sum only, entropy-sum: the threshold that names Sum's two events;
+7. final-chain: eight lines from Pr_X of the joint event down to a floor.
 
-Sum also runs entropy-sum between steps 5 and 6.  Every claimed inequality is
-measured exactly on the given scheme.  At workbench sizes many asymptotic
-guarantees fail; every check is recorded honestly and the run continues
-best-effort.  Each step returns one result that carries its own outcome, and
-its stage reads that result.  A stage whose step leaves nothing to go on
-truncates the report with that stage named: stretcher when the sweep found no
-pair, close-pairs when V holds fewer than two queries, and entropy-sum when
-the good prefixes carry under 1/4 of the mass, so no threshold exists.
+What the kinds do differently lives in one small record each, ``_Sum`` and
+``_Match``: it validates c, holds the kind's parameters, and supplies the
+kind's separator fields and checks, its floors on |V2|, its pair stage, its
+own entropy-blocks fields and its chain inputs (the two events, their
+probabilities over X, the check on line 0, and lines 6-7).
+
+Every claimed inequality is measured exactly on the given scheme.  At
+workbench sizes many asymptotic guarantees fail; every check is recorded
+honestly and the run continues best-effort.  A stage that leaves nothing to
+go on ends the report, which names that stage: stretcher when the sweep found
+no pair, close-pairs when V holds fewer than two queries, and entropy-sum
+when the good prefixes carry under 1/4 of the mass, so no threshold exists.
 """
 
 from __future__ import annotations
@@ -35,13 +38,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .brackets import match_rows, unmatched_close_prob, unmatched_open_prob
+from .brackets import unmatched_close_prob, unmatched_ends, unmatched_open_prob
 from .core import (
     _ENCODE_BUDGET_BYTES,
     _ENCODE_CHUNK,
     DOMAIN_ALL,
-    DOMAIN_BAL,
-    KIND_MATCH,
     KIND_SUM,
     RestrictedScheme,
     Scheme,
@@ -55,14 +56,7 @@ from .separator import _BRACKET_EXPONENT_LIMIT, find_separator, find_separator_b
 from .stretcher import find_stretcher
 from .textfmt import fmt, fmt_short, machine_value as _mval
 
-__all__ = [
-    "ChainLine",
-    "PipelineReport",
-    "StageRecord",
-    "run_bracket_pipeline",
-    "run_pipeline",
-    "run_prefix_pipeline",
-]
+__all__ = ["ChainLine", "PipelineReport", "StageRecord", "run_pipeline"]
 
 
 @dataclass(frozen=True)
@@ -196,28 +190,180 @@ class PipelineReport:
         return "\n".join(out) + "\n"
 
 
-def _report(kind, scheme, c, stages, chain=(), chain_checks=(), truncated_at=None):
-    return PipelineReport(
-        kind=kind,
-        scheme_label=scheme.builtin[0] if scheme.builtin else "table",
-        n=scheme.n,
-        u=scheme.u,
-        q=scheme.q,
-        cell_alphabet=scheme.cell_alphabet,
-        c=c,
-        stages=tuple(stages),
-        chain=tuple(chain),
-        chain_checks=tuple(chain_checks),
-        truncated_at=truncated_at,
-    )
+class _Sum:
+    """The prefix-sum argument: a rational c in (1, n], the separator's gap g = (lg n)^c,
+    eta = eps = 1/c, the stretcher as the pair stage and events named by entropy-sum."""
+
+    name, eta_name, x_name = "prefix", "1/c", "sum"
+    good_cells_head = ()
+
+    def __init__(self, scheme: Scheme, c):
+        if scheme.domain != DOMAIN_ALL:
+            # Scheme allows Sum queries over balanced strings; this argument does not
+            raise ParameterError("the prefix pipeline needs a Sum scheme over all bitstrings")
+        n = scheme.n
+        if n < 2:
+            raise ParameterError("the prefix pipeline needs n >= 2")
+        # decided on the exact Fraction, before any float or power of c is formed
+        cf = Fraction(c)
+        if not 1 < cf <= n:
+            raise ParameterError(f"c must exceed 1 and be at most n = {n}, got {fmt_short(cf)}")
+        lg = math.log2(n)
+        try:
+            self.g = Fraction(lg) ** int(cf) if cf.denominator == 1 else Fraction(lg ** float(cf))
+        except OverflowError:
+            raise ParameterError(f"(lg n)^c overflows a float for c = {fmt_short(cf)}") from None
+        self.scheme, self.c, self.cf = scheme, c, cf
+        self.eta = self.eps = 1 / cf
+
+    def separate(self, probes):
+        """The separator at gap g, with this kind's separator fields before and after
+        the shared ones and its checks; sets the floors on |V2| from its w."""
+        sep = find_separator(probes, self.g)
+        redundant = 32 * self.scheme.q * redundancy(self.scheme) * float(self.cf) ** 2
+        self.floors = (("v2_half", Fraction(sep.w, 2)), ("v2_redundancy", sep.w - redundant))
+        return sep, (("g", self.g), ("k0", sep.k0)), (), sep.checks
+
+    def pair_stage(self, v2, v, stages):
+        """Record the stretcher stage over V2; returns its pairs (left, right)."""
+        st = find_stretcher(sorted(v2), self.scheme.n, self.c)
+        stages.append(StageRecord(
+            "stretcher",
+            (("t", st.t), ("w", st.w), ("w_prime", st.w_prime), ("v_prime", st.v_prime),
+             ("guarantee", st.guarantee), ("stuck_at", st.stuck_at), ("stuck_window", st.window)),
+            (("pair_rule", all(p.satisfies(self.c) for p in st.pairs)),
+             ("w_prime_floor", st.guarantee_ok), ("sweep_completed", st.stuck_at is None)),
+        ))
+        return [(p.left, p.right) for p in st.pairs]
+
+    def block(self, x_dist: Distribution, p: int, hi: int, i: int, j: int):
+        """This kind's entropy-blocks fields and checks: the block's start p and its pair."""
+        return (("p", p), ("i", i), ("j", j)), ()
+
+    def chain_inputs(self, x_dist: Distribution, p: int, i: int, j: int, stages):
+        """Record the entropy-sum stage, whose threshold names the events sum_j >= s and
+        sum_i < s'; return them with their X-side probabilities, the line-0 check and
+        lines 6-7, or None when no threshold exists."""
+        wit = entropy_sum_analysis(x_dist, p, i, j, self.c)
+        stages.append(StageRecord(
+            "entropy-sum",
+            tuple((name, getattr(wit, name)) for name in (
+                "ell", "d", "t", "s", "s_prime", "s_exact", "a_size", "pr_A", "P_upper", "P_lower",
+                "P_lower_leq", "P_joint", "block_bound")),
+            (
+                ("hypothesis", wit.hypothesis_ok),
+                ("ratio", wit.ratio_ok),
+                ("prefix_mass", wit.prefix_report.claim_half_ok),
+                ("upper_tail", wit.holds_upper),
+                ("lower_tail", wit.holds_lower),
+                ("joint_tail", wit.holds_joint),
+            ),
+        ))
+        if wit.t is None:
+            return None
+        # answers are integers, so v >= s and v < s' hold exactly when they hold at the
+        # witness's integer cuts, ceil s and ceil s'
+        s, sp = wit.cuts[:2]
+        return (
+            (("j >= s", j, lambda v: v >= s), ("i < s'", i, lambda v: v < sp)),
+            (wit.P_upper, wit.P_lower, wit.P_joint),
+            ("joint_bound", "joint tail bound at the threshold", wit.holds_joint),
+            (("(1/10 - 1/c)^2 - 1/c", (Fraction(1, 10) - self.eta) ** 2 - self.eta,
+              "tail bounds at the chosen threshold"),
+             ("1/200", Fraction(1, 200), "parameter floor")),
+        )
 
 
-def _separate_and_fix(scheme: Scheme, sep, head, tail, checks, stages) -> RestrictedScheme:
-    """Record the separator stage, then fix the blocker cells to their most likely value.
+class _Match:
+    """The bracket-matching argument: an integer c, d = 16 (lg n)^a from the separator's
+    a, eta = 1/(cd), eps = 1/(16 c^2 d), close-pairs as the pair stage."""
 
-    ``head``, ``tail`` and ``checks`` are the kind's own separator fields and
-    guarantee checks; the shared fields go between, the ``disjoint`` check last.
-    """
+    name, eta_name, x_name = "brackets", "1/(cd)", "match"
+
+    def __init__(self, scheme: Scheme, c):
+        if scheme.n < 4 or scheme.n % 2:
+            raise ParameterError("the bracket pipeline needs even n >= 4")
+        cf = Fraction(c)
+        if cf.denominator != 1:
+            raise ParameterError(f"c must be an integer, got {fmt_short(cf)}")
+        self.scheme, self.c = scheme, int(cf)
+        if self.c >= 4 and (2 * self.c) ** scheme.q > _BRACKET_EXPONENT_LIMIT:
+            raise ParameterError(f"c = {fmt_short(cf)} puts (2c)^q past {_BRACKET_EXPONENT_LIMIT}")
+
+    def separate(self, probes):
+        """The bracket separator, with this kind's separator fields before and after the
+        shared ones and its checks; sets d and every parameter built on it from its a."""
+        c = self.c
+        sep = find_separator_brackets(probes, c, require_preconditions=False)
+        n, a = self.scheme.n, sep.a
+        lg = math.log2(n)
+        try:
+            self.d = math.ldexp(lg ** a, 4)  # 16 (lg n)^a exactly; each step raises past the range
+        except OverflowError:
+            raise ParameterError(
+                f"d = 16 (lg n)^a is past the float range for c = {c} (a = {a})") from None
+        self.sqrt_d = math.sqrt(self.d)
+        self.eta = Fraction(1) / (Fraction(c) * Fraction(self.d))
+        self.eps = Fraction(1) / (16 * Fraction(c) ** 2 * Fraction(self.d))
+        self.good_cells_head = (("d", self.d),)
+        self.floors = (("v2_floor", n / (2.0 * lg ** a)),)
+        self.v3_floor = n / (16.0 * lg ** a)
+        return (sep, (("a", a), ("b", sep.b)), (("size_floor_ok", sep.size_floor_ok),),
+                (*sep.checks, ("v_floor", sep.v_floor)))
+
+    def pair_stage(self, v2, v, stages):
+        """Record the close-pairs stage: V2 paired off in order, a pair kept when closer
+        than d.  Returns the kept pairs or, when none is, the closest two queries of V."""
+        v2 = sorted(v2)
+        candidates = list(zip(v2[0::2], v2[1::2]))
+        kept = [(i, j) for i, j in candidates if j - i < self.d]
+        stages.append(StageRecord(
+            "close-pairs",
+            (("candidate_pairs", len(candidates)), ("kept_pairs", len(kept)),
+             ("v3", tuple(x for pr in kept for x in pr))),
+            (("v3_floor", len(kept) >= self.v3_floor),),
+        ))
+        # d >= 32 > j - i, since cell-fixing enumerates only n <= 28: no candidate is dropped
+        self.fallback = "close-pairs" if kept else "closest-in-v"
+        if kept or len(v) < 2:
+            return kept
+        vs = sorted(v)
+        return [min(zip(vs, vs[1:]), key=lambda pr: (pr[1] - pr[0], pr[0]))]
+
+    def block(self, x_dist: Distribution, lo: int, hi: int, i: int, j: int):
+        """This kind's entropy-blocks fields and checks: the fallback, the pair, and how
+        close the chosen block's bits come to uniform."""
+        tv = columns_tv(x_dist.rows.T[lo:hi], x_dist.counts, x_dist.denom, 2)
+        bound = Fraction(1) / (Fraction(self.c) * Fraction(self.sqrt_d))
+        return (
+            (("fallback", self.fallback), ("i", i), ("j", j), ("block_tv", tv),
+             ("closeness_bound", bound)),
+            (("block_close", tv <= bound), ("pairs_direct", self.fallback == "close-pairs")),
+        )
+
+    def chain_inputs(self, x_dist: Distribution, p: int, i: int, j: int, stages):
+        """The events match_i > j and match_j < i, their X-side probabilities read off the
+        window [i, j] of X, the line-0 check and lines 6-7."""
+        x_probs = _event_probs(*unmatched_ends(x_dist.rows[:, i - 1:j]), x_dist.counts)
+        window = j - i + 1
+        eta2 = Fraction(2.0 / (self.c * self.sqrt_d))
+        v6 = _product_bound(unmatched_open_prob(window), unmatched_close_prob(window),
+                            eta2, self.eta)
+        return (
+            (("i > j", i, lambda v: v > j), ("j < i", j, lambda v: v < i)),
+            x_probs,
+            ("left_side_zero", "partners cannot cross", x_probs[2] == 0),
+            (("(Pr_full[match_i > j] - 2/(c sqrt d))(Pr_full[match_j < i] - 2/(c sqrt d)) - 1/(cd)",
+              v6, "block close to uniform window bits"),
+             ("0", Fraction(0), "unmatched-window probabilities")),
+        )
+
+
+def _separate_and_fix(scheme: Scheme, kind, stages):
+    """Record the kind's separator, its own fields around the shared ones and the
+    ``disjoint`` check last, then fix the blocker cells to their most likely value.
+    Returns the separator's result and the restricted scheme."""
+    sep, head, tail, checks = kind.separate(scheme.probes)
     b_sorted = tuple(sorted(sep.B))
     v_sets = [set(scheme.probes[v - 1]) - sep.B for v in sep.V]
     stages.append(StageRecord(
@@ -245,7 +391,7 @@ def _separate_and_fix(scheme: Scheme, sep, head, tail, checks, stages) -> Restri
             ("answers_preserved", rs.preserves_answers()),
         ),
     ))
-    return rs
+    return sep, rs
 
 
 def _good_cells(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set, head, floors, stages):
@@ -304,43 +450,31 @@ def _good_cells(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set, head
     return v2
 
 
-def _entropy_blocks(x_dist: Distribution, n: int, rights, eps):
-    """Cut [1, n] after each pair's right end and choose a block.
-
-    The chosen block is the smallest good one if any, else the best-scoring
-    one.  Returns its 0-based index, its bounds (lo, hi] and the shared fields
-    and checks of the entropy-blocks stage.
-    """
-    bounds = [0, *rights[:-1], n]
+def _entropy_blocks(x_dist: Distribution, n: int, pairs, kind, stages):
+    """Cut [1, n] after each pair's right end and record the stage, the kind's own fields
+    and checks last.  The chosen block is the smallest good one if any, else the
+    best-scoring one; returns its start and its pair (i, j)."""
+    bounds = [0, *(j for _, j in pairs[:-1]), n]
     sizes = tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-    gb = good_blocks(x_dist, sizes, eps)
+    gb = good_blocks(x_dist, sizes, kind.eps)
     good = [k for k in gb.good if 1 <= k <= len(sizes)]
     k = good[0] - 1 if good else max(range(len(sizes)), key=lambda idx: (gb.scores[idx], -idx))
-    fields = (
-        ("sizes", sizes),
-        ("eps", eps),
-        ("scores", gb.scores),
-        ("good_blocks", gb.good),
-        ("deficiency_bits", gb.deficiency),
-        ("chosen_block", k + 1),
-    )
-    checks = (("good_count", gb.size_bound_ok), ("block_good", bool(good)))
-    return k, bounds[k], bounds[k + 1], fields, checks
+    i, j = pairs[k]
+    fields, checks = kind.block(x_dist, bounds[k], bounds[k + 1], i, j)
+    stages.append(StageRecord(
+        "entropy-blocks",
+        (("sizes", sizes), ("eps", kind.eps), ("scores", gb.scores), ("good_blocks", gb.good),
+         ("deficiency_bits", gb.deficiency), ("chosen_block", k + 1), *fields),
+        (("good_count", gb.size_bound_ok), ("block_good", bool(good)), *checks),
+    ))
+    return bounds[k], i, j
 
 
-def _event_probs(ei, ej) -> tuple[Fraction, Fraction, Fraction]:
-    """Pr[ei], Pr[ej] and Pr[ei and ej] over the rows of two event columns."""
-    total = len(ei)
-    return (Fraction(int(ei.sum()), total), Fraction(int(ej.sum()), total),
-            Fraction(int((ei & ej).sum()), total))
-
-
-def _event_probs_y(rs: RestrictedScheme, i: int, j: int, pred_i, pred_j):
-    """Joint and marginal event probabilities of the reduced decoders over Y."""
-    cells = rs.base.encoded()[1]
-    ei, ej = (pred(rs.decode_reduced(query, cells[np.ix_(rs.rows, rs.reduced_probes[query - 1])]))
-              for query, pred in ((i, pred_i), (j, pred_j)))
-    return _event_probs(ei, ej)
+def _event_probs(ei, ej, counts) -> tuple[Fraction, Fraction, Fraction]:
+    """Pr[ei], Pr[ej] and Pr[ei and ej] over the rows of two event columns, row r
+    weighted by counts[r]."""
+    total = int(counts.sum())
+    return tuple(Fraction(int(counts[e].sum()), total) for e in (ei, ej, ei & ej))
 
 
 def _event_prob_uniform(rs: RestrictedScheme, query: int, m: int, pred):
@@ -374,14 +508,19 @@ def _final_chain(rs: RestrictedScheme, m: int, eta: Fraction, eta_name: str,
     X side reads them as answers named ``x_name``, with probabilities
     ``x_probs`` = (Pr_X[first], Pr_X[second], Pr_X[both]).  ``first`` is the
     name, justification and outcome of line 0's check, ``tail`` the label,
-    value and justification of lines 6 and 7.
+    value and justification of lines 6 and 7.  Line 3 holds when the probe sets are disjoint.
     """
     (a, query_a, pred_a), (b, query_b, pred_b) = events
     px_a, px_b, px_joint = x_probs
     check0, why0, ok0 = first
     (label6, v6, why6), (label7, v7, why7) = tail
     e = eta_name
-    py_a, py_b, py_joint = _event_probs_y(rs, query_a, query_b, pred_a, pred_b)
+    disjoint = not set(rs.renamed_probes[query_a - 1]) & set(rs.renamed_probes[query_b - 1])
+    # the reduced decoders' events over Y, from the two queries' probed columns alone
+    cells = rs.base.encoded()[1]
+    ey_a, ey_b = (pred(rs.decode_reduced(q, cells[np.ix_(rs.rows, rs.reduced_probes[q - 1])]))
+                  for q, pred in ((query_a, pred_a), (query_b, pred_b)))
+    py_a, py_b, py_joint = _event_probs(ey_a, ey_b, np.ones(len(rs.rows), dtype=np.int64))
     pu_a = _event_prob_uniform(rs, query_a, m, pred_a)
     pu_b = _event_prob_uniform(rs, query_b, m, pred_b)
     v2 = v3 = None if pu_a is None or pu_b is None else pu_a * pu_b - eta
@@ -394,7 +533,7 @@ def _final_chain(rs: RestrictedScheme, m: int, eta: Fraction, eta_name: str,
         ChainLine(f"Pr_U[dec_{a} and dec_{b}] - {e}", v2, ">=",
                   "probed cells jointly near-uniform", None if v2 is None else py_joint >= v2),
         ChainLine(f"Pr_U[dec_{a}] * Pr_U[dec_{b}] - {e}", v3, "=",
-                  "probe sets disjoint", None if v3 is None else v2 == v3),
+                  "probe sets disjoint", None if v3 is None else disjoint),
         ChainLine(f"(Pr_Y[dec_{a}] - {e})(Pr_Y[dec_{b}] - {e}) - {e}", v4, ">=",
                   "near-uniform cells, factor by factor", None if v3 is None else v3 >= v4),
         ChainLine(f"(Pr_X[{x_name}_{a}] - {e})(Pr_X[{x_name}_{b}] - {e}) - {e}", v5, "=",
@@ -403,203 +542,46 @@ def _final_chain(rs: RestrictedScheme, m: int, eta: Fraction, eta_name: str,
         ChainLine(label7, v7, ">", why7, v6 > v7),
     )
     relations_ok = all(line.ok for line in chain[1:])
-    probes_a, probes_b = rs.renamed_probes[query_a - 1], rs.renamed_probes[query_b - 1]
     chain_checks = (
         (check0, ok0),
         ("relations", relations_ok),
         ("ends_above_floor", v6 > v7),
-        ("probes_disjoint", not set(probes_a) & set(probes_b)),
+        ("probes_disjoint", disjoint),
         ("joint_under_product_bound", px_joint < v5),
         ("contradiction", ok0 and relations_ok),
     )
     return chain, chain_checks
 
 
-def run_prefix_pipeline(scheme: Scheme, c) -> PipelineReport:
-    """Replay the prefix-sum argument against a Sum scheme, stage by stage."""
-    if scheme.kind != KIND_SUM or scheme.domain != DOMAIN_ALL:
-        raise ParameterError("the prefix pipeline needs a Sum scheme over all bitstrings")
-    n = scheme.n
-    if n < 2:
-        raise ParameterError("the prefix pipeline needs n >= 2")
-    # decided on the exact Fraction, before any float or power of c is formed
-    cf = Fraction(c)
-    if not 1 < cf <= n:
-        raise ParameterError(f"c must exceed 1 and be at most n = {n}, got {fmt_short(cf)}")
-    eta = 1 / cf
-    stages: list[StageRecord] = []
-
-    lg = math.log2(n)
-    try:
-        gap = Fraction(lg) ** int(cf) if cf.denominator == 1 else Fraction(lg ** float(cf))
-    except OverflowError:
-        raise ParameterError(f"(lg n)^c overflows a float for c = {fmt_short(cf)}") from None
-    sep = find_separator(scheme.probes, gap)
-    rs = _separate_and_fix(scheme, sep, (("g", gap), ("k0", sep.k0)), (), sep.checks, stages)
-
-    floors = (
-        ("v2_half", Fraction(sep.w, 2)),
-        ("v2_redundancy", sep.w - 32 * scheme.q * redundancy(scheme) * float(cf) ** 2),
-    )
-    v2 = _good_cells(rs, scheme, eta, sep.V, (), floors, stages)
-
-    st = find_stretcher(sorted(v2), n, c)
-    pairs = st.pairs
-    stages.append(StageRecord(
-        "stretcher",
-        (("t", st.t), ("w", st.w), ("w_prime", st.w_prime), ("v_prime", st.v_prime),
-         ("guarantee", st.guarantee), ("stuck_at", st.stuck_at), ("stuck_window", st.window)),
-        (("pair_rule", all(p.satisfies(c) for p in pairs)), ("w_prime_floor", st.guarantee_ok),
-         ("sweep_completed", st.stuck_at is None)),
-    ))
+def _walk(scheme: Scheme, kind, stages):
+    """Run the stages in order, appending each one's record to ``stages``.  Returns the
+    chain lines and checks, or None when the last stage recorded left nothing to go on."""
+    sep, rs = _separate_and_fix(scheme, kind, stages)
+    v2 = _good_cells(rs, scheme, kind.eta, sep.V, kind.good_cells_head, kind.floors, stages)
+    pairs = kind.pair_stage(v2, sep.V, stages)
     if not pairs:
-        return _report("prefix", scheme, c, stages, truncated_at="stretcher")
-
+        return None
     x_dist = Distribution.from_rows(rs.surviving_bits())
-    k, p_idx, _, fields, checks = _entropy_blocks(x_dist, n, [p.right for p in pairs], eta)
-    i_idx, j_idx = pairs[k].left, pairs[k].right
-    stages.append(StageRecord(
-        "entropy-blocks", fields + (("p", p_idx), ("i", i_idx), ("j", j_idx)), checks))
-
-    wit = entropy_sum_analysis(x_dist, p_idx, i_idx, j_idx, c)
-    stages.append(StageRecord(
-        "entropy-sum",
-        tuple((name, getattr(wit, name)) for name in (
-            "ell", "d", "t", "s", "s_prime", "s_exact", "a_size", "pr_A", "P_upper", "P_lower",
-            "P_lower_leq", "P_joint", "block_bound")),
-        (
-            ("hypothesis", wit.hypothesis_ok),
-            ("ratio", wit.ratio_ok),
-            ("prefix_mass", wit.prefix_report.claim_half_ok),
-            ("upper_tail", wit.holds_upper),
-            ("lower_tail", wit.holds_lower),
-            ("joint_tail", wit.holds_joint),
-        ),
-    ))
-    if wit.t is None:
-        return _report("prefix", scheme, c, stages, truncated_at="entropy-sum")
-
-    # answers are integers, so v >= s and v < s' hold exactly when they hold at the
-    # witness's integer cuts, ceil s and ceil s'
-    s, sp = wit.cuts[:2]
-    chain, chain_checks = _final_chain(
-        rs, scheme.cell_alphabet, eta, "1/c", "sum",
-        (("j >= s", j_idx, lambda v: v >= s), ("i < s'", i_idx, lambda v: v < sp)),
-        (wit.P_upper, wit.P_lower, wit.P_joint),
-        ("joint_bound", "joint tail bound at the threshold", wit.holds_joint),
-        (("(1/10 - 1/c)^2 - 1/c", (Fraction(1, 10) - eta) ** 2 - eta,
-          "tail bounds at the chosen threshold"),
-         ("1/200", Fraction(1, 200), "parameter floor")),
-    )
-    return _report("prefix", scheme, c, stages, chain, chain_checks)
-
-
-def run_bracket_pipeline(scheme: Scheme, c: int) -> PipelineReport:
-    """Replay the bracket-matching argument against a Match scheme."""
-    if scheme.kind != KIND_MATCH or scheme.domain != DOMAIN_BAL:
-        raise ParameterError("the bracket pipeline needs a Match scheme over balanced strings")
-    n = scheme.n
-    if n < 4 or n % 2:
-        raise ParameterError("the bracket pipeline needs even n >= 4")
-    cf = Fraction(c)
-    if cf.denominator != 1:
-        raise ParameterError(f"c must be an integer, got {fmt_short(cf)}")
-    c = int(cf)
-    if c >= 4 and (2 * c) ** scheme.q > _BRACKET_EXPONENT_LIMIT:
-        raise ParameterError(f"c = {fmt_short(cf)} puts (2c)^q past {_BRACKET_EXPONENT_LIMIT}")
-    stages: list[StageRecord] = []
-
-    sep = find_separator_brackets(scheme.probes, c, require_preconditions=False)
-    a = sep.a
-    rs = _separate_and_fix(scheme, sep, (("a", a), ("b", sep.b)),
-                           (("size_floor_ok", sep.size_floor_ok),),
-                           (*sep.checks, ("v_floor", sep.v_floor)), stages)
-
-    lg = math.log2(n)
-    try:
-        d_param = math.ldexp(lg ** a, 4)  # 16 (lg n)^a exactly; each step raises past the range
-    except OverflowError:
-        raise ParameterError(
-            f"d = 16 (lg n)^a is past the float range for c = {c} (a = {a})") from None
-    eta = Fraction(1) / (Fraction(c) * Fraction(d_param))
-    sqrt_d = math.sqrt(d_param)
-    v2_floor = n / (2.0 * lg ** a)
-    v2 = _good_cells(rs, scheme, eta, sep.V, (("d", d_param),), (("v2_floor", v2_floor),), stages)
-
-    v2_sorted = sorted(v2)
-    raw_pairs = [(v2_sorted[2 * t], v2_sorted[2 * t + 1])
-                 for t in range(len(v2_sorted) // 2)]
-    kept = [(i, j) for i, j in raw_pairs if j - i < d_param]
-    v3_floor = n / (16.0 * lg ** a)
-    stages.append(StageRecord(
-        "close-pairs",
-        (
-            ("candidate_pairs", len(raw_pairs)),
-            ("kept_pairs", len(kept)),
-            ("v3", tuple(x for pr in kept for x in pr)),
-        ),
-        (
-            ("v3_floor", len(kept) >= v3_floor),
-        ),
-    ))
-
-    if kept:
-        block_pairs = kept
-        fallback = "close-pairs"
-    elif raw_pairs:
-        block_pairs = [raw_pairs[0]]
-        fallback = "v2-consecutive"
-    elif len(sep.V) >= 2:
-        vs = sorted(sep.V)
-        best = min(((vs[t], vs[t + 1]) for t in range(len(vs) - 1)),
-                   key=lambda pr: (pr[1] - pr[0], pr[0]))
-        block_pairs = [best]
-        fallback = "closest-in-v"
-    else:
-        return _report("brackets", scheme, c, stages, truncated_at="close-pairs")
-
-    eps = Fraction(1) / (16 * Fraction(c) ** 2 * Fraction(d_param))
-    x_bits = rs.surviving_bits()
-    x_dist = Distribution.from_rows(x_bits)
-    k, block_lo, block_hi, fields, checks = _entropy_blocks(
-        x_dist, n, [j for _, j in block_pairs], eps)
-    i_idx, j_idx = block_pairs[k]
-    tv_selected = columns_tv(x_dist.rows.T[block_lo:block_hi], x_dist.counts, x_dist.denom, 2)
-    closeness_bound = Fraction(1) / (Fraction(c) * Fraction(sqrt_d))
-    stages.append(StageRecord(
-        "entropy-blocks",
-        fields + (
-            ("fallback", fallback),
-            ("i", i_idx),
-            ("j", j_idx),
-            ("block_tv", tv_selected),
-            ("closeness_bound", closeness_bound),
-        ),
-        checks + (
-            ("block_close", tv_selected <= closeness_bound),
-            ("pairs_direct", fallback == "close-pairs"),
-        ),
-    ))
-
-    matches = match_rows(x_bits)
-    x_probs = _event_probs(matches[:, i_idx - 1] > j_idx, matches[:, j_idx - 1] < i_idx)
-    window = j_idx - i_idx + 1
-    eta2 = Fraction(2.0 / (c * sqrt_d))
-    v6 = _product_bound(unmatched_open_prob(window), unmatched_close_prob(window), eta2, eta)
-    chain, chain_checks = _final_chain(
-        rs, scheme.cell_alphabet, eta, "1/(cd)", "match",
-        (("i > j", i_idx, lambda v: v > j_idx), ("j < i", j_idx, lambda v: v < i_idx)),
-        x_probs,
-        ("left_side_zero", "partners cannot cross", x_probs[2] == 0),
-        (("(Pr_full[match_i > j] - 2/(c sqrt d))(Pr_full[match_j < i] - 2/(c sqrt d)) - 1/(cd)",
-          v6, "block close to uniform window bits"),
-         ("0", Fraction(0), "unmatched-window probabilities")),
-    )
-    return _report("brackets", scheme, c, stages, chain, chain_checks)
+    p, i, j = _entropy_blocks(x_dist, scheme.n, pairs, kind, stages)
+    inputs = kind.chain_inputs(x_dist, p, i, j, stages)
+    if inputs is None:
+        return None
+    return _final_chain(rs, scheme.cell_alphabet, kind.eta, kind.eta_name, kind.x_name, *inputs)
 
 
 def run_pipeline(scheme: Scheme, c) -> PipelineReport:
-    """Dispatch on the scheme's query kind."""
-    if scheme.kind == KIND_SUM:
-        return run_prefix_pipeline(scheme, c)
-    return run_bracket_pipeline(scheme, c)
+    """Replay the lower-bound argument of the scheme's query kind against it, stage by
+    stage.  Sum takes a rational c in (1, n], Match an integer c; else a ParameterError."""
+    kind = _Sum(scheme, c) if scheme.kind == KIND_SUM else _Match(scheme, c)
+    stages: list[StageRecord] = []
+    chain, chain_checks = _walk(scheme, kind, stages) or ((), ())
+    return PipelineReport(
+        kind=kind.name,
+        scheme_label=scheme.builtin[0] if scheme.builtin else "table",
+        n=scheme.n, u=scheme.u, q=scheme.q, cell_alphabet=scheme.cell_alphabet,
+        c=kind.c,
+        stages=tuple(stages),
+        chain=chain,
+        chain_checks=chain_checks,
+        truncated_at=None if chain else stages[-1].name,
+    )

@@ -28,8 +28,7 @@ from cellprobe import (
     good_prefix_set,
     is_balanced,
     restrict_scheme,
-    run_bracket_pipeline,
-    run_prefix_pipeline,
+    run_pipeline,
     stretch_term,
     tv_from_uniform,
     unmatched_close_prob,
@@ -260,18 +259,18 @@ def test_criterion_10_ballot_walk_probabilities():
 
 def test_criterion_11_pipeline_integrity():
     with _criterion(11, "pipelines: named truncation, formulas, determinism"):
-        first = run_prefix_pipeline(build_two_level_rank(16, 4, 8, 17), 2)
+        first = run_pipeline(build_two_level_rank(16, 4, 8, 17), 2)
         assert first.completed or first.truncated_at in {
             s.name for s in first.stages} | {"stretcher"}
         assert first.truncated_at == "stretcher"
-        second = run_prefix_pipeline(build_two_level_rank(16, 4, 8, 17), 2)
+        second = run_pipeline(build_two_level_rank(16, 4, 8, 17), 2)
         assert first.render_text() == second.render_text()
         assert first.render_machine() == second.render_machine()
 
         def dec(vals):
             return vals[:, 0]
 
-        full = run_prefix_pipeline(Scheme(
+        full = run_pipeline(Scheme(
             n=16, u=16, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
             probes=tuple((i,) for i in range(16)),
             encoder=lambda bits: bits, decoders=tuple(dec for _ in range(16))), 2)
@@ -281,7 +280,7 @@ def test_criterion_11_pipeline_integrity():
         assert es.field("s") == t + (ell + d) / 2 + stretch_term(2, d)
         assert es.field("s_prime") == Fraction(t) + Fraction(ell, 2)
 
-        bracket = run_bracket_pipeline(build_bracket_table(12), 4)
+        bracket = run_pipeline(build_bracket_table(12), 4)
         assert bracket.completed
         left = bracket.chain[0]
         assert isinstance(left.value, Fraction) and left.value == 0

@@ -24,6 +24,7 @@ from cellprobe import (
     unmatched_close_prob,
     unmatched_open_prob,
 )
+from cellprobe.brackets import unmatched_ends
 
 
 def test_is_balanced():
@@ -83,6 +84,17 @@ def test_catalan_count_matches_enumeration():
         assert all(is_balanced(s) for s in strings)
         assert strings == sorted(strings)
         assert len(set(strings)) == len(strings)
+
+
+def test_unmatched_ends_of_a_window_agree_with_the_full_matching():
+    for n in range(2, 15, 2):
+        rows = balanced_rows(n)
+        matches = match_rows(rows)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                opens, closes = unmatched_ends(rows[:, i - 1:j])
+                assert (opens == (matches[:, i - 1] > j)).all()
+                assert (closes == (matches[:, j - 1] < i)).all()
 
 
 def test_balanced_rows_equals_the_recursive_enumeration():

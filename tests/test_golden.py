@@ -25,7 +25,16 @@ from itertools import product
 import pytest
 
 from cellprobe.cli import OUTDIR_ENV, main
-from cellprobe.core import DOMAIN_ALL, KIND_MATCH, KIND_SUM, Scheme, TableDecoder, TableEncoder
+from cellprobe.brackets import enumerate_bal
+from cellprobe.core import (
+    DOMAIN_ALL,
+    DOMAIN_BAL,
+    KIND_MATCH,
+    KIND_SUM,
+    Scheme,
+    TableDecoder,
+    TableEncoder,
+)
 from cellprobe.schemeio import save_scheme
 from cellprobe.schemes import (
     build_bracket_table,
@@ -48,6 +57,16 @@ def _mirror():
     )
 
 
+def _match8(probe):
+    """Match scheme over n = 8 with one cell that always holds 0; every query probes ``probe``."""
+    return Scheme(
+        n=8, u=1, cell_alphabet=2, domain=DOMAIN_BAL, kind=KIND_MATCH,
+        probes=(probe,) * 8,
+        encoder=TableEncoder({x: (0,) for x in enumerate_bal(8)}),
+        decoders=(TableDecoder({tuple(0 for _ in probe): 0}),) * 8,
+    )
+
+
 # name -> (scheme builder, pipeline c)
 CASES = {
     "mirror16": (_mirror, "2"),
@@ -65,6 +84,10 @@ CASES = {
     "precomputed_sums4_c11_10": (lambda: build_precomputed_sums(4), "11/10"),
     # the good prefixes carry under 1/4 of the mass: truncated at entropy-sum, exit 1
     "raw_identity4_c3_2": (lambda: build_raw_identity(4, 16), "3/2"),
+    # no query probes a cell, so V2 is all of V and its pairs stay close: exit 0
+    "match_blind8": (lambda: _match8(()), "4"),
+    # every query probes cell 0, so V holds one query: truncated at close-pairs, exit 1
+    "match_shared8": (lambda: _match8((0,)), "4"),
 }
 
 

@@ -10,14 +10,13 @@ import pytest
 
 from cellprobe import (
     DOMAIN_ALL,
+    DOMAIN_BAL,
     KIND_SUM,
     Distribution,
     ParameterError,
     Scheme,
     restrict_scheme,
-    run_bracket_pipeline,
     run_pipeline,
-    run_prefix_pipeline,
     tv_from_uniform,
 )
 from cellprobe.entropy_sum import stretch_term
@@ -66,11 +65,11 @@ def test_golden_chains_read_the_joint_check_from_lines_0_and_5():
             upper = Fraction(report["stage.entropy-sum.P_upper"])
             lower = Fraction(report["stage.entropy-sum.P_lower"])
             assert bound == (upper - eta) * (lower - eta) - eta
-    assert sorted(kinds) == ["brackets"] + ["prefix"] * 3
+    assert sorted(kinds) == ["brackets"] * 2 + ["prefix"] * 3
 
 
 def test_two_level_pipeline_truncates_at_stretcher():
-    rep = run_prefix_pipeline(build_two_level_rank(16, 4, 8, 17), 2)
+    rep = run_pipeline(build_two_level_rank(16, 4, 8, 17), 2)
     assert rep.kind == "prefix"
     assert rep.truncated_at == "stretcher"
     assert not rep.completed
@@ -89,8 +88,8 @@ def test_two_level_pipeline_truncates_at_stretcher():
 
 
 def test_two_level_pipeline_is_deterministic():
-    first = run_prefix_pipeline(build_two_level_rank(16, 4, 8, 17), 2)
-    second = run_prefix_pipeline(build_two_level_rank(16, 4, 8, 17), 2)
+    first = run_pipeline(build_two_level_rank(16, 4, 8, 17), 2)
+    second = run_pipeline(build_two_level_rank(16, 4, 8, 17), 2)
     assert first.render_text() == second.render_text()
     assert first.render_machine() == second.render_machine()
 
@@ -98,7 +97,7 @@ def test_two_level_pipeline_is_deterministic():
 def test_stuck_stretcher_is_reported_from_the_sweep():
     # n=4, c=11/10: V2 = 1..4, t = floor(2.2) = 2, guarantee = 2*floor(4/2.2) = 2.
     # The first window (0,1,2) fails 1-0 >= 1.1*(2-1), so nothing is paired.
-    rep = run_prefix_pipeline(build_precomputed_sums(4), Fraction(11, 10))
+    rep = run_pipeline(build_precomputed_sums(4), Fraction(11, 10))
     assert rep.stage("good-cells").field("v2") == (1, 2, 3, 4)
     st = rep.stage("stretcher")
     assert [st.field(k) for k in ("t", "w", "w_prime", "guarantee")] == [2, 4, 0, 2]
@@ -109,7 +108,7 @@ def test_stuck_stretcher_is_reported_from_the_sweep():
     assert rep.truncated_at == "stretcher"
     # n=6: V2 = 2..6, t = floor(1.1*lg 6) = 2, guarantee = 2*floor(5/2.84) = 2.
     # (0,2,3) pairs since 2 >= 1.1*1; the next window (3,4,5) has 1 < 1.1*1.
-    rep = run_prefix_pipeline(build_precomputed_sums(6), Fraction(11, 10))
+    rep = run_pipeline(build_precomputed_sums(6), Fraction(11, 10))
     assert rep.stage("good-cells").field("v2") == (2, 3, 4, 5, 6)
     st = rep.stage("stretcher")
     assert [st.field(k) for k in ("t", "w", "w_prime", "guarantee")] == [2, 5, 2, 2]
@@ -126,7 +125,7 @@ def test_stuck_stretcher_is_reported_from_the_sweep():
 
 def test_light_good_prefixes_truncate_at_entropy_sum():
     # the good prefixes carry no mass, so no threshold exists and nothing is measured at it
-    rep = run_prefix_pipeline(build_raw_identity(4, 16), Fraction(3, 2))
+    rep = run_pipeline(build_raw_identity(4, 16), Fraction(3, 2))
     assert [s.name for s in rep.stages] == [
         "separator", "cell-fixing", "good-cells", "stretcher", "entropy-blocks", "entropy-sum"]
     st = rep.stage("entropy-sum")
@@ -142,10 +141,10 @@ def test_light_good_prefixes_truncate_at_entropy_sum():
 
 
 def test_uniform_space_cap_skips_chain_lines_2_to_4(monkeypatch):
-    uncapped = run_prefix_pipeline(build_precomputed_sums(8), Fraction(11, 10))
+    uncapped = run_pipeline(build_precomputed_sums(8), Fraction(11, 10))
     # a grid of any width past the budget: one byte
     monkeypatch.setattr("cellprobe.pipeline._ENCODE_BUDGET_BYTES", 1)
-    capped = run_prefix_pipeline(build_precomputed_sums(8), Fraction(11, 10))
+    capped = run_pipeline(build_precomputed_sums(8), Fraction(11, 10))
     before = uncapped.render_machine().splitlines()
     after = capped.render_machine().splitlines()
     assert len(before) == len(after)
@@ -162,7 +161,7 @@ def test_tiny_scheme_truncates_with_stage_named():
 
 
 def test_mirror_pipeline_reaches_the_final_chain():
-    rep = run_prefix_pipeline(_mirror_scheme(), 2)
+    rep = run_pipeline(_mirror_scheme(), 2)
     assert rep.completed and rep.truncated_at is None
     assert [s.name for s in rep.stages] == [
         "separator", "cell-fixing", "good-cells", "stretcher",
@@ -203,7 +202,7 @@ def test_mirror_pipeline_reaches_the_final_chain():
 
 
 def test_bracket_pipeline_reaches_a_zero_left_side():
-    rep = run_bracket_pipeline(build_bracket_table(12), 4)
+    rep = run_pipeline(build_bracket_table(12), 4)
     assert rep.kind == "brackets"
     assert rep.completed
     sep = rep.stage("separator")
@@ -224,8 +223,8 @@ def test_bracket_pipeline_reaches_a_zero_left_side():
 
 
 def test_bracket_pipeline_is_deterministic():
-    first = run_bracket_pipeline(build_bracket_table(12), 4)
-    second = run_bracket_pipeline(build_bracket_table(12), 4)
+    first = run_pipeline(build_bracket_table(12), 4)
+    second = run_pipeline(build_bracket_table(12), 4)
     assert first.render_text() == second.render_text()
 
 
@@ -236,27 +235,32 @@ def test_bracket_pipeline_smallest_instance():
 
 
 def test_pipeline_input_validation():
+    # Scheme allows Sum queries over balanced strings; the prefix argument does not
+    balanced_sums = Scheme(
+        n=4, u=4, cell_alphabet=2, domain=DOMAIN_BAL, kind=KIND_SUM,
+        probes=tuple(tuple(range(i)) for i in range(1, 5)),
+        encoder=lambda bits: bits, decoders=tuple(_sum_of_values for _ in range(4)))
+    with pytest.raises(ParameterError, match="Sum scheme over all bitstrings"):
+        run_pipeline(balanced_sums, 2)
     with pytest.raises(ParameterError):
-        run_prefix_pipeline(build_bracket_table(8), 2)
+        run_pipeline(build_precomputed_sums(8, 9), 1)
     with pytest.raises(ParameterError):
-        run_prefix_pipeline(build_precomputed_sums(8, 9), 1)
-    with pytest.raises(ParameterError):
-        run_bracket_pipeline(build_precomputed_sums(8, 9), 4)
-    with pytest.raises(ParameterError):
-        run_bracket_pipeline(build_bracket_table(8), 3)
+        run_pipeline(build_bracket_table(8), 3)
     # c is decided exactly: a Match c must be an integer, a Sum c must lie in (1, n]
     for bad in (Fraction(9, 2), 4.5):
-        with pytest.raises(ParameterError):
-            run_bracket_pipeline(build_bracket_table(8), bad)
         with pytest.raises(ParameterError):
             run_pipeline(build_bracket_table(8), bad)
     for bad in (Fraction(10) ** 400, 10 ** 20, Fraction(17, 2), 9):
         with pytest.raises(ParameterError):
-            run_prefix_pipeline(build_precomputed_sums(8, 9), bad)
-    assert run_prefix_pipeline(build_precomputed_sums(8, 9), 8).c == 8
+            run_pipeline(build_precomputed_sums(8, 9), bad)
+    assert run_pipeline(build_precomputed_sums(8, 9), 8).c == 8
     # (lg n)^c past the float range, with c <= n
     with pytest.raises(ParameterError):
-        run_prefix_pipeline(build_raw_identity(1100, 2), Fraction(1001, 2))
+        run_pipeline(build_raw_identity(1100, 2), Fraction(1001, 2))
+
+
+def _sum_of_values(values):
+    return values.sum(axis=1)
 
 
 def _zeros(values):
@@ -326,3 +330,23 @@ def test_y_is_held_once():
     # Y's events are the decoders' own: both queries read a uniform bit
     assert [line.value for line in chain[1:2]] == [Fraction(1, 4)]
     assert peak < 3 * 2 ** 20
+
+
+def test_chain_line_3_fails_when_the_two_queries_share_a_cell():
+    """Both queries read cell 0, so Pr_U of the joint event does not factor: line 3 and
+    the disjointness check fail together, and with them the relations and the verdict,
+    while every other line holds."""
+    scheme = Scheme(n=2, u=1, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
+                    probes=((0,), (0,)), encoder=lambda bits: bits[:, :1],
+                    decoders=(_first, _first))
+    rs = restrict_scheme(scheme, ())
+    events = (("a", 1, lambda v: v == 1), ("b", 2, lambda v: v == 1))
+    half = Fraction(1, 2)
+    tail = (("line 6", Fraction(-1), "why"), ("line 7", Fraction(-2), "why"))
+    chain, checks = _final_chain(rs, 2, Fraction(1, 10), "eta", "x", events,
+                                 (half, half, half), ("check", "why", True), tail)
+    assert [line.ok for line in chain] == [True, True, True, False, True, True, True, True]
+    checks = dict(checks)
+    assert not checks["probes_disjoint"]
+    assert not checks["relations"]
+    assert not checks["contradiction"]
