@@ -33,6 +33,8 @@ from .textfmt import fmt_short
 Outcome = tuple[int, ...]
 
 _SUM_TOL = 1e-12
+# most q-subsets good_cells counts one by one; past it, SizeError unless the support bound decides
+_SUBSET_LIMIT = 200_000
 
 
 def _outcome_matrix(outcomes) -> np.ndarray:
@@ -154,18 +156,12 @@ class Distribution:
     def support(self) -> tuple[Outcome, ...]:
         return tuple(map(tuple, self.rows.tolist()))
 
-    def prob(self, outcome) -> Fraction:
-        return dict(self.items()).get(tuple(outcome), Fraction(0))
-
     @property
     def arity(self) -> int:
         return self.rows.shape[1]
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Distribution) and self.items() == other.items()
 
     def __repr__(self) -> str:
         return f"Distribution({len(self)} outcomes over {self.arity} coordinates)"
@@ -184,15 +180,6 @@ class Distribution:
             # a run of coordinates, such as a prefix, is a view and not a copy
             cols = slice(coords[0], coords[-1] + 1)
         return self._of(self.rows[:, cols], self.counts, self.denom)
-
-    def given(self, coords, value) -> "Distribution":
-        """Conditional distribution (over full outcomes) given coords == value."""
-        coords, value = tuple(coords), tuple(value)
-        if value not in self.marginal(coords).support():
-            raise DomainError(f"conditioning event {value} on coords {coords} has probability 0")
-        mask = (self.rows[:, coords] == value).all(axis=1)
-        counts = self.counts[mask]
-        return self._of(self.rows[mask], counts, int(counts.sum()))
 
 
 def entropy(dist: Distribution) -> float:
@@ -476,7 +463,7 @@ def _column_entropy(column, counts, denom: int, m: int) -> float:
     return fsum(-(c / denom) * math.log2(c / denom) for c in tallies[tallies > 0].tolist())
 
 
-def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> GoodSetReport:
+def good_cells(dist, q: int, eta, alphabet: int) -> GoodSetReport:
     """Cell columns G such that every q-subset of G is jointly eta-close to uniform.
 
     Builds G greedily: all q-subsets are tested exactly once; while any subset
@@ -507,8 +494,8 @@ def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> 
     u = dist.arity
     all_fail = Fraction(alphabet ** q - len(dist), alphabet ** q) > eta_f
     n_subsets = math.comb(u, q)
-    if n_subsets > max_subsets and not all_fail:
-        raise SizeError(f"{n_subsets} subsets of size {q} exceed the exhaustive limit {max_subsets}")
+    if n_subsets > _SUBSET_LIMIT and not all_fail:
+        raise SizeError(f"{n_subsets} subsets of size {q} exceed the exhaustive limit {_SUBSET_LIMIT}")
     a = u * math.log2(alphabet) - math.log2(len(dist))
     by_col = value_columns(dist.rows, alphabet)
     deficiency = tuple(math.log2(alphabet) - _column_entropy(col, dist.counts, dist.denom, alphabet)

@@ -477,21 +477,24 @@ def _event_probs(ei, ej, counts) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(Fraction(int(counts[e].sum()), total) for e in (ei, ej, ei & ej))
 
 
-def _event_prob_uniform(rs: RestrictedScheme, query: int, m: int, pred):
-    """Probability of a decoder event when probed cells are uniform, over the m^L value grid.
-
-    None when the grid, as the m^L x L int64 matrix it would be, passes the encoding budget.
-    """
-    width = len(rs.renamed_probes[query - 1])
+def _event_prob_uniform(rs: RestrictedScheme, m: int, *events):
+    """Pr[every (query, predicate) event] when the L cells the queries probe are uniform, over
+    their m^L value grid; None when that grid, as an m^L x L int64 matrix, passes the budget."""
+    cells = sorted(set().union(*(rs.renamed_probes[q - 1] for q, _ in events)))
+    width = len(cells)
     space = m ** width
     if space * width * 8 > _ENCODE_BUDGET_BYTES:
         return None
     weights = m ** np.arange(width - 1, -1, -1)
+    columns = [[cells.index(c) for c in rs.renamed_probes[q - 1]] for q, _ in events]
     hits = 0
     for start in range(0, space, _ENCODE_CHUNK):
         # a block of grid rows: the base-m digits of their numbers
         grid = np.arange(start, min(start + _ENCODE_CHUNK, space))[:, None] // weights % m
-        hits += int(np.count_nonzero(pred(rs.decode_reduced(query, grid))))
+        hit = np.ones(len(grid), bool)
+        for (query, pred), cols in zip(events, columns):
+            hit &= pred(rs.decode_reduced(query, grid[:, cols]))
+        hits += int(np.count_nonzero(hit))
     return Fraction(hits, space)
 
 
@@ -508,7 +511,8 @@ def _final_chain(rs: RestrictedScheme, m: int, eta: Fraction, eta_name: str,
     X side reads them as answers named ``x_name``, with probabilities
     ``x_probs`` = (Pr_X[first], Pr_X[second], Pr_X[both]).  ``first`` is the
     name, justification and outcome of line 0's check, ``tail`` the label,
-    value and justification of lines 6 and 7.  Line 3 holds when the probe sets are disjoint.
+    value and justification of lines 6 and 7.  Line 2 counts both events on the uniform
+    grid of the cells either query probes; line 3 holds when the probe sets are disjoint.
     """
     (a, query_a, pred_a), (b, query_b, pred_b) = events
     px_a, px_b, px_joint = x_probs
@@ -518,12 +522,14 @@ def _final_chain(rs: RestrictedScheme, m: int, eta: Fraction, eta_name: str,
     disjoint = not set(rs.renamed_probes[query_a - 1]) & set(rs.renamed_probes[query_b - 1])
     # the reduced decoders' events over Y, from the two queries' probed columns alone
     cells = rs.base.encoded()[1]
+    ev_a, ev_b = (query_a, pred_a), (query_b, pred_b)
     ey_a, ey_b = (pred(rs.decode_reduced(q, cells[np.ix_(rs.rows, rs.reduced_probes[q - 1])]))
-                  for q, pred in ((query_a, pred_a), (query_b, pred_b)))
+                  for q, pred in (ev_a, ev_b))
     py_a, py_b, py_joint = _event_probs(ey_a, ey_b, np.ones(len(rs.rows), dtype=np.int64))
-    pu_a = _event_prob_uniform(rs, query_a, m, pred_a)
-    pu_b = _event_prob_uniform(rs, query_b, m, pred_b)
-    v2 = v3 = None if pu_a is None or pu_b is None else pu_a * pu_b - eta
+    pu_a, pu_b = _event_prob_uniform(rs, m, ev_a), _event_prob_uniform(rs, m, ev_b)
+    pu_joint = _event_prob_uniform(rs, m, ev_a, ev_b)
+    v2 = None if pu_joint is None else pu_joint - eta
+    v3 = None if pu_a is None or pu_b is None else pu_a * pu_b - eta
     v4 = _product_bound(py_a, py_b, eta, eta)
     v5 = _product_bound(px_a, px_b, eta, eta)
     chain = (

@@ -1,11 +1,15 @@
 """Staged greedy separators: remove a small blocker set B so that many probe
 sets become pairwise disjoint.
 
-Both procedures run stages i = 0..q over the family Q(1)\\B, ..., Q(n)\\B.
+``find_separator`` runs stages i = 0..q over the family Q(1)\\B, ..., Q(n)\\B.
 A stage either finds enough greedily-disjoint sets and stops, or unions the
 elements of the greedy family into B (a covering: every set then loses at
 least one element).  Empty sets are disjoint from everything, so the family
 of all-empty sets always succeeds, which bounds the stage count by q + 1.
+
+``find_separator_brackets`` settles at stage 0 of the bracket schedule: its floor
+n/(lg n)^((2c)^q) has exponent >= 8 when c >= 4 and q >= 1, and (lg n)^8 > n below
+about 1.29e13 sets, so the one set greedy always takes meets it, with B empty.
 """
 
 from __future__ import annotations
@@ -190,18 +194,16 @@ class BracketSeparatorResult:
 
 
 def _meets(count: int, n: int, lg_l: float, exponent: int) -> bool:
-    """count >= n / (lg n)^exponent, compared in log space to dodge overflow."""
-    if count <= 0:
-        return False
+    """count >= n / (lg n)^exponent for count >= 1, compared in log space to dodge overflow."""
     return math.log2(count) + exponent * lg_l >= math.log2(n) - 1e-12
 
 
 def find_separator_brackets(family, c: int, require_preconditions: bool = True) -> BracketSeparatorResult:
-    """Stage-i success threshold n/(lg n)^(d^(q-i)) with d = 2c; then a = d^(q-i), b = c*a.
+    """Stage 0 of the schedule n/(lg n)^(d^(q-i)), d = 2c: one greedy pass, a = d^q, b = c*a.
 
     The guarantee arithmetic assumes q <= (lg lg n)/c and n large; with
     ``require_preconditions`` off the schedule still runs and the result
-    records which size bounds actually held.
+    records which size bounds actually held.  A missed stage-0 floor is a ``ConsistencyError``.
     """
     matrix, cells = _as_matrix(family)
     n, q = matrix.shape
@@ -219,36 +221,17 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True) 
     if d ** q > _BRACKET_EXPONENT_LIMIT:
         raise SizeError(
             f"schedule exponent d^q = {fmt_short(d ** q)} exceeds {_BRACKET_EXPONENT_LIMIT}")
-    blocked = np.zeros(len(cells), bool)
-    b_size = 0
-    log: list[StageLog] = []
-    for i in range(q + 1):
-        chosen, used = _greedy(matrix, blocked)
-        exponent = d ** (q - i)
-        # threshold n/L^exponent rendered as a float when it fits
-        threshold = n * 2.0 ** (-exponent * lg_l) if exponent * lg_l < 1000 else 0.0
-        if _meets(len(chosen), n, lg_l, exponent):
-            a, b = exponent, c * exponent
-            b_size_ok = _b_within(b_size, n, lg_l, b)
-            log.append(StageLog(i, len(chosen), threshold, True,
-                                b_size, f"n/lg^{b} n", b_size_ok))
-            return BracketSeparatorResult(
-                B=frozenset(cells[blocked].tolist()), V=chosen, a=a, b=b, n=n, q=q, c=c,
-                stages_run=i + 1, log=tuple(log),
-                size_floor_ok=math.log2(n) >= b * lg_l - 1e-12,
-                b_size_ok=b_size_ok,
-            )
-        blocked[used] = True
-        b_size += len(used)
-        next_exp = c * d ** (q - i - 1)
-        log.append(StageLog(i, len(chosen), threshold, False,
-                            b_size, f"n/lg^{next_exp} n",
-                            _b_within(b_size, n, lg_l, next_exp)))
-    raise ConsistencyError("bracket separator failed to terminate; stage q cannot fail")
-
-
-def _b_within(b_size: int, n: int, lg_l: float, exponent: int) -> bool:
-    """|B| <= n / (lg n)^exponent, in log space."""
-    if b_size == 0:
-        return True
-    return math.log2(b_size) + exponent * lg_l <= math.log2(n) + 1e-12
+    chosen, _ = _greedy(matrix, np.zeros(len(cells), bool))
+    a = d ** q
+    if not _meets(len(chosen), n, lg_l, a):
+        raise ConsistencyError(
+            f"bracket separator: stage 0 found {len(chosen)} disjoint sets, under n/lg^{a} n")
+    b = c * a
+    # threshold n/L^a rendered as a float when it fits
+    threshold = n * 2.0 ** (-a * lg_l) if a * lg_l < 1000 else 0.0
+    return BracketSeparatorResult(
+        B=frozenset(), V=chosen, a=a, b=b, n=n, q=q, c=c, stages_run=1,
+        log=(StageLog(0, len(chosen), threshold, True, 0, f"n/lg^{b} n", True),),
+        size_floor_ok=math.log2(n) >= b * lg_l - 1e-12,
+        b_size_ok=True,
+    )

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-__all__ = ["LongFraction", "fmt", "fmt_exact", "fmt_float", "fmt_short", "machine_value"]
+__all__ = ["LongFraction", "fmt", "fmt_float", "fmt_short", "machine_value"]
 
 
 class LongFraction(Fraction):
@@ -32,18 +32,12 @@ def fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def fmt_exact(x) -> str:
-    """Exact form: fractions as p/q, floats at full determinism."""
-    if isinstance(x, bool):
-        return "yes" if x else "no"
-    if isinstance(x, Fraction):
-        text = _digits if isinstance(x, LongFraction) else _text
-        if x.denominator == 1:
-            return text(x.numerator)
-        return f"{text(x.numerator)}/{text(x.denominator)}"
-    if isinstance(x, float):
-        return fmt_float(x)
-    return _text(x)
+def _fraction(x: Fraction) -> str:
+    """Exact form p/q, or p when the denominator is 1."""
+    text = _digits if isinstance(x, LongFraction) else _text
+    if x.denominator == 1:
+        return text(x.numerator)
+    return f"{text(x.numerator)}/{text(x.denominator)}"
 
 
 def fmt_short(x) -> str:
@@ -64,14 +58,12 @@ def _text(x) -> str:
 
 
 def _digits(x: int) -> str:
-    """str(x) for an int of any length: split at a power of ten until each part
-    prints within Python's int-to-str digit limit."""
+    """str(x) for a nonnegative int of any length: split at a power of ten until
+    each part prints within Python's int-to-str digit limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # under 3 * limit bits is under 0.91 * limit digits
     if not limit or x.bit_length() < 3 * limit:
         return str(x)
-    if x < 0:
-        return "-" + _digits(-x)
     half = x.bit_length() * 3 // 20  # about half its digits
     high, low = divmod(x, 10 ** half)
     return _digits(high) + _digits(low).zfill(half)
@@ -84,11 +76,9 @@ def machine_value(v) -> str:
     if isinstance(v, bool):
         return "yes" if v else "no"
     if isinstance(v, Fraction):
-        return fmt_exact(v)
+        return _fraction(v)
     if isinstance(v, float):
         return fmt_float(v)
-    if isinstance(v, frozenset):
-        return ",".join(str(x) for x in sorted(v)) or "-"
     if isinstance(v, (tuple, list)):
         return ",".join(machine_value(x) for x in v) or "-"
     return _text(v)
@@ -99,14 +89,11 @@ def fmt(x) -> str:
     if isinstance(x, bool):
         return "yes" if x else "no"
     if isinstance(x, Fraction):
-        text = _digits if isinstance(x, LongFraction) else _text
         if x.denominator == 1:
-            return text(x.numerator)
-        return f"{text(x.numerator)}/{text(x.denominator)} (~{float(x):.6g})"
+            return _fraction(x)
+        return f"{_fraction(x)} (~{float(x):.6g})"
     if isinstance(x, float):
         return fmt_float(x)
-    if isinstance(x, frozenset):
-        return "{" + ", ".join(str(v) for v in sorted(x)) + "}"
     if isinstance(x, (tuple, list)):
         return "(" + ", ".join(fmt(v) for v in x) + ")"
     if x is None:

@@ -50,7 +50,6 @@ from cellprobe.separator import (
     BracketSeparatorResult,
     SeparatorResult,
     StageLog,
-    _b_within,
     _meets,
 )
 
@@ -299,7 +298,8 @@ def find_separator(family, g) -> SeparatorResult:
 
 
 def find_separator_brackets(family, c: int, require_preconditions: bool = True):
-    """``separator.find_separator_brackets`` with one frozenset per probe set."""
+    """``separator.find_separator_brackets`` with one frozenset per probe set, running the
+    schedule's full stage loop: the package stops at stage 0, which cannot fail."""
     sets = _as_sets(family)
     n = len(sets)
     c = int(c)
@@ -341,6 +341,13 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True):
                             len(blocker), f"n/lg^{next_exp} n",
                             _b_within(len(blocker), n, lg_l, next_exp)))
     raise ConsistencyError("bracket separator failed to terminate; stage q cannot fail")
+
+
+def _b_within(b_size: int, n: int, lg_l: float, exponent: int) -> bool:
+    """|B| <= n / (lg n)^exponent, in log space."""
+    if b_size == 0:
+        return True
+    return math.log2(b_size) + exponent * lg_l <= math.log2(n) + 1e-12
 
 
 def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> GoodSetReport:

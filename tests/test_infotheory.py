@@ -128,10 +128,10 @@ def test_entropy_is_the_conditional_entropy_of_every_coordinate():
 
 def test_distribution_marginal_and_conditioning():
     d = Distribution.uniform([(0, 0), (0, 1), (1, 0)])
-    m = d.marginal((0,))
-    assert m.prob((0,)) == Fraction(2, 3)
-    cond = d.given((0,), (0,))
-    assert cond.prob((0, 1)) == Fraction(1, 2)
+    m = dict(d.marginal((0,)).items())
+    assert m == {(0,): Fraction(2, 3), (1,): Fraction(1, 3)}
+    # Pr[x = (0, 1) | x_0 = 0], read off the joint and the marginal
+    assert dict(d.items())[(0, 1)] / m[(0,)] == Fraction(1, 2)
 
 
 def test_entropy_of_uniform_is_log_support():
@@ -304,10 +304,11 @@ def test_good_cells_greedy_removes_worst_first():
     assert 1 not in rep.good
 
 
-def test_good_cells_subset_budget():
+def test_good_cells_subset_budget(monkeypatch):
+    monkeypatch.setattr("cellprobe.infotheory._SUBSET_LIMIT", 100)
     d = Distribution.uniform(list(product((0, 1), repeat=10)))
     with pytest.raises(SizeError):
-        good_cells(d, 5, Fraction(1, 2), 2, max_subsets=100)
+        good_cells(d, 5, Fraction(1, 2), 2)
 
 
 def test_count_matrix_matches_direct_counter():
@@ -535,12 +536,13 @@ def test_good_cells_on_both_sides_of_the_support_bound(m, q, size, eta, fires):
     assert good_cells(dist, q, eta, m) == reference.good_cells(dist, q, eta, m)
 
 
-def test_bound_decided_scheme_needs_no_subset_budget():
+def test_bound_decided_scheme_needs_no_subset_budget(monkeypatch):
+    monkeypatch.setattr("cellprobe.infotheory._SUBSET_LIMIT", 100)
     # 12 cells over 17 values, 40 rows: 17^6 - 40 of 17^6 points carry no mass
     rng = random.Random(8)
     dist = Distribution.from_rows([[rng.randrange(17) for _ in range(12)] for _ in range(40)])
     assert _bound_fires(dist, 6, Fraction(1, 2), 17)
-    report = good_cells(dist, 6, Fraction(1, 2), 17, max_subsets=100)
+    report = good_cells(dist, 6, Fraction(1, 2), 17)
     assert report == reference.good_cells(dist, 6, Fraction(1, 2), 17)
     assert len(report.good) == 5
     with pytest.raises(SizeError):

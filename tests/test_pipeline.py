@@ -49,11 +49,16 @@ def _mirror_scheme() -> Scheme:
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
-def test_golden_chains_read_the_joint_check_from_lines_0_and_5():
-    kinds = []
+def _golden_pipelines():
+    """Every machine-format pipeline golden, as a key -> value dict."""
     for path in sorted(glob.glob(os.path.join(GOLDEN, "*.pipeline.txt"))):
         with open(path, encoding="ascii") as fh:
-            report = dict(line.rstrip("\n").split("=", 1) for line in fh)
+            yield dict(line.rstrip("\n").split("=", 1) for line in fh)
+
+
+def test_golden_chains_read_the_joint_check_from_lines_0_and_5():
+    kinds = []
+    for report in _golden_pipelines():
         if "chain.5.value" not in report:
             continue
         kinds.append(report["pipeline"])
@@ -66,6 +71,16 @@ def test_golden_chains_read_the_joint_check_from_lines_0_and_5():
             lower = Fraction(report["stage.entropy-sum.P_lower"])
             assert bound == (upper - eta) * (lower - eta) - eta
     assert sorted(kinds) == ["brackets"] * 2 + ["prefix"] * 3
+
+
+def test_close_pairs_keeps_every_candidate_in_the_match_goldens():
+    """d = 16 lg^a n >= 32 exceeds n - 1 >= j - i at every n cell-fixing enumerates
+    (n <= 28), so close-pairs cannot drop a pair."""
+    match = [r for r in _golden_pipelines() if r["pipeline"] == "brackets"]
+    assert len(match) == 3
+    for report in match:
+        assert float(report["stage.good-cells.d"]) >= 32 > int(report["n"]) - 1
+        assert report["stage.close-pairs.kept_pairs"] == report["stage.close-pairs.candidate_pairs"]
 
 
 def test_two_level_pipeline_truncates_at_stretcher():
@@ -299,6 +314,27 @@ def test_pair_test_counts_the_pairs_good_cells_did_not(u, alphabet, probes, coun
     assert stages[0].field("pairs_tested") == 3
 
 
+def test_subsets_past_the_limit_are_skipped_and_every_pair_counted(monkeypatch,
+                                                                    columns_tv_calls):
+    """Four uniform cells: the support bound cannot decide, and C(4, 2) = 6 subsets pass
+    the limit, so good_cells raises SizeError; the stage keeps every cell and counts every
+    pair of V2 itself."""
+    monkeypatch.setattr("cellprobe.infotheory._SUBSET_LIMIT", 5)
+    scheme = Scheme(n=4, u=4, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
+                    probes=((0,), (1,), (2,), (3,)), encoder=lambda bits: bits,
+                    decoders=(_first,) * 4)
+    stages = []
+    v2 = _good_cells(restrict_scheme(scheme, ()), scheme, Fraction(1, 2), (1, 2, 3, 4),
+                     (), (), stages)
+    assert v2 == (1, 2, 3, 4)
+    stage = stages[0]
+    assert stage.field("subsets_skipped") is True
+    assert stage.field("cells_kept") == (1, 2, 3, 4)
+    assert dict(stage.checks)["kept_count"]
+    assert columns_tv_calls == {"subsets": 0, "pairs": 6}
+    assert stage.field("pairs_tested") == 6
+
+
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -346,6 +382,8 @@ def test_chain_line_3_fails_when_the_two_queries_share_a_cell():
     chain, checks = _final_chain(rs, 2, Fraction(1, 10), "eta", "x", events,
                                  (half, half, half), ("check", "why", True), tail)
     assert [line.ok for line in chain] == [True, True, True, False, True, True, True, True]
+    # line 2 counts both events on one uniform cell: Pr_U[both] = 1/2, not 1/2 * 1/2
+    assert chain[2].value == Fraction(1, 2) - Fraction(1, 10) == Fraction(2, 5)
     checks = dict(checks)
     assert not checks["probes_disjoint"]
     assert not checks["relations"]

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference
 from cellprobe import (
     CellProbeError,
+    ConsistencyError,
     ParameterError,
     SizeError,
     find_separator,
@@ -86,6 +87,19 @@ def test_bracket_separator_stage_zero_at_desk_scale():
     assert res.checks == (("b_between", True), ("b_small", True))
     assert res.v_floor  # 128 >= n / lg^a n = 2^16 / 16^8
     assert res.v_floor == res.log[-1].success
+
+
+def test_stage_zero_floor_is_met_by_one_set_below_the_crossover():
+    """One greedy set meets the stage-0 floor n/lg^8 n, as ``_meets`` decides it, up to
+    n = 12,961,163,241,350, where (lg n)^8 and n cross; at 2^44 the floor is past 1."""
+    for n, meets in ((12_961_163_241_350, True), (2 ** 44, False)):
+        assert _meets(1, n, math.log2(math.log2(n)), 8) is meets
+
+
+def test_bracket_separator_names_the_floor_stage_zero_missed(monkeypatch):
+    monkeypatch.setattr("cellprobe.separator._meets", lambda *args: False)
+    with pytest.raises(ConsistencyError, match=r"stage 0 found 16 disjoint sets, under n/lg\^8 n"):
+        find_separator_brackets([{i} for i in range(16)], 4, require_preconditions=False)
 
 
 def test_bracket_separator_preconditions():
