@@ -477,9 +477,10 @@ def _event_probs(ei, ej, counts) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(Fraction(int(counts[e].sum()), total) for e in (ei, ej, ei & ej))
 
 
-def _event_prob_uniform(rs: RestrictedScheme, m: int, *events):
-    """Pr[every (query, predicate) event] when the L cells the queries probe are uniform, over
-    their m^L value grid; None when that grid, as an m^L x L int64 matrix, passes the budget."""
+def _event_probs_uniform(rs: RestrictedScheme, m: int, *events):
+    """Pr[each (query, predicate) event], then Pr[every event], when the L cells the queries
+    probe are uniform, over their m^L value grid (each event alone is an exact marginal of
+    it); None when that grid, as an m^L x L int64 matrix, passes the budget."""
     cells = sorted(set().union(*(rs.renamed_probes[q - 1] for q, _ in events)))
     width = len(cells)
     space = m ** width
@@ -487,15 +488,15 @@ def _event_prob_uniform(rs: RestrictedScheme, m: int, *events):
         return None
     weights = m ** np.arange(width - 1, -1, -1)
     columns = [[cells.index(c) for c in rs.renamed_probes[q - 1]] for q, _ in events]
-    hits = 0
+    hits = [0] * (len(events) + 1)
     for start in range(0, space, _ENCODE_CHUNK):
         # a block of grid rows: the base-m digits of their numbers
         grid = np.arange(start, min(start + _ENCODE_CHUNK, space))[:, None] // weights % m
-        hit = np.ones(len(grid), bool)
-        for (query, pred), cols in zip(events, columns):
-            hit &= pred(rs.decode_reduced(query, grid[:, cols]))
-        hits += int(np.count_nonzero(hit))
-    return Fraction(hits, space)
+        each = [pred(rs.decode_reduced(query, grid[:, cols]))
+                for (query, pred), cols in zip(events, columns)]
+        for k, hit in enumerate((*each, np.logical_and.reduce(each))):
+            hits[k] += int(np.count_nonzero(hit))
+    return tuple(Fraction(h, space) for h in hits)
 
 
 def _product_bound(p1, p2, inner, outer) -> Fraction:
@@ -512,7 +513,8 @@ def _final_chain(rs: RestrictedScheme, m: int, eta: Fraction, eta_name: str,
     ``x_probs`` = (Pr_X[first], Pr_X[second], Pr_X[both]).  ``first`` is the
     name, justification and outcome of line 0's check, ``tail`` the label,
     value and justification of lines 6 and 7.  Line 2 counts both events on the uniform
-    grid of the cells either query probes; line 3 holds when the probe sets are disjoint.
+    grid of the cells either query probes, and line 3's two factors are that grid's
+    marginals; line 3 holds when the probe sets are disjoint.
     """
     (a, query_a, pred_a), (b, query_b, pred_b) = events
     px_a, px_b, px_joint = x_probs
@@ -526,8 +528,9 @@ def _final_chain(rs: RestrictedScheme, m: int, eta: Fraction, eta_name: str,
     ey_a, ey_b = (pred(rs.decode_reduced(q, cells[np.ix_(rs.rows, rs.reduced_probes[q - 1])]))
                   for q, pred in (ev_a, ev_b))
     py_a, py_b, py_joint = _event_probs(ey_a, ey_b, np.ones(len(rs.rows), dtype=np.int64))
-    pu_a, pu_b = _event_prob_uniform(rs, m, ev_a), _event_prob_uniform(rs, m, ev_b)
-    pu_joint = _event_prob_uniform(rs, m, ev_a, ev_b)
+    pu_a, pu_b, pu_joint = _event_probs_uniform(rs, m, ev_a, ev_b) or (
+        # past the budget jointly: each query's own grid may still fit
+        *((_event_probs_uniform(rs, m, ev) or (None,))[0] for ev in (ev_a, ev_b)), None)
     v2 = None if pu_joint is None else pu_joint - eta
     v3 = None if pu_a is None or pu_b is None else pu_a * pu_b - eta
     v4 = _product_bound(py_a, py_b, eta, eta)

@@ -7,6 +7,12 @@ elements of the greedy family into B (a covering: every set then loses at
 least one element).  Empty sets are disjoint from everything, so the family
 of all-empty sets always succeeds, which bounds the stage count by q + 1.
 
+Greedy runs in rounds: a round takes each open set that comes first among the open
+sets on every one of its cells, then refuses the open sets on the cells it took.
+This is the index-order scan, since every earlier set sharing a cell with a taken
+set was already refused, and every refused set comes after the set that took its
+cell.
+
 ``find_separator_brackets`` settles at stage 0 of the bracket schedule: its floor
 n/(lg n)^((2c)^q) has exponent >= 8 when c >= 4 and q >= 1, and (lg n)^8 > n below
 about 1.29e13 sets, so the one set greedy always takes meets it, with B empty.
@@ -25,54 +31,102 @@ from .errors import ConsistencyError, ParameterError, SizeError
 from .textfmt import fmt_short
 
 _BRACKET_EXPONENT_LIMIT = 10_000
+# a greedy round that settles under 1/_ROUND_SHARE of the open rows hands them to the row scan
+_ROUND_SHARE = 8
 
 
-def _as_matrix(family) -> tuple[np.ndarray, np.ndarray]:
-    """The family as an n x q matrix of compact cell ids (rows sorted, -1 pads), and the ids."""
+def _firsts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the entry before."""
+    first = np.ones(len(ordered), bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def _as_pairs(family) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, int, int]:
+    """The family as (row, compact cell id) pairs sorted by cell then row, a repeated cell
+    kept once a row; with the distinct cell ids, n and q."""
     rows = list(family)
-    sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+    n = len(rows)
+    sizes = np.fromiter(map(len, rows), np.int64, n)
     try:
         flat = np.fromiter(chain.from_iterable(rows), np.int64, int(sizes.sum()))
     except OverflowError:
         raise ParameterError("separator family: every cell id must fit int64") from None
-    cells, ids = np.unique(flat, return_inverse=True)
-    matrix = np.full((len(rows), int(sizes.max(initial=0))), -1, np.int64)
-    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    matrix[np.repeat(np.arange(len(rows)), sizes), np.arange(len(flat)) - starts] = ids
-    matrix.sort(axis=1)
-    matrix[:, 1:][matrix[:, 1:] == matrix[:, :-1]] = -1     # a repeated cell counts once
-    matrix.sort(axis=1)
-    q = int((matrix >= 0).sum(axis=1).max(initial=0))
-    return matrix[:, matrix.shape[1] - q:], cells
+    # two plain sorts: np.unique and stable argsorts cost several times more here
+    order = np.argsort(flat)
+    first = _firsts(flat[order])
+    cells = flat[order][first]
+    compact = np.empty_like(flat)
+    compact[order] = np.cumsum(first) - 1
+    keys = compact * n + np.repeat(np.arange(n), sizes)
+    keys.sort()
+    cell, row = np.divmod(keys[_firsts(keys)], max(n, 1))
+    q = int(np.bincount(row, minlength=n).max(initial=0))
+    return (row, cell), cells, n, q
 
 
-def _greedy(matrix: np.ndarray, blocked: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Greedy disjoint rows outside the blocked cells: their 1-based indices, the cells used."""
-    live = np.where(np.append(blocked, True)[matrix], -1, matrix)   # -1 reads the appended True
-    if (live >= 0).sum(axis=1).max(initial=0) <= 1:
-        # each row is empty or one cell: take the empty rows and each cell's first row
-        cell = live.max(axis=1, initial=-1)
-        found, first = np.unique(cell, return_index=True)
-        chosen = np.sort(np.append(np.flatnonzero(cell < 0), first[found >= 0])) + 1
-        return tuple(chosen.tolist()), found[found >= 0]
-    taken = bytearray(len(blocked) + 1)
+def _greedy(pairs, n: int, blocked: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Greedy disjoint rows outside the blocked cells: their 1-based indices, the cells used.
+
+    Each round takes every open row that is the first open row on each of its cells and
+    refuses the open rows on the cells it took; once a round settles under 1/_ROUND_SHARE
+    of the open rows, the rest are scanned in index order.
+    """
+    row, cell = pairs
+    live = ~blocked[cell]
+    row, cell = row[live], cell[live]
+    taken = np.ones(n, bool)
+    taken[row] = False                  # a row with no live cell is taken at once
+    used = np.zeros(len(blocked), bool)
+    open_rows = n - int(np.count_nonzero(taken))
+    while open_rows:
+        behind = np.zeros(n, bool)
+        behind[row[~_firsts(cell)]] = True      # an earlier open row shares one of its cells
+        first = ~behind[row]
+        taken[row[first]] = True
+        used[cell[first]] = True
+        settled = np.zeros(n, bool)
+        settled[row[used[cell]]] = True         # the rows taken and the rows they refuse
+        kept = ~settled[row]
+        row, cell = row[kept], cell[kept]
+        done = int(np.count_nonzero(settled))
+        open_rows -= done
+        if done * _ROUND_SHARE < done + open_rows:
+            break
+    if open_rows:
+        scanned, scan_used = _scan(row, cell, len(blocked))
+        taken[scanned] = True
+        used |= scan_used
+    return tuple((np.flatnonzero(taken) + 1).tolist()), np.flatnonzero(used)
+
+
+def _scan(row: np.ndarray, cell: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index-order greedy over the rows of (row, cell) pairs with nothing taken: the
+    rows it takes (0-based) and the mask of the cells they use."""
+    row, cell = np.divmod(np.sort(row * n_cells + cell), n_cells)
+    starts = np.flatnonzero(_firsts(row))
+    widths = np.diff(starts, append=len(row))
+    # column k of the live matrix: each row's k-th cell, -1 past its width
+    columns = [np.where(widths > k, cell[np.minimum(starts + k, len(row) - 1)], -1).tolist()
+               for k in range(int(widths.max()))]
+    used = bytearray(n_cells + 1)
     chosen = []
     # rows zipped from column lists: n row lists alive at once would set off full gc passes
-    for idx, row in enumerate(zip(*live.T.tolist()), start=1):
-        for c in row:
-            if taken[c]:
+    for idx, cells in enumerate(zip(*columns)):
+        for c in cells:
+            if used[c]:
                 break
         else:
             chosen.append(idx)
-            for c in row:
-                taken[c] = c >= 0    # the padding's slot stays clear
-    return tuple(chosen), np.flatnonzero(taken[:-1])
+            for c in cells:
+                used[c] = c >= 0    # the padding's slot stays clear
+    return row[starts][chosen], np.frombuffer(used, np.uint8)[:-1].astype(bool)
 
 
 def greedy_disjoint(family) -> tuple[int, ...]:
     """1-based indices of a maximal disjoint subfamily, scanning in index order."""
-    matrix, cells = _as_matrix(family)
-    return _greedy(matrix, np.zeros(len(cells), bool))[0]
+    pairs, cells, n, _ = _as_pairs(family)
+    return _greedy(pairs, n, np.zeros(len(cells), bool))[0]
 
 
 def pairwise_disjoint(sets) -> bool:
@@ -125,8 +179,7 @@ def find_separator(family, g) -> SeparatorResult:
     Stage i succeeds when the greedy count reaches k0*(g*q)^i where
     k0 = n/(g*q)^q; otherwise B absorbs every element of the greedy family.
     """
-    matrix, cells = _as_matrix(family)
-    n, q = matrix.shape
+    pairs, cells, n, q = _as_pairs(family)
     if not n:
         raise ParameterError("separator needs a nonempty family of sets")
     gap = Fraction(g)
@@ -137,7 +190,7 @@ def find_separator(family, g) -> SeparatorResult:
     b_size = 0
     log: list[StageLog] = []
     for i in range(q + 1):
-        chosen, used = _greedy(matrix, blocked)
+        chosen, used = _greedy(pairs, n, blocked)
         threshold = k0 * (gap * q) ** i
         bound_now = k0 * gap ** (i - 1) * q ** i if i >= 1 else Fraction(0)
         if len(chosen) >= threshold:
@@ -205,8 +258,7 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True) 
     ``require_preconditions`` off the schedule still runs and the result
     records which size bounds actually held.  A missed stage-0 floor is a ``ConsistencyError``.
     """
-    matrix, cells = _as_matrix(family)
-    n, q = matrix.shape
+    pairs, cells, n, q = _as_pairs(family)
     if not n:
         raise ParameterError("separator needs a nonempty family of sets")
     c = int(c)
@@ -221,7 +273,7 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True) 
     if d ** q > _BRACKET_EXPONENT_LIMIT:
         raise SizeError(
             f"schedule exponent d^q = {fmt_short(d ** q)} exceeds {_BRACKET_EXPONENT_LIMIT}")
-    chosen, _ = _greedy(matrix, np.zeros(len(cells), bool))
+    chosen, _ = _greedy(pairs, n, np.zeros(len(cells), bool))
     a = d ** q
     if not _meets(len(chosen), n, lg_l, a):
         raise ConsistencyError(

@@ -170,6 +170,30 @@ def test_uniform_space_cap_skips_chain_lines_2_to_4(monkeypatch):
     assert [a for b, a in zip(before, after) if b != a] == skipped
 
 
+def test_chain_line_3_reads_the_joint_grids_marginals(monkeypatch):
+    """precomputed_sums(8) at c = 11/10 closes on two one-cell queries over alphabet 9: the
+    joint grid is 81 x 2 int64 (1,296 bytes), each query's own 9 x 1 (72 bytes).  Under the
+    budget, line 3's factors come from the joint grid's decodes; past it, from their own."""
+    from cellprobe.core import RestrictedScheme
+
+    calls = []
+    decode = RestrictedScheme.decode_reduced
+    monkeypatch.setattr(RestrictedScheme, "decode_reduced",
+                        lambda self, *args: calls.append(args[0]) or decode(self, *args))
+    reports = []
+    for budget in (None, 72):
+        if budget:
+            monkeypatch.setattr("cellprobe.pipeline._ENCODE_BUDGET_BYTES", budget)
+        calls.clear()
+        reports.append(run_pipeline(build_precomputed_sums(8), Fraction(11, 10)).render_machine())
+        # the two queries once over Y and once over a uniform grid each
+        assert len(calls) == 4
+    before, after = (report.splitlines() for report in reports)
+    assert "chain.3.value=-700/891" in before
+    skipped = ["chain.2.value=-", "chain.2.status=skip"]
+    assert [a for b, a in zip(before, after) if b != a] == skipped
+
+
 def test_tiny_scheme_truncates_with_stage_named():
     rep = run_pipeline(build_precomputed_sums(2, 3), 2)
     assert rep.truncated_at == "stretcher"

@@ -19,7 +19,8 @@ from cellprobe import (
     greedy_disjoint,
     pairwise_disjoint,
 )
-from cellprobe.separator import BracketSeparatorResult, _as_matrix, _greedy, _meets
+from cellprobe import separator
+from cellprobe.separator import BracketSeparatorResult, _as_pairs, _greedy, _meets
 
 
 def test_greedy_disjoint_takes_first_compatible():
@@ -181,20 +182,64 @@ def test_bracket_separator_matches_the_frozenset_reference(family, c):
         assert got.v_floor == got.log[-1].success == _meets(got.w, got.n, lg_l, got.a)
 
 
-def test_both_greedy_branches_match_the_reference():
+def test_both_greedy_branches_match_the_reference(monkeypatch):
+    scans = []
+    scan = separator._scan
+    monkeypatch.setattr(separator, "_scan", lambda *args: scans.append(args) or scan(*args))
     rng = random.Random(5)
+    # every row with at most one live cell: one round settles it
     single = [set(rng.sample(range(6), rng.randint(0, 1))) for _ in range(50)]
-    multi = [set(rng.sample(range(12), rng.randint(0, 3))) for _ in range(50)]
-    # at most one live cell in every row takes the np.unique branch, more takes the row loop
-    for family, most_live in ((single, 1), (multi, 3)):
-        matrix, cells = _as_matrix(family)
-        blocked = np.zeros(len(cells), bool)
-        blocked[::3] = True
-        chosen, used = _greedy(matrix, blocked)
-        outside = [s - set(cells[blocked].tolist()) for s in family]
-        assert max(map(len, outside)) == most_live
+    # a chain of 64 rows: the first round settles rows 1, 2, 41 and 42, the scan the rest
+    chain = [{i, i + 1} for i in range(64)]
+    for family, blocked_ids, scanned in ((single, {0, 3}, False), (chain, {40}, True)):
+        pairs, cells, n, _ = _as_pairs(family)
+        blocked = np.isin(cells, list(blocked_ids))
+        scans.clear()
+        chosen, used = _greedy(pairs, n, blocked)
+        outside = [s - blocked_ids for s in family]
+        assert bool(scans) is scanned
         assert chosen == reference.greedy_disjoint(outside)
         assert set(cells[used].tolist()) == set().union(*(outside[v - 1] for v in chosen))
+
+
+def test_chain_families_in_both_orders():
+    chain = [{i, i + 1} for i in range(2 ** 12)]
+    assert greedy_disjoint(chain) == tuple(range(1, 2 ** 12, 2))
+    for family in (chain, chain[::-1]):
+        assert greedy_disjoint(family) == reference.greedy_disjoint(family)
+        assert find_separator(family, 2) == reference.find_separator(family, 2)
+
+
+_POOL_IDS = st.one_of(st.integers(-3, 40), st.sampled_from((2**63 - 1, -(2**63 - 1))))
+
+
+@st.composite
+def colliding_families(draw):
+    """Runs of chains, stars and free rows over a small pool of cells, in either order: a
+    chain's cells run from a drawn start, up to 2^63 - 1; free rows may repeat a cell or be
+    empty."""
+    pool = draw(st.lists(_POOL_IDS, min_size=1, max_size=12, unique=True))
+    family = []
+    for shape in draw(st.lists(st.sampled_from(("chain", "star", "rows")), min_size=1, max_size=4)):
+        if shape == "chain":
+            start = draw(st.one_of(st.integers(-3, 40), st.just(2**63 - 61)))
+            family += [(start + i, start + i + 1) for i in range(draw(st.integers(1, 60)))]
+        elif shape == "star":
+            hub = draw(st.sampled_from(pool))
+            family += [{hub, leaf} for leaf in draw(st.lists(st.sampled_from(pool), max_size=20))]
+        else:
+            family += draw(st.lists(st.lists(st.sampled_from(pool), max_size=4), max_size=20))
+    return family[::-1] if draw(st.booleans()) else family
+
+
+@settings(max_examples=300, deadline=None)
+@given(colliding_families(), st.sampled_from((1, 2)))
+@example([(i, i + 1) for i in range(30)], 2)             # a chain: one round, then the row scan
+@example([{0, i} for i in range(1, 30)], 1)               # a star: one round
+def test_greedy_on_colliding_families_matches_the_reference(family, gap):
+    assert greedy_disjoint(family) == reference.greedy_disjoint(
+        [frozenset(map(int, s)) for s in family])
+    assert _outcome(find_separator, family, gap) == _outcome(reference.find_separator, family, gap)
 
 
 def test_cell_ids_past_int64_are_a_parameter_error():
