@@ -283,8 +283,8 @@ class Scheme:
         if cells.shape[1] != self.u:
             raise ConsistencyError(f"encoder produced {cells.shape[1]} cells, scheme has {self.u}")
         m = self.cell_alphabet
-        ok = ((cells >= 0) & (cells < m)).all(axis=1)
-        if not ok.all():
+        if cells.size and not 0 <= cells.min() <= cells.max() < m:  # rows walked only to name one
+            ok = ((cells >= 0) & (cells < m)).all(axis=1)
             row = tuple(cells[int(np.argmin(ok))].tolist())
             raise ConsistencyError(f"encoder output {row} leaves the cell alphabet [0, {m})")
         return cells

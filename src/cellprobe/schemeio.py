@@ -21,6 +21,16 @@ every line), and ``decoders: table`` followed by per-query blocks of
 ``<probe values> -> <answer>`` lines.  The empty probe set / value tuple is
 written as ``-``.  A file written by this module, re-read and re-written,
 reproduces its bytes exactly.
+
+The encoder rows are read by stride when they share one byte layout: the
+first row is ``  <n bits> -> <values>`` with single spaces, 1 to 18 digits
+per value and nothing after the last, and every row up to a line that starts
+with a byte past ' ' (or the end of the text) is that row's bytes apart from
+its bits (``0``, ``1``, ``(``, ``)``) and digits.  Such rows are one k x L
+byte matrix, L the first row's line length, whose values are read column by
+column.  Every other table, including any this module did not write, is read
+token by token; every refusal comes from that reader or from the repeated
+input check both share.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ _HEADER_KEYS = ("n", "u", "q", "cell_alphabet", "domain", "kind")
 _LINE = re.compile(r"^.*\S.*$", re.MULTILINE)
 _TOKEN = re.compile(rb"\S+")
 _NUMERAL = re.compile(rb"[+-]?[0-9]+")
+_FIXED_VALUES = re.compile(rb"[0-9]{1,18}(?: [0-9]{1,18})*")
 # the ASCII line breaks str.splitlines knows besides '\n', and '\x1f', which str.rstrip strips
 _ODD = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
@@ -180,11 +191,55 @@ def _values(full: np.ndarray, at: np.ndarray):
     return value[:, 1:], bad[:, 1:], past[:, 1:]
 
 
-def _read_encoder(src: _Lines, n: int) -> TableEncoder:
-    """The ``<bits> -> <values>`` rows after ``encoder: table``, read from one byte buffer
-    in numpy passes: the rows run to the first line that is neither blank nor indented two
-    spaces and holding a '->'."""
-    text, start, size = src.text, src.pos, len(src.text) - src.pos
+def _stride_rows(text: str, start: int, n: int):
+    """The encoder rows at ``text[start:]`` read as one k x L byte matrix, L the length of the
+    first row's line, as the token reader's (bits, cells, line offsets, end offset); None on any
+    doubt.  Every row must be the first row's bytes apart from its bits and digits, and the line
+    after the rows must start with a byte past ' ' or the text end there.  The first row must
+    be ``  <n bits> -> <values>`` with 1 to 18 digits a value, single spaces between and nothing
+    after the last value, so int64 holds every value unchecked."""
+    raw = text.encode("ascii", "replace")  # one byte per character, as the offsets assume
+    row = raw[start:raw.find(b"\n", start) + 1]
+    if n < 1 or len(row) < n + 8 or row[:2] != b"  " or row[n + 2:n + 6] != b" -> ":
+        return None
+    if not _FIXED_VALUES.fullmatch(row, n + 6, len(row) - 1):
+        return None
+    spans = np.array([m.span() for m in re.finditer(rb"[0-9]+", row[n + 6:])]) + n + 6
+    width, k = len(row), (len(raw) - start) // len(row)
+    rows = np.frombuffer(raw, np.uint8, k * width, start).reshape(k, width)
+    broken = rows[:, -1] != 10  # the rows from the first without a line end on are no lines
+    rows = rows[:int(np.argmax(broken)) if broken.any() else k]
+    # each byte less the least its column allows, and the most that may leave: the
+    # template's own byte in a gap or the arrow, '0'-'9' in a value, '(' to '1' in the input
+    low, most = np.frombuffer(row, np.uint8).copy(), np.zeros(width, dtype=np.uint8)
+    digit = np.concatenate([np.arange(lo, hi) for lo, hi in spans.tolist()])
+    low[digit], most[digit] = 48, 9
+    low[2:n + 2], most[2:n + 2] = 40, 9
+    offset = rows - low
+    bits = offset[:, 2:n + 2]  # '(' 0, ')' 1, '0' 8, '1' 9: the offsets up to 9 that & 6 clears
+    bad = _rows(offset > most) | _rows((bits & 6) > 0)
+    bits = (bits == 0) | (bits == 9)
+    digits = np.take(offset, digit, axis=1)
+    del offset  # the cells take its room
+    k = int(np.argmax(bad)) if bad.any() else len(rows)
+    end = start + k * width
+    if end < len(raw) and raw[end] <= 32:
+        return None
+    # Horner's rule down the value columns, each value's p-th digit at once
+    sizes = spans[:, 1] - spans[:, 0]
+    first = np.cumsum(sizes) - sizes
+    cells = np.take(digits[:k], first, axis=1).astype(np.int64)
+    for p in range(1, int(sizes.max())):
+        live = np.flatnonzero(sizes > p)
+        cells[:, live] = cells[:, live] * 10 + digits[:k, first[live] + p]
+    return bits[:k], cells, np.arange(k), end - start
+
+
+def _token_rows(text: str, start: int, n: int, first: int):
+    """The ``<bits> -> <values>`` rows at ``text[start:]``, read in numpy passes over its tokens:
+    the rows run to the first line that is neither blank nor indented two spaces and holding
+    a '->'.  A bad row raises, naming line ``first`` + its line offset."""
+    size = len(text) - start
     span = min(max(n, 0), size) + 1  # an input token and the gap after it
     # the rest of the text between two '\n', then room for reads to run past its end
     full = np.full(size + span + 21, 10, dtype=np.uint8)
@@ -205,10 +260,9 @@ def _read_encoder(src: _Lines, n: int) -> TableEncoder:
     line_token = np.searchsorted(starts, ends)  # the index of each line's first token
     count = np.diff(line_token)
     stop = int(np.argmax(np.append(~row_like & (count > 0), True)))  # the first line past the rows
-    src.pos = start + int(ends[stop])
     lines = np.flatnonzero(row_like[:stop])  # a row of a bare '->' holds no token
     if not len(lines):
-        return TableEncoder({})
+        return np.zeros((0, 0), dtype=bool), np.zeros((0, 0), dtype=np.int64), lines, int(ends[stop])
     # per row: its first token, the next row's first, and its first token right of the arrow
     lo, hi, arrow = line_token[lines], line_token[lines + 1], arrow[lines]
     if not len(starts):
@@ -233,15 +287,26 @@ def _read_encoder(src: _Lines, n: int) -> TableEncoder:
     bits = (win == 49) | (win == 40)  # '1' and '(' are 1, '0' and ')' are 0
     if not bad.any():
         bad = _rows(~(bits | (win == 48) | (win == 41))) | _rows(past)
-    number = text.count("\n", 0, start) + 1 + lines  # the line number of each row
     if bad.any():
         r = int(np.argmax(bad))
-        raise _refusal(number[r], text[start + ends[lines[r]]:start + ends[lines[r] + 1] - 1], n, w)
+        raise _refusal(first + lines[r], text[start + ends[lines[r]]:start + ends[lines[r] + 1] - 1],
+                       n, w)
+    return bits, cells, lines, int(ends[stop])
+
+
+def _read_encoder(src: _Lines, n: int) -> TableEncoder:
+    """The rows after ``encoder: table``: by stride when they share one byte layout, else
+    token by token; either way a repeated input is refused here, naming both lines."""
+    text, start = src.text, src.pos
+    first = text.count("\n", 0, start) + 1  # the line number of the text at ``start``
+    bits, cells, lines, end = _stride_rows(text, start, n) or _token_rows(text, start, n, first)
+    src.pos = start + end
     enc = TableEncoder.from_rows(bits.view(np.int8), cells)
     same = np.flatnonzero(enc._keys[1:] == enc._keys[:-1])
     if len(same):
-        first, again = number[(bits == enc.inputs[same[0]]).all(axis=1)][:2]
-        raise ParameterError(f"line {again}: input repeats line {first}")
+        number = first + lines
+        earlier, again = number[(bits == enc.inputs[same[0]]).all(axis=1)][:2]
+        raise ParameterError(f"line {again}: input repeats line {earlier}")
     return enc
 
 

@@ -148,6 +148,18 @@ def test_verify_scheme_honors_max_inputs():
         verify_scheme(partial)
 
 
+def test_the_first_row_outside_the_alphabet_is_named():
+    # rows 5 and 9 leave [0, 4), one below it and one above; row 5 is named either way
+    for first, second in [(-1, 4), (4, -1)]:
+        table = {x: (sum(x),) for x in product((0, 1), repeat=4)}
+        table[(0, 1, 0, 1)], table[(1, 0, 0, 1)] = (first,), (second,)
+        sch = Scheme(n=4, u=1, cell_alphabet=4, domain=DOMAIN_ALL, kind=KIND_SUM,
+                     probes=((0,),) * 4, encoder=TableEncoder(table),
+                     decoders=(_read_single,) * 4)
+        with pytest.raises(ConsistencyError, match=re.escape(f"encoder output ({first},) leaves")):
+            sch.encoded()
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_two_level_rank(8, 2, 4, 9),
     lambda: build_bracket_table(10),

@@ -4,10 +4,12 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import tempfile
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from cellprobe import (
     save_scheme,
     write_scheme,
 )
+from cellprobe import schemeio
 from cellprobe.brackets import enumerate_bal
 from cellprobe.cli import main
 from cellprobe.core import DOMAIN_ALL, DOMAIN_BAL, KIND_MATCH, KIND_SUM
@@ -113,6 +116,20 @@ def test_decoder_answers_past_int64_are_refused_when_read():
         TableDecoder({(0,): 0}, default=2 ** 63)
 
 
+@contextlib.contextmanager
+def _stride_reads():
+    """What each ``_stride_rows`` call in the block returned: None where the token reader
+    read the table instead."""
+    got = []
+
+    def spy(*args, _read=schemeio._stride_rows):
+        got.append(_read(*args))
+        return got[-1]
+
+    with mock.patch.object(schemeio, "_stride_rows", spy):
+        yield got
+
+
 def _mirror16() -> Scheme:
     """The 3.5 MB mirror table the goldens and the chain16 benchmark load."""
     return Scheme(n=16, u=16, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
@@ -151,7 +168,10 @@ def test_written_table_schemes_keep_their_bytes(name):
     build, digest = WRITE_DIGESTS[name]
     text = write_scheme(build())
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
-    assert write_scheme(read_scheme(text)) == text
+    with _stride_reads() as reads:
+        assert write_scheme(read_scheme(text)) == text
+    # one byte layout per row, but u = 0 rows are a '-', which the stride reader leaves
+    assert [read is not None for read in reads] == [name != "no_cells2"]
 
 
 @st.composite
@@ -198,9 +218,13 @@ def table_schemes(draw, max_n=6):
 def test_random_table_schemes_round_trip_byte_stable(drawn):
     scheme, _ = drawn
     text = write_scheme(scheme)
-    back = read_scheme(text)
+    with _stride_reads() as reads:
+        back = read_scheme(text)
     assert write_scheme(back) == text
     assert back == scheme
+    cells = scheme.encoder.cells
+    if cells.size and 0 <= cells.min() and cells.max() <= 9:  # every row has one byte layout
+        assert reads[0] is not None
 
 
 def _reference_rows(scheme: Scheme, table: dict) -> list:
@@ -358,6 +382,20 @@ def test_byte_reader_matches_the_line_reader(text):
 
 _ROW = "  01 -> 0 1"
 # (edit, old text, new text) on the table of _table_scheme; "u0" edits the table of _no_cells2
+#
+# every row keeps its length, but the rows no longer share one byte layout, so the stride
+# reader must leave them to the token reader; an old text starting with '^' is a pattern,
+# replaced on every line
+_STRIDE_REFUSALS = [
+    ("digit to x", _ROW, "  01 -> 0 x"), ("digit to colon", _ROW, "  01 -> 0 :"),
+    ("bit to 2", _ROW, "  21 -> 0 1"), ("bit to slash", _ROW, "  0/ -> 0 1"),
+    ("fat arrow", _ROW, "  01 => 0 1"), ("nul in a gap", _ROW, "  01\x00-> 0 1"),
+    ("blank line after the rows", "  11 -> 1 2\n", "  11 -> 1 2\n\n"),
+    ("longer row after the rows", "  11 -> 1 2\n", "  11 -> 1 20\n"),
+    ("u0 as written", "  01 -> -", "  01 -> -"),
+    ("19-digit column", r"^(  [01]+ -> )", r"\g<1>1234567890123456789 "),
+    ("trailing spaces", r"^(  [01]+ -> .*)$", r"\1  "),
+]
 _LISTED_EDITS = [
     ("blank line", _ROW, "\n" + _ROW), ("spaces and tab line", _ROW, " \t \n" + _ROW),
     ("unit separator line", _ROW, "\x1f\n" + _ROW), ("crlf", "\n", "\r\n"),
@@ -379,15 +417,27 @@ _LISTED_EDITS = [
     ("bracket bit", _ROW, "  0( -> 0 1"), ("long input", _ROW, "  012 -> 0 1"),
     ("short input", _ROW, "  0 -> 0 1"), ("split input", _ROW, "  0 1 -> 0 1"),
     ("bare arrow", _ROW, "  ->\n" + _ROW), ("u0 bare arrow", "  01 -> -", "  ->"),
+    *_STRIDE_REFUSALS, ("rows end the text", r"^probes:[\s\S]*", ""),
+    ("two-digit column", r"^(  [01]+ -> )", r"\g<1>10 "),
 ]
 
 
 @pytest.mark.parametrize("edit,old,new", _LISTED_EDITS, ids=[e[0] for e in _LISTED_EDITS])
 def test_byte_reader_matches_the_line_reader_on_listed_edits(edit, old, new):
     text = write_scheme(_no_cells2() if edit.startswith("u0") else _table_scheme())
-    assert old in text
-    text = text.replace(old, new) if edit == "crlf" else text.replace(old, new, 1)
-    assert _read_outcome(read_scheme, text) == _read_outcome(reference.read_scheme, text)
+    if old.startswith("^"):
+        text, count = re.subn(old, new, text, flags=re.MULTILINE)
+        assert count
+    else:
+        assert old in text
+        text = text.replace(old, new) if edit == "crlf" else text.replace(old, new, 1)
+    with _stride_reads() as reads:
+        outcome = _read_outcome(read_scheme, text)
+    assert outcome == _read_outcome(reference.read_scheme, text)
+    if edit in {refusal[0] for refusal in _STRIDE_REFUSALS}:
+        assert reads == [None]
+    if edit in ("rows end the text", "two-digit column"):  # one layout still: read by stride
+        assert reads[0] is not None
 
 
 @pytest.mark.parametrize("where", ["header", "encoder row", "decoder"])
@@ -401,15 +451,29 @@ def test_a_byte_past_ascii_is_a_usage_error(where, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_reading_the_mirror_table_stays_under_40_mib():
-    text = write_scheme(_mirror16())
-    tracemalloc.start()
-    try:
-        read_scheme(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2 ** 20
+def _traced_peak(text: str) -> tuple[int, int]:
+    """The traced peak of ``read_scheme(text)`` in bytes, and how many tables it read by stride."""
+    with _stride_reads() as reads:
+        tracemalloc.start()
+        try:
+            read_scheme(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak, sum(read is not None for read in reads)
+
+
+def test_reading_the_mirror_table_by_stride_stays_under_18_mib():
+    # measured at 14.5 MiB: the 3.5 MB text as bytes, 8 MiB of int64 cells and the bits
+    peak, stride_reads = _traced_peak(write_scheme(_mirror16()))
+    assert stride_reads == 1 and peak < 18 * 2 ** 20
+
+
+def test_reading_the_mirror_table_by_tokens_stays_under_40_mib():
+    # one row re-spaced: the stride reader refuses the table and the token reader reads it
+    text = write_scheme(_mirror16()).replace(" -> 0 0 0 0", "  ->  0  0 0 0", 1)
+    peak, stride_reads = _traced_peak(text)
+    assert stride_reads == 0 and peak < 40 * 2 ** 20
 
 
 @st.composite
