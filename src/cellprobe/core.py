@@ -8,6 +8,9 @@ its decoder.  Queries are 1-indexed at the API surface; cells are 0-indexed.
 Encoders and decoders work on matrices, one row per input: an encoder maps a
 k x n int8 bits matrix to a k x u int64 cells matrix, and decoder i maps a
 k x |probe i| int64 matrix of probed values to a length-k integer column.
+Between the two, an encoded domain holds its cells in ``cell_dtype`` of the
+alphabet, one byte a cell up to 256 values: checked in int64 before they are
+stored, and widened back to int64 for each decoder.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     RangeError,
     SizeError,
 )
-from .infotheory import fold_rows, group_rows, is_dense
+from .infotheory import cell_dtype, fold_rows, group_rows, is_dense
 
 DOMAIN_ALL = "all_bitstrings"
 DOMAIN_BAL = "balanced_brackets"
@@ -37,7 +40,7 @@ KIND_SUM = "sum"
 KIND_MATCH = "match"
 
 _ENCODE_CHUNK = 4096
-# largest bits plus cells matrices one encoding may allocate
+# largest bits plus cells matrices one encoding may allocate, each priced by its item size
 _ENCODE_BUDGET_BYTES = 2 << 30
 
 
@@ -54,7 +57,8 @@ class TableEncoder:
     """Encoder backed by an explicit input -> cells table.
 
     Held as two row-aligned matrices sorted by input: ``inputs`` (k x n int8,
-    distinct 0/1 rows) and ``cells`` (k x u int64).
+    distinct 0/1 rows) and ``cells`` (k x u), in ``cell_dtype`` of one past the
+    largest value when none is negative, else int64.  It hands out int64 cells.
     """
 
     __slots__ = ("inputs", "cells", "_keys")
@@ -78,6 +82,8 @@ class TableEncoder:
     def from_rows(cls, inputs: np.ndarray, cells: np.ndarray) -> TableEncoder:
         """The table mapping row r of ``inputs`` (0/1 rows) to row r of ``cells``, sorted."""
         self = cls.__new__(cls)
+        if not cells.size or cells.min() >= 0:
+            cells = cells.astype(cell_dtype(int(cells.max(initial=0)) + 1), copy=False)
         keys = _row_keys(inputs)
         # keys compare as byte strings in the order they sort; a written table is in order
         strings = keys.view(f"S{keys.itemsize}")
@@ -101,14 +107,14 @@ class TableEncoder:
             start = int(np.searchsorted(self._keys, _row_keys(bits[:1]))[0]) if len(bits) else 0
             run = slice(start, start + len(bits))
             if np.array_equal(self.inputs[run], bits):
-                return self.cells[run]
+                return self.cells[run].astype(np.int64)
             keys = _row_keys(bits)
             pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
             found = self._keys[pos] == keys
         if not found.all():
             x = tuple(bits[int(np.argmin(found))].tolist())
             raise DomainError(f"input {x} not present in the encoder table")
-        return self.cells[pos]
+        return self.cells[pos].astype(np.int64)
 
     def __eq__(self, other):
         return isinstance(other, TableEncoder) and (self.inputs.tolist(), self.cells.tolist()) == (
@@ -227,7 +233,8 @@ class Scheme:
         return tuple(self._encode_rows(np.array([x], dtype=np.int8))[0].tolist())
 
     def encoded(self, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The domain as ``(bits, cells)``: |X| x n bits and |X| x u int64 cells.
+        """The domain as ``(bits, cells)``: |X| x n int8 bits and |X| x u cells in
+        ``cell_dtype(cell_alphabet)``, uint8 up to 256 values.
 
         Rows follow the domain's lexicographic order.  The whole domain is
         encoded once and cached read-only on the scheme; with ``limit`` set
@@ -244,13 +251,14 @@ class Scheme:
     def _encode(self, limit: int | None) -> tuple[np.ndarray, np.ndarray]:
         total = self.domain_size()
         size = total if limit is None else min(limit, total)
-        need = size * (self.n + 8 * self.u)
+        dtype = cell_dtype(self.cell_alphabet)
+        need = size * (self.n + dtype.itemsize * self.u)
         if need > _ENCODE_BUDGET_BYTES:
             raise SizeError(
                 f"encoding {size} inputs of a domain of {total} takes {need} bytes, over the "
                 f"{_ENCODE_BUDGET_BYTES}-byte budget; encode a prefix with --max-inputs")
         bits = np.empty((size, self.n), dtype=np.int8)
-        cells = np.empty((size, self.u), dtype=np.int64)
+        cells = np.empty((size, self.u), dtype=dtype)
         balanced = None if self.domain == DOMAIN_ALL else balanced_rows(self.n)
         # input number r has bit j at shift n-1-j; the budget keeps r < 2^63
         shifts = np.minimum(np.arange(self.n - 1, -1, -1), 63)
@@ -260,6 +268,7 @@ class Scheme:
                 bits[start:stop] = np.arange(start, stop)[:, None] >> shifts & 1
             else:
                 bits[start:stop] = balanced[start:stop]
+            # checked in int64 within [0, m), so the narrow type holds every value
             cells[start:stop] = self._encode_rows(bits[start:stop])
         bits.flags.writeable = False
         cells.flags.writeable = False
@@ -290,8 +299,9 @@ class Scheme:
         return cells
 
     def decode(self, i: int, values: np.ndarray) -> np.ndarray:
-        """Decoder i on a k x |probe| matrix of probed values: a length-k integer column."""
-        got = np.asarray(self.decoders[i - 1](values))
+        """Decoder i on a k x |probe| matrix of probed values, handed over as int64: a
+        length-k integer column."""
+        got = np.asarray(self.decoders[i - 1](np.asarray(values, dtype=np.int64)))
         if got.shape != (len(values),) or got.dtype.kind not in "iu":
             raise ConsistencyError(f"query {i}: decoder gave a {got.dtype} array of shape "
                                    f"{got.shape} for {len(values)} rows, not one integer per row")

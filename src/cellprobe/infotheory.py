@@ -1,8 +1,8 @@
 """Exact entropy and statistical-distance toolkit over explicit finite distributions.
 
 A distribution is held as integer counts: its distinct outcomes are the rows
-of an int64 matrix and each row's probability is its count over one common
-denominator.  Probabilities given as exact rationals stay exact; entropies
+of an integer matrix (int64, or the narrower type it was built from) and each
+row's probability is its count over one common denominator.  Probabilities given as exact rationals stay exact; entropies
 are real-valued (bits, base-2 logs).  Inequality checks elsewhere in the
 package compare against these values with a 1e-9 tolerance.
 
@@ -35,6 +35,8 @@ Outcome = tuple[int, ...]
 _SUM_TOL = 1e-12
 # most q-subsets good_cells counts one by one; past it, SizeError unless the support bound decides
 _SUBSET_LIMIT = 200_000
+# rows ``fold_rows`` widens to int64 at a time
+_FOLD_ROWS = 1 << 14
 
 
 def _outcome_matrix(outcomes) -> np.ndarray:
@@ -59,8 +61,9 @@ def _outcome_matrix(outcomes) -> np.ndarray:
 class Distribution:
     """Finite probability mass function over equal-length int tuples.
 
-    ``rows`` is a k x arity int64 matrix of the distinct outcomes in
-    lexicographic order and ``counts[r] / denom`` the probability of row r.
+    ``rows`` is a k x arity integer matrix of the distinct outcomes in
+    lexicographic order, int64 or the narrower integer type ``from_rows`` was
+    given, and ``counts[r] / denom`` the probability of row r.
     Counts are int64 while ``denom`` fits int64 and Python ints beyond.
     Zero-probability outcomes are dropped on construction.
     """
@@ -109,10 +112,11 @@ class Distribution:
         """Distribution of the rows of an int matrix, each row weighted by its
         count (1 by default); equal rows merge and zero-count rows drop.
 
-        An int64 matrix is held as given, not copied: a caller that hands over a
-        fresh matrix holds it once, and one that goes on to write to its matrix
-        passes a copy."""
-        rows = np.asarray(rows, dtype=np.int64)
+        An integer array of a type int64 holds (any but uint64) is held as given,
+        in its own type and not copied: a caller that hands over a fresh matrix
+        holds it once, and one that goes on to write to its matrix passes a copy.
+        Anything else is read as int64."""
+        rows = _integers(rows)
         if counts is None:
             return cls._of(rows, np.ones(len(rows), dtype=np.int64), len(rows))
         # each count must be an integer; one past int64 is held exactly, as _set
@@ -187,15 +191,22 @@ def entropy(dist: Distribution) -> float:
     return conditional_entropy(dist, range(dist.arity), ())
 
 
+def _integers(values) -> np.ndarray:
+    """``values`` itself when it is an integer array of a type int64 holds, else as int64."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.dtype != np.uint64:
+        return values
+    return np.asarray(values, dtype=np.int64)
+
+
 def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the equal rows of a k x w int matrix.
+    """Group the equal rows of a k x w int matrix, in its own type unless uint64.
 
     Returns ``(first, inverse)``.  Groups are numbered in lexicographic order
     of their rows, ``first[g]`` is the index of the first row of group g and
     ``inverse[r]`` is the group of row r.  Rows already in order, as every
     prefix of a lexicographic domain is, group as runs without a sort.
     """
-    values = np.asarray(values, dtype=np.int64)
+    values = _integers(values)
     k, w = values.shape
     lo = int(values.min()) if values.size else 0
     radix = int(values.max()) - lo + 1 if values.size else 1
@@ -220,14 +231,19 @@ def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fold_rows(values: np.ndarray, radix: int, lo: int = 0) -> np.ndarray:
-    """One int64 key per row of a k x w int64 matrix: the row less ``lo`` read as
-    base-``radix`` digits, the first column most significant, so keys sort as rows do.
-    The caller keeps radix ** w within int64."""
+    """One int64 key per row of a k x w integer matrix whose entries lie in
+    [lo, lo + radix): the row less ``lo`` read as base-``radix`` digits, the first
+    column most significant, so keys sort as rows do.  The caller keeps radix ** w
+    within int64."""
     if values.shape[1] == 1:
         # a lone column is its own key, and cheaper than a product
-        return values[:, 0] - lo
+        return np.subtract(values[:, 0], lo, dtype=np.int64)
     powers = radix ** np.arange(values.shape[1] - 1, -1, -1, dtype=np.int64)
-    key = values @ powers
+    key = np.empty(len(values), dtype=np.int64)
+    # a block of rows at a time, so a narrow matrix is never widened to int64 whole
+    for start in range(0, len(values), _FOLD_ROWS):
+        block = values[start:start + _FOLD_ROWS]
+        np.matmul(np.asarray(block, dtype=np.int64), powers, out=key[start:start + len(block)])
     if lo:
         # the product may wrap past int64, and the offset wraps with it: the key fits
         key -= (lo * int(powers.sum()) + 2 ** 63) % 2 ** 64 - 2 ** 63
@@ -363,11 +379,16 @@ def _tallies(columns, counts, denom: int, m: int) -> np.ndarray:
     return np.bincount(key, weights=counts, minlength=space).astype(np.int64)
 
 
+def cell_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned type that holds every value in [0, m): uint8, uint16 or
+    uint32, and int64 past 2^32, since a uint64 value would not add into an int64 key."""
+    return np.min_scalar_type(m - 1) if m <= 2 ** 32 else np.dtype(np.int64)
+
+
 def value_columns(rows: np.ndarray, m: int) -> np.ndarray:
     """The columns of a matrix of values in [0, m) as the rows of a C-order matrix, so
-    each reads contiguously, in the narrowest unsigned type that holds them (int64 past
-    2^32, since a uint64 column would not add into an int64 key)."""
-    return rows.T.astype(np.min_scalar_type(m - 1) if m <= 2 ** 32 else np.int64, order="C")
+    each reads contiguously, in ``cell_dtype(m)``."""
+    return rows.T.astype(cell_dtype(m), order="C")
 
 
 def _tv(tallies, denom: int, space: int) -> Fraction:

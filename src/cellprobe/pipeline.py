@@ -51,7 +51,7 @@ from .core import (
 )
 from .entropy_sum import entropy_sum_analysis
 from .errors import ParameterError, SizeError
-from .infotheory import Distribution, columns_tv, good_blocks, good_cells, value_columns
+from .infotheory import Distribution, cell_dtype, columns_tv, good_blocks, good_cells, value_columns
 from .separator import _BRACKET_EXPONENT_LIMIT, find_separator, find_separator_brackets, pairwise_disjoint
 from .stretcher import find_stretcher
 from .textfmt import fmt, fmt_short, machine_value as _mval
@@ -480,18 +480,20 @@ def _event_probs(ei, ej, counts) -> tuple[Fraction, Fraction, Fraction]:
 def _event_probs_uniform(rs: RestrictedScheme, m: int, *events):
     """Pr[each (query, predicate) event], then Pr[every event], when the L cells the queries
     probe are uniform, over their m^L value grid (each event alone is an exact marginal of
-    it); None when that grid, as an m^L x L int64 matrix, passes the budget."""
+    it); None when that grid, as an m^L x L matrix of ``cell_dtype(m)``, passes the budget."""
     cells = sorted(set().union(*(rs.renamed_probes[q - 1] for q, _ in events)))
     width = len(cells)
     space = m ** width
-    if space * width * 8 > _ENCODE_BUDGET_BYTES:
+    dtype = cell_dtype(m)
+    if space * width * dtype.itemsize > _ENCODE_BUDGET_BYTES:
         return None
     weights = m ** np.arange(width - 1, -1, -1)
     columns = [[cells.index(c) for c in rs.renamed_probes[q - 1]] for q, _ in events]
     hits = [0] * (len(events) + 1)
     for start in range(0, space, _ENCODE_CHUNK):
         # a block of grid rows: the base-m digits of their numbers
-        grid = np.arange(start, min(start + _ENCODE_CHUNK, space))[:, None] // weights % m
+        numbers = np.arange(start, min(start + _ENCODE_CHUNK, space))
+        grid = (numbers[:, None] // weights % m).astype(dtype)
         each = [pred(rs.decode_reduced(query, grid[:, cols]))
                 for (query, pred), cols in zip(events, columns)]
         for k, hit in enumerate((*each, np.logical_and.reduce(each))):

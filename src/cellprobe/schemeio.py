@@ -42,7 +42,7 @@ import numpy as np
 from .bits import parse_bits
 from .core import DOMAIN_ALL, DOMAIN_BAL, Scheme, TableDecoder, TableEncoder
 from .errors import CellProbeError, ConsistencyError, ParameterError
-from .infotheory import group_rows
+from .infotheory import cell_dtype, group_rows
 from .schemes import build_builtin
 
 _HEADER_KEYS = ("n", "u", "q", "cell_alphabet", "domain", "kind")
@@ -225,10 +225,11 @@ def _stride_rows(text: str, start: int, n: int):
     end = start + k * width
     if end < len(raw) and raw[end] <= 32:
         return None
-    # Horner's rule down the value columns, each value's p-th digit at once
+    # Horner's rule down the value columns, each value's p-th digit at once, in the
+    # narrowest type that holds every numeral as long as the widest column's
     sizes = spans[:, 1] - spans[:, 0]
     first = np.cumsum(sizes) - sizes
-    cells = np.take(digits[:k], first, axis=1).astype(np.int64)
+    cells = np.take(digits[:k], first, axis=1).astype(cell_dtype(10 ** int(sizes.max())))
     for p in range(1, int(sizes.max())):
         live = np.flatnonzero(sizes > p)
         cells[:, live] = cells[:, live] * 10 + digits[:k, first[live] + p]

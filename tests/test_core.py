@@ -160,6 +160,68 @@ def test_the_first_row_outside_the_alphabet_is_named():
             sch.encoded()
 
 
+@pytest.mark.parametrize("first,second", [(256, -1), (-1, 256), (256, 256)])
+def test_a_callable_encoder_past_a_one_byte_alphabet_is_refused(first, second):
+    # rows 5 and 9 leave [0, 256); stored unchecked in uint8, 256 would read as 0
+    def encode(bits):
+        number = bits @ (1 << np.arange(3, -1, -1))
+        cells = np.full((len(bits), 1), 255, dtype=np.int64)
+        cells[number == 5], cells[number == 9] = first, second
+        return cells
+
+    sch = Scheme(n=4, u=1, cell_alphabet=256, domain=DOMAIN_ALL, kind=KIND_SUM,
+                 probes=((0,),) * 4, encoder=encode, decoders=(_read_single,) * 4)
+    with pytest.raises(ConsistencyError, match=re.escape(
+            f"encoder output ({first},) leaves the cell alphabet [0, 256)")):
+        sch.encoded()
+
+
+@pytest.mark.parametrize("alphabet,dtype", [
+    (4, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
+    (2 ** 32, np.uint32), (2 ** 32 + 1, np.int64)])
+def test_encoded_cells_take_the_narrowest_type_of_the_alphabet(alphabet, dtype):
+    bits, cells = build_precomputed_sums(3, alphabet).encoded()
+    assert cells.dtype == dtype
+    assert cells.tolist() == np.cumsum(bits, axis=1).tolist()
+
+
+def test_table_encoders_hold_narrow_cells_and_hand_out_int64():
+    for values, dtype in [((3, 255), np.uint8), ((3, 300), np.uint16), ((-1, 3), np.int64),
+                          ((0, 2 ** 32), np.int64)]:
+        enc = TableEncoder({(0,): (values[0],), (1,): (values[1],)})
+        assert enc.cells.dtype == dtype
+        got = enc(np.array([[1], [0]], dtype=np.int8))
+        assert got.dtype == np.int64 and got.tolist() == [[values[1]], [values[0]]]
+
+
+def test_decoders_receive_int64_values_from_narrow_cells():
+    # cell 0 holds the bit and cell 1 a constant 1: on uint8, 0 - 1 would wrap to 255
+    seen = []
+
+    def decode(values):
+        seen.append(values.dtype)
+        return (values[:, 0] - values[:, 1] >= 0).astype(np.int64)
+
+    sch = Scheme(n=1, u=2, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM, probes=((0, 1),),
+                 encoder=lambda bits: np.hstack((bits, np.ones_like(bits))), decoders=(decode,))
+    assert sch.encoded()[1].dtype == np.uint8
+    assert verify_scheme(sch).ok
+    assert sch.decode(1, np.array([[0, 1], [1, 1]], dtype=np.uint8)).tolist() == [0, 1]
+    assert seen and set(seen) == {np.dtype(np.int64)}
+
+
+def test_the_budget_prices_cells_by_their_item_size(monkeypatch):
+    # precomputed_sums(10): 1,024 inputs of 10 bits and 10 one-byte cells take 20,480
+    # bytes; priced as int64 cells they would take 92,160
+    monkeypatch.setattr("cellprobe.core._ENCODE_BUDGET_BYTES", 20480)
+    bits, cells = build_precomputed_sums(10).encoded()
+    assert bits.nbytes + cells.nbytes == 20480
+    assert cells.tolist() == np.cumsum(bits, axis=1).tolist()
+    monkeypatch.setattr("cellprobe.core._ENCODE_BUDGET_BYTES", 20479)
+    with pytest.raises(SizeError, match="takes 20480 bytes"):
+        build_precomputed_sums(10).encoded()
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_two_level_rank(8, 2, 4, 9),
     lambda: build_bracket_table(10),

@@ -172,8 +172,9 @@ def test_uniform_space_cap_skips_chain_lines_2_to_4(monkeypatch):
 
 def test_chain_line_3_reads_the_joint_grids_marginals(monkeypatch):
     """precomputed_sums(8) at c = 11/10 closes on two one-cell queries over alphabet 9: the
-    joint grid is 81 x 2 int64 (1,296 bytes), each query's own 9 x 1 (72 bytes).  Under the
-    budget, line 3's factors come from the joint grid's decodes; past it, from their own."""
+    joint grid is 81 x 2 uint8 (162 bytes), each query's own 9 x 1 (9 bytes, 72 if priced
+    as int64).  Under the budget, line 3's factors come from the joint grid's decodes; past
+    it, from their own."""
     from cellprobe.core import RestrictedScheme
 
     calls = []
@@ -181,7 +182,7 @@ def test_chain_line_3_reads_the_joint_grids_marginals(monkeypatch):
     monkeypatch.setattr(RestrictedScheme, "decode_reduced",
                         lambda self, *args: calls.append(args[0]) or decode(self, *args))
     reports = []
-    for budget in (None, 72):
+    for budget in (None, 9):
         if budget:
             monkeypatch.setattr("cellprobe.pipeline._ENCODE_BUDGET_BYTES", budget)
         calls.clear()
@@ -369,18 +370,19 @@ def _traced_peak(call) -> int:
 
 
 def test_y_is_held_once():
-    """On mirror16 Y is every 8 MiB of the cached cells: good-cells holds one copy of
-    it (a second raised its peak to 16 MiB), and the final chain gathers only the
-    two queries' probed columns (a fresh Y raised its peak to 9 MiB)."""
+    """On mirror16 Y is every 1 MiB of the cached one-byte cells: good-cells holds one
+    copy of it, and the final chain gathers only the two queries' probed columns.
+    Measured peaks: 4.0 MiB in good-cells (10.6 MiB when Y was int64) and 0.94 MiB in
+    the chain; each bound adds 1 MiB of margin for other numpy versions."""
     scheme = _mirror_scheme()
     scheme.encoded()
     rs = restrict_scheme(scheme, ())
-    assert rs.cells().nbytes == 8 * 2 ** 20
+    assert rs.cells().nbytes == 2 ** 20
     stages = []
     peak = _traced_peak(lambda: _good_cells(rs, scheme, Fraction(1, 2), tuple(range(1, 17)),
                                             (), (), stages))
     assert stages[0].field("v2") == tuple(range(1, 17))
-    assert peak < 12 * 2 ** 20
+    assert peak < 5 * 2 ** 20
     events = (("a", 1, lambda v: v == 1), ("b", 3, lambda v: v == 1))
     x_probs = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
     tail = (("line 6", Fraction(0), "why"), ("line 7", Fraction(0), "why"))
@@ -389,7 +391,7 @@ def test_y_is_held_once():
         rs, 2, Fraction(1, 2), "eta", "Sum", events, x_probs, ("check", "why", True), tail)[0]))
     # Y's events are the decoders' own: both queries read a uniform bit
     assert [line.value for line in chain[1:2]] == [Fraction(1, 4)]
-    assert peak < 3 * 2 ** 20
+    assert peak < 2 * 2 ** 20
 
 
 def test_chain_line_3_fails_when_the_two_queries_share_a_cell():
