@@ -59,17 +59,25 @@ class TableEncoder:
     Held as two row-aligned matrices sorted by input: ``inputs`` (k x n int8,
     distinct 0/1 rows) and ``cells`` (k x u), in ``cell_dtype`` of one past the
     largest value when none is negative, else int64.  It hands out int64 cells.
+    A dict's cells are read as bytes when every value lies in 0..255, else as int64.
     """
 
     __slots__ = ("inputs", "cells", "_keys")
 
     def __init__(self, table):
-        n, u = (len(next(iter(rows), ())) for rows in (table, table.values()))
-        if any(len(x) != n for x in table) or any(len(v) != u for v in table.values()):
-            raise ConsistencyError("encoder table rows differ in length")
+        widths = []
+        for rows in (table, table.values()):
+            lengths = set(map(len, rows)) or {0}
+            if len(lengths) > 1:
+                raise ConsistencyError("encoder table rows differ in length")
+            widths += lengths
+        n, u = widths
         try:
             inputs = np.frombuffer(bytes(chain.from_iterable(table)), dtype=np.uint8)
-            cells = np.fromiter(chain.from_iterable(table.values()), np.int64, len(table) * u)
+            try:  # cells in 0..255 are the uint8 cells from_rows would narrow to
+                cells = np.frombuffer(bytes(chain.from_iterable(table.values())), np.uint8)
+            except (TypeError, ValueError):  # past a byte, or a float or numeral int64 takes
+                cells = np.fromiter(chain.from_iterable(table.values()), np.int64, len(table) * u)
         except (TypeError, ValueError, OverflowError):
             inputs = None
         if inputs is None or (inputs > 1).any():

@@ -30,7 +30,15 @@ its bits (``0``, ``1``, ``(``, ``)``) and digits.  Such rows are one k x L
 byte matrix, L the first row's line length, whose values are read column by
 column.  Every other table, including any this module did not write, is read
 token by token; every refusal comes from that reader or from the repeated
-input check both share.
+input check both share.  A file's bytes are read as they are, with no second
+copy as a str, when they are ASCII and hold no line break but '\n'.
+
+The encoder rows are written the same way round, 4,096 rows at a time: each
+block is one byte matrix, a row a line, with every value right-aligned in the
+width of the table's widest numeral and NULs before it (a negative value's
+sign just before its first digit), and one compress drops the NULs.  The
+digits are taken in the cells' own type; only a table with a negative value
+is widened, to its magnitudes in uint64, so -2^63 is written too.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from .schemes import build_builtin
 
 _HEADER_KEYS = ("n", "u", "q", "cell_alphabet", "domain", "kind")
 _LINE = re.compile(r"^.*\S.*$", re.MULTILINE)
+_LINE_BYTES = re.compile(_LINE.pattern.encode(), re.MULTILINE)
 _TOKEN = re.compile(rb"\S+")
 _NUMERAL = re.compile(rb"[+-]?[0-9]+")
 _FIXED_VALUES = re.compile(rb"[0-9]{1,18}(?: [0-9]{1,18})*")
@@ -65,17 +74,48 @@ def _format_builtin(tag: tuple) -> str:
 
 
 def _encoder_lines(scheme: Scheme) -> list[str]:
-    """The ``<bits> -> <values>`` lines of a table encoder, one string per 4,096 rows."""
+    """The ``<bits> -> <values>`` lines of a table encoder, one string per 4,096 rows.
+
+    A block is one byte matrix, a row a line: ``  ``, the bits, `` -> ``, then per value
+    column ``width`` bytes and a space, the last a line end, ``width`` the widest numeral's.
+    Each value is right-aligned with NULs before it, which one compress drops."""
     enc = scheme.encoder
     inputs, cells = (enc.inputs, enc.cells) if isinstance(enc, TableEncoder) else scheme.encoded()
     (k, n), u = inputs.shape, cells.shape[1]
-    template = "\n  %s -> " + (" ".join(["%d"] * u) or "-")
+    lo, hi = int(cells.min(initial=0)), int(cells.max(initial=0))
+    width = max(len(str(lo)), len(str(hi)))
+    head = np.frombuffer(b"  " + b"0" * n + b" -> ", np.uint8)
+    last = n + 5 + width  # the column of each row's first value's last digit
     blocks = []
-    for block in (slice(start, start + 4096) for start in range(0, k, 4096)):
-        rows = np.empty((len(inputs[block]), 1 + u), dtype=object)
-        rows[:, 0] = (inputs[block] + ord("0")).view(f"S{n}").ravel().astype(str)
-        rows[:, 1:] = cells[block]
-        blocks.append((template * len(rows) % tuple(rows.ravel()))[1:])
+    for start in range(0, k, 4096):
+        bits, values = inputs[start:start + 4096], cells[start:start + 4096]
+        rows = np.empty((len(bits), n + 6 + max(u * (width + 1), 2)), dtype=np.uint8)
+        rows[:, :n + 6] = head
+        rows[:, 2:n + 2] += bits.view(np.uint8)
+        if not u:
+            rows[:, n + 6:] = np.frombuffer(b"-\n", np.uint8)
+            blocks.append(rows.ravel()[:-1].tobytes().decode("ascii"))
+            continue
+        rows[:, last + 1::width + 1] = 32
+        rows[:, -1] = 10
+        if lo < 0:  # digits of the magnitude, -2^63's too, in uint64
+            sign = values < 0
+            values = values.astype(np.int64)
+            np.negative(values, out=values, where=sign)
+            values = values.view(np.uint64)
+        for p in range(width):  # the digit worth 10^p
+            digit = (values % 10).astype(np.uint8)
+            digit += 48
+            if p:  # a leading zero is a NUL, and a negative value's first one its sign
+                lead = values == 0
+                digit[lead] = 0
+                if lo < 0:
+                    digit[lead & sign] = 45
+                    sign &= ~lead
+            rows[:, last - p::width + 1] = digit
+            values = values // 10
+        flat = rows.ravel() if width == 1 else rows[rows != 0]  # one digit needs no padding
+        blocks.append(flat[:-1].tobytes().decode("ascii"))
     return blocks
 
 
@@ -103,7 +143,7 @@ def write_scheme(scheme: Scheme) -> str:
         if default:
             lines.append(f"    default {default}")
         lines += [f"    {_values_key(values)} -> {entries[values]}" for values in sorted(entries)]
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])  # the text ends with a line end, and is built once
 
 
 def save_scheme(scheme: Scheme, path) -> None:
@@ -112,16 +152,28 @@ def save_scheme(scheme: Scheme, path) -> None:
 
 
 class _Lines:
-    """The non-blank lines of a text whose only line break is '\n', rstripped, from ``pos``."""
+    """The non-blank lines of a text whose only line break is '\n', rstripped, from ``pos``.
 
-    def __init__(self, text: str):
+    The text is a str, or a file's bytes, held as read when they are ASCII (one byte a
+    character) and hold no other line break, and refused as undecodable otherwise."""
+
+    def __init__(self, text: str | bytes):
+        odd = [c.encode() for c in _ODD] if isinstance(text, bytes) else _ODD
+        if not text.isascii() or any(c in text for c in odd):
+            # the lines the line-by-line reader saw: split by str.splitlines, each rstripped;
+            # a file with a byte past ASCII is refused here
+            text = text.decode("ascii") if isinstance(text, bytes) else text
+            text = "\n".join(line.rstrip() for line in text.splitlines())
         self.text, self.pos, self.next = text, 0, 0
+        self.pattern = _LINE_BYTES if isinstance(text, bytes) else _LINE
 
     def peek(self) -> str | None:
-        found = _LINE.search(self.text, self.pos)
-        if found:
-            self.pos, self.next = found.start(), found.end() + 1
-        return found and found.group().rstrip()
+        found = self.pattern.search(self.text, self.pos)
+        if not found:
+            return None
+        self.pos, self.next = found.start(), found.end() + 1
+        line = found.group()
+        return (line if isinstance(line, str) else line.decode("ascii")).rstrip()
 
     def take(self) -> str:
         if (line := self.peek()) is None:
@@ -191,14 +243,13 @@ def _values(full: np.ndarray, at: np.ndarray):
     return value[:, 1:], bad[:, 1:], past[:, 1:]
 
 
-def _stride_rows(text: str, start: int, n: int):
-    """The encoder rows at ``text[start:]`` read as one k x L byte matrix, L the length of the
+def _stride_rows(raw: bytes, start: int, n: int):
+    """The encoder rows at ``raw[start:]`` read as one k x L byte matrix, L the length of the
     first row's line, as the token reader's (bits, cells, line offsets, end offset); None on any
     doubt.  Every row must be the first row's bytes apart from its bits and digits, and the line
     after the rows must start with a byte past ' ' or the text end there.  The first row must
     be ``  <n bits> -> <values>`` with 1 to 18 digits a value, single spaces between and nothing
     after the last value, so int64 holds every value unchecked."""
-    raw = text.encode("ascii", "replace")  # one byte per character, as the offsets assume
     row = raw[start:raw.find(b"\n", start) + 1]
     if n < 1 or len(row) < n + 8 or row[:2] != b"  " or row[n + 2:n + 6] != b" -> ":
         return None
@@ -236,16 +287,23 @@ def _stride_rows(text: str, start: int, n: int):
     return bits[:k], cells, np.arange(k), end - start
 
 
-def _token_rows(text: str, start: int, n: int, first: int):
-    """The ``<bits> -> <values>`` rows at ``text[start:]``, read in numpy passes over its tokens:
-    the rows run to the first line that is neither blank nor indented two spaces and holding
-    a '->'.  A bad row raises, naming line ``first`` + its line offset."""
+def _token_buffer(raw: bytes, start: int, n: int) -> np.ndarray:
+    """The bytes from ``start`` between two '\n', then room for the token reader's reads to
+    run past their end: an input token, the gap after it and 21 more."""
+    size = len(raw) - start
+    full = np.full(size + min(max(n, 0), size) + 22, 10, dtype=np.uint8)
+    full[1:size + 1] = np.frombuffer(raw, np.uint8)[start:]
+    return full
+
+
+def _token_rows(text: str, full: np.ndarray, start: int, n: int, first: int):
+    """The ``<bits> -> <values>`` rows at ``text[start:]``, read in numpy passes over the tokens
+    of ``full``, its ``_token_buffer``: the rows run to the first line that is neither blank
+    nor indented two spaces and holding a '->'.  A bad row raises, naming line ``first`` + its
+    line offset."""
     size = len(text) - start
     span = min(max(n, 0), size) + 1  # an input token and the gap after it
-    # the rest of the text between two '\n', then room for reads to run past its end
-    full = np.full(size + span + 21, 10, dtype=np.uint8)
     buf = full[:size + 2]
-    buf[1:-1] = np.frombuffer(text.encode("ascii", "replace"), np.uint8)[start:]
     ends = np.flatnonzero(buf == 10)  # line j lies between ends[j] and ends[j + 1]
     firsts, gt = ends[:-1] + 1, np.flatnonzero(buf == 62)
     arrows = np.append(gt[buf[gt - 1] == 45] - 1, len(buf))
@@ -290,8 +348,8 @@ def _token_rows(text: str, start: int, n: int, first: int):
         bad = _rows(~(bits | (win == 48) | (win == 41))) | _rows(past)
     if bad.any():
         r = int(np.argmax(bad))
-        raise _refusal(first + lines[r], text[start + ends[lines[r]]:start + ends[lines[r] + 1] - 1],
-                       n, w)
+        line = text[start + ends[lines[r]]:start + ends[lines[r] + 1] - 1]
+        raise _refusal(first + lines[r], line if isinstance(line, str) else line.decode(), n, w)
     return bits, cells, lines, int(ends[stop])
 
 
@@ -299,8 +357,14 @@ def _read_encoder(src: _Lines, n: int) -> TableEncoder:
     """The rows after ``encoder: table``: by stride when they share one byte layout, else
     token by token; either way a repeated input is refused here, naming both lines."""
     text, start = src.text, src.pos
-    first = text.count("\n", 0, start) + 1  # the line number of the text at ``start``
-    bits, cells, lines, end = _stride_rows(text, start, n) or _token_rows(text, start, n, first)
+    raw = text if isinstance(text, bytes) else text.encode("ascii", "replace")  # a byte a char
+    first = raw.count(b"\n", 0, start) + 1  # the line number of the text at ``start``
+    rows = _stride_rows(raw, start, n)
+    if rows is None:
+        full = _token_buffer(raw, start, n)
+        del raw  # the token reader's passes write to its own copy of the bytes
+        rows = _token_rows(text, full, start, n, first)
+    bits, cells, lines, end = rows
     src.pos = start + end
     enc = TableEncoder.from_rows(bits.view(np.int8), cells)
     same = np.flatnonzero(enc._keys[1:] == enc._keys[:-1])
@@ -329,11 +393,9 @@ def _parse_builtin(spec: str):
     return name, params
 
 
-def read_scheme(text: str) -> Scheme:
-    """Parse a scheme document, rebuilding builtins and cross-checking headers."""
-    if not text.isascii() or any(c in text for c in _ODD):
-        # the lines the line-by-line reader saw: split by str.splitlines, each rstripped
-        text = "\n".join(line.rstrip() for line in text.splitlines())
+def read_scheme(text: str | bytes) -> Scheme:
+    """Parse a scheme document, rebuilding builtins and cross-checking headers; bytes are
+    read as ASCII text."""
     src = _Lines(text)
     header: dict[str, str] = {}
     for key in _HEADER_KEYS:
@@ -408,4 +470,4 @@ def read_scheme(text: str) -> Scheme:
 
 def load_scheme(path) -> Scheme:
     with open(path, "rb") as fh:
-        return read_scheme(fh.read().decode("ascii"))
+        return read_scheme(fh.read())

@@ -11,14 +11,17 @@ kept as they were before each did its pass once: row grouping by a column
 fold and a sort, group entropies by a loop over every count, and column
 tallies by an int64 key.  Also kept here: the nesting-level walks that
 counted the unmatched-bracket probabilities before their closed form, the
-float near-uniformity check no package code calls, and the line-by-line
-scheme-file reader the byte-buffer reader is checked against.
+float near-uniformity check no package code calls, the line-by-line
+scheme-file reader the byte-buffer reader is checked against, the scheme-file
+writer that formatted each value through a Python object and a ``%``
+template, and the ``TableEncoder`` dict constructor that read every cell as
+int64.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, compress, product, takewhile
+from itertools import accumulate, chain, combinations, compress, product, takewhile
 from math import fsum
 
 import numpy as np
@@ -44,6 +47,7 @@ from cellprobe import (
     scan_matches,
     tv_from_uniform,
 )
+from cellprobe import schemeio
 from cellprobe.infotheory import _neg_plogp, group_rows
 from cellprobe.separator import (
     _BRACKET_EXPONENT_LIMIT,
@@ -695,3 +699,58 @@ def read_scheme(text: str) -> Scheme:
     if scheme.q != q:
         raise ConsistencyError(f"header says q={q} but probe sets give q={scheme.q}")
     return scheme
+
+
+# the scheme-file writer, one Python object per value through a '%' template
+
+
+def encoder_lines(scheme) -> list[str]:
+    """The ``<bits> -> <values>`` lines of a table encoder, one string per 4,096 rows."""
+    enc = scheme.encoder
+    inputs, cells = (enc.inputs, enc.cells) if isinstance(enc, TableEncoder) else scheme.encoded()
+    (k, n), u = inputs.shape, cells.shape[1]
+    template = "\n  %s -> " + (" ".join(["%d"] * u) or "-")
+    blocks = []
+    for block in (slice(start, start + 4096) for start in range(0, k, 4096)):
+        rows = np.empty((len(inputs[block]), 1 + u), dtype=object)
+        rows[:, 0] = (inputs[block] + ord("0")).view(f"S{n}").ravel().astype(str)
+        rows[:, 1:] = cells[block]
+        blocks.append((template * len(rows) % tuple(rows.ravel()))[1:])
+    return blocks
+
+
+def write_scheme(scheme) -> str:
+    """``schemeio.write_scheme`` with its encoder rows formatted by ``encoder_lines``."""
+    table = scheme.builtin is None
+    lines = [f"{key}: {getattr(scheme, key)}" for key in _HEADER_KEYS]
+    lines += ["encoder: table", *encoder_lines(scheme)] if table else [
+        f"encoder: {schemeio._format_builtin(scheme.builtin)}"]
+    lines += ["probes:", *(f"  {schemeio._values_key(probe)}" for probe in scheme.probes)]
+    lines.append(f"decoders: {'table' if table else 'builtin'}")
+    for i, (entries, default) in enumerate(schemeio._decoder_tables(scheme) if table else [],
+                                           start=1):
+        lines.append(f"  query {i}")
+        if default:
+            lines.append(f"    default {default}")
+        lines += [f"    {schemeio._values_key(values)} -> {entries[values]}"
+                  for values in sorted(entries)]
+    return "\n".join(lines) + "\n"
+
+
+# the dict constructor of TableEncoder, every cell read into one int64 matrix
+
+
+def table_encoder(table) -> TableEncoder:
+    """``TableEncoder(table)``: its refusals in the same order, its cells read as int64."""
+    n, u = (len(next(iter(rows), ())) for rows in (table, table.values()))
+    if any(len(x) != n for x in table) or any(len(v) != u for v in table.values()):
+        raise ConsistencyError("encoder table rows differ in length")
+    try:
+        inputs = np.frombuffer(bytes(chain.from_iterable(table)), dtype=np.uint8)
+        cells = np.fromiter(chain.from_iterable(table.values()), np.int64, len(table) * u)
+    except (TypeError, ValueError, OverflowError):
+        inputs = None
+    if inputs is None or (inputs > 1).any():
+        raise ParameterError("encoder table needs 0/1 inputs and int64 cell values")
+    k = len(table)
+    return TableEncoder.from_rows(inputs.view(np.int8).reshape(k, n), cells.reshape(k, u))

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -192,6 +193,53 @@ def test_table_encoders_hold_narrow_cells_and_hand_out_int64():
         assert enc.cells.dtype == dtype
         got = enc(np.array([[1], [0]], dtype=np.int8))
         assert got.dtype == np.int64 and got.tolist() == [[values[1]], [values[0]]]
+
+
+def _built(build, table):
+    """The encoder ``build`` makes of ``table`` as (inputs, cells, cell type), or its error."""
+    try:
+        enc = build(table)
+    except Exception as err:  # the two constructors must fail alike, whatever they raise
+        return type(err), str(err)
+    return enc.inputs.tolist(), enc.cells.tolist(), enc.cells.dtype
+
+
+# cells 0..255 are read as bytes; anything else falls back to the int64 read
+_DICT_TABLES = {
+    "ragged keys": {(0, 1): (1,), (1,): (1,)},
+    "ragged values": {(0,): (1, 2), (1,): (1,)},
+    "input 2": {(2,): (1,)},
+    "input -1": {(-1,): (1,)},
+    "255": {(0,): (255,), (1,): (0,)},
+    "256": {(0,): (256,), (1,): (0,)},
+    "-1": {(0,): (-1,), (1,): (0,)},
+    "2^63": {(0,): (2 ** 63,), (1,): (0,)},
+    "float": {(0,): (1.5,), (1,): (0,)},
+    "None": {(0,): (None,), (1,): (0,)},
+    "bool": {(0,): (True,), (1,): (False,)},
+    "text": {(0,): ("7",), (1,): (0,)},
+    "empty": {},
+    "no cells": {(0,): (), (1,): ()},
+    "unordered": {(1, 0): (3, 4), (0, 1): (5, 6)},
+}
+
+
+@pytest.mark.parametrize("name", list(_DICT_TABLES))
+def test_the_dict_constructor_matches_the_int64_read(name):
+    table = _DICT_TABLES[name]
+    with mock.patch.object(np, "fromiter", wraps=np.fromiter) as fromiter:
+        got = _built(TableEncoder, table)
+    assert fromiter.called == (name in {"256", "-1", "2^63", "float", "None", "text"})
+    assert got == _built(reference.table_encoder, table)
+    refused = {"ragged keys": ConsistencyError, "ragged values": ConsistencyError,
+               "input 2": ParameterError, "input -1": ParameterError, "2^63": ParameterError,
+               "None": ParameterError}
+    held = {"255": np.uint8, "256": np.uint16, "-1": np.int64, "float": np.uint8,
+            "bool": np.uint8, "empty": np.uint8}
+    if name in refused:
+        assert got[0] is refused[name]
+    if name in held:
+        assert got[2] == held[name]
 
 
 def test_decoders_receive_int64_values_from_narrow_cells():

@@ -176,6 +176,39 @@ def test_written_table_schemes_keep_their_bytes(name):
 
 
 @st.composite
+def numeral_tables(draw):
+    """Table schemes whose columns mix digit counts and signs, up to both ends of int64;
+    u may be 0 and a table may hold one row."""
+    n, u = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    inputs = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=12,
+                           unique=True))
+    value = st.one_of(st.integers(0, 9), st.integers(-999, 99_999),
+                      st.sampled_from([-2 ** 63, 2 ** 63 - 1, -1, 255, 256, 2 ** 32]),
+                      st.integers(-2 ** 63, 2 ** 63 - 1))
+    table = {x: tuple(draw(st.lists(value, min_size=u, max_size=u))) for x in inputs}
+    return Scheme(n=n, u=u, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
+                  probes=((),) * n, encoder=TableEncoder(table),
+                  decoders=(TableDecoder({}),) * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(numeral_tables())
+def test_the_writer_matches_the_template_writer(scheme):
+    text = write_scheme(scheme)
+    assert text == reference.write_scheme(scheme)
+    assert read_scheme(text) == scheme
+
+
+def test_a_callable_encoders_rows_are_written_as_the_template_writer_writes_them():
+    # the rows come from encoded(), in the alphabet's own type: uint16 past 256 values
+    base = build_precomputed_sums(13, 300)  # two blocks of rows
+    scheme = Scheme(n=13, u=13, cell_alphabet=300, domain=DOMAIN_ALL, kind=KIND_SUM,
+                    probes=base.probes, encoder=base.encoder, decoders=base.decoders)
+    assert scheme.encoded()[1].dtype == np.uint16
+    assert write_scheme(scheme) == reference.write_scheme(scheme)
+
+
+@st.composite
 def table_schemes(draw, max_n=6):
     """Random table schemes: n <= max_n, u <= 4, either domain, decoder defaults.
 
@@ -441,6 +474,31 @@ def test_byte_reader_matches_the_line_reader_on_listed_edits(edit, old, new):
         assert reads[0] is not None
 
 
+def _listed_edit(edit: str, old: str, new: str) -> str:
+    text = write_scheme(_no_cells2() if edit.startswith("u0") else _table_scheme())
+    if old.startswith("^"):
+        return re.sub(old, new, text, flags=re.MULTILINE)
+    return text.replace(old, new) if edit == "crlf" else text.replace(old, new, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edited_table_texts())
+def test_a_files_bytes_read_as_its_text(text):
+    # ASCII bytes are read as they are; other line breaks send them through str.splitlines
+    if text.isascii():
+        assert _read_outcome(read_scheme, text.encode("ascii")) == _read_outcome(read_scheme, text)
+
+
+@pytest.mark.parametrize("edit,old,new", _LISTED_EDITS, ids=[e[0] for e in _LISTED_EDITS])
+def test_a_files_bytes_read_as_its_text_on_listed_edits(edit, old, new):
+    text = _listed_edit(edit, old, new)
+    if not text.isascii():  # refused as undecodable, as a file with such a byte always was
+        with pytest.raises(UnicodeDecodeError):
+            read_scheme(text.encode("utf-8"))
+        return
+    assert _read_outcome(read_scheme, text.encode("ascii")) == _read_outcome(read_scheme, text)
+
+
 @pytest.mark.parametrize("where", ["header", "encoder row", "decoder"])
 def test_a_byte_past_ascii_is_a_usage_error(where, tmp_path, capsys):
     text = write_scheme(_table_scheme())
@@ -452,15 +510,20 @@ def test_a_byte_past_ascii_is_a_usage_error(where, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _peak_above_start(fn) -> int:
+    """The traced peak of ``fn()`` in bytes above what was live when it started."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _traced_peak(text: str) -> tuple[int, int]:
     """The traced peak of ``read_scheme(text)`` in bytes, and how many tables it read by stride."""
     with _stride_reads() as reads:
-        tracemalloc.start()
-        try:
-            read_scheme(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _peak_above_start(lambda: read_scheme(text))
     return peak, sum(read is not None for read in reads)
 
 
@@ -476,6 +539,42 @@ def test_reading_the_mirror_table_by_tokens_stays_under_40_mib():
     text = write_scheme(_mirror16()).replace(" -> 0 0 0 0", "  ->  0  0 0 0", 1)
     peak, stride_reads = _traced_peak(text)
     assert stride_reads == 0 and peak < 40 * 2 ** 20
+
+
+@pytest.mark.parametrize("command", [["verify"], ["pipeline", "--c", "2", "--format", "machine"]],
+                         ids=["verify", "pipeline"])
+def test_both_table_readers_give_one_report_at_65536_rows(command, tmp_path, capsys):
+    # mirror16 as written has one byte layout on every row, so the stride reader reads it;
+    # the copy spaces one row's values twice, so the token reader reads the whole table.
+    # Exit 1 is the expected verdict (mirror16 is wrong on purpose).
+    text = write_scheme(_mirror16())
+    row = "\n  0000000000000101 -> " + " ".join("0000000000000101") + "\n"
+    spaced = row.replace(" ", "  ").replace("    ", "  ", 1)
+    assert text.count(row) == 1 and len(spaced) > len(row)
+    reports = {}
+    for name, body in (("stride", text), ("tokens", text.replace(row, spaced))):
+        path = tmp_path / f"{name}.scm"
+        path.write_text(body, encoding="ascii")
+        with _stride_reads() as reads:
+            code = main([*command, "--scheme", str(path)])
+        assert [read is not None for read in reads] == [name == "stride"]
+        assert code <= 1
+        reports[name] = capsys.readouterr().out
+    assert reports["stride"] == reports["tokens"]
+
+
+def test_building_the_mirror_table_from_a_dict_stays_under_4_mib():
+    # measured at 3.1 MiB: 1 MiB of cells read as bytes, 1 MiB of inputs and the sort keys
+    # (11.1 MiB when every cell was read into one int64 matrix first)
+    table = {x: x for x in product((0, 1), repeat=16)}
+    assert _peak_above_start(lambda: TableEncoder(table)) < 4 * 2 ** 20
+
+
+def test_writing_the_mirror_table_stays_under_8_mib():
+    # measured at 6.8 MiB: the 3.5 MB text twice, as its blocks and as the joined file, and
+    # one block's matrices (10.1 MiB when the joined text was copied once more to end it)
+    scheme = _mirror16()
+    assert _peak_above_start(lambda: write_scheme(scheme)) < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("alphabet,values", [(256, (253, 254, 255, 256)),
