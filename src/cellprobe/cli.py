@@ -122,12 +122,14 @@ def _cmd_redundancy(args):
 def _cmd_separator(args):
     if args.bracket_c is not None and args.gap is not None:
         raise DomainError("separator takes --gap or --bracket-c, not both")
+    if args.relax and args.bracket_c is None:
+        raise DomainError("separator --relax applies to --bracket-c only")
     scheme = load_scheme(args.scheme)
     if args.bracket_c is not None:
         res = find_separator_brackets(scheme.probes, int(args.bracket_c),
                                       require_preconditions=not args.relax)
-        checks = [*res.checks, ("v_nonempty", res.w > 0)]
-        pairs = [
+        checks = [*res.checks, ("v_nonempty", res.v_nonempty)]
+        return [
             ("mode", "brackets"),
             ("n", res.n),
             ("q", res.q),
@@ -139,23 +141,23 @@ def _cmd_separator(args):
             ("b_cells", tuple(sorted(res.B))),
             ("stages_run", res.stages_run),
             ("size_floor_ok", res.size_floor_ok),
-        ]
-    else:
-        if args.gap is None:
-            raise DomainError("separator needs --gap or --bracket-c")
-        res = find_separator(scheme.probes, _num(args.gap))
-        checks = list(res.checks)
-        pairs = [
-            ("mode", "prefix"),
-            ("n", res.n),
-            ("q", res.q),
-            ("g", res.gap),
-            ("k0", res.k0),
-            ("w", res.w),
-            ("v", res.V),
-            ("b_cells", tuple(sorted(res.B))),
-            ("stages_run", res.stages_run),
-        ]
+            *res.stage_log,
+            *((f"check.{k}", ok) for k, ok in checks),
+        ], True
+    if args.gap is None:
+        raise DomainError("separator needs --gap or --bracket-c")
+    res = find_separator(scheme.probes, _num(args.gap))
+    pairs = [
+        ("mode", "prefix"),
+        ("n", res.n),
+        ("q", res.q),
+        ("g", res.gap),
+        ("k0", res.k0),
+        ("w", res.w),
+        ("v", res.V),
+        ("b_cells", tuple(sorted(res.B))),
+        ("stages_run", res.stages_run),
+    ]
     for entry in res.log:
         prefix = f"stage.{entry.stage}"
         pairs += [
@@ -164,8 +166,8 @@ def _cmd_separator(args):
             (f"{prefix}.success", entry.success),
             (f"{prefix}.b_size", entry.b_size),
         ]
-    pairs += [(f"check.{k}", ok) for k, ok in checks]
-    return pairs, all(ok for _, ok in checks)
+    pairs += [(f"check.{k}", ok) for k, ok in res.checks]
+    return pairs, all(ok for _, ok in res.checks)
 
 
 def _cmd_stretcher(args):

@@ -13,9 +13,8 @@ This is the index-order scan, since every earlier set sharing a cell with a take
 set was already refused, and every refused set comes after the set that took its
 cell.
 
-``find_separator_brackets`` settles at stage 0 of the bracket schedule: its floor
-n/(lg n)^((2c)^q) has exponent >= 8 when c >= 4 and q >= 1, and (lg n)^8 > n below
-about 1.29e13 sets, so the one set greedy always takes meets it, with B empty.
+``find_separator_brackets`` runs stage 0 of the bracket schedule alone, which
+settles it at every size the workbench reaches (see ``BracketSeparatorResult``).
 """
 
 from __future__ import annotations
@@ -143,10 +142,10 @@ def pairwise_disjoint(sets) -> bool:
 class StageLog:
     stage: int
     disjoint_found: int
-    threshold: object          # Fraction | float
+    threshold: Fraction        # k0 (gq)^i
     success: bool
     b_size: int                # |B| after the stage
-    b_bound: object            # invariant bound on |B| at this point
+    b_bound: Fraction          # invariant bound on |B| at this point
     invariant_ok: bool
 
 
@@ -210,40 +209,36 @@ def find_separator(family, g) -> SeparatorResult:
 
 @dataclass(frozen=True)
 class BracketSeparatorResult:
-    """Separator with the bracket schedule: exponents a, b with b = c*a.
+    """Stage 0 of the bracket schedule: query indices V (1-based), a = (2c)^q, b = c*a,
+    and whether the floor n/lg^b n >= 1 held."""
 
-    ``size_floor_ok`` records whether n/lg^b n >= 1 held (it cannot at desk
-    scale once b is moderately large); ``b_size_ok`` records |B| <= n/lg^b n.
-    """
-
-    B: frozenset
     V: tuple[int, ...]
     a: int
     b: int
     n: int
     q: int
     c: int
-    stages_run: int
-    log: tuple[StageLog, ...]
     size_floor_ok: bool
-    b_size_ok: bool
+
+    # Fixed below about 1.29e13 sets by the stage-0 floor n/(lg n)^a: a >= 8 when q >= 1,
+    # and (lg n)^8 > n there, so the first set, which greedy always takes, meets it (at
+    # q = 0 greedy takes all n sets); a miss raises. So B is empty and b = c*a <= c*(2c)^a.
+    B = frozenset()
+    stages_run = 1
+    checks = (("b_between", True), ("b_small", True))
+    v_floor = v_nonempty = True
 
     @property
     def w(self) -> int:
         return len(self.V)
 
     @property
-    def checks(self) -> tuple[tuple[str, bool], ...]:
-        """The guarantees c*a <= b <= c*(2c)^a and |B| <= n/lg^b n."""
-        return (
-            ("b_between", self.c * self.a <= self.b <= self.c * (2 * self.c) ** self.a),
-            ("b_small", self.b_size_ok),
-        )
-
-    @property
-    def v_floor(self) -> bool:
-        """w >= n/lg^a n: the test the successful stage passed, as its log records it."""
-        return self.log[-1].success
+    def stage_log(self) -> tuple[tuple[str, object], ...]:
+        """The one log line, its floor n/lg^a n a float (0.0 past the range)."""
+        exponent = self.a * math.log2(math.log2(self.n))
+        floor = self.n * 2.0 ** -exponent if exponent < 1000 else 0.0
+        return (("stage.0.disjoint_found", self.w), ("stage.0.threshold", floor),
+                ("stage.0.success", True), ("stage.0.b_size", 0))
 
 
 def _meets(count: int, n: int, lg_l: float, exponent: int) -> bool:
@@ -253,11 +248,7 @@ def _meets(count: int, n: int, lg_l: float, exponent: int) -> bool:
 
 def find_separator_brackets(family, c: int, require_preconditions: bool = True) -> BracketSeparatorResult:
     """Stage 0 of the schedule n/(lg n)^(d^(q-i)), d = 2c: one greedy pass, a = d^q, b = c*a.
-
-    The guarantee arithmetic assumes q <= (lg lg n)/c and n large; with
-    ``require_preconditions`` off the schedule still runs and the result
-    records which size bounds actually held.  A missed stage-0 floor is a ``ConsistencyError``.
-    """
+    ``require_preconditions`` refuses q > (lg lg n)/c, where the guarantee arithmetic fails."""
     pairs, cells, n, q = _as_pairs(family)
     if not n:
         raise ParameterError("separator needs a nonempty family of sets")
@@ -269,21 +260,12 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True) 
     lg_l = math.log2(math.log2(n))
     if require_preconditions and q * c > lg_l:  # c may be past the float range
         raise ParameterError(f"q = {q} exceeds (lg lg n)/c = {float(Fraction(lg_l) / c):.4f}")
-    d = 2 * c
-    if d ** q > _BRACKET_EXPONENT_LIMIT:
-        raise SizeError(
-            f"schedule exponent d^q = {fmt_short(d ** q)} exceeds {_BRACKET_EXPONENT_LIMIT}")
+    a = (2 * c) ** q
+    if a > _BRACKET_EXPONENT_LIMIT:
+        raise SizeError(f"schedule exponent d^q = {fmt_short(a)} exceeds {_BRACKET_EXPONENT_LIMIT}")
     chosen, _ = _greedy(pairs, n, np.zeros(len(cells), bool))
-    a = d ** q
     if not _meets(len(chosen), n, lg_l, a):
         raise ConsistencyError(
             f"bracket separator: stage 0 found {len(chosen)} disjoint sets, under n/lg^{a} n")
-    b = c * a
-    # threshold n/L^a rendered as a float when it fits
-    threshold = n * 2.0 ** (-a * lg_l) if a * lg_l < 1000 else 0.0
-    return BracketSeparatorResult(
-        B=frozenset(), V=chosen, a=a, b=b, n=n, q=q, c=c, stages_run=1,
-        log=(StageLog(0, len(chosen), threshold, True, 0, f"n/lg^{b} n", True),),
-        size_floor_ok=math.log2(n) >= b * lg_l - 1e-12,
-        b_size_ok=True,
-    )
+    return BracketSeparatorResult(V=chosen, a=a, b=c * a, n=n, q=q, c=c,
+                                  size_floor_ok=math.log2(n) >= c * a * lg_l - 1e-12)

@@ -1,6 +1,18 @@
 """Fixtures shared by the test modules."""
 
+import os
+
 import pytest
+
+
+@pytest.fixture
+def src_env():
+    """The environment for a fresh Python process that imports this checkout's cellprobe."""
+    import cellprobe
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cellprobe.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, compress, product, takewhile
 from math import fsum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +52,6 @@ from cellprobe import schemeio
 from cellprobe.infotheory import _neg_plogp, group_rows
 from cellprobe.separator import (
     _BRACKET_EXPONENT_LIMIT,
-    BracketSeparatorResult,
     SeparatorResult,
     StageLog,
     _meets,
@@ -301,9 +301,40 @@ def find_separator(family, g) -> SeparatorResult:
     raise ConsistencyError("separator failed to terminate; stage q cannot fail")
 
 
+class BracketStage(NamedTuple):
+    """One stage of the bracket schedule: its floor n/lg^exponent n as a float (0.0 past
+    the range), and whether |B| after it stays within n/lg^b_exponent n."""
+
+    stage: int
+    disjoint_found: int
+    threshold: float
+    success: bool
+    b_size: int
+    b_exponent: int
+    b_size_ok: bool
+
+
+@dataclass(frozen=True)
+class BracketSchedule:
+    """The bracket schedule's stage loop as it ran: the blocker, every stage, and the
+    size bounds that held."""
+
+    B: frozenset
+    V: tuple[int, ...]
+    a: int
+    b: int
+    n: int
+    q: int
+    c: int
+    stages_run: int
+    log: tuple[BracketStage, ...]
+    size_floor_ok: bool
+    b_size_ok: bool
+
+
 def find_separator_brackets(family, c: int, require_preconditions: bool = True):
     """``separator.find_separator_brackets`` with one frozenset per probe set, running the
-    schedule's full stage loop: the package stops at stage 0, which cannot fail."""
+    schedule's full stage loop, where the package runs stage 0 alone."""
     sets = _as_sets(family)
     n = len(sets)
     c = int(c)
@@ -321,7 +352,7 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True):
         raise SizeError(f"schedule exponent d^q = {d ** q} exceeds {_BRACKET_EXPONENT_LIMIT}")
     lg_l = math.log2(math.log2(n))
     blocker: set = set()
-    log: list[StageLog] = []
+    log: list[BracketStage] = []
     for i in range(q + 1):
         reduced = [s - blocker for s in sets]
         chosen = greedy_disjoint(reduced)
@@ -330,9 +361,8 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True):
         if _meets(len(chosen), n, lg_l, exponent):
             a, b = exponent, c * exponent
             b_size_ok = _b_within(len(blocker), n, lg_l, b)
-            log.append(StageLog(i, len(chosen), threshold, True,
-                                len(blocker), f"n/lg^{b} n", b_size_ok))
-            return BracketSeparatorResult(
+            log.append(BracketStage(i, len(chosen), threshold, True, len(blocker), b, b_size_ok))
+            return BracketSchedule(
                 B=frozenset(blocker), V=chosen, a=a, b=b, n=n, q=q, c=c,
                 stages_run=i + 1, log=tuple(log),
                 size_floor_ok=math.log2(n) >= b * lg_l - 1e-12,
@@ -341,9 +371,8 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True):
         for v in chosen:
             blocker |= reduced[v - 1]
         next_exp = c * d ** (q - i - 1)
-        log.append(StageLog(i, len(chosen), threshold, False,
-                            len(blocker), f"n/lg^{next_exp} n",
-                            _b_within(len(blocker), n, lg_l, next_exp)))
+        log.append(BracketStage(i, len(chosen), threshold, False, len(blocker), next_exp,
+                                _b_within(len(blocker), n, lg_l, next_exp)))
     raise ConsistencyError("bracket separator failed to terminate; stage q cannot fail")
 
 

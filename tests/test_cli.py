@@ -1,9 +1,9 @@
 """End-to-end command-line behaviour: output shape and exit codes."""
 
 import math
-import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -101,6 +101,14 @@ def test_separator_refuses_a_gap_beside_a_bracket_c(good_scheme, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: separator takes --gap or --bracket-c, not both\n"
+
+
+def test_separator_refuses_relax_without_a_bracket_c(good_scheme, capsys):
+    # --relax only loosens the bracket schedule's preconditions; beside --gap it did nothing
+    assert main(["separator", "--scheme", good_scheme, "--gap", "4", "--relax"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: separator --relax applies to --bracket-c only\n"
 
 
 def test_stretcher_ok_and_stuck(capsys):
@@ -239,14 +247,18 @@ def test_a_report_value_past_the_int_print_limit_is_refused(good_scheme, capsys,
                     reason="Python before 3.10.7 prints an int of any length")
 @pytest.mark.parametrize("fmt", ["text", "machine"])
 def test_a_walk_past_the_int_print_limit_prints_its_exact_fraction(capsys, fmt):
-    # 2^20000 has 6021 digits; the walk prints it in parts, each within the limit
+    # 2^20000 has 6021 digits; the walk prints it in parts, each within the limit. It is
+    # one binomial coefficient: the old nesting-level walk took about 30 s at d = 8000.
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)
+        start = time.monotonic()
         code = main(["brackets", "walk", "--d", "20000", "--format", fmt])
+        elapsed = time.monotonic() - start
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == 0
+    assert elapsed < 10.0
     lines = dict(line.split(": " if fmt == "text" else "=", 1)
                  for line in capsys.readouterr().out.splitlines())
     want = Fraction(math.comb(19999, 9999), 2 ** 20000)
@@ -448,66 +460,54 @@ def test_build_scheme_refuses_a_param_that_repeats_a_key(extra, key, tmp_path, c
 
 
 @pytest.mark.parametrize("module", ["cellprobe", "cellprobe.cli"])
-def test_module_entry_points_run_the_cli(module, tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cellprobe.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+def test_module_entry_points_run_the_cli(module, tmp_path, src_env):
     done = subprocess.run(
         [sys.executable, "-m", module, "verify", "--scheme", str(tmp_path / "missing.scm")],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=src_env, timeout=120)
     assert done.returncode == 2
     assert done.stderr.startswith("error:")
 
 
-def test_pipeline_rejects_out_of_range_c_without_traceback(good_scheme, tmp_path):
+def test_pipeline_rejects_out_of_range_c_without_traceback(good_scheme, tmp_path, src_env):
     # a Match c must be an integer; a Sum c past n must not overflow or hang
     brackets = tmp_path / "brackets8.scm"
     save_scheme(build_bracket_table(8), str(brackets))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cellprobe.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     for scheme, c in ((brackets, "9/2"), (brackets, "4.5"),
                       (good_scheme, "1e400"), (good_scheme, "1e20")):
         done = subprocess.run(
             [sys.executable, "-m", "cellprobe", "pipeline", "--scheme", str(scheme), "--c", c],
-            capture_output=True, text=True, env=env, timeout=60)
+            capture_output=True, text=True, env=src_env, timeout=60)
         assert done.returncode == 2, (c, done.stderr)
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("c", ["1e400", "1e4000", "1e9999"])
-def test_pipeline_echoes_a_huge_c_in_short_form(good_scheme, tmp_path, c):
+def test_pipeline_echoes_a_huge_c_in_short_form(good_scheme, tmp_path, c, src_env):
     # a Sum c past n and a Match c past the schedule's exponent limit are refused
     # without printing the expanded Fraction (10^9999 has more digits than str allows)
     brackets = tmp_path / "brackets20.scm"
     save_scheme(build_bracket_table(20), str(brackets))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cellprobe.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     for scheme in (good_scheme, str(brackets)):
         done = subprocess.run(
             [sys.executable, "-m", "cellprobe", "pipeline", "--scheme", scheme, "--c", c],
-            capture_output=True, text=True, env=env, timeout=60)
+            capture_output=True, text=True, env=src_env, timeout=60)
         assert done.returncode == 2, (scheme, done.stderr)
         assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
         assert len(done.stderr.encode()) < 200, done.stderr
         assert f"1.00E+{c[2:]}" in done.stderr
 
 
-def test_domain_past_the_encoding_budget_is_usage_error(tmp_path, capsys):
+def test_domain_past_the_encoding_budget_is_usage_error(tmp_path, capsys, src_env):
     path = str(tmp_path / "raw1100.scm")
     assert main(["build-scheme", "--name", "raw_identity", "--n", "1100",
                  "--alphabet", "2", "--out", path]) == 0
     # a prefix of the domain still verifies
     assert main(["verify", "--scheme", path, "--max-inputs", "5", "--format", "machine"]) == 0
     assert "status=pass" in capsys.readouterr().out
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cellprobe.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     for argv in (["pipeline", "--scheme", path, "--c", "3"], ["verify", "--scheme", path]):
         done = subprocess.run([sys.executable, "-m", "cellprobe", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=src_env, timeout=60)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error:")
         assert "--max-inputs" in done.stderr
@@ -522,32 +522,26 @@ def test_verify_max_inputs_must_be_positive(good_scheme, limit, capsys):
     assert captured.err.startswith("error:") and "max_inputs" in captured.err
 
 
-def test_a_huge_decimal_exponent_is_refused_without_expanding_it(tmp_path):
+def test_a_huge_decimal_exponent_is_refused_without_expanding_it(tmp_path, src_env):
     # Fraction("1e99999999") builds a 10^8-digit integer and does not come back
     dist = tmp_path / "huge.dist"
     dist.write_text("0,1 1e99999999\n1,0 1/2\n", encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cellprobe.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     for argv in (["entropy-sum", "--uniform", "4", "--p", "1", "--i", "2", "--j", "3",
                   "--c", "1e99999999"],
                  ["entropy", "--dist", str(dist)]):
         done = subprocess.run([sys.executable, "-m", "cellprobe", *argv],
-                              capture_output=True, text=True, env=env, timeout=30)
+                              capture_output=True, text=True, env=src_env, timeout=30)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error:") and "exponent" in done.stderr
         assert "Traceback" not in done.stderr
 
 
-def test_a_c_past_the_float_range_is_refused_without_traceback():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cellprobe.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+def test_a_c_past_the_float_range_is_refused_without_traceback(src_env):
     for argv in (["stretcher", "--indices", "1,2,3", "--n", "8", "--c", "1e400"],
                  ["entropy-sum", "--uniform", "4", "--p", "1", "--i", "2", "--j", "3",
                   "--c", "1e400"]):
         done = subprocess.run([sys.executable, "-m", "cellprobe", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=src_env, timeout=60)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error:") and "float range" in done.stderr
         assert "Traceback" not in done.stderr

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -245,3 +247,14 @@ def test_index_validation():
         entropy_sum_analysis_uniform(8, 1, 4, 8, float("-inf"))
     with pytest.raises(ParameterError, match="c must be positive, got -inf"):
         good_prefix_set(Distribution.uniform(list(product((0, 1), repeat=4))), 0, 2, float("-inf"))
+
+
+def test_the_closed_form_sum_at_n_14000_runs_in_time(src_env):
+    """One tail scan and a few binomial rows; stepping t up one tail sum at a time took
+    about 20 s on a 2-core Xeon, this form under 1 s. Exit 1 (a failed tail bound) is
+    the expected verdict."""
+    done = subprocess.run(
+        [sys.executable, "-m", "cellprobe", "entropy-sum", "--uniform", "14000", "--p", "3500",
+         "--i", "10500", "--j", "14000", "--c", "8", "--format", "machine"],
+        capture_output=True, text=True, env=src_env, timeout=10)
+    assert done.returncode <= 1, done.stderr

@@ -2,6 +2,8 @@
 
 import glob
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from cellprobe import (
 )
 from cellprobe.entropy_sum import stretch_term
 from cellprobe.pipeline import _final_chain, _good_cells
+from cellprobe.schemeio import save_scheme
 from cellprobe.schemes import (
     build_bracket_table,
     build_precomputed_sums,
@@ -414,3 +417,24 @@ def test_chain_line_3_fails_when_the_two_queries_share_a_cell():
     assert not checks["probes_disjoint"]
     assert not checks["relations"]
     assert not checks["contradiction"]
+
+
+def test_the_pipeline_at_n_20_peaks_under_300_mb(tmp_path, src_env):
+    """The encoded domain of precomputed_sums(20) holds one-byte cells over alphabet 21:
+    21 MB of cells where int64 took 168 MB. The run peaked at 584 MB with int64 cells and
+    161-165 MB with one-byte cells on a 2-core Xeon under numpy 2.4. A fresh process
+    measures its own peak. Exit 1 (truncated at stretcher) is the expected verdict."""
+    scheme = str(tmp_path / "precomputed_sums20.scm")
+    save_scheme(build_precomputed_sums(20), scheme)
+    code = ("import contextlib, io, resource, sys\n"
+            "from cellprobe.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['pipeline', '--scheme', sys.argv[1], '--c', '11/10',"
+            " '--format', 'machine'])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
+    done = subprocess.run([sys.executable, "-c", code, scheme], capture_output=True,
+                          text=True, env=src_env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    exit_code, peak_mb = done.stdout.split()
+    assert int(exit_code) <= 1
+    assert float(peak_mb) <= 300

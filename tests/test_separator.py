@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -83,11 +85,13 @@ def test_bracket_separator_stage_zero_at_desk_scale():
     assert res.B == frozenset()
     assert res.stages_run == 1
     assert not res.size_floor_ok
-    assert res.b_size_ok
+    assert Fraction(len(res.B)) <= Fraction(n, 16 ** res.b)   # |B| <= n/lg^b n
     assert res.w == 128
     assert res.checks == (("b_between", True), ("b_small", True))
     assert res.v_floor  # 128 >= n / lg^a n = 2^16 / 16^8
-    assert res.v_floor == res.log[-1].success
+    assert res.v_floor == (Fraction(res.w) >= Fraction(n, 16 ** res.a))
+    assert res.stage_log == (("stage.0.disjoint_found", 128), ("stage.0.threshold", n / 16 ** 8),
+                             ("stage.0.success", True), ("stage.0.b_size", 0))
 
 
 def test_stage_zero_floor_is_met_by_one_set_below_the_crossover():
@@ -113,7 +117,7 @@ def test_bracket_separator_preconditions():
         find_separator_brackets(fam_q2, 4)
     res = find_separator_brackets(fam_q2, 4, require_preconditions=False)
     assert res.a == 64 and res.b == 256
-    assert res.v_floor == res.log[-1].success
+    assert res.v_floor == (Fraction(res.w) >= Fraction(16, 4 ** res.a))
 
 
 def test_bracket_separator_exponent_limit():
@@ -127,7 +131,7 @@ def test_bracket_separator_thresholds_decrease_with_stage():
     family = [{0} for _ in range(n)]
     res = find_separator_brackets(family, 4)
     assert res.V and res.w >= 1
-    assert res.v_floor == res.log[-1].success
+    assert res.v_floor == (Fraction(res.w) >= Fraction(n, 16 ** res.a))
 
 
 def _outcome(fn, *args, **kwargs):
@@ -175,11 +179,24 @@ def test_separator_matches_the_frozenset_reference(family, gap):
 def test_bracket_separator_matches_the_frozenset_reference(family, c):
     got = _outcome(find_separator_brackets, family, c, require_preconditions=False)
     want = _outcome(reference.find_separator_brackets, family, c, require_preconditions=False)
-    assert got == want
-    if isinstance(got, BracketSeparatorResult):
-        # the logged success is the test w >= n/lg^a n, decided again here
-        lg_l = math.log2(math.log2(got.n))
-        assert got.v_floor == got.log[-1].success == _meets(got.w, got.n, lg_l, got.a)
+    if not isinstance(want, reference.BracketSchedule):
+        assert got == want
+        return
+    # the full stage loop settles at stage 0 with B empty: the result's constants rest on it
+    assert (want.stages_run, want.B, want.b_size_ok) == (1, frozenset(), True)
+    assert got == BracketSeparatorResult(V=want.V, a=want.a, b=want.b, n=want.n, q=want.q,
+                                         c=want.c, size_floor_ok=want.size_floor_ok)
+    (stage,) = want.log
+    assert (got.B, got.stages_run) == (want.B, want.stages_run)
+    assert got.stage_log == tuple(zip(
+        ("stage.0.disjoint_found", "stage.0.threshold", "stage.0.success", "stage.0.b_size"),
+        (stage.disjoint_found, stage.threshold, stage.success, stage.b_size)))
+    assert got.checks == (("b_between", got.c * got.a <= got.b <= got.c * (2 * got.c) ** got.a),
+                          ("b_small", want.b_size_ok))
+    assert got.v_nonempty == (got.w > 0)
+    # the logged success is the test w >= n/lg^a n, decided again here
+    lg_l = math.log2(math.log2(got.n))
+    assert got.v_floor == stage.success == _meets(got.w, got.n, lg_l, got.a)
 
 
 def test_both_greedy_branches_match_the_reference(monkeypatch):
@@ -256,3 +273,17 @@ def test_ids_that_int_coerces_give_the_old_result():
     assert res == reference.find_separator(family, 1)
     assert res.B == frozenset({1, -3}) and res.V == tuple(range(1, 9))
     assert {type(x) for x in res.B} == {int} and {type(v) for v in res.V} == {int}
+
+
+def test_greedy_settles_a_chain_and_a_star_of_2_17_sets_in_time(src_env):
+    """The chain settles two sets per numpy round, so rounds alone would take about 65,000
+    of them and time out; a round that settles under 1/8 of the open sets hands the rest
+    to the row scan. The star settles in one round."""
+    code = ("from cellprobe import greedy_disjoint\n"
+            "chain = [{i, i + 1} for i in range(2 ** 17)]\n"
+            "star = [{0, i} for i in range(1, 2 ** 17)]\n"
+            "assert len(greedy_disjoint(chain)) == 65536\n"
+            "assert len(greedy_disjoint(star)) == 1\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env, timeout=20)
+    assert done.returncode == 0, done.stderr
