@@ -424,12 +424,16 @@ class RestrictedScheme:
         return len(self.kept_cells)
 
     def surviving_bits(self) -> np.ndarray:
-        """The surviving inputs X as a |X| x n bits matrix."""
-        return self.base.encoded()[0][self.rows]
+        """The surviving inputs X as a |X| x n bits matrix; with no cell fixed, the
+        scheme's cached read-only bits themselves."""
+        bits = self.base.encoded()[0]
+        return bits[self.rows] if self.fixed_cells else bits
 
     def cells(self) -> np.ndarray:
-        """Enc'(x) for every surviving x, as a |X| x u' matrix (set Y)."""
-        return self.base.encoded()[1][np.ix_(self.rows, self.kept_cells)]
+        """Enc'(x) for every surviving x, as a |X| x u' matrix (set Y); with no cell fixed,
+        the scheme's cached read-only cells themselves."""
+        cells = self.base.encoded()[1]
+        return cells[np.ix_(self.rows, self.kept_cells)] if self.fixed_cells else cells
 
     def decode_reduced(self, i: int, values: np.ndarray) -> np.ndarray:
         """Apply d'_i to a k x |reduced probe| matrix: put the fixed values back, then decode."""

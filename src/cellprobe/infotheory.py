@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import fsum
 from numbers import Rational
 
@@ -37,6 +37,8 @@ _SUM_TOL = 1e-12
 _SUBSET_LIMIT = 200_000
 # rows ``fold_rows`` widens to int64 at a time
 _FOLD_ROWS = 1 << 14
+# bytes of the float64 indicator block ``_product_tallies`` builds at a time
+_GRAM_BYTES = 1 << 20
 
 
 def _outcome_matrix(outcomes) -> np.ndarray:
@@ -353,42 +355,109 @@ def tv_from_uniform(dist: Distribution, space_size: int):
     return _tv(dist.counts, dist.denom, space_size)
 
 
-def columns_tv(columns, counts, denom: int, m: int) -> Fraction:
-    """Exact TV distance to uniform on [0, m)^k of k value columns, row r weighing counts[r]/denom:
-    ``tv_from_uniform(dist.marginal(cols), m ** k)`` without building the marginal."""
-    return _tv(_tallies(columns, counts, denom, m), denom, m ** len(columns))
+def columns_tv(rows, subsets, counts, denom: int, m: int) -> list[Fraction]:
+    """Exact TV distance to uniform on [0, m)^k of each subset's k columns of ``rows``, row r
+    weighing counts[r]/denom: ``tv_from_uniform(dist.marginal(s), m ** len(s))`` for each
+    subset s, without building the marginals."""
+    return [_tv(tallies, denom, m ** len(s))
+            for s, tallies in zip(subsets, subset_tallies(rows, subsets, counts, denom, m))]
 
 
-def _tallies(columns, counts, denom: int, m: int) -> np.ndarray:
-    """Total count of each base-m key the columns spell, in key order: all m^k slots by
-    ``np.bincount`` while few and float-exact (denom < 2^53), else the keys present, by a sort."""
-    space = m ** len(columns)
-    if not is_dense(space, len(counts)) or denom >= 2 ** 53:
-        first, inverse = group_rows(np.array(columns, np.int64).reshape(len(columns), len(counts)).T)
-        return sum_by(len(first), inverse, counts)
-    # keys in the narrowest unsigned type that holds them, or the columns' own if wider
-    columns = [np.asarray(col) for col in columns]
-    key = np.zeros(len(counts), dtype=np.result_type(np.min_scalar_type(space - 1), *columns))
-    for idx, col in enumerate(columns):
+def subset_tallies(rows, subsets, counts, denom: int, m: int):
+    """Yield, for each subset of the columns of a k x w matrix of values in [0, m) (row r
+    weighing counts[r] out of ``denom``), the total count of each base-m key its columns
+    spell, the first column most significant: all m^len slots in key order, or only the
+    keys present, in key order, when the slots would be many beside k.
+
+    A subset may repeat a column.  The subsets of at most two columns over a small alphabet
+    come out of one indicator product (``_product_tallies``), every other subset out of one
+    key of its own (``_keyed_tallies``); ``_by_product`` is the rule between the two.
+    """
+    subsets = [tuple(s) for s in subsets]
+    width = len({c for s in subsets for c in s})
+    if _by_product(width, m, max(map(len, subsets), default=0), denom):
+        return _product_tallies(rows, subsets, counts, denom, m)
+    return _keyed_tallies(rows, subsets, counts, denom, m)
+
+
+def _by_product(width: int, m: int, size: int, denom: int) -> bool:
+    """Whether subsets of up to ``size`` of ``width`` columns over m values take the
+    indicator product, which must be exact (denom < 2^53).  Per row, the product costs
+    about (width (m-1))^2 multiply-adds and the keys about one bincount step per subset,
+    up to width^2 / 2; the product also runs faster per step the wider it is.  On a 2-core
+    Xeon with OpenBLAS the product was the faster route while (m-1)^2 <= width, for 8, 16
+    and 24 columns, m from 2 to 6 and 2^12 to 2^20 rows (``BENCH_pair_tables.json``)."""
+    return size <= 2 and denom < 2 ** 53 and (m - 1) ** 2 <= width
+
+
+def _product_tallies(rows, subsets, counts, denom: int, m: int):
+    """Every subset of one or two columns out of one Gram product of the indicators of the
+    values 1..m-1 of the columns used: entry ((x, a), (y, b)) counts the rows with a = x and
+    b = y, and the diagonal holds each column's tally; the value-0 slots follow from those
+    and ``denom``.  The product is float64 and exact: each entry, and each partial sum of
+    it, is an integer sum of counts no larger than denom < 2^53."""
+    used = sorted({c for s in subsets for c in s})
+    at = {c: idx for idx, c in enumerate(used)}
+    cols = slice(None) if used == list(range(rows.shape[1])) else used
+    equal = bool((counts == counts[0]).all())
+    width = (m - 1) * len(used)
+    gram = np.zeros((width, width))
+    step = max(1, _GRAM_BYTES // (8 * width))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step, cols]
+        # one contiguous comparison per value, side by side: value x of column a at
+        # (x - 1) * len(used) + a
+        ones = np.concatenate([block == x for x in range(1, m)], axis=1).astype(np.float64)
+        weighed = ones if equal else ones * counts[start:start + step, None]
+        gram += weighed.T @ ones
+    gram = gram.astype(np.int64) * (counts[0] if equal else 1)
+    pairs = gram.reshape(m - 1, len(used), m - 1, len(used))
+    column = [np.concatenate(([denom - int(d.sum())], d))
+              for d in np.diagonal(gram).reshape(m - 1, len(used)).T]
+    for s in subsets:
+        if len(s) < 2:
+            yield column[at[s[0]]] if s else np.array([denom], dtype=np.int64)
+            continue
+        a, b = at[s[0]], at[s[1]]
+        table = np.empty((m, m), dtype=np.int64)
+        table[1:, 1:] = pairs[:, a, :, b]
+        table[1:, 0] = column[a][1:] - table[1:, 1:].sum(axis=1)
+        table[0, :] = column[b] - table[1:, :].sum(axis=0)
+        yield table.reshape(-1)
+
+
+def _keyed_tallies(rows, subsets, counts, denom: int, m: int):
+    """Each subset's tallies from one key per row, its columns read as base-m digits: one
+    ``np.bincount`` over all m^len slots while they are few and the counts float-exact
+    (denom < 2^53), else the keys present, by ``group_rows``'s sort."""
+    # subsets that read more columns than the matrix holds read them from one C-order copy
+    by_col = (rows.T.astype(cell_dtype(m), order="C")
+              if sum(map(len, subsets)) > rows.shape[1] else rows.T)
+    equal = bool((counts == counts[0]).all())
+    for s in subsets:
+        space = m ** len(s)
+        if not is_dense(space, len(counts)) or denom >= 2 ** 53:
+            keys = np.array([by_col[c] for c in s], np.int64).reshape(len(s), len(counts)).T
+            first, inverse = group_rows(keys)
+            yield sum_by(len(first), inverse, counts)
+            continue
+        # keys in the narrowest unsigned type that holds them, or the columns' own if wider
+        dtype = np.result_type(np.min_scalar_type(space - 1), by_col)
+        key = by_col[s[0]].astype(dtype) if s else np.zeros(len(counts), dtype)
         # m itself fits the key's type once a second column needs it
-        if idx:
+        for c in s[1:]:
             key *= m
-        key += col
-    if len(counts) and (counts == counts[0]).all():
-        return np.bincount(key, minlength=space) * counts[0]
-    return np.bincount(key, weights=counts, minlength=space).astype(np.int64)
+            key += by_col[c]
+        if equal:
+            yield np.bincount(key, minlength=space) * counts[0]
+        else:
+            yield np.bincount(key, weights=counts, minlength=space).astype(np.int64)
 
 
 def cell_dtype(m: int) -> np.dtype:
     """The narrowest unsigned type that holds every value in [0, m): uint8, uint16 or
     uint32, and int64 past 2^32, since a uint64 value would not add into an int64 key."""
     return np.min_scalar_type(m - 1) if m <= 2 ** 32 else np.dtype(np.int64)
-
-
-def value_columns(rows: np.ndarray, m: int) -> np.ndarray:
-    """The columns of a matrix of values in [0, m) as the rows of a C-order matrix, so
-    each reads contiguously, in ``cell_dtype(m)``."""
-    return rows.T.astype(cell_dtype(m), order="C")
 
 
 def _tv(tallies, denom: int, space: int) -> Fraction:
@@ -478,12 +547,6 @@ def good_blocks(x_set, sizes, eps) -> GoodSetReport:
     )
 
 
-def _column_entropy(column, counts, denom: int, m: int) -> float:
-    """Entropy of one column, each log taken of the unreduced ratio c/d as reports print it."""
-    tallies = _tallies((column,), counts, denom, m)
-    return fsum(-(c / denom) * math.log2(c / denom) for c in tallies[tallies > 0].tolist())
-
-
 def good_cells(dist, q: int, eta, alphabet: int) -> GoodSetReport:
     """Cell columns G such that every q-subset of G is jointly eta-close to uniform.
 
@@ -518,14 +581,18 @@ def good_cells(dist, q: int, eta, alphabet: int) -> GoodSetReport:
     if n_subsets > _SUBSET_LIMIT and not all_fail:
         raise SizeError(f"{n_subsets} subsets of size {q} exceed the exhaustive limit {_SUBSET_LIMIT}")
     a = u * math.log2(alphabet) - math.log2(len(dist))
-    by_col = value_columns(dist.rows, alphabet)
-    deficiency = tuple(math.log2(alphabet) - _column_entropy(col, dist.counts, dist.denom, alphabet)
-                       for col in by_col)
+    # one tally of every column, then of every q-subset, in a single call of the kernel
+    subsets = [] if all_fail else list(combinations(range(u), q))
+    tallies = subset_tallies(dist.rows, [(c,) for c in range(u)] + subsets, dist.counts,
+                             dist.denom, alphabet)
+    d = dist.denom
+    # each log is taken of the unreduced ratio c/d, as the reports print it
+    deficiency = tuple(
+        math.log2(alphabet) - fsum(-(c / d) * math.log2(c / d) for c in t[t > 0].tolist())
+        for t in islice(tallies, u))
 
     alive = set(sorted(range(u), key=lambda c: (deficiency[c], -c))[:q - 1] if all_fail else range(u))
-    tvs = {} if all_fail else {
-        s: columns_tv([by_col[c] for c in s], dist.counts, dist.denom, alphabet)
-        for s in combinations(range(u), q)}
+    tvs = {s: _tv(t, d, alphabet ** q) for s, t in zip(subsets, tallies)}
     failing = [s for s, tv in tvs.items() if tv > eta_f]
     while failing:
         involved: dict[int, int] = {}

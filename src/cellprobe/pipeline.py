@@ -51,7 +51,7 @@ from .core import (
 )
 from .entropy_sum import entropy_sum_analysis
 from .errors import ParameterError, SizeError
-from .infotheory import Distribution, cell_dtype, columns_tv, good_blocks, good_cells, value_columns
+from .infotheory import Distribution, cell_dtype, columns_tv, good_blocks, good_cells
 from .separator import _BRACKET_EXPONENT_LIMIT, find_separator, find_separator_brackets, pairwise_disjoint
 from .stretcher import find_stretcher
 from .textfmt import fmt, fmt_short, machine_value as _mval
@@ -333,7 +333,7 @@ class _Match:
     def block(self, x_dist: Distribution, lo: int, hi: int, i: int, j: int):
         """This kind's entropy-blocks fields and checks: the fallback, the pair, and how
         close the chosen block's bits come to uniform."""
-        tv = columns_tv(x_dist.rows.T[lo:hi], x_dist.counts, x_dist.denom, 2)
+        (tv,) = columns_tv(x_dist.rows, [range(lo, hi)], x_dist.counts, x_dist.denom, 2)
         bound = Fraction(1) / (Fraction(self.c) * Fraction(self.sqrt_d))
         return (
             (("fallback", self.fallback), ("i", i), ("j", j), ("block_tv", tv),
@@ -414,18 +414,13 @@ def _good_cells(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set, head
     pair_list = list(combinations(v2, 2))
     # good_cells counted every subset_size-subset unless the support bound or a SizeError
     # stopped it, and TV to uniform does not depend on column order: only pairs on fewer
-    # distinct cells, or not counted there, are counted here, from a copy made on demand
+    # distinct cells, or not counted there, are counted here, all in one call
     counted = report.subset_tvs if report else {}
-    by_col = None
-    max_tv = Fraction(0)
-    for i, j in pair_list:
-        cols = rs.renamed_probes[i - 1] + rs.renamed_probes[j - 1]
-        tv = counted.get(tuple(sorted(cols)))
-        if tv is None:
-            if by_col is None:
-                by_col = value_columns(y_dist.rows, m)
-            tv = columns_tv([by_col[c] for c in cols], y_dist.counts, y_dist.denom, m)
-        max_tv = max(max_tv, tv)
+    probed = [rs.renamed_probes[i - 1] + rs.renamed_probes[j - 1] for i, j in pair_list]
+    tvs = [counted[key] for key in map(tuple, map(sorted, probed)) if key in counted]
+    own = [cols for cols in probed if tuple(sorted(cols)) not in counted]
+    max_tv = max(tvs + columns_tv(y_dist.rows, own, y_dist.counts, y_dist.denom, m),
+                 default=Fraction(0))
     stages.append(StageRecord(
         "good-cells",
         (

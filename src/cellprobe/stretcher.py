@@ -40,7 +40,9 @@ class StretchPair:
         return self.right - self.left
 
     def satisfies(self, c) -> bool:
-        return self.left_gap >= Fraction(c) * self.right_gap
+        # left >= (p/q) right, for c = p/q in lowest terms, as q left >= p right in integers
+        c = Fraction(c)
+        return c.denominator * self.left_gap >= c.numerator * self.right_gap
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,14 @@ def find_stretcher(indices, n: int, c) -> StretcherResult:
         raise ParameterError("c * lg n is past the float range") from None
 
     seq = (0,) + v  # sentinel v_0 := 0
+    # the left gap is at least c times the right one, with c = p/q: q * left >= p * right
+    p, q = cf.numerator, cf.denominator
     pairs: list[StretchPair] = []
     s = 0
     stuck_at = window = None
     while t >= 1 and s <= w - t:
         for i in range(1, t):
-            if seq[s + i] - seq[s] >= cf * (seq[s + i + 1] - seq[s + i]):
+            if q * (seq[s + i] - seq[s]) >= p * (seq[s + i + 1] - seq[s + i]):
                 pairs.append(StretchPair(prev=seq[s], left=seq[s + i], right=seq[s + i + 1]))
                 s = s + i + 1
                 break

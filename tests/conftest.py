@@ -17,17 +17,31 @@ def src_env():
 
 @pytest.fixture
 def columns_tv_calls(monkeypatch):
-    """Counts of ``columns_tv`` calls: ``good_cells``'s subsets under "subsets", the
-    pipeline's own pair tests under "pairs"."""
+    """Subsets tallied through ``infotheory.subset_tallies``: ``good_cells``'s q-subsets
+    under "subsets" (each call's subsets past the u columns good_cells tallies first), the
+    pipeline's own pair tests, through ``columns_tv``, under "pairs"."""
     import cellprobe.infotheory
     import cellprobe.pipeline
 
     calls = {"subsets": 0, "pairs": 0}
-    for key, module in (("subsets", cellprobe.infotheory), ("pairs", cellprobe.pipeline)):
-        def counted(*args, _kernel=module.columns_tv, _key=key):
-            calls[_key] += 1
-            return _kernel(*args)
-        monkeypatch.setattr(module, "columns_tv", counted)
+    inside = []
+
+    def subset_tallies(rows, subsets, *args, _kernel=cellprobe.infotheory.subset_tallies):
+        subsets = list(subsets)
+        if not inside:
+            calls["subsets"] += len(subsets) - rows.shape[1]
+        return _kernel(rows, subsets, *args)
+
+    def columns_tv(rows, subsets, *args, _kernel=cellprobe.pipeline.columns_tv):
+        calls["pairs"] += len(subsets)
+        inside.append(subsets)
+        try:
+            return _kernel(rows, subsets, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cellprobe.infotheory, "subset_tallies", subset_tallies)
+    monkeypatch.setattr(cellprobe.pipeline, "columns_tv", columns_tv)
     return calls
 
 

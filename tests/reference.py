@@ -9,7 +9,8 @@ marginal per subset, the recursive balanced-string enumeration and the
 table decoder that groups its rows by a sort.  The counting kernels are
 kept as they were before each did its pass once: row grouping by a column
 fold and a sort, group entropies by a loop over every count, and column
-tallies by an int64 key.  Also kept here: the nesting-level walks that
+tallies by an int64 key; subset tallies also have a ``Counter`` oracle that
+reads one row at a time.  Also kept here: the nesting-level walks that
 counted the unmatched-bracket probabilities before their closed form, the
 float near-uniformity check no package code calls, the line-by-line
 scheme-file reader the byte-buffer reader is checked against, the scheme-file
@@ -19,6 +20,7 @@ int64.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, compress, product, takewhile
@@ -176,6 +178,18 @@ def column_tallies(columns, counts, m: int) -> np.ndarray:
         key *= m
         key += col
     return np.bincount(key, weights=counts, minlength=m ** len(columns)).astype(np.int64)
+
+
+def counter_tallies(rows, subsets, counts) -> list[Counter]:
+    """Each subset's total count of every tuple of values its columns take, one row at a
+    time into a ``Counter``."""
+    out = []
+    for subset in subsets:
+        tally: Counter = Counter()
+        for row, count in zip(rows.tolist(), counts.tolist()):
+            tally[tuple(row[c] for c in subset)] += count
+        out.append(tally)
+    return out
 
 
 def loop_verify(scheme):

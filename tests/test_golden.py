@@ -17,6 +17,7 @@ and say which fields moved:
 
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -246,6 +247,49 @@ def test_pair_test_reuses_the_subsets_good_cells_counted(name, subsets, tmp_path
     pairs = int(next(line for line in text.splitlines()
                      if line.startswith("stage.good-cells.pairs_tested=")).split("=")[1])
     assert columns_tv_calls == {"subsets": subsets, "pairs": 0 if subsets else pairs}
+
+
+def _fields(text: str) -> dict[str, str]:
+    return dict(line.split("=", 1) for line in text.splitlines() if "=" in line)
+
+
+@pytest.mark.parametrize("name, product", [
+    ("mirror16", True),               # alphabet 2: (m-1)^2 = 1 <= 16 cells
+    ("two_level_rank16_2_4", False),  # alphabet 17, and no subset past the support bound
+    ("bracket_table20", False),       # alphabet 21: (m-1)^2 = 400 past 20 cells
+])
+def test_good_cells_multiplies_indicators_only_over_a_small_alphabet(name, product, tmp_path,
+                                                                     monkeypatch):
+    """The pair tables come out of the indicator product on mirror16 and out of one key
+    per subset on the two others.  Each report stays as recorded: the golden file, or for
+    bracket_table(20), which has none, the benchmark's recorded verdict, stages, checks
+    and chain values of the same command."""
+    import cellprobe.infotheory as infotheory
+
+    routes = []
+    for route in ("_product_tallies", "_keyed_tallies"):
+        def spy(*args, _kernel=getattr(infotheory, route), _route=route):
+            routes.append(_route)
+            return _kernel(*args)
+        monkeypatch.setattr(infotheory, route, spy)
+    build, c = CASES[name] if name in CASES else (lambda: build_bracket_table(20), "4")
+    path = os.path.join(str(tmp_path), f"{name}.scm")
+    save_scheme(build(), path)
+    text = _run(["pipeline", "--scheme", path, "--c", c, "--format", "machine"])
+    assert ("_product_tallies" in routes) == product and "_keyed_tallies" in routes
+    if name in CASES:
+        with open(os.path.join(GOLDEN, f"{name}.pipeline.txt"), encoding="ascii") as fh:
+            assert text == fh.read()
+        return
+    bench = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "perfbench", "expected")
+    with open(os.path.join(bench, "brackets20.json"), encoding="utf-8") as fh:
+        want = json.load(fh)["pipeline"]
+    fields = _fields(text)
+    assert fields["verdict"] == want["verdict"] and text.endswith(f"exit={want['exit']}\n")
+    assert list(dict.fromkeys(k.split(".")[1] for k in fields if k.startswith("stage."))) == \
+        want["stages"]
+    for group in ("checks", "chain_values"):
+        assert {k: fields[k] for k in want[group]} == want[group]
 
 
 def test_the_preservation_check_decodes_each_query_once(tmp_path, decoder_calls):

@@ -24,11 +24,14 @@ from cellprobe import (
     tv_from_uniform,
 )
 from cellprobe.infotheory import (
-    _column_entropy,
-    _tallies,
+    _by_product,
+    _keyed_tallies,
+    _product_tallies,
+    cell_dtype,
     columns_tv,
     entropy_by_group,
     group_rows,
+    subset_tallies,
     validate_blocks,
 )
 
@@ -333,7 +336,7 @@ def test_count_matrix_tv_agrees_with_distribution_tv():
 
 def test_count_matrix_column_entropy():
     d = Distribution.uniform([(0, 0), (0, 1), (1, 0)])
-    got = _column_entropy(d.rows[:, 0], d.counts, d.denom, 2)
+    got = 1 - good_cells(d, 1, Fraction(1, 2), 2).scores[0]
     assert got == pytest.approx(entropy(d.marginal((0,))), abs=1e-12)
 
 
@@ -377,14 +380,13 @@ def _tv_by_definition(dist, space):
 def test_columns_tv_equals_the_marginal_route(dm, data):
     dist, m = dm
     cols = data.draw(st.lists(st.integers(0, dist.arity - 1), max_size=5))
-    by_col = np.ascontiguousarray(dist.rows.T)
-    got = columns_tv(by_col[cols], dist.counts, dist.denom, m)
+    (got,) = columns_tv(dist.rows, [cols], dist.counts, dist.denom, m)
     assert got == tv_from_uniform(dist.marginal(cols), m ** len(cols))
     assert got == _tv_by_definition(dist.marginal(cols), m ** len(cols))
-    for c in range(dist.arity):
-        d = dist.denom
-        want = math.fsum(-(k / d) * math.log2(k / d) for k in dist.marginal((c,)).counts.tolist())
-        assert _column_entropy(by_col[c], dist.counts, d, m) == want
+    columns = subset_tallies(dist.rows, [(c,) for c in range(dist.arity)], dist.counts,
+                             dist.denom, m)
+    for c, tallies in enumerate(columns):
+        assert tallies[tallies > 0].tolist() == dist.marginal((c,)).counts.tolist()
 
 
 def test_columns_tv_reaches_every_counting_route():
@@ -395,13 +397,13 @@ def test_columns_tv_reaches_every_counting_route():
         dist = Distribution.from_rows(rows, counts)
         assert dist.denom >= past
         for cols, m in (((0, 2), 3), ((0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1), 3), ((2, 1), 2 ** 40)):
-            got = columns_tv(np.ascontiguousarray(dist.rows.T)[list(cols)], dist.counts, dist.denom, m)
+            (got,) = columns_tv(dist.rows, [cols], dist.counts, dist.denom, m)
             assert got == tv_from_uniform(dist.marginal(cols), m ** len(cols))
             assert got == _tv_by_definition(dist.marginal(cols), m ** len(cols))
     big = Distribution({(0, 1): Fraction(1, 2 ** 64 + 13), (1, 1): 1 - Fraction(1, 2 ** 64 + 13)})
     assert big.counts.dtype == object
     for cols in ((0,), (0, 1), (1, 1, 0)):
-        got = columns_tv(np.ascontiguousarray(big.rows.T)[list(cols)], big.counts, big.denom, 2)
+        (got,) = columns_tv(big.rows, [cols], big.counts, big.denom, 2)
         assert got == tv_from_uniform(big.marginal(cols), 2 ** len(cols))
         assert got == _tv_by_definition(big.marginal(cols), 2 ** len(cols))
 
@@ -488,15 +490,80 @@ def test_tallies_equal_the_int64_fold_for_each_column_type(dtype):
     rows = rng.integers(0, m, (300, 4))
     # equal counts take the unweighted count, unequal ones the weighted
     for counts in (np.full(300, 7, dtype=np.int64), rng.integers(1, 50, 300)):
-        columns = np.ascontiguousarray(rows.T).astype(dtype)
+        held = rows.astype(dtype)
         denom = int(counts.sum())
         for cols in ((0,), (2, 0), (1, 3, 2), (0, 1, 2, 3)):
-            got = _tallies([columns[c] for c in cols], counts, denom, m)
             want = reference.column_tallies([rows[:, c] for c in cols], counts, m)
-            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            routes = (_keyed_tallies, _product_tallies) if len(cols) <= 2 else (_keyed_tallies,)
+            for route in routes:
+                (got,) = route(held, [cols], counts, denom, m)
+                assert got.dtype == np.int64 and got.tolist() == want.tolist()
             dist = Distribution.from_rows(rows, counts)
-            assert columns_tv(columns[list(cols)], counts, denom, m) == \
-                tv_from_uniform(dist.marginal(cols), m ** len(cols))
+            assert columns_tv(held, [cols], counts, denom, m) == \
+                [tv_from_uniform(dist.marginal(cols), m ** len(cols))]
+
+
+@st.composite
+def tally_cases(draw):
+    """(rows, counts, m, subsets): k x u values over [0, m), some columns constant, with
+    unit, equal or drawn counts whose total falls below or past 2^53, and subsets of one
+    to three columns, a column possibly repeated."""
+    m = draw(st.integers(2, 5))
+    u = draw(st.integers(2, 8))
+    k = draw(st.integers(1, 12))
+    rows = np.array(draw(st.lists(st.lists(st.integers(0, m - 1), min_size=u, max_size=u),
+                                  min_size=k, max_size=k)),
+                    dtype=draw(st.sampled_from((cell_dtype(m), np.int64))))
+    for c in draw(st.sets(st.integers(0, u - 1))):
+        rows[:, c] = draw(st.integers(0, m - 1))
+    mode = draw(st.sampled_from(("unit", "equal", "below53", "equal_past53", "past53")))
+    if mode == "unit":
+        counts = np.ones(k, dtype=np.int64)
+    elif mode == "equal":
+        counts = np.full(k, draw(st.integers(2, 2 ** 40)), dtype=np.int64)
+    elif mode == "equal_past53":
+        counts = np.full(k, 2 ** 53 // k + 1, dtype=np.int64)
+    else:
+        # 12 counts below 2^49 total below 2^53; counts from 2^53 on pass it with one row
+        bounds = (1, 2 ** 49 - 1) if mode == "below53" else (2 ** 53, 2 ** 58)
+        counts = np.array(draw(st.lists(st.integers(*bounds), min_size=k, max_size=k)),
+                          dtype=np.int64)
+    subsets = draw(st.lists(st.lists(st.integers(0, u - 1), min_size=1, max_size=3).map(tuple),
+                            min_size=1, max_size=8))
+    return rows, counts, m, subsets
+
+
+def _as_counter(tallies, m: int, size: int, oracle) -> dict:
+    """A kernel tally as {values: count} over the keys present: all m^size slots unravel
+    to their digits; a shorter tally lists the oracle's keys in order."""
+    if len(tallies) < m ** size:
+        return dict(zip(sorted(oracle), tallies.tolist()))
+    return {tuple(int(d) for d in np.unravel_index(key, (m,) * size)): int(count)
+            for key, count in enumerate(tallies.tolist()) if count}
+
+
+@settings(max_examples=200, deadline=None)
+@given(tally_cases())
+@example((np.array([[1, 0, 2]], dtype=np.uint8), np.array([5]), 3, [(0,), (2, 1), (1, 1), (0, 1, 2)]))
+@example((np.array([[1, 1], [0, 1]], dtype=np.uint8), np.array([2 ** 53 - 2, 1]), 2, [(0, 1)]))
+@example((np.array([[1, 1], [0, 1]], dtype=np.uint8), np.array([2 ** 53 - 1, 1]), 2, [(0, 1)]))
+def test_subset_tallies_equal_the_counter_oracle_on_both_routes(case):
+    rows, counts, m, subsets = case
+    denom = int(sum(counts.tolist()))
+    # the product holds subsets of two columns at most, and is exact below 2^53 only
+    routes = [(subset_tallies, subsets), (_keyed_tallies, subsets)]
+    small = [s for s in subsets if len(s) <= 2]
+    if denom >= 2 ** 53:
+        assert not _by_product(rows.shape[1], m, 1, denom)
+    elif small:
+        routes.append((_product_tallies, small))
+    for route, chosen in routes:
+        got = list(route(rows, chosen, counts, denom, m))
+        assert len(got) == len(chosen)
+        for s, tallies, want in zip(chosen, got, reference.counter_tallies(rows, chosen, counts)):
+            assert tallies.dtype == np.int64
+            assert _as_counter(tallies, m, len(s), want) == dict(want)
+            assert int(sum(tallies.tolist())) == denom
 
 
 def _bound_fires(dist, q, eta, m):
@@ -513,7 +580,11 @@ def _bound_fires(dist, q, eta, m):
 @example((Distribution.from_rows([(0, 2 ** 40), (2 ** 33, 5), (7, 7)]), 2 ** 41), 1, Fraction(1, 2))
 def test_good_cells_matches_the_marginal_reference(dm, q, eta):
     dist, m = dm
-    assert good_cells(dist, q, eta, m) == reference.good_cells(dist, q, eta, m)
+    report = good_cells(dist, q, eta, m)
+    assert report == reference.good_cells(dist, q, eta, m)
+    # each subset counted keeps the exact distance of its marginal
+    assert report.subset_tvs == {s: tv_from_uniform(dist.marginal(s), m ** q)
+                                 for s in report.subset_tvs}
 
 
 @pytest.mark.parametrize("m, q, size, eta, fires", [
