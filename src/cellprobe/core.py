@@ -457,14 +457,18 @@ class RestrictedScheme:
     def preserves_answers(self) -> bool:
         """Whether d'_i equals d_i on every surviving input.
 
-        d_i is decoded once on the base side.  d'_i decodes the values that
+        d_i is decoded once on the base side, over every surviving row, which
+        also checks the decoder's output.  d'_i decodes the values that
         ``probe_values`` rebuilds, so it is decoded only on the rows where they
-        differ from the base's values; by construction of X there are none.
+        differ from the base's values; by construction of X there are none.  A
+        probe that holds no fixed cell rebuilds its own values and is not compared.
         """
-        cells, rows = self.base.encoded()[1], self.rows
+        cells, fixed = self.base.encoded()[1], set(self.fixed_cells)
         for i, (probe, reduced) in enumerate(zip(self.base.probes, self.reduced_probes), start=1):
-            values = cells[np.ix_(rows, probe)]
+            values = cells[np.ix_(self.rows, probe)] if fixed else cells[:, list(probe)]
             base = self.base.decode(i, values)
+            if fixed.isdisjoint(probe):
+                continue
             rebuilt = self.probe_values(i, values[:, [probe.index(c) for c in reduced]])
             moved = (rebuilt != values).any(axis=1)
             if moved.any() and not np.array_equal(self.base.decode(i, rebuilt[moved]), base[moved]):

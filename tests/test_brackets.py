@@ -63,6 +63,61 @@ def test_match_rows_refuses_the_first_unbalanced_row():
         match_rows(np.array(rows, dtype=np.int8))
 
 
+def _random_balanced(rng, n: int) -> tuple:
+    """A random balanced string of length n: a shuffled string of n/2 opens and n/2
+    closes, rotated to start just after a lowest point of its walk."""
+    bits = rng.permutation([1] * (n // 2) + [0] * (n // 2))
+    cut = int(np.argmin(np.cumsum(2 * bits - 1))) + 1
+    return tuple(np.roll(bits, -cut).tolist())
+
+
+def _nested(n: int) -> tuple:
+    return (1,) * (n // 2) + (0,) * (n // 2)
+
+
+def test_match_rows_equals_the_stack_scan_on_wide_rows_past_an_int8_depth():
+    rng = np.random.default_rng(24)
+    for n in (200, 256):
+        assert match_rows(np.array([_nested(n)], dtype=np.int8)).tolist() == [list(scan_matches(_nested(n)))]
+    for n in range(60, 301, 10):
+        strings = [_random_balanced(rng, n) for _ in range(5)] + [_nested(n)]
+        assert all(map(is_balanced, strings))
+        got = match_rows(np.array(strings, dtype=np.int8))
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(scan_matches(x)) for x in strings]
+
+
+def test_match_rows_reads_any_integer_or_bool_layout():
+    rows = balanced_rows(12)
+    want = [list(scan_matches(x)) for x in map(tuple, rows.tolist())]
+    wide = np.zeros((len(rows), 20), dtype=np.int8)
+    wide[:, 5:17] = rows
+    for bits in (rows.astype(bool), rows.astype(np.int64), np.asfortranarray(rows), wide[:, 5:17]):
+        got = match_rows(bits)
+        assert got.dtype == np.int64 and got.shape == rows.shape
+        assert got.tolist() == want
+    for shape in ((0, 6), (0, 0), (3, 0)):
+        got = match_rows(np.zeros(shape, dtype=np.int8))
+        assert got.dtype == np.int64 and got.shape == shape
+
+
+def test_match_rows_answers_the_same_on_any_split_into_blocks():
+    rows = balanced_rows(14)
+    whole = match_rows(rows)
+    for size in range(1, 8):
+        parts = [match_rows(rows[start:start + size]) for start in range(0, len(rows), size)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_match_rows_names_the_first_unbalanced_row_in_a_later_block():
+    rows = np.tile(balanced_rows(16), (4, 1))
+    assert len(rows) > 5000
+    rows[5000] = (0, 1) * 8
+    rows[5001] = (1,) * 16
+    with pytest.raises(DomainError, match=re.escape(f"input {(0, 1) * 8} is not a balanced")):
+        match_rows(rows)
+
+
 def test_match_index_and_its_errors():
     bits = (1, 1, 0, 1, 0, 0)
     assert match_index(bits, 1) == 6
@@ -95,6 +150,18 @@ def test_unmatched_ends_of_a_window_agree_with_the_full_matching():
                 opens, closes = unmatched_ends(rows[:, i - 1:j])
                 assert (opens == (matches[:, i - 1] > j)).all()
                 assert (closes == (matches[:, j - 1] < i)).all()
+
+
+def test_unmatched_ends_of_a_window_wider_than_an_int8_depth():
+    rng = np.random.default_rng(7)
+    n, i, j = 300, 101, 240
+    rows = np.array([_random_balanced(rng, n) for _ in range(40)] + [_nested(n)], dtype=np.int8)
+    matches = match_rows(rows)
+    opens, closes = unmatched_ends(rows[:, i - 1:j])
+    assert (opens == (matches[:, i - 1] > j)).all()
+    assert (closes == (matches[:, j - 1] < i)).all()
+    # in the nested row, the open at 101 pairs at 200 inside the window, the close at 240 at 61
+    assert not opens[-1] and closes[-1]
 
 
 def test_balanced_rows_equals_the_recursive_enumeration():
