@@ -7,6 +7,11 @@ elements of the greedy family into B (a covering: every set then loses at
 least one element).  Empty sets are disjoint from everything, so the family
 of all-empty sets always succeeds, which bounds the stage count by q + 1.
 
+Every search starts from one list of (set, compact cell id) pairs, sorted by cell and
+then by set.  It comes from one sort of one packed int64 key, the cell id less the
+smallest id shifted past the bits of a set index, or'ed with the set index; ids whose
+span leaves no room for that shift are first replaced by their ranks.
+
 Greedy runs in rounds: a round takes each open set that comes first among the open
 sets on every one of its cells, then refuses the open sets on the cells it took.
 This is the index-order scan, since every earlier set sharing a cell with a taken
@@ -51,15 +56,20 @@ def _as_pairs(family) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, int, i
         flat = np.fromiter(chain.from_iterable(rows), np.int64, int(sizes.sum()))
     except OverflowError:
         raise ParameterError("separator family: every cell id must fit int64") from None
-    # two plain sorts: np.unique and stable argsorts cost several times more here
-    order = np.argsort(flat)
-    first = _firsts(flat[order])
-    cells = flat[order][first]
-    compact = np.empty_like(flat)
-    compact[order] = np.cumsum(first) - 1
-    keys = compact * n + np.repeat(np.arange(n), sizes)
+    # one sort of (id - low) << s | row, s the bits of a row index
+    s = (n - 1).bit_length()
+    low, high = (int(flat.min()), int(flat.max())) if len(flat) else (0, 0)
+    ranks = None
+    if (high - low) >> (62 - s):        # no room for the shift: rank the ids first
+        ranks, flat = np.unique(flat, return_inverse=True)
+        low = 0
+    keys = (flat - low) << s | np.repeat(np.arange(n), sizes)
     keys.sort()
-    cell, row = np.divmod(keys[_firsts(keys)], max(n, 1))
+    keys = keys[_firsts(keys)]
+    row, raw = keys & ((1 << s) - 1), keys >> s
+    first = _firsts(raw)
+    cell = np.cumsum(first) - 1
+    cells = ranks if ranks is not None else raw[first] + low
     q = int(np.bincount(row, minlength=n).max(initial=0))
     return (row, cell), cells, n, q
 

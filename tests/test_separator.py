@@ -275,6 +275,47 @@ def test_ids_that_int_coerces_give_the_old_result():
     assert {type(x) for x in res.B} == {int} and {type(v) for v in res.V} == {int}
 
 
+def test_wide_ids_are_ranked_before_packing_with_the_same_pairs(monkeypatch):
+    """Ids spanning 2^(62 - s) or more, s the bits of a row index, are ranked with np.unique
+    before the (id, row) key is packed; x -> x * 2^52 keeps the order, so both routes give
+    the same pairs."""
+    uniques = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: uniques.append(a) or unique(*a, **k))
+    rng = random.Random(10)
+    family = [rng.sample(range(1024), rng.randint(1, 3)) for _ in range(2 ** 10)]
+    for s in family[::97]:
+        s.append(s[0])                              # a cell repeated within its set
+    (row, cell), cells, n, q = _as_pairs(family)
+    assert not uniques
+    wide = [[x * 2 ** 52 for x in s] for s in family]
+    (wide_row, wide_cell), wide_cells, wide_n, wide_q = _as_pairs(wide)
+    assert len(uniques) == 1
+    assert np.array_equal(wide_row, row) and np.array_equal(wide_cell, cell)
+    assert (wide_n, wide_q) == (n, q) == (2 ** 10, 3)
+    assert wide_cells.tolist() == [x * 2 ** 52 for x in cells.tolist()]
+    extremes = [{-2 ** 63}, {2 ** 63 - 1}, {0, -2 ** 63}]
+    assert find_separator(extremes, 1) == reference.find_separator(extremes, 1)
+    assert greedy_disjoint(extremes) == reference.greedy_disjoint(extremes) == (1, 2)
+
+
+def test_a_hot_pool_family_and_singletons_at_2_12_sets_match_the_reference():
+    """The steps65536 hot-pool shape scaled down (q = 3, 16 hot cells; gap 2, since at 2^12
+    sets gap 4 puts k0 under the 16 sets the hot cells allow): stage 0 fails and blocks."""
+    rng = np.random.default_rng(12)
+    n, cold = 2 ** 12, 2 ** 14
+    sizes = rng.integers(1, 3, n).tolist()
+    cells = rng.integers(0, cold, (n, 2)).tolist()
+    hot = rng.integers(cold, cold + 16, n).tolist()
+    family = [set(s[:k]) | {h} for s, k, h in zip(cells, sizes, hot)]
+    res = find_separator(family, 2)
+    assert res.stages_run >= 2 and res.B and res.q == 3
+    assert res == reference.find_separator(family, 2)
+    singletons = [{v} for v in rng.integers(0, 256, n).tolist()]
+    got = find_separator_brackets(singletons, 4, require_preconditions=False)
+    assert got.V == reference.greedy_disjoint(singletons)
+
+
 def test_greedy_settles_a_chain_and_a_star_of_2_17_sets_in_time(src_env):
     """The chain settles two sets per numpy round, so rounds alone would take about 65,000
     of them and time out; a round that settles under 1/8 of the open sets hands the rest
