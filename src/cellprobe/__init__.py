@@ -4,15 +4,11 @@ lower-bound argument as exactly verifiable algorithms, and adversary
 pipelines that replay the argument against a concrete scheme.
 """
 
-from .bits import Bits, bits_to_str, parse_bits, prefix_sums, validate_bits
+from .bits import Bits, bits_to_str, parse_bits, validate_bits
 from .brackets import (
-    balanced_rows,
     catalan_count,
-    enumerate_bal,
-    is_balanced,
     match_index,
     match_rows,
-    scan_matches,
     unmatched_close_prob,
     unmatched_open_prob,
 )
@@ -58,7 +54,6 @@ from .infotheory import (
     entropy,
     good_blocks,
     good_cells,
-    tv_distance,
     tv_from_uniform,
 )
 from .pipeline import (

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 from .errors import DomainError
 
 Bits = tuple[int, ...]
@@ -33,7 +31,3 @@ def parse_bits(text: str) -> Bits:
 def bits_to_str(bits) -> str:
     return "".join("1" if b else "0" for b in bits)
 
-
-def prefix_sums(bits) -> Bits:
-    """Cumulative ones-counts: entry k is the rank of the length-(k+1) prefix."""
-    return tuple(accumulate(bits))

@@ -1,60 +1,27 @@
-"""Balanced-bracket combinatorics: matching, Catalan counts, ballot-walk probabilities.
+"""Balanced-bracket combinatorics: matching, Catalan counts, ranks, ballot-walk probabilities.
 
 Convention: bit 1 is an open bracket and bit 0 is a closed bracket, so every
 prefix of a balanced string has at least as many ones as zeros.  The empty
 string (n = 0) counts as balanced.
 
-The matrix kernels (``match_rows``, ``unmatched_ends``) work on a block of
-strings transposed to position-major order, so that each step, one depth or
-one partner distance, is a single pass over every string of the block.
+The matrix kernels (``match_rows``, ``unmatched_ends``, ``unrank_balanced``)
+work on a block of strings transposed to position-major order, so that each
+step, one depth, one partner distance or one bit of a rank, is a single pass
+over every string of the block.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .bits import Bits
-from .errors import DomainError, ParameterError, RangeError, SizeError
-
-# Full enumeration beyond this length is too large to be useful at desk scale.
-ENUMERATION_LIMIT = 28
+from .errors import DomainError, ParameterError, RangeError
 
 # rows per block in match_rows, which keeps a few narrow n x block copies
 _MATCH_BLOCK = 4096
-
-
-def is_balanced(bits) -> bool:
-    """True when every prefix has #open >= #closed and the totals are equal."""
-    depth = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise DomainError(f"bracket strings are 0/1 sequences, got {b!r}")
-        depth += 1 if b else -1
-        if depth < 0:
-            return False
-    return depth == 0
-
-
-def scan_matches(bits) -> tuple:
-    """Stack-scan partner map for an arbitrary 0/1 string.
-
-    Entry k is the 1-based partner of position k+1, or None when that bracket
-    stays unmatched within the string.  A closed bracket always pairs with the
-    most recent unmatched open bracket, if any.
-    """
-    partners: list = [None] * len(bits)
-    stack: list[int] = []
-    for pos, b in enumerate(bits):
-        if b == 1:
-            stack.append(pos)
-        elif stack:
-            opener = stack.pop()
-            partners[opener] = pos + 1
-            partners[pos] = opener + 1
-    return tuple(partners)
 
 
 def _depths(bits: np.ndarray) -> np.ndarray:
@@ -72,6 +39,16 @@ def _depths(bits: np.ndarray) -> np.ndarray:
     return depth
 
 
+def _balanced(depth: np.ndarray) -> np.ndarray:
+    """Which strings of a position-major depth matrix never go below 0 and end at 0."""
+    return (depth.min(axis=0) >= 0) & (depth[-1] == 0)
+
+
+def balanced(bits: np.ndarray) -> np.ndarray:
+    """Which rows of a k x n bits matrix are balanced strings, as a length-k bool column."""
+    return _balanced(_depths(bits))
+
+
 def match_rows(bits: np.ndarray) -> np.ndarray:
     """Match for every position of every row of a k x n matrix of balanced strings.
 
@@ -81,8 +58,7 @@ def match_rows(bits: np.ndarray) -> np.ndarray:
     depth after it is the depth before p; t is odd, so the scan tries t = 1, 3,
     5, ... over all positions at once and stops when every open has its partner.
     That costs O(k * n * L) for the longest partner distance L in a block: at
-    most n/2 passes, 14 on a workbench domain (n <= 28), but a 64 x 2,000
-    fully nested block takes about a thousand.
+    most n/2 passes, so a 64 x 2,000 fully nested block takes about a thousand.
     """
     k, n = bits.shape
     out = np.empty((n, k), dtype=np.int64)
@@ -90,7 +66,7 @@ def match_rows(bits: np.ndarray) -> np.ndarray:
     for start in range(0, k, _MATCH_BLOCK):
         block = bits[start:start + _MATCH_BLOCK]
         depth = _depths(block)
-        bad = (depth.min(axis=0) < 0) | (depth[n] != 0)
+        bad = ~_balanced(depth)
         if bad.any():
             x = tuple(np.asarray(block[int(np.argmax(bad))], dtype=np.int64).tolist())
             raise DomainError(f"input {x} is not a balanced bracket string")
@@ -124,11 +100,14 @@ def unmatched_ends(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def match_index(bits, i: int) -> int:
     """1-based partner of position ``i`` in a balanced string."""
     bits = tuple(bits)
-    if not is_balanced(bits):
+    if any(b not in (0, 1) for b in bits):
+        raise DomainError(f"bracket strings are 0/1 sequences, got {bits}")
+    row = np.array([bits], dtype=np.int8).reshape(1, len(bits))
+    if not balanced(row)[0]:
         raise DomainError("match_index is only defined on balanced strings")
     if not 1 <= i <= len(bits):
         raise RangeError(f"position {i} out of range 1..{len(bits)}")
-    return scan_matches(bits)[i - 1]
+    return int(match_rows(row)[0, i - 1])
 
 
 def catalan_count(n: int) -> int:
@@ -139,33 +118,46 @@ def catalan_count(n: int) -> int:
     return math.comb(n, half) // (half + 1)
 
 
-def balanced_rows(n: int) -> np.ndarray:
-    """All balanced strings of length ``n`` as the rows of an int8 matrix, in
-    lexicographic order (0 < 1).
+@lru_cache(maxsize=None)
+def _ballot_table(n: int) -> np.ndarray:
+    """T[p, j]: how many balanced strings of length n continue p bits holding j ones with
+    a close at position p (0 at depth 2j - p = 0), from the ballot numbers ways[r, h + 1],
+    the walks of r steps from depth h down to 0 that never go below it.  A count past
+    int64 is held as int64's largest value, which no int64 rank reaches."""
+    top = np.uint64(np.iinfo(np.int64).max)
+    ways = np.zeros((n + 1, n + 3), dtype=np.uint64)
+    ways[0, 1] = 1
+    for r in range(1, n + 1):
+        np.minimum(ways[r - 1, :-2] + ways[r - 1, 2:], top, out=ways[r, 1:-1])
+    p, j = np.arange(n)[:, None], np.arange(n // 2 + 1)
+    depth = 2 * j - p
+    table = np.where(depth > 0, ways[n - 1 - p, np.maximum(depth, 0)], np.uint64(0))
+    table.flags.writeable = False  # one cached table serves every caller
+    return table
 
-    Built a position at a time over the prefixes, each held as its value and
-    depth: a prefix takes a 0 while its depth is positive and a 1 while the
-    positions left can still close it.  The values are sorted, then unpacked.
+
+def unrank_balanced(n: int, start: int, stop: int) -> np.ndarray:
+    """The balanced strings of length ``n`` of lexicographic ranks start..stop-1 (0 < 1),
+    as the rows of an int8 bits block; the block is a transposed position-major view.
+
+    Position by position, over every rank at once: a rank below the count of
+    strings that close here takes the close; any other takes the open and drops
+    that count.  Ranks are unsigned, so rank - count wraps past the rank when the
+    count is the larger, and the smaller of the two is the rank to carry on.
     """
-    if n < 0 or n % 2:
-        raise ParameterError(f"balanced strings need even non-negative length, got {n}")
-    if n > ENUMERATION_LIMIT:
-        raise SizeError(f"refusing to enumerate balanced strings of length {n} > {ENUMERATION_LIMIT}")
-    values = np.zeros(1, dtype=np.int64)
-    depth = np.zeros(1, dtype=np.int64)
-    for pos in range(n):
-        close, open_ = depth > 0, depth + 1 <= n - pos - 1
-        values = np.concatenate((2 * values[close], 2 * values[open_] + 1))
-        depth = np.concatenate((depth[close] - 1, depth[open_] + 1))
-    values.sort()
-    # n <= 28 bits: four big-endian bytes per value, of which the last n bits are the string
-    words = values.astype(">u4").view(np.uint8).reshape(len(values), 4)
-    return np.unpackbits(words, axis=1)[:, 32 - n:].astype(np.int8)
-
-
-def enumerate_bal(n: int) -> list[Bits]:
-    """All balanced strings of length ``n`` in lexicographic order (0 < 1), as tuples."""
-    return list(map(tuple, balanced_rows(n).tolist()))
+    last = min(catalan_count(n), 2 ** 63 - 1)
+    if not 0 <= start <= stop <= last:
+        raise RangeError(f"ranks {start}..{stop} outside 0..{last}, the int64 ranks of length {n}")
+    ranks = np.arange(start, stop, dtype=np.uint64)
+    ones = np.zeros(len(ranks), dtype=np.intp)
+    bits = np.empty((n, len(ranks)), dtype=bool)
+    for p, closes in enumerate(_ballot_table(n)):
+        below = closes.take(ones)
+        np.greater_equal(ranks, below, out=bits[p])
+        np.subtract(ranks, below, out=below)
+        np.minimum(ranks, below, out=ranks)
+        ones += bits[p]
+    return bits.view(np.int8).T
 
 
 def unmatched_open_prob(d: int) -> Fraction:

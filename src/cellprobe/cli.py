@@ -20,9 +20,11 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .bits import bits_to_str, parse_bits
-from .brackets import catalan_count, enumerate_bal, match_index, unmatched_close_prob, unmatched_open_prob
-from .core import redundancy, verify_scheme
+from .brackets import catalan_count, match_index, unmatched_close_prob, unmatched_open_prob
+from .core import DOMAIN_BAL, check_budget, domain_of, redundancy, verify_scheme
 from .entropy_sum import entropy_sum_analysis, entropy_sum_analysis_uniform
 from .errors import CellProbeError, DomainError
 from .infotheory import Distribution, conditional_entropy, entropy, good_blocks, good_cells
@@ -31,7 +33,7 @@ from .schemeio import load_scheme, save_scheme
 from .schemes import build_builtin
 from .separator import find_separator, find_separator_brackets
 from .stretcher import find_stretcher
-from .textfmt import LongFraction, fmt, machine_value
+from .textfmt import LongFraction, fmt, fmt_short, machine_value
 
 OUTDIR_ENV = "CELLPROBE_OUTDIR"
 
@@ -261,10 +263,20 @@ def _cmd_brackets(args):
             ("close_prob", LongFraction(unmatched_close_prob(args.d))),
             ("sqrt_d_times_prob", math.sqrt(args.d) * float(p_open)),
         ], True
-    strings = [bits_to_str(s) for s in enumerate_bal(args.n)]
+    # at least 2^(n/2 - 1) strings: a large n is refused before its exact count, which
+    # takes seconds at n = 10^6
+    check_budget(2 ** max(args.n // 2 - 1, 0) * (args.n + 1),
+                 f"listing the balanced strings of length {args.n}")
+    domain = domain_of(DOMAIN_BAL, args.n)
+    # one Python string per row, and the text they are joined into
+    check_budget(domain.size * (sys.getsizeof("0" * args.n) + args.n + 1),
+                 f"listing the {fmt_short(domain.size)} balanced strings of length {args.n}")
+    lines = np.full((domain.size, args.n + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :-1] = domain.rows(0, domain.size) + ord("0")
+    text = lines.tobytes().decode("ascii")
     if args.format == "machine":
-        return [(f"bal.{idx}", s) for idx, s in enumerate(strings)], True
-    return "".join(s + "\n" for s in strings), True
+        return [(f"bal.{idx}", s) for idx, s in enumerate(text.splitlines())], True
+    return text, True
 
 
 def _cmd_pipeline(args):

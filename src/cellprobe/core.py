@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import Callable
 
 import numpy as np
 
 from .bits import Bits, validate_bits
-from .brackets import balanced_rows, catalan_count, is_balanced, match_rows
+from .brackets import balanced, catalan_count, match_rows, unrank_balanced
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -32,6 +33,7 @@ from .errors import (
     SizeError,
 )
 from .infotheory import cell_dtype, fold_rows, group_rows, is_dense
+from .textfmt import fmt_short
 
 DOMAIN_ALL = "all_bitstrings"
 DOMAIN_BAL = "balanced_brackets"
@@ -40,8 +42,34 @@ KIND_SUM = "sum"
 KIND_MATCH = "match"
 
 _ENCODE_CHUNK = 4096
-# largest bits plus cells matrices one encoding may allocate, each priced by its item size
+# the one size cap: the most one encoding or listing of a domain may allocate
 _ENCODE_BUDGET_BYTES = 2 << 30
+
+
+def check_budget(need: int, what: str, advice: str = "") -> None:
+    """Refuse, before allocating it, ``need`` bytes for ``what`` past the budget."""
+    if need > _ENCODE_BUDGET_BYTES:
+        raise SizeError(f"{what} takes {fmt_short(need)} bytes, over the "
+                        f"{_ENCODE_BUDGET_BYTES}-byte budget{advice}")
+
+
+@dataclass(frozen=True)
+class Domain:
+    """A domain addressed by rank: ``size`` inputs in lexicographic order (0 < 1), and
+    ``rows(start, stop)`` the int8 bits block of ranks start..stop-1."""
+
+    size: int
+    rows: Callable[[int, int], np.ndarray]
+
+
+def domain_of(name: str, n: int) -> Domain:
+    """The domain ``name`` (``DOMAIN_ALL`` or ``DOMAIN_BAL``) of length-n strings."""
+    if name == DOMAIN_BAL:
+        return Domain(catalan_count(n), partial(unrank_balanced, n))
+    # rank r has bit j at shift n-1-j; ranks are int64, so past shift 63 every bit is 0
+    shifts = np.minimum(np.arange(n - 1, -1, -1), 63)
+    return Domain(2 ** n, lambda start, stop: (
+        np.arange(start, stop)[:, None] >> shifts & 1).astype(np.int8))
 
 
 def _row_keys(bits: np.ndarray) -> np.ndarray:
@@ -214,8 +242,7 @@ class Scheme:
             raise ParameterError(f"unknown query kind {self.kind!r}")
         if self.kind == KIND_MATCH and self.domain != DOMAIN_BAL:
             raise ParameterError("match queries are only defined over balanced brackets")
-        if self.domain == DOMAIN_BAL and self.n % 2:
-            raise ParameterError("balanced bracket domain needs even n")
+        self.domain_size()  # a balanced domain refuses an odd n
         if len(self.probes) != self.n:
             raise ParameterError(f"need {self.n} probe sets, got {len(self.probes)}")
         object.__setattr__(
@@ -229,16 +256,15 @@ class Scheme:
         return max((len(p) for p in self.probes), default=0)
 
     def domain_size(self) -> int:
-        if self.domain == DOMAIN_ALL:
-            return 2 ** self.n
-        return catalan_count(self.n)
+        return domain_of(self.domain, self.n).size
 
     def encode(self, x: Bits) -> tuple[int, ...]:
         """Enc(x) for one input of the domain, checked as every encoded block is."""
         x = validate_bits(x)
-        if len(x) != self.n or not (self.domain == DOMAIN_ALL or is_balanced(x)):
+        row = np.array([x], dtype=np.int8)
+        if len(x) != self.n or not (self.domain == DOMAIN_ALL or balanced(row)[0]):
             raise DomainError(f"input {x} is outside the scheme's domain ({self.domain})")
-        return tuple(self._encode_rows(np.array([x], dtype=np.int8))[0].tolist())
+        return tuple(self._encode_rows(row)[0].tolist())
 
     def encoded(self, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The domain as ``(bits, cells)``: |X| x n int8 bits and |X| x u cells in
@@ -257,27 +283,20 @@ class Scheme:
         return bits[:limit], cells[:limit]
 
     def _encode(self, limit: int | None) -> tuple[np.ndarray, np.ndarray]:
-        total = self.domain_size()
-        size = total if limit is None else min(limit, total)
+        domain = domain_of(self.domain, self.n)
+        size = domain.size if limit is None else min(limit, domain.size)
         dtype = cell_dtype(self.cell_alphabet)
-        need = size * (self.n + dtype.itemsize * self.u)
-        if need > _ENCODE_BUDGET_BYTES:
-            raise SizeError(
-                f"encoding {size} inputs of a domain of {total} takes {need} bytes, over the "
-                f"{_ENCODE_BUDGET_BYTES}-byte budget; encode a prefix with --max-inputs")
+        check_budget(size * (self.n + dtype.itemsize * self.u),
+                     f"encoding {fmt_short(size)} inputs of a domain of {fmt_short(domain.size)}",
+                     "; encode a prefix with --max-inputs")
         bits = np.empty((size, self.n), dtype=np.int8)
         cells = np.empty((size, self.u), dtype=dtype)
-        balanced = None if self.domain == DOMAIN_ALL else balanced_rows(self.n)
-        # input number r has bit j at shift n-1-j; the budget keeps r < 2^63
-        shifts = np.minimum(np.arange(self.n - 1, -1, -1), 63)
         for start in range(0, size, _ENCODE_CHUNK):
             stop = min(start + _ENCODE_CHUNK, size)
-            if balanced is None:
-                bits[start:stop] = np.arange(start, stop)[:, None] >> shifts & 1
-            else:
-                bits[start:stop] = balanced[start:stop]
+            block = domain.rows(start, stop)
+            bits[start:stop] = block
             # checked in int64 within [0, m), so the narrow type holds every value
-            cells[start:stop] = self._encode_rows(bits[start:stop])
+            cells[start:stop] = self._encode_rows(block)
         bits.flags.writeable = False
         cells.flags.writeable = False
         return bits, cells

@@ -105,11 +105,6 @@ class Distribution:
         return cls.from_rows(_outcome_matrix(outcomes))
 
     @classmethod
-    def from_counts(cls, counts) -> "Distribution":
-        total = sum(counts.values())
-        return cls({tuple(o): Fraction(c, total) for o, c in counts.items() if c})
-
-    @classmethod
     def from_rows(cls, rows, counts=None) -> "Distribution":
         """Distribution of the rows of an int matrix, each row weighted by its
         count (1 by default); equal rows merge and zero-count rows drop.
@@ -335,17 +330,6 @@ def conditional_entropy(dist, target, given) -> float:
     """
     _, weights, entropies = entropy_by_group(dist, target, given)
     return mean_entropy(weights, entropies, dist.denom)
-
-
-def tv_distance(d1: Distribution, d2: Distribution):
-    """Exact total variation distance (1/2 L1)."""
-    if d1.arity != d2.arity:
-        raise DomainError(f"cannot compare supports of arity {d1.arity} and {d2.arity}")
-    p1 = dict(d1.items())
-    p2 = dict(d2.items())
-    keys = sorted(set(p1) | set(p2))
-    diff = sum(abs(p1.get(k, 0) - p2.get(k, 0)) for k in keys)
-    return diff / 2
 
 
 def tv_from_uniform(dist: Distribution, space_size: int):

@@ -2,21 +2,23 @@
 
 The package encodes and decodes whole matrices; these are the plain
 one-input-at-a-time formulas: the builtin schemes' encoders and decoders as
-tuple closures, a Python prefix-sum and Match oracle, a verification loop
-that asks the scheme one (input, query) pair at a time, the staged
-separators on frozensets, the good-cells filter that builds one
-marginal per subset, the recursive balanced-string enumeration and the
-table decoder that groups its rows by a sort.  The counting kernels are
-kept as they were before each did its pass once: row grouping by a column
-fold and a sort, group entropies by a loop over every count, and column
-tallies by an int64 key; subset tallies also have a ``Counter`` oracle that
-reads one row at a time.  Also kept here: the nesting-level walks that
-counted the unmatched-bracket probabilities before their closed form, the
-float near-uniformity check no package code calls, the line-by-line
-scheme-file reader the byte-buffer reader is checked against, the scheme-file
-writer that formatted each value through a Python object and a ``%``
-template, and the ``TableEncoder`` dict constructor that read every cell as
-int64.
+tuple closures, a Python prefix-sum oracle, a balance test and a stack-scan
+Match oracle, a verification loop that asks the scheme one (input, query)
+pair at a time, the staged separators on frozensets, the good-cells filter
+that builds one marginal per subset, the recursive balanced-string
+enumeration and the table decoder that groups its rows by a sort.  The
+counting kernels are kept as they were before each did its pass once: row
+grouping by a column fold and a sort, group entropies by a loop over every
+count, and column tallies by an int64 key; subset tallies also have a
+``Counter`` oracle that reads one row at a time.  Also kept here: the
+nesting-level walks that counted the unmatched-bracket probabilities before
+their closed form, a distribution built from a table of counts, the exact TV
+distance between two distributions, the float near-uniformity check no
+package code calls, the line-by-line scheme-file reader the byte-buffer
+reader is checked against, the scheme-file writer that formatted each value
+through a Python object and a ``%`` template, and the ``TableEncoder`` dict
+constructor that read every cell as int64.  None of these imports the
+package kernel it is the oracle for.
 """
 
 import math
@@ -46,8 +48,6 @@ from cellprobe import (
     build_builtin,
     entropy,
     parse_bits,
-    prefix_sums,
-    scan_matches,
     tv_from_uniform,
 )
 from cellprobe import schemeio
@@ -65,8 +65,44 @@ def prefix_sum(x, i: int) -> int:
     return sum(x[:i])
 
 
-# Sum on every prefix; the package's pure-Python helper, kept under both names
+def prefix_sums(bits) -> tuple[int, ...]:
+    """Cumulative ones-counts: entry k is the rank of the length-(k+1) prefix."""
+    return tuple(accumulate(bits))
+
+
+# Sum on every prefix, under both names
 prefix_sum_all = prefix_sums
+
+
+def is_balanced(bits) -> bool:
+    """True when every prefix has #open >= #closed and the totals are equal."""
+    depth = 0
+    for b in bits:
+        if b not in (0, 1):
+            raise DomainError(f"bracket strings are 0/1 sequences, got {b!r}")
+        depth += 1 if b else -1
+        if depth < 0:
+            return False
+    return depth == 0
+
+
+def scan_matches(bits) -> tuple:
+    """Stack-scan partner map for an arbitrary 0/1 string.
+
+    Entry k is the 1-based partner of position k+1, or None when that bracket
+    stays unmatched within the string.  A closed bracket always pairs with the
+    most recent unmatched open bracket, if any.
+    """
+    partners: list = [None] * len(bits)
+    stack: list[int] = []
+    for pos, b in enumerate(bits):
+        if b == 1:
+            stack.append(pos)
+        elif stack:
+            opener = stack.pop()
+            partners[opener] = pos + 1
+            partners[pos] = opener + 1
+    return tuple(partners)
 
 
 def match_all(x) -> tuple[int, ...]:
@@ -103,6 +139,19 @@ def enumerate_bal(n: int) -> list:
 
     rec(0, 0)
     return out
+
+
+def balanced_rank(x) -> int:
+    """The lexicographic rank (0 < 1) of a balanced string among those of its length, in
+    Python ints: each open after a positive depth passes every string that closes there."""
+    n, depth, rank = len(x), 0, 0
+    for pos, b in enumerate(x):
+        if b and depth > 0:
+            # walks of the n-pos-1 steps left from depth-1 down to 0 that never go below 0
+            left, down = n - pos - 1, (n - pos - depth) // 2
+            rank += math.comb(left, down) - (math.comb(left, down - 1) if down else 0)
+        depth += 1 if b else -1
+    return rank
 
 
 def domain_inputs(scheme) -> list:
@@ -483,6 +532,23 @@ def unmatched_close_probs(d_max: int) -> list[Fraction]:
             nxt[down] = nxt.get(down, 0) + ways
         heights = nxt
     return out
+
+
+def from_counts(counts) -> Distribution:
+    """The distribution of a {outcome: count} table, each count over their total."""
+    total = sum(counts.values())
+    return Distribution({tuple(o): Fraction(c, total) for o, c in counts.items() if c})
+
+
+def tv_distance(d1: Distribution, d2: Distribution):
+    """Exact total variation distance (1/2 L1) between two distributions of one arity."""
+    if d1.arity != d2.arity:
+        raise DomainError(f"cannot compare supports of arity {d1.arity} and {d2.arity}")
+    p1 = dict(d1.items())
+    p2 = dict(d2.items())
+    keys = sorted(set(p1) | set(p2))
+    diff = sum(abs(p1.get(k, 0) - p2.get(k, 0)) for k in keys)
+    return diff / 2
 
 
 @dataclass(frozen=True)

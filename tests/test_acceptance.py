@@ -19,14 +19,12 @@ from cellprobe import (
     conditional_entropy,
     entropy,
     entropy_sum_analysis_uniform,
-    enumerate_bal,
     find_separator,
     find_separator_brackets,
     find_stretcher,
     find_threshold,
     good_blocks,
     good_prefix_set,
-    is_balanced,
     restrict_scheme,
     run_pipeline,
     stretch_term,
@@ -144,7 +142,7 @@ def test_criterion_05_chain_rule_conditioning_and_tv_bound():
             support = set()
             while len(support) < n_outcomes:
                 support.add(tuple(rng.randint(0, 1) for _ in range(arity)))
-            dist = Distribution.from_counts(
+            dist = reference.from_counts(
                 {o: rng.randint(1, 9) for o in sorted(support)})
             cut = rng.randint(1, arity - 1)
             front = tuple(range(cut))
@@ -163,7 +161,7 @@ def test_criterion_05_chain_rule_conditioning_and_tv_bound():
                         if idx not in set(rng.sample(range(len(space)), miss))]
                 dist = Distribution.uniform(keep)
             else:
-                dist = Distribution.from_counts(
+                dist = reference.from_counts(
                     {o: rng.choice((7, 8, 9)) for o in space})
             alpha = max(0.0, k - entropy(dist)) + 1e-9
             chk = reference.check_high_entropy_uniform(dist, space, alpha)
@@ -240,9 +238,9 @@ def test_criterion_09_catalan_counts():
     with _criterion(9, "catalan counts match exhaustive enumeration"):
         assert [catalan_count(n) for n in (2, 4, 6, 8)] == [1, 2, 5, 14]
         for n in range(0, 22, 2):
-            assert catalan_count(n) == len(enumerate_bal(n))
+            assert catalan_count(n) == len(reference.enumerate_bal(n))
         for n in range(0, 14, 2):
-            brute = sum(1 for x in product((0, 1), repeat=n) if is_balanced(x))
+            brute = sum(1 for x in product((0, 1), repeat=n) if reference.is_balanced(x))
             assert catalan_count(n) == brute
 
 

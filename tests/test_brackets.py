@@ -1,7 +1,8 @@
-"""Bracket matching, Catalan enumeration, and unmatched-bracket walk probabilities."""
+"""Bracket matching, the balanced domain by rank, and unmatched-bracket walk probabilities."""
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -13,18 +14,22 @@ from cellprobe import (
     DomainError,
     ParameterError,
     RangeError,
-    SizeError,
-    balanced_rows,
     catalan_count,
-    enumerate_bal,
-    is_balanced,
     match_index,
     match_rows,
-    scan_matches,
     unmatched_close_prob,
     unmatched_open_prob,
 )
-from cellprobe.brackets import unmatched_ends
+from cellprobe.brackets import balanced, unmatched_ends
+from cellprobe.core import DOMAIN_BAL, domain_of
+from cellprobe.schemes import build_bracket_table
+from reference import enumerate_bal, is_balanced, scan_matches
+
+
+def balanced_rows(n: int) -> np.ndarray:
+    """Every balanced string of length n, in lexicographic order, as an int8 matrix."""
+    strings = enumerate_bal(n)
+    return np.array(strings, dtype=np.int8).reshape(len(strings), n)
 
 
 def test_is_balanced():
@@ -129,6 +134,10 @@ def test_match_index_and_its_errors():
         match_index(bits, 0)
     with pytest.raises(RangeError):
         match_index(bits, 7)
+    with pytest.raises(DomainError, match="0/1"):
+        match_index((1, 2, 0, 0, 0, 0), 1)
+    with pytest.raises(RangeError):
+        match_index((), 1)
 
 
 def test_catalan_count_matches_enumeration():
@@ -164,25 +173,57 @@ def test_unmatched_ends_of_a_window_wider_than_an_int8_depth():
     assert not opens[-1] and closes[-1]
 
 
-def test_balanced_rows_equals_the_recursive_enumeration():
-    for n in range(0, 23, 2):
-        rows = balanced_rows(n)
-        assert rows.dtype == np.int8 and rows.shape == (catalan_count(n), n)
-        assert rows.flags.c_contiguous
-        assert list(map(tuple, rows.tolist())) == reference.enumerate_bal(n) == enumerate_bal(n)
-    for bad, error in ((3, ParameterError), (-2, ParameterError), (30, SizeError)):
-        with pytest.raises(error):
-            balanced_rows(bad)
+def test_balanced_domain_rows_equal_the_recursive_enumeration():
+    for n in range(0, 21, 2):
+        domain, want = domain_of(DOMAIN_BAL, n), balanced_rows(n)
+        assert domain.size == catalan_count(n) == len(want)
+        # chunks of uneven sizes, an empty one among them, cover the domain in order
+        cuts = sorted({0, domain.size, *range(0, domain.size, 37 + n), domain.size // 3})
+        blocks = [domain.rows(a, b) for a, b in zip(cuts, cuts[1:])]
+        blocks.append(domain.rows(domain.size, domain.size))
+        for block in blocks:
+            assert block.dtype == np.int8 and block.shape[1] == n
+        assert np.array_equal(np.concatenate(blocks), want)
+    for bad in (3, -2):
+        with pytest.raises(ParameterError):
+            domain_of(DOMAIN_BAL, bad)
 
 
-def test_enumerate_bal_conventions():
-    assert enumerate_bal(0) == [()]
-    with pytest.raises(ParameterError):
-        enumerate_bal(3)
+def test_balanced_domain_conventions():
+    domain = domain_of(DOMAIN_BAL, 0)
+    assert domain.size == 1 and domain.rows(0, 1).shape == (1, 0)
+    assert domain_of(DOMAIN_BAL, 8).rows(0, 1).tolist() == [[1, 0] * 4]
+    assert domain_of(DOMAIN_BAL, 8).rows(13, 14).tolist() == [[1] * 4 + [0] * 4]
     with pytest.raises(ParameterError):
         catalan_count(-2)
-    with pytest.raises(SizeError):
-        enumerate_bal(30)
+    for start, stop in ((-1, 2), (3, 2), (0, 15)):
+        with pytest.raises(RangeError):
+            domain_of(DOMAIN_BAL, 8).rows(start, stop)
+
+
+@pytest.mark.parametrize("n", [40, 70, 72, 200])
+def test_random_ranks_give_balanced_strings_in_increasing_order(n):
+    """Past n = 70 the domain leaves int64, and ranks that fit int64 still unrank."""
+    domain = domain_of(DOMAIN_BAL, n)
+    top = min(domain.size, 2 ** 63 - 1)
+    ranks = np.unique(np.random.default_rng(n).integers(0, top, 1000, dtype=np.int64))
+    ranks = [0, *ranks.tolist(), top - 1]
+    rows = np.concatenate([domain.rows(r, r + 1) for r in ranks])
+    assert balanced(rows).all() and all(map(is_balanced, rows.tolist()))
+    assert [reference.balanced_rank(x) for x in rows.tolist()] == ranks
+    keys = [tuple(x) for x in rows.tolist()]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_encoding_the_balanced_domain_peaks_within_a_chunk_of_what_it_holds():
+    scheme = build_bracket_table(24)
+    tracemalloc.start()
+    try:
+        bits, cells = scheme.encoded()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - (bits.nbytes + cells.nbytes) < 2 << 20
 
 
 def _brute_open(d: int) -> Fraction:

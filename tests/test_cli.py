@@ -514,6 +514,29 @@ def test_domain_past_the_encoding_budget_is_usage_error(tmp_path, capsys, src_en
         assert "Traceback" not in done.stderr
 
 
+def test_balanced_strings_past_the_budget_are_usage_errors(tmp_path, src_env):
+    """The balanced domain has no cap of its own: the one budget refuses to encode
+    bracket_table(32), 35,357,670 inputs of 32 bits and 32 one-byte cells, and to list
+    the balanced strings of length 34, one Python string each.  At n = 10^6 the list is
+    refused before the Catalan number, seconds to compute and past the digits Python
+    prints, is counted."""
+    path = str(tmp_path / "brackets32.scm")
+    assert main(["build-scheme", "--name", "bracket_table", "--n", "32", "--out", path]) == 0
+    encode = ("encoding 35357670 inputs of a domain of 35357670 takes 2262890880 bytes, over "
+              "the 2147483648-byte budget; encode a prefix with --max-inputs")
+    for argv, message in ((["verify", "--scheme", path], encode),
+                          (["brackets", "list", "--n", "34"],
+                           "listing the 129644790 balanced strings of length 34 takes"),
+                          (["brackets", "list", "--n", "1000000"],
+                           "listing the balanced strings of length 1000000 takes 4.98E+150520")):
+        done = subprocess.run([sys.executable, "-m", "cellprobe", *argv],
+                              capture_output=True, text=True, env=src_env, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith(f"error: {message}"), done.stderr
+        assert "-byte budget" in done.stderr and "Traceback" not in done.stderr
+        assert done.stdout == ""
+
+
 @pytest.mark.parametrize("limit", ["0", "-5"])
 def test_verify_max_inputs_must_be_positive(good_scheme, limit, capsys):
     assert main(["verify", "--scheme", good_scheme, "--max-inputs", limit]) == 2

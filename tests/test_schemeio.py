@@ -29,7 +29,6 @@ from cellprobe import (
     write_scheme,
 )
 from cellprobe import schemeio
-from cellprobe.brackets import enumerate_bal
 from cellprobe.cli import main
 from cellprobe.core import DOMAIN_ALL, DOMAIN_BAL, KIND_MATCH, KIND_SUM
 from cellprobe.schemes import build_bracket_table, build_precomputed_sums, build_two_level_rank
@@ -223,7 +222,7 @@ def table_schemes(draw, max_n=6):
     else:
         n = draw(st.sampled_from([m for m in (2, 4, 6) if m <= max_n]))
         kind = draw(st.sampled_from([KIND_SUM, KIND_MATCH]))
-        xs = list(enumerate_bal(n))
+        xs = list(reference.enumerate_bal(n))
     u = draw(st.integers(0, 4))
     alphabet = draw(st.integers(2, 12))
     width = u + draw(st.sampled_from([0, 0, 0, 1]))
