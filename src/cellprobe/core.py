@@ -393,9 +393,14 @@ def verify_scheme(scheme: Scheme, *, max_inputs: int | None = None) -> Verificat
     if max_inputs is not None and max_inputs < 1:
         raise ParameterError(f"max_inputs must be >= 1, got {max_inputs}")
     bits, cells = scheme.encoded(max_inputs)
-    # one query column at a time: Sum against a running prefix sum, Match
-    # against one scan of every input
-    matches = match_rows(bits) if scheme.kind == KIND_MATCH else None
+    # one query column at a time: Sum against a running prefix sum, Match against a
+    # position-major partner table in the narrowest type that holds n, filled a block at a time
+    matches = None
+    if scheme.kind == KIND_MATCH:
+        matches = np.empty((scheme.n, len(bits)), dtype=np.min_scalar_type(-scheme.n - 1))
+        for start in range(0, len(bits), _ENCODE_CHUNK):
+            stop = start + _ENCODE_CHUNK
+            matches[:, start:stop] = match_rows(bits[start:stop]).T
     expected = np.zeros(len(bits), dtype=np.int64)
     failures = 0
     first: Counterexample | None = None
@@ -404,7 +409,7 @@ def verify_scheme(scheme: Scheme, *, max_inputs: int | None = None) -> Verificat
         if matches is None:
             expected += bits[:, i - 1]
         else:
-            expected = matches[:, i - 1]
+            expected = matches[i - 1]
         got = scheme.decode(i, cells[:, list(scheme.probes[i - 1])])
         wrong = got != expected
         count = int(np.count_nonzero(wrong))

@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 from math import fsum
 from numbers import Rational
 
@@ -35,7 +35,7 @@ Outcome = tuple[int, ...]
 _SUM_TOL = 1e-12
 # most q-subsets good_cells counts one by one; past it, SizeError unless the support bound decides
 _SUBSET_LIMIT = 200_000
-# rows ``fold_rows`` widens to int64 at a time
+# rows ``fold_rows`` widens to int64, and ``_block_entropies`` compares, at a time
 _FOLD_ROWS = 1 << 14
 # bytes of the float64 indicator block ``_product_tallies`` builds at a time
 _GRAM_BYTES = 1 << 20
@@ -129,6 +129,18 @@ class Distribution:
             rows, counts = rows[counts > 0], counts[counts > 0]
         # the int64 sum wraps past 2^63; the total is summed exactly
         return cls._of(rows, counts, sum(counts.tolist()))
+
+    @classmethod
+    def on_sorted_rows(cls, rows: np.ndarray) -> "Distribution":
+        """The uniform distribution on the rows of an integer matrix that are distinct and in
+        lexicographic order already, as the rows of a domain are and any of them taken in
+        rank order: held as given, with nothing grouped or copied."""
+        rows = _integers(rows)
+        if not len(rows):
+            raise ParameterError("a distribution needs positive total mass")
+        dist = cls.__new__(cls)
+        dist.rows, dist.counts, dist.denom = rows, np.ones(len(rows), dtype=np.int64), len(rows)
+        return dist
 
     @classmethod
     def _of(cls, rows: np.ndarray, counts, denom: int) -> "Distribution":
@@ -278,29 +290,34 @@ def entropy_by_group(dist, target, given) -> tuple[np.ndarray, list[int], list[f
     g_first, g_inv = group_rows(pairs.rows[:, :len(given)])
     weights = sum_by(len(g_first), g_inv, pairs.counts)
     values = pairs.rows[g_first, :len(given)]
+    return values, weights.tolist(), group_entropies(pairs.counts, weights, g_first)
+
+
+def group_entropies(pair_counts, weights: np.ndarray, starts: np.ndarray) -> list[float]:
+    """The entropy of each group of pairs: group g holds the pairs from ``starts[g]`` up to
+    the next group's start and weighs ``weights[g]``, the total of its pairs' counts."""
     if weights.dtype == object:
-        return values, weights.tolist(), _entropies_exact(pairs.counts.tolist(), weights.tolist(),
-                                                          g_first.tolist())
+        return _entropies_exact(pair_counts.tolist(), weights.tolist(), starts.tolist())
+    sizes = np.diff(np.append(starts, len(pair_counts)))
+    g_inv = np.repeat(np.arange(len(starts)), sizes)
     # one term per distinct (pair count, group weight), gathered to every pair
-    cw = np.stack((pairs.counts, weights[g_inv]), axis=1)
+    cw = np.stack((pair_counts, weights[g_inv]), axis=1)
     t_first, t_inv = group_rows(cw)
     terms = np.array([_neg_plogp(c, w) for c, w in cw[t_first].tolist()], dtype=np.float64)
     # fsum of n equal terms is their correctly rounded product; + 0.0 gives fsum's +0.0
     # for the -0.0 of a one-outcome group
-    sizes = np.diff(np.append(g_first, len(t_inv)))
-    entropies = (sizes * terms[t_inv[g_first]] + 0.0).tolist()
+    entropies = (sizes * terms[t_inv[starts]] + 0.0).tolist()
     # a group whose term changes from one pair to the next sums its own by fsum
     changes = np.flatnonzero(t_inv[1:] != t_inv[:-1]) + 1
-    mixed = np.zeros(len(g_first), dtype=bool)
+    mixed = np.zeros(len(starts), dtype=bool)
     mixed[g_inv[changes[g_inv[changes] == g_inv[changes - 1]]]] = True
     mixed = np.flatnonzero(mixed).tolist()
     if mixed:
         pair_terms = terms[t_inv].tolist()
-        starts = g_first.tolist()
-        ends = starts[1:] + [len(t_inv)]
+        bounds = starts.tolist() + [len(t_inv)]
         for g in mixed:
-            entropies[g] = fsum(pair_terms[starts[g]:ends[g]])
-    return values, weights.tolist(), entropies
+            entropies[g] = fsum(pair_terms[bounds[g]:bounds[g + 1]])
+    return entropies
 
 
 def _entropies_exact(pair_counts: list[int], weights: list[int], starts: list[int]) -> list[float]:
@@ -421,8 +438,8 @@ def _keyed_tallies(rows, subsets, counts, denom: int, m: int):
     for s in subsets:
         space = m ** len(s)
         if not is_dense(space, len(counts)) or denom >= 2 ** 53:
-            keys = np.array([by_col[c] for c in s], np.int64).reshape(len(s), len(counts)).T
-            first, inverse = group_rows(keys)
+            # the columns in their own type: group_rows widens a block of rows at a time
+            first, inverse = group_rows(rows[:, list(s)])
             yield sum_by(len(first), inverse, counts)
             continue
         # keys in the narrowest unsigned type that holds them, or the columns' own if wider
@@ -466,7 +483,8 @@ class GoodSetReport:
     ``scores`` holds the measured quantity each index was judged by: the
     conditional entropy for blocks, the marginal entropy deficiency for cells.
     ``subset_tvs`` maps each q-subset of cells that was counted (0-based, sorted)
-    to its exact distance from uniform; it takes no part in equality.
+    to its exact distance from uniform; it takes no part in equality.  A subset the
+    support bound or one of its columns decided was not counted and is not held.
     """
 
     kind: str
@@ -508,17 +526,8 @@ def good_blocks(x_set, sizes, eps) -> GoodSetReport:
     n = dist.arity
     sizes = validate_blocks(sizes, n)
     a = n - math.log2(len(dist))
-    scores = []
-    good = []
-    start = 0
-    for k, size in enumerate(sizes, start=1):
-        block = tuple(range(start, start + size))
-        prefix = tuple(range(start))
-        h = conditional_entropy(dist, block, prefix)
-        scores.append(h)
-        if h >= size - eps:
-            good.append(k)
-        start += size
+    scores = _block_entropies(dist, sizes)
+    good = [k for k, (size, h) in enumerate(zip(sizes, scores), start=1) if h >= size - eps]
     size_bound = len(sizes) - a / eps
     return GoodSetReport(
         kind="blocks",
@@ -529,6 +538,37 @@ def good_blocks(x_set, sizes, eps) -> GoodSetReport:
         size_bound=size_bound,
         size_bound_ok=len(good) >= size_bound - 1e-9,
     )
+
+
+def _block_entropies(dist: Distribution, sizes) -> list[float]:
+    """H(block | the blocks before it) for each block of consecutive coordinates of a uniform
+    distribution, by ``conditional_entropy``'s formula with no marginal built.
+
+    The rows are distinct and in lexicographic order, so the values of a prefix are runs of
+    rows that agree on it, and each block's groups are the runs at its start, each split
+    into the runs at its end.  A row opens a run at cut h when it differs from the row
+    above in a coordinate before h.
+    """
+    rows, k = dist.rows, len(dist)
+    # the first coordinate in which each row differs from the row above; the first row
+    # opens the one run of the empty prefix
+    first_diff = np.empty(k, dtype=np.min_scalar_type(-dist.arity - 1))
+    first_diff[0] = -1
+    for start in range(1, k, _FOLD_ROWS):
+        block = rows[start - 1:start + _FOLD_ROWS]
+        first_diff[start:start + _FOLD_ROWS] = np.argmax(block[1:] != block[:-1], axis=1)
+    # a count past int64 is a Python int, and so is every multiple of it
+    count, dtype = dist.counts[0], dist.counts.dtype
+    scores, cut = [], 0
+    for size in sizes:
+        pair_starts = np.flatnonzero(first_diff < cut + size)
+        pair_counts = np.diff(pair_starts, append=k).astype(dtype) * count
+        starts = np.flatnonzero(first_diff[pair_starts] < cut)
+        weights = np.diff(pair_starts[starts], append=k).astype(dtype) * count
+        scores.append(mean_entropy(weights.tolist(), group_entropies(pair_counts, weights, starts),
+                                   dist.denom))
+        cut += size
+    return scores
 
 
 def good_cells(dist, q: int, eta, alphabet: int) -> GoodSetReport:
@@ -542,7 +582,9 @@ def good_cells(dist, q: int, eta, alphabet: int) -> GoodSetReport:
 
     The support bound decides first: each q-subset is at least (m^q - |support|)/m^q
     from uniform.  Past eta, all fail, so G is the q - 1 cells of lowest deficiency
-    (ties to the larger index), found with no subset listed or ``SizeError``.
+    (ties to the larger index), found with no subset listed or ``SizeError``.  Then
+    the columns decide: a subset holding a column farther than eta from uniform on m
+    values fails, and only the other subsets are counted.
     """
     if q < 1:
         raise ParameterError(f"subset size must be >= 1, got {q}")
@@ -565,19 +607,31 @@ def good_cells(dist, q: int, eta, alphabet: int) -> GoodSetReport:
     if n_subsets > _SUBSET_LIMIT and not all_fail:
         raise SizeError(f"{n_subsets} subsets of size {q} exceed the exhaustive limit {_SUBSET_LIMIT}")
     a = u * math.log2(alphabet) - math.log2(len(dist))
-    # one tally of every column, then of every q-subset, in a single call of the kernel
     subsets = [] if all_fail else list(combinations(range(u), q))
-    tallies = subset_tallies(dist.rows, [(c,) for c in range(u)] + subsets, dist.counts,
-                             dist.denom, alphabet)
     d = dist.denom
+    # the indicator product gives every column with the q-subsets' tables, in one pass over
+    # the rows; the keyed route tallies the columns alone first, so that a subset they decide
+    # costs no key
+    joint = bool(subsets) and _by_product(u, alphabet, q, d)
+    columns = [(c,) for c in range(u)]
+    tallies = subset_tallies(dist.rows, columns + subsets if joint else columns, dist.counts, d,
+                             alphabet)
+    column_tallies = list(islice(tallies, u))
     # each log is taken of the unreduced ratio c/d, as the reports print it
     deficiency = tuple(
         math.log2(alphabet) - fsum(-(c / d) * math.log2(c / d) for c in t[t > 0].tolist())
-        for t in islice(tallies, u))
+        for t in column_tallies)
 
     alive = set(sorted(range(u), key=lambda c: (deficiency[c], -c))[:q - 1] if all_fail else range(u))
-    tvs = {s: _tv(t, d, alphabet ** q) for s, t in zip(subsets, tallies)}
-    failing = [s for s, tv in tvs.items() if tv > eta_f]
+    # a subset is no closer to uniform than any of its columns (TV does not grow under the
+    # projection, which maps uniform to uniform), so one far column fails it untallied
+    far = {c for c, t in enumerate(column_tallies) if _tv(t, d, alphabet) > eta_f}
+    keep = [far.isdisjoint(s) for s in subsets]
+    counted = list(compress(subsets, keep))
+    tallies = (compress(tallies, keep) if joint
+               else subset_tallies(dist.rows, counted, dist.counts, d, alphabet))
+    tvs = {s: _tv(t, d, alphabet ** q) for s, t in zip(counted, tallies)}
+    failing = [s for s in subsets if s not in tvs or tvs[s] > eta_f]
     while failing:
         involved: dict[int, int] = {}
         for subset in failing:

@@ -323,7 +323,8 @@ class _Match:
              ("v3", tuple(x for pr in kept for x in pr))),
             (("v3_floor", len(kept) >= self.v3_floor),),
         ))
-        # d >= 32 > j - i, since cell-fixing enumerates only n <= 28: no candidate is dropped
+        # the encoding budget encodes no balanced domain at n >= 34, so j - i <= 31 < 32 <= d:
+        # no candidate is dropped
         self.fallback = "close-pairs" if kept else "closest-in-v"
         if kept or len(v) < 2:
             return kept
@@ -567,7 +568,8 @@ def _walk(scheme: Scheme, kind, stages):
     pairs = kind.pair_stage(v2, sep.V, stages)
     if not pairs:
         return None
-    x_dist = Distribution.from_rows(rs.surviving_bits())
+    # X's rows are inputs of the domain in rank order: distinct and sorted already
+    x_dist = Distribution.on_sorted_rows(rs.surviving_bits())
     p, i, j = _entropy_blocks(x_dist, scheme.n, pairs, kind, stages)
     inputs = kind.chain_inputs(x_dist, p, i, j, stages)
     if inputs is None:

@@ -17,9 +17,10 @@ def src_env():
 
 @pytest.fixture
 def columns_tv_calls(monkeypatch):
-    """Subsets tallied through ``infotheory.subset_tallies``: ``good_cells``'s q-subsets
-    under "subsets" (each call's subsets past the u columns good_cells tallies first), the
-    pipeline's own pair tests, through ``columns_tv``, under "pairs"."""
+    """Subsets tallied through ``infotheory.subset_tallies``: those of two or more columns
+    that ``good_cells`` hands it under "subsets" (its lone columns are not counted, in
+    whichever call they come), the pipeline's own pair tests, through ``columns_tv``, under
+    "pairs"."""
     import cellprobe.infotheory
     import cellprobe.pipeline
 
@@ -29,7 +30,7 @@ def columns_tv_calls(monkeypatch):
     def subset_tallies(rows, subsets, *args, _kernel=cellprobe.infotheory.subset_tallies):
         subsets = list(subsets)
         if not inside:
-            calls["subsets"] += len(subsets) - rows.shape[1]
+            calls["subsets"] += sum(len(s) >= 2 for s in subsets)
         return _kernel(rows, subsets, *args)
 
     def columns_tv(rows, subsets, *args, _kernel=cellprobe.pipeline.columns_tv):

@@ -5,8 +5,9 @@ one-input-at-a-time formulas: the builtin schemes' encoders and decoders as
 tuple closures, a Python prefix-sum oracle, a balance test and a stack-scan
 Match oracle, a verification loop that asks the scheme one (input, query)
 pair at a time, the staged separators on frozensets, the good-cells filter
-that builds one marginal per subset, the recursive balanced-string
-enumeration and the table decoder that groups its rows by a sort.  The
+that builds one marginal per subset and the one that tallies every subset into
+a ``Counter``, the recursive balanced-string enumeration and the table decoder
+that groups its rows by a sort.  The
 counting kernels are kept as they were before each did its pass once: row
 grouping by a column fold and a sort, group entropies by a loop over every
 count, and column tallies by an int64 key; subset tallies also have a
@@ -446,6 +447,21 @@ def _b_within(b_size: int, n: int, lg_l: float, exponent: int) -> bool:
     return math.log2(b_size) + exponent * lg_l <= math.log2(n) + 1e-12
 
 
+def _greedy_good(u: int, deficiency, failing) -> tuple[int, ...]:
+    """The 1-based cells left once, while a subset fails, the worst cell among the failing
+    subsets (largest deficiency, then most failures, then smallest index) is dropped."""
+    alive = set(range(u))
+    while failing:
+        involved: dict[int, int] = {}
+        for subset in failing:
+            for c in subset:
+                involved[c] = involved.get(c, 0) + 1
+        worst = max(involved, key=lambda c: (deficiency[c], involved[c], -c))
+        alive.discard(worst)
+        failing = [s for s in failing if worst not in s]
+    return tuple(c + 1 for c in sorted(alive))
+
+
 def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> GoodSetReport:
     """``infotheory.good_cells`` with one marginal per q-subset and no support bound."""
     if q < 1:
@@ -473,17 +489,7 @@ def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> 
         if tv_from_uniform(dist.marginal(subset), alphabet ** q) > eta_f:
             failing.append(subset)
 
-    alive = set(range(u))
-    while failing:
-        involved: dict[int, int] = {}
-        for subset in failing:
-            for c in subset:
-                involved[c] = involved.get(c, 0) + 1
-        worst = max(involved, key=lambda c: (deficiency[c], involved[c], -c))
-        alive.discard(worst)
-        failing = [s for s in failing if worst not in s]
-
-    good = tuple(c + 1 for c in sorted(alive))
+    good = _greedy_good(u, deficiency, failing)
     size_bound = u - 16 * q * a / float(eta_f) ** 2
     return GoodSetReport(
         kind="cells",
@@ -494,6 +500,29 @@ def good_cells(dist, q: int, eta, alphabet: int, max_subsets: int = 200_000) -> 
         size_bound=size_bound,
         size_bound_ok=len(good) >= size_bound - 1e-9,
     )
+
+
+def counter_good_cells(dist, q: int, eta, alphabet: int) -> GoodSetReport:
+    """``infotheory.good_cells`` with every column and every q-subset tallied one row at a
+    time into a ``Counter``, each distance taken in ``Fraction``s, and the same greedy; no
+    subset is decided without its tally, so ``subset_tvs`` holds every q-subset."""
+    eta = Fraction(eta)
+    u, d = dist.arity, dist.denom
+    columns = counter_tallies(dist.rows, [(c,) for c in range(u)], dist.counts)
+    deficiency = tuple(math.log2(alphabet) - fsum(-(c / d) * math.log2(c / d) for c in t.values())
+                       for t in columns)
+    subsets = list(combinations(range(u), q))
+    tvs = {}
+    for subset, tally in zip(subsets, counter_tallies(dist.rows, subsets, dist.counts)):
+        space = alphabet ** q
+        tvs[subset] = (sum(abs(Fraction(c, d) - Fraction(1, space)) for c in tally.values())
+                       + Fraction(space - len(tally), space)) / 2
+    good = _greedy_good(u, deficiency, [s for s in subsets if tvs[s] > eta])
+    a = u * math.log2(alphabet) - math.log2(len(dist))
+    size_bound = u - 16 * q * a / float(eta) ** 2
+    return GoodSetReport(kind="cells", good=good, deficiency=a, parameter=float(eta),
+                         scores=deficiency, size_bound=size_bound,
+                         size_bound_ok=len(good) >= size_bound - 1e-9, subset_tvs=tvs)
 
 
 def unmatched_open_probs(d_max: int) -> list[Fraction]:

@@ -238,10 +238,7 @@ def test_pair_test_reuses_the_subsets_good_cells_counted(name, subsets, tmp_path
     """With q = 1 every V2 pair is a 2-subset good_cells already measured, so the pair
     test counts none of its own; where the support bound decides good cells, no subset
     is counted and the pair test counts each of its pairs.  The report does not move."""
-    build, c = CASES[name]
-    path = os.path.join(str(tmp_path), f"{name}.scm")
-    save_scheme(build(), path)
-    text = _run(["pipeline", "--scheme", path, "--c", c, "--format", "machine"])
+    text = _pipeline_report(name, tmp_path)
     with open(os.path.join(GOLDEN, f"{name}.pipeline.txt"), encoding="ascii") as fh:
         assert text == fh.read()
     pairs = int(next(line for line in text.splitlines()
@@ -272,15 +269,26 @@ def test_good_cells_multiplies_indicators_only_over_a_small_alphabet(name, produ
             routes.append(_route)
             return _kernel(*args)
         monkeypatch.setattr(infotheory, route, spy)
-    build, c = CASES[name] if name in CASES else (lambda: build_bracket_table(20), "4")
-    path = os.path.join(str(tmp_path), f"{name}.scm")
-    save_scheme(build(), path)
-    text = _run(["pipeline", "--scheme", path, "--c", c, "--format", "machine"])
+    text = _pipeline_report(name, tmp_path)
     assert ("_product_tallies" in routes) == product and "_keyed_tallies" in routes
     if name in CASES:
         with open(os.path.join(GOLDEN, f"{name}.pipeline.txt"), encoding="ascii") as fh:
             assert text == fh.read()
         return
+    _assert_as_benchmarked(text)
+
+
+def _pipeline_report(name: str, tmp_path) -> str:
+    """The machine pipeline report of a golden case, or of bracket_table(20) at c = 4."""
+    build, c = CASES[name] if name in CASES else (lambda: build_bracket_table(20), "4")
+    path = os.path.join(str(tmp_path), f"{name}.scm")
+    save_scheme(build(), path)
+    return _run(["pipeline", "--scheme", path, "--c", c, "--format", "machine"])
+
+
+def _assert_as_benchmarked(text: str) -> None:
+    """A bracket_table(20) pipeline report at c = 4, which has no golden, against the
+    benchmark's recorded verdict, stages, checks and chain values of the same command."""
     bench = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "perfbench", "expected")
     with open(os.path.join(bench, "brackets20.json"), encoding="utf-8") as fh:
         want = json.load(fh)["pipeline"]
@@ -292,13 +300,21 @@ def test_good_cells_multiplies_indicators_only_over_a_small_alphabet(name, produ
         assert {k: fields[k] for k in want[group]} == want[group]
 
 
+def test_far_columns_decide_every_bracket_table20_pair(tmp_path, columns_tv_calls):
+    """Every bracket_table(20) column lies farther from uniform than eta = 1/(cd) at
+    c = 4, so good_cells hands the kernel no pair; V2 keeps one query, so the pair test
+    counts none either, and the one subset through ``columns_tv`` is the chosen entropy
+    block.  The report does not move."""
+    text = _pipeline_report("bracket_table20", tmp_path)
+    _assert_as_benchmarked(text)
+    assert _fields(text)["stage.good-cells.pairs_tested"] == "0"
+    assert columns_tv_calls == {"subsets": 0, "pairs": 1}
+
+
 def test_the_preservation_check_decodes_each_query_once(tmp_path, decoder_calls):
     """mirror16 fixes no cell, so the reduced side rebuilds the base's own values and
     is never decoded: one decoder call per query, and the report does not move."""
-    build, c = CASES["mirror16"]
-    path = os.path.join(str(tmp_path), "mirror16.scm")
-    save_scheme(build(), path)
-    text = _run(["pipeline", "--scheme", path, "--c", c, "--format", "machine"])
+    text = _pipeline_report("mirror16", tmp_path)
     with open(os.path.join(GOLDEN, "mirror16.pipeline.txt"), encoding="ascii") as fh:
         assert text == fh.read()
     assert decoder_calls["preserves_answers"] == 16

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from cellprobe.infotheory import (
     columns_tv,
     entropy_by_group,
     group_rows,
+    mean_entropy,
     subset_tallies,
     validate_blocks,
 )
@@ -617,3 +619,104 @@ def test_bound_decided_scheme_needs_no_subset_budget(monkeypatch):
     assert len(report.good) == 5
     with pytest.raises(SizeError):
         reference.good_cells(dist, 6, Fraction(1, 2), 17, max_subsets=100)
+
+
+@st.composite
+def planted_cells(draw):
+    """(distribution, alphabet, q, eta): every row of a grid of one to three uniform columns
+    over [0, m), weighed 1 or a drawn count, and two to five cell columns, each a copy of a
+    grid column, a planted far one (a constant, or a grid column folded onto half the
+    values) or drawn row by row.  eta is a fixed fraction or the exact distance of one
+    column, so some column lies exactly at eta."""
+    m = draw(st.integers(2, 4))
+    grid = np.array(list(product(range(m), repeat=draw(st.integers(1, 3)))), dtype=np.int64)
+    k, j = grid.shape
+    columns = []
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(("copy", "constant", "folded", "drawn")))
+        if kind == "copy":
+            columns.append(grid[:, draw(st.integers(0, j - 1))])
+        elif kind == "constant":
+            columns.append(np.full(k, draw(st.integers(0, m - 1))))
+        elif kind == "folded":
+            columns.append(grid[:, draw(st.integers(0, j - 1))] // 2)
+        else:
+            columns.append(np.array(draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k))))
+    counts = None
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    dist = Distribution.from_rows(np.column_stack(columns), counts)
+    q = draw(st.integers(1, min(3, dist.arity)))
+    distances = [tv_from_uniform(dist.marginal((c,)), m) for c in range(dist.arity)]
+    eta = draw(st.sampled_from(sorted({*(tv for tv in distances if tv),
+                                       Fraction(1, 100), Fraction(1, 4), Fraction(1, 2)})))
+    return dist, m, q, eta
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_cells())
+# a column exactly at eta (1/4) beside a uniform one it is independent of: the pair lies at
+# eta too, so neither fails; on the product route for q = 2, the keyed route for q = 3
+@example((Distribution.from_rows([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)]), 2, 1, Fraction(1, 4)))
+@example((Distribution.from_rows([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)]), 2, 2, Fraction(1, 4)))
+@example((Distribution.from_rows([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)]), 2, 3, Fraction(1, 4)))
+def test_good_cells_equals_the_counter_oracle_on_both_routes(case):
+    """Each subset holding a column farther than eta fails untallied, on the indicator
+    product's route and on the keyed one: the kept cells, the scores and every distance
+    held equal the oracle that tallies every subset, and the subsets held are exactly
+    those with no far column (none when the support bound decides)."""
+    dist, m, q, eta = case
+    want = reference.counter_good_cells(dist, q, eta, m)
+    far = {c for c in range(dist.arity) if tv_from_uniform(dist.marginal((c,)), m) > eta}
+    held = set() if _bound_fires(dist, q, eta, m) else {
+        s for s in want.subset_tvs if far.isdisjoint(s)}
+    reports = [good_cells(dist, q, eta, m)]
+    with mock.patch("cellprobe.infotheory._by_product", return_value=False):
+        reports.append(good_cells(dist, q, eta, m))
+    for report in reports:
+        assert report == want
+        assert set(report.subset_tvs) == held
+        assert all(report.subset_tvs[s] == want.subset_tvs[s] for s in held)
+
+
+@st.composite
+def uniform_sets_and_cuts(draw):
+    """(distribution, sizes): the uniform distribution on a set of distinct rows over [0, m),
+    each weighed one equal count (past int64 too), and a cut of its coordinates into
+    consecutive blocks."""
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 7))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, m - 1)] * n), min_size=1, max_size=40))
+    count = draw(st.sampled_from((1, 3, 2 ** 70)))
+    dist = Distribution.from_rows(sorted(rows), [count] * len(rows))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))) if n > 1 else ())
+    return dist, tuple(hi - lo for lo, hi in zip((0, *cuts), (*cuts, n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(uniform_sets_and_cuts())
+@example((Distribution.from_rows([(0, 0, 1), (0, 1, 0), (1, 1, 1)]), (1, 1, 1)))
+@example((Distribution.from_rows([(0, 0), (0, 1), (1, 0)], [2 ** 70] * 3), (1, 1)))
+def test_good_blocks_scores_equal_conditional_entropy_exactly(case):
+    """Scores read off the prefix runs equal, as floats, the entropies grouped from each
+    block's marginal, by the package and by the reference's loop over every count."""
+    dist, sizes = case
+    report = good_blocks(dist, sizes, Fraction(1, 2))
+    start = 0
+    for size, score in zip(sizes, report.scores):
+        block, prefix = range(start, start + size), range(start)
+        assert score == conditional_entropy(dist, block, prefix)
+        _, weights, entropies = reference.entropy_by_group(dist, block, prefix)
+        assert score == mean_entropy(weights, entropies, dist.denom)
+        start += size
+
+
+def test_sorted_rows_are_held_as_given():
+    rows = np.array([[0, 0, 1], [0, 1, 0], [1, 1, 1]], dtype=np.int8)
+    dist = Distribution.on_sorted_rows(rows)
+    assert dist.rows is rows
+    want = Distribution.from_rows(rows)
+    assert dist.items() == want.items() and dist.denom == want.denom == 3
+    assert dist.counts.dtype == want.counts.dtype
+    with pytest.raises(ParameterError):
+        Distribution.on_sorted_rows(rows[:0])
