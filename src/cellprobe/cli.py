@@ -124,12 +124,9 @@ def _cmd_redundancy(args):
 def _cmd_separator(args):
     if args.bracket_c is not None and args.gap is not None:
         raise DomainError("separator takes --gap or --bracket-c, not both")
-    if args.relax and args.bracket_c is None:
-        raise DomainError("separator --relax applies to --bracket-c only")
     scheme = load_scheme(args.scheme)
     if args.bracket_c is not None:
-        res = find_separator_brackets(scheme.probes, int(args.bracket_c),
-                                      require_preconditions=not args.relax)
+        res = find_separator_brackets(scheme.probes, int(args.bracket_c))
         checks = [*res.checks, ("v_nonempty", res.v_nonempty)]
         return [
             ("mode", "brackets"),
@@ -143,6 +140,7 @@ def _cmd_separator(args):
             ("b_cells", tuple(sorted(res.B))),
             ("stages_run", res.stages_run),
             ("size_floor_ok", res.size_floor_ok),
+            ("precondition_ok", res.precondition_ok),
             *res.stage_log,
             *((f"check.{k}", ok) for k, ok in checks),
         ], True
@@ -250,6 +248,11 @@ def _cmd_entropy_sum(args):
 
 def _cmd_brackets(args):
     if args.mode == "count":
+        # the floor 2^(n/2 - 1) refuses n before the count, which takes seconds at n = 10^6
+        limit, k = getattr(sys, "get_int_max_str_digits", lambda: 0)(), args.n // 2 - 1
+        if limit and not args.n % 2 and k * math.log10(2) >= limit:
+            raise DomainError(f"the count of balanced strings of length {args.n}, at least "
+                              f"2^{k}, has more digits than Python prints")
         count = catalan_count(args.n)
         return [("count", count)] if args.format == "machine" else fmt(count) + "\n", True
     if args.mode == "match":
@@ -339,7 +342,6 @@ COMMANDS = (
         ("--scheme", dict(required=True)),
         ("--gap", dict(help="gap factor g (prefix mode)")),
         ("--bracket-c", dict(type=int, help="run the bracket schedule with this c")),
-        ("--relax", dict(action="store_true", help="skip the bracket-mode size preconditions")),
     ), _cmd_separator),
     _Command("stretcher", "select index pairs with geometrically spread gaps", (
         ("--indices", dict(required=True, help="ascending, comma-separated")),

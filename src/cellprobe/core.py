@@ -242,7 +242,8 @@ class Scheme:
             raise ParameterError(f"unknown query kind {self.kind!r}")
         if self.kind == KIND_MATCH and self.domain != DOMAIN_BAL:
             raise ParameterError("match queries are only defined over balanced brackets")
-        self.domain_size()  # a balanced domain refuses an odd n
+        if self.domain == DOMAIN_BAL and self.n % 2:  # decided without counting the domain
+            raise ParameterError(f"balanced strings need even non-negative length, got {self.n}")
         if len(self.probes) != self.n:
             raise ParameterError(f"need {self.n} probe sets, got {len(self.probes)}")
         object.__setattr__(
@@ -283,12 +284,16 @@ class Scheme:
         return bits[:limit], cells[:limit]
 
     def _encode(self, limit: int | None) -> tuple[np.ndarray, np.ndarray]:
+        dtype = cell_dtype(self.cell_alphabet)
+        row, advice = self.n + dtype.itemsize * self.u, "; encode a prefix with --max-inputs"
+        # a balanced domain holds at least 2^(n/2 - 1) strings, priced before they are counted
+        if limit is None and self.domain == DOMAIN_BAL:
+            check_budget(2 ** (self.n // 2 - 1) * row,
+                         f"encoding the balanced strings of length {self.n}", advice)
         domain = domain_of(self.domain, self.n)
         size = domain.size if limit is None else min(limit, domain.size)
-        dtype = cell_dtype(self.cell_alphabet)
-        check_budget(size * (self.n + dtype.itemsize * self.u),
-                     f"encoding {fmt_short(size)} inputs of a domain of {fmt_short(domain.size)}",
-                     "; encode a prefix with --max-inputs")
+        what = f"encoding {fmt_short(size)} inputs of a domain of {fmt_short(domain.size)}"
+        check_budget(size * row, what, advice)
         bits = np.empty((size, self.n), dtype=np.int8)
         cells = np.empty((size, self.u), dtype=dtype)
         for start in range(0, size, _ENCODE_CHUNK):

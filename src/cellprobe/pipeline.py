@@ -52,7 +52,7 @@ from .core import (
 from .entropy_sum import entropy_sum_analysis
 from .errors import ParameterError, SizeError
 from .infotheory import Distribution, cell_dtype, columns_tv, good_blocks, good_cells
-from .separator import _BRACKET_EXPONENT_LIMIT, find_separator, find_separator_brackets, pairwise_disjoint
+from .separator import find_separator, find_separator_brackets, pairwise_disjoint
 from .stretcher import find_stretcher
 from .textfmt import fmt, fmt_short, machine_value as _mval
 
@@ -287,14 +287,12 @@ class _Match:
         if cf.denominator != 1:
             raise ParameterError(f"c must be an integer, got {fmt_short(cf)}")
         self.scheme, self.c = scheme, int(cf)
-        if self.c >= 4 and (2 * self.c) ** scheme.q > _BRACKET_EXPONENT_LIMIT:
-            raise ParameterError(f"c = {fmt_short(cf)} puts (2c)^q past {_BRACKET_EXPONENT_LIMIT}")
 
     def separate(self, probes):
         """The bracket separator, with this kind's separator fields before and after the
         shared ones and its checks; sets d and every parameter built on it from its a."""
         c = self.c
-        sep = find_separator_brackets(probes, c, require_preconditions=False)
+        sep = find_separator_brackets(probes, c)
         n, a = self.scheme.n, sep.a
         lg = math.log2(n)
         try:
@@ -308,7 +306,8 @@ class _Match:
         self.good_cells_head = (("d", self.d),)
         self.floors = (("v2_floor", n / (2.0 * lg ** a)),)
         self.v3_floor = n / (16.0 * lg ** a)
-        return (sep, (("a", a), ("b", sep.b)), (("size_floor_ok", sep.size_floor_ok),),
+        return (sep, (("a", a), ("b", sep.b)),
+                (("size_floor_ok", sep.size_floor_ok), ("precondition_ok", sep.precondition_ok)),
                 (*sep.checks, ("v_floor", sep.v_floor)))
 
     def pair_stage(self, v2, v, stages):

@@ -22,23 +22,23 @@ every line), and ``decoders: table`` followed by per-query blocks of
 written as ``-``.  A file written by this module, re-read and re-written,
 reproduces its bytes exactly.
 
-The encoder rows are read by stride when they share one byte layout: the
-first row is ``  <n bits> -> <values>`` with single spaces, 1 to 18 digits
-per value and nothing after the last, and every row up to a line that starts
-with a byte past ' ' (or the end of the text) is that row's bytes apart from
-its bits (``0``, ``1``, ``(``, ``)``) and digits.  Such rows are one k x L
-byte matrix, L the first row's line length, whose values are read column by
-column.  Every other table, including any this module did not write, is read
-token by token; every refusal comes from that reader or from the repeated
-input check both share.  A file's bytes are read as they are, with no second
-copy as a str, when they are ASCII and hold no line break but '\n'.
+The encoder rows are written 4,096 rows at a time: each block is one byte
+matrix, a row a line, with every value right-aligned in the width of the
+table's widest numeral and spaces before it (a negative value's sign just
+before its first digit), so every row of a table has one length.  The digits
+are taken in the cells' own type; only a table with a negative value is
+widened, to its magnitudes in uint64, so -2^63 is written too.
 
-The encoder rows are written the same way round, 4,096 rows at a time: each
-block is one byte matrix, a row a line, with every value right-aligned in the
-width of the table's widest numeral and NULs before it (a negative value's
-sign just before its first digit), and one compress drops the NULs.  The
-digits are taken in the cells' own type; only a table with a negative value
-is widened, to its magnitudes in uint64, so -2^63 is written too.
+The encoder rows are read by stride when they share one byte layout: every
+row up to a line that starts with a byte past ' ' (or the end of the text) is
+the first row's bytes apart from its bits (``0``, ``1``, ``(``, ``)``) and its
+value fields, each at most 18 bytes of spaces then digits.  Such rows are one
+k x L byte matrix, L the first row's line length, read field by field; every
+table written with u >= 1 and cells in [0, 10^18) is read so.  Any other
+table (u = 0, a negative or 19-digit value, rows spaced some other way) is
+read a line at a time, and every refusal comes from that reader or from the
+repeated input check both share.  A file's bytes are read as they are, with
+no second copy as a str, when they are ASCII and hold no line break but '\n'.
 """
 
 from __future__ import annotations
@@ -56,9 +56,13 @@ from .schemes import build_builtin
 _HEADER_KEYS = ("n", "u", "q", "cell_alphabet", "domain", "kind")
 _LINE = re.compile(r"^.*\S.*$", re.MULTILINE)
 _LINE_BYTES = re.compile(_LINE.pattern.encode(), re.MULTILINE)
-_TOKEN = re.compile(rb"\S+")
-_NUMERAL = re.compile(rb"[+-]?[0-9]+")
-_FIXED_VALUES = re.compile(rb"[0-9]{1,18}(?: [0-9]{1,18})*")
+# a first row's values: fields of spaces then digits, one space before each but the first
+_FIXED_VALUES = re.compile(rb" *[0-9]+(?: +[0-9]+)*")
+# an encoder row with one input token and numerals one space apart, or a lone '-' or none
+_ROW = re.compile(r"[ \t]*([01()]+)[ \t]*->[ \t]*(?:([+-]?[0-9]+(?: [+-]?[0-9]+)*)|-)?[ \t]*")
+_TOKEN = re.compile(r"[^ \t]+")
+_NUMERAL = re.compile(r"[+-]?[0-9]+")
+_LONG = re.compile(r"[^ ]{19}")  # a value of 19 characters or more may be past int64
 # the ASCII line breaks str.splitlines knows besides '\n', and '\x1f', which str.rstrip strips
 _ODD = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
@@ -78,7 +82,7 @@ def _encoder_lines(scheme: Scheme) -> list[str]:
 
     A block is one byte matrix, a row a line: ``  ``, the bits, `` -> ``, then per value
     column ``width`` bytes and a space, the last a line end, ``width`` the widest numeral's.
-    Each value is right-aligned with NULs before it, which one compress drops."""
+    Each value is right-aligned with spaces before it; a table without values writes ``-``."""
     enc = scheme.encoder
     inputs, cells = (enc.inputs, enc.cells) if isinstance(enc, TableEncoder) else scheme.encoded()
     (k, n), u = inputs.shape, cells.shape[1]
@@ -92,30 +96,26 @@ def _encoder_lines(scheme: Scheme) -> list[str]:
         rows = np.empty((len(bits), n + 6 + max(u * (width + 1), 2)), dtype=np.uint8)
         rows[:, :n + 6] = head
         rows[:, 2:n + 2] += bits.view(np.uint8)
-        if not u:
-            rows[:, n + 6:] = np.frombuffer(b"-\n", np.uint8)
-            blocks.append(rows.ravel()[:-1].tobytes().decode("ascii"))
-            continue
         rows[:, last + 1::width + 1] = 32
         rows[:, -1] = 10
+        rows[:, n + 6] = 45  # the '-' of a table without values, else a value's first byte
         if lo < 0:  # digits of the magnitude, -2^63's too, in uint64
             sign = values < 0
             values = values.astype(np.int64)
             np.negative(values, out=values, where=sign)
             values = values.view(np.uint64)
-        for p in range(width):  # the digit worth 10^p
+        for p in range(width if u else 0):  # the digit worth 10^p
             digit = (values % 10).astype(np.uint8)
             digit += 48
-            if p:  # a leading zero is a NUL, and a negative value's first one its sign
+            if p:  # a leading zero is a space, and a negative value's first one its sign
                 lead = values == 0
-                digit[lead] = 0
+                digit[lead] = 32
                 if lo < 0:
                     digit[lead & sign] = 45
                     sign &= ~lead
             rows[:, last - p::width + 1] = digit
             values = values // 10
-        flat = rows.ravel() if width == 1 else rows[rows != 0]  # one digit needs no padding
-        blocks.append(flat[:-1].tobytes().decode("ascii"))
+        blocks.append(rows.ravel()[:-1].tobytes().decode("ascii"))
     return blocks
 
 
@@ -206,56 +206,23 @@ def _rows(mask: np.ndarray) -> np.ndarray:
     return mask.any(axis=1) if mask.any() else np.zeros(len(mask), dtype=bool)
 
 
-def _values(full: np.ndarray, at: np.ndarray):
-    """The numerals at columns 1.. of ``at``, token starts in ``full``, as int64, with masks of
-    the tokens that are no numeral and of the values past int64.  A numeral is a sign or none,
-    then digits: Horner's rule in uint64 reads up to 19 exactly, more go through Python int."""
-    b = full[at]
-    neg, sign = b == 45, (b == 45) | (b == 43)
-    if sign.any():
-        at += sign
-        b = full[at]
-    digit = b - np.uint8(48)
-    bad = digit > 9  # right after the sign a gap is no digit either
-    value = digit.astype(np.uint64)
-    live = ~bad
-    live[:, 0] = False  # column 0 is the input
-    for j in range(1, 20):
-        b = full[j:][at]
-        live &= b > 32  # a numeral ends at its first gap
-        digit = b - np.uint8(48)
-        bad |= live & (digit > 9)
-        live &= digit <= 9
-        if j == 19 or not live.any():
-            break
-        np.multiply(value, 10, out=value, where=live)
-        np.add(value, digit, out=value, where=live, casting="unsafe")
-    past = value > 2 ** 63 - 1 if j == 19 else np.zeros(value.shape, dtype=bool)  # 19 digits
-    if past.any():  # -2^63 fits
-        past &= (value != 2 ** 63) | ~neg
-    value = value.view(np.int64)
-    np.negative(value, out=value, where=neg)
-    for t in np.flatnonzero(live).tolist():  # 20 digits or more
-        token = _TOKEN.match(full.data, int(at.flat[t] - sign.flat[t])).group()
-        bad.flat[t] = not _NUMERAL.fullmatch(token)
-        past.flat[t] = not bad.flat[t] and not -2 ** 63 <= int(token) < 2 ** 63
-        value.flat[t] = int(token) if not (bad.flat[t] or past.flat[t]) else 0
-    return value[:, 1:], bad[:, 1:], past[:, 1:]
-
-
 def _stride_rows(raw: bytes, start: int, n: int):
     """The encoder rows at ``raw[start:]`` read as one k x L byte matrix, L the length of the
-    first row's line, as the token reader's (bits, cells, line offsets, end offset); None on any
-    doubt.  Every row must be the first row's bytes apart from its bits and digits, and the line
-    after the rows must start with a byte past ' ' or the text end there.  The first row must
-    be ``  <n bits> -> <values>`` with 1 to 18 digits a value, single spaces between and nothing
-    after the last value, so int64 holds every value unchecked."""
+    first row's line, as (bits, cells, line offsets, end offset); None on any doubt.  Every row
+    must be the first row ``  <n bits> -> <values>`` apart from its bits and value fields, and
+    the line after the rows must start with a byte past ' ' or the text end there.  A field runs
+    from the byte after the space before it to the end of the first row's digit run there, at
+    most 18 bytes so int64 holds every value; spaces only before its digits are leading zeros."""
     row = raw[start:raw.find(b"\n", start) + 1]
     if n < 1 or len(row) < n + 8 or row[:2] != b"  " or row[n + 2:n + 6] != b" -> ":
         return None
     if not _FIXED_VALUES.fullmatch(row, n + 6, len(row) - 1):
         return None
-    spans = np.array([m.span() for m in re.finditer(rb"[0-9]+", row[n + 6:])]) + n + 6
+    ends = np.array([m.end() for m in re.finditer(rb"[0-9]+", row[n + 6:])]) + n + 6
+    starts = np.append(n + 6, ends[:-1] + 1)
+    sizes = ends - starts
+    if sizes.max() > 18:
+        return None
     width, k = len(row), (len(raw) - start) // len(row)
     rows = np.frombuffer(raw, np.uint8, k * width, start).reshape(k, width)
     broken = rows[:, -1] != 10  # the rows from the first without a line end on are no lines
@@ -263,22 +230,26 @@ def _stride_rows(raw: bytes, start: int, n: int):
     # each byte less the least its column allows, and the most that may leave: the
     # template's own byte in a gap or the arrow, '0'-'9' in a value, '(' to '1' in the input
     low, most = np.frombuffer(row, np.uint8).copy(), np.zeros(width, dtype=np.uint8)
-    digit = np.concatenate([np.arange(lo, hi) for lo, hi in spans.tolist()])
-    low[digit], most[digit] = 48, 9
+    spans = list(zip(starts.tolist(), ends.tolist()))
+    field = np.concatenate([np.arange(a, b) for a, b in spans])
+    pad = np.concatenate([np.arange(a, b - 1) for a, b in spans])  # each field's bytes but its last
+    low[field], most[field] = 48, 9
     low[2:n + 2], most[2:n + 2] = 40, 9
     offset = rows - low
+    space = rows[:, pad] == 32  # a leading zero, if no digit of its field is before it
+    offset[:, pad] = np.where(space, 0, offset[:, pad])
+    same = np.flatnonzero(np.diff(pad) == 1)  # the pad bytes whose next is one of their field
     bits = offset[:, 2:n + 2]  # '(' 0, ')' 1, '0' 8, '1' 9: the offsets up to 9 that & 6 clears
-    bad = _rows(offset > most) | _rows((bits & 6) > 0)
+    bad = _rows(offset > most) | _rows((bits & 6) > 0) | _rows(space[:, same + 1] > space[:, same])
     bits = (bits == 0) | (bits == 9)
-    digits = np.take(offset, digit, axis=1)
+    digits = np.take(offset, field, axis=1)
     del offset  # the cells take its room
     k = int(np.argmax(bad)) if bad.any() else len(rows)
     end = start + k * width
     if end < len(raw) and raw[end] <= 32:
         return None
-    # Horner's rule down the value columns, each value's p-th digit at once, in the
-    # narrowest type that holds every numeral as long as the widest column's
-    sizes = spans[:, 1] - spans[:, 0]
+    # Horner's rule down the value fields, each value's p-th byte at once, in the
+    # narrowest type that holds every numeral as long as the widest field
     first = np.cumsum(sizes) - sizes
     cells = np.take(digits[:k], first, axis=1).astype(cell_dtype(10 ** int(sizes.max())))
     for p in range(1, int(sizes.max())):
@@ -287,84 +258,65 @@ def _stride_rows(raw: bytes, start: int, n: int):
     return bits[:k], cells, np.arange(k), end - start
 
 
-def _token_buffer(raw: bytes, start: int, n: int) -> np.ndarray:
-    """The bytes from ``start`` between two '\n', then room for the token reader's reads to
-    run past their end: an input token, the gap after it and 21 more."""
-    size = len(raw) - start
-    full = np.full(size + min(max(n, 0), size) + 22, 10, dtype=np.uint8)
-    full[1:size + 1] = np.frombuffer(raw, np.uint8)[start:]
-    return full
-
-
-def _token_rows(text: str, full: np.ndarray, start: int, n: int, first: int):
-    """The ``<bits> -> <values>`` rows at ``text[start:]``, read in numpy passes over the tokens
-    of ``full``, its ``_token_buffer``: the rows run to the first line that is neither blank
-    nor indented two spaces and holding a '->'.  A bad row raises, naming line ``first`` + its
-    line offset."""
-    size = len(text) - start
-    span = min(max(n, 0), size) + 1  # an input token and the gap after it
-    buf = full[:size + 2]
-    ends = np.flatnonzero(buf == 10)  # line j lies between ends[j] and ends[j + 1]
-    firsts, gt = ends[:-1] + 1, np.flatnonzero(buf == 62)
-    arrows = np.append(gt[buf[gt - 1] == 45] - 1, len(buf))
-    arrow = arrows[np.searchsorted(arrows, firsts)]  # each line's first '->', if before its end
-    row_like = (buf[firsts] == 32) & (full[firsts + 1] == 32) & (arrow < ends[1:])
-    full[arrow[row_like]] = full[arrow[row_like] + 1] = 32  # a row's first '->' ends its input
-    if np.count_nonzero(buf < 32) > len(ends):  # a tab is a gap, any other control byte text
-        ctrl = np.flatnonzero((buf < 32) & (buf != 10))
-        buf[ctrl] = np.where(buf[ctrl] == 9, 32, 63)
-    gap = buf <= 32  # tokens are the runs between gaps, now only ' ' and '\n'
-    starts = np.flatnonzero(gap[:-1] > gap[1:])
-    starts += 1
-    line_token = np.searchsorted(starts, ends)  # the index of each line's first token
-    count = np.diff(line_token)
-    stop = int(np.argmax(np.append(~row_like & (count > 0), True)))  # the first line past the rows
-    lines = np.flatnonzero(row_like[:stop])  # a row of a bare '->' holds no token
-    if not len(lines):
-        return np.zeros((0, 0), dtype=bool), np.zeros((0, 0), dtype=np.int64), lines, int(ends[stop])
-    # per row: its first token, the next row's first, and its first token right of the arrow
-    lo, hi, arrow = line_token[lines], line_token[lines + 1], arrow[lines]
-    if not len(starts):
-        starts = np.array([len(buf)])  # a token past the text, whose rows then hold none
-
-    def token_start(k):  # where token k starts; the token after the last lies past the text
-        return np.where(k < len(starts), starts[np.minimum(k, len(starts) - 1)], len(buf))
-
-    mid = np.minimum(lo + 1, len(starts))
-    odd = ~((token_start(lo) < arrow) & ((hi == lo + 1) | (token_start(mid) > arrow)))
-    mid[odd] = np.searchsorted(starts, arrow[odd])  # rows without one token left of '->'
-    at = token_start(mid)
-    width = hi - mid - ((hi - mid == 1) & (full[at] == 45) & (full[at + 1] <= 32))  # '-' is none
-    w = int(np.bincount(width).argmax())  # the value count most rows have
-    win = np.lib.stride_tricks.sliding_window_view(full, span)[token_start(lo)]
-    gap = win <= 32  # an input token is n bytes and a gap
-    bad = (mid - lo != 1) | (width != w) | (n != span - 1) | ~gap[:, -1] | _rows(gap[:, :-1])
-    m = int(np.argmax(bad)) if bad.any() else len(lines)  # rows before m hold 1 + w tokens
-    cells, malformed, past = _values(full, starts[lo[0]:lo[0] + m * (1 + w)].reshape(m, 1 + w))
-    bad[:m] |= _rows(malformed)
-    win = win[:, :-1]
-    bits = (win == 49) | (win == 40)  # '1' and '(' are 1, '0' and ')' are 0
+def _line_rows(text: str | bytes, start: int, n: int, first: int):
+    """The encoder rows at ``text[start:]`` read a line at a time, as ``_stride_rows`` gives
+    them, to the first line neither blank nor indented two spaces and holding a '->'.  A row's
+    tokens are its runs of bytes but ' ' and tab: left of its first '->' one input of n bits,
+    right of it numerals, or a lone '-' for none.  A bad row raises, naming line ``first`` +
+    its offset: first one not of that shape with w values, w the count most rows have, then
+    one whose input holds a byte past '01()' or a value past int64."""
+    lines = (text[start:].decode("ascii") if isinstance(text, bytes) else text[start:]).split("\n")
+    at, inputs, values, widths, malformed, end = [], [], [], [], [], 0
+    for i, line in enumerate(lines):
+        if line.strip():
+            if not (line.startswith("  ") and "->" in line):
+                break
+            found = _ROW.fullmatch(line)
+            if found:
+                bits, numerals = found[1], found[2] or ""
+                width = numerals.count(" ") + 1 if numerals else 0
+            else:  # tabs or runs of spaces between values, or a row in fault
+                left, right = (_TOKEN.findall(side) for side in line.split("->", 1))
+                dash = right == ["-"]
+                if len(left) != 1 or not (dash or all(map(_NUMERAL.fullmatch, right))):
+                    malformed.append(len(at))
+                bits, numerals = left[0] if left else "", "" if dash else " ".join(right)
+                width = 0 if dash else len(right)
+            at.append(i)
+            inputs.append(bits)
+            values.append(numerals)
+            widths.append(width)
+        end += len(line) + 1
+    if not at:
+        return np.zeros((0, 0), dtype=bool), np.zeros((0, 0), dtype=np.int64), np.zeros(0, int), end
+    k, widths = len(at), np.array(widths)
+    w = int(np.bincount(widths).argmax())
+    bad = (widths != w) | (np.fromiter(map(len, inputs), int, k) != n)
+    bad[malformed] = True
     if not bad.any():
-        bad = _rows(~(bits | (win == 48) | (win == 41))) | _rows(past)
+        numerals = " ".join(values)
+        byte = np.frombuffer("".join(inputs).encode("ascii", "replace"), np.uint8).reshape(k, n)
+        bits = (byte == 49) | (byte == 40)  # '1' and '(' are 1, '0' and ')' are 0
+        bad = ~(bits | (byte == 48) | (byte == 41)).all(axis=1)
+        if _LONG.search(numerals):
+            bad |= [not all(-2 ** 63 <= int(v) < 2 ** 63 for v in row.split() if len(v) > 18)
+                    for row in values]
     if bad.any():
         r = int(np.argmax(bad))
-        line = text[start + ends[lines[r]]:start + ends[lines[r] + 1] - 1]
-        raise _refusal(first + lines[r], line if isinstance(line, str) else line.decode(), n, w)
-    return bits, cells, lines, int(ends[stop])
+        raise _refusal(first + at[r], lines[at[r]], n, w)
+    cells = np.fromstring(numerals.encode(), np.int64, sep=" ") if w else np.zeros(0, np.int64)
+    return bits, cells.reshape(k, w), np.array(at), end
 
 
 def _read_encoder(src: _Lines, n: int) -> TableEncoder:
-    """The rows after ``encoder: table``: by stride when they share one byte layout, else
-    token by token; either way a repeated input is refused here, naming both lines."""
+    """The rows after ``encoder: table``: by stride when they share one byte layout, else a
+    line at a time; either way a repeated input is refused here, naming both lines."""
     text, start = src.text, src.pos
     raw = text if isinstance(text, bytes) else text.encode("ascii", "replace")  # a byte a char
     first = raw.count(b"\n", 0, start) + 1  # the line number of the text at ``start``
     rows = _stride_rows(raw, start, n)
-    if rows is None:
-        full = _token_buffer(raw, start, n)
-        del raw  # the token reader's passes write to its own copy of the bytes
-        rows = _token_rows(text, full, start, n, first)
-    bits, cells, lines, end = rows
+    del raw
+    bits, cells, lines, end = rows or _line_rows(text, start, n, first)
     src.pos = start + end
     enc = TableEncoder.from_rows(bits.view(np.int8), cells)
     same = np.flatnonzero(enc._keys[1:] == enc._keys[:-1])

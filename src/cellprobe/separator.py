@@ -219,8 +219,8 @@ def find_separator(family, g) -> SeparatorResult:
 
 @dataclass(frozen=True)
 class BracketSeparatorResult:
-    """Stage 0 of the bracket schedule: query indices V (1-based), a = (2c)^q, b = c*a,
-    and whether the floor n/lg^b n >= 1 held."""
+    """Stage 0 of the bracket schedule: query indices V (1-based), a = (2c)^q, b = c*a, whether
+    the floor n/lg^b n >= 1 held, and whether q <= (lg lg n)/c (n >= 2^16 at c = 4, q = 1)."""
 
     V: tuple[int, ...]
     a: int
@@ -229,6 +229,7 @@ class BracketSeparatorResult:
     q: int
     c: int
     size_floor_ok: bool
+    precondition_ok: bool
 
     # Fixed below about 1.29e13 sets by the stage-0 floor n/(lg n)^a: a >= 8 when q >= 1,
     # and (lg n)^8 > n there, so the first set, which greedy always takes, meets it (at
@@ -256,9 +257,9 @@ def _meets(count: int, n: int, lg_l: float, exponent: int) -> bool:
     return math.log2(count) + exponent * lg_l >= math.log2(n) - 1e-12
 
 
-def find_separator_brackets(family, c: int, require_preconditions: bool = True) -> BracketSeparatorResult:
+def find_separator_brackets(family, c: int) -> BracketSeparatorResult:
     """Stage 0 of the schedule n/(lg n)^(d^(q-i)), d = 2c: one greedy pass, a = d^q, b = c*a.
-    ``require_preconditions`` refuses q > (lg lg n)/c, where the guarantee arithmetic fails."""
+    The precondition lg lg n >= q*c = m is decided in integers, as floor(lg n) >= 2^m."""
     pairs, cells, n, q = _as_pairs(family)
     if not n:
         raise ParameterError("separator needs a nonempty family of sets")
@@ -268,14 +269,14 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True) 
     if n < 4:
         raise ParameterError(f"need n >= 4 so lg lg n is positive, got {n}")
     lg_l = math.log2(math.log2(n))
-    if require_preconditions and q * c > lg_l:  # c may be past the float range
-        raise ParameterError(f"q = {q} exceeds (lg lg n)/c = {float(Fraction(lg_l) / c):.4f}")
     a = (2 * c) ** q
     if a > _BRACKET_EXPONENT_LIMIT:
-        raise SizeError(f"schedule exponent d^q = {fmt_short(a)} exceeds {_BRACKET_EXPONENT_LIMIT}")
+        raise SizeError(f"schedule exponent d^q = {fmt_short(a)} exceeds "
+                        f"{_BRACKET_EXPONENT_LIMIT} at c = {fmt_short(c)}")
     chosen, _ = _greedy(pairs, n, np.zeros(len(cells), bool))
     if not _meets(len(chosen), n, lg_l, a):
         raise ConsistencyError(
             f"bracket separator: stage 0 found {len(chosen)} disjoint sets, under n/lg^{a} n")
     return BracketSeparatorResult(V=chosen, a=a, b=c * a, n=n, q=q, c=c,
-                                  size_floor_ok=math.log2(n) >= c * a * lg_l - 1e-12)
+                                  size_floor_ok=math.log2(n) >= c * a * lg_l - 1e-12,
+                                  precondition_ok=q * c <= (n.bit_length() - 1).bit_length() - 1)

@@ -394,11 +394,13 @@ class BracketSchedule:
     log: tuple[BracketStage, ...]
     size_floor_ok: bool
     b_size_ok: bool
+    precondition_ok: bool
 
 
-def find_separator_brackets(family, c: int, require_preconditions: bool = True):
+def find_separator_brackets(family, c: int):
     """``separator.find_separator_brackets`` with one frozenset per probe set, running the
-    schedule's full stage loop, where the package runs stage 0 alone."""
+    schedule's full stage loop, where the package runs stage 0 alone.  The precondition
+    q <= (lg lg n)/c holds when n >= 2^(2^(qc)), a power tried only below n's bit length."""
     sets = _as_sets(family)
     n = len(sets)
     c = int(c)
@@ -407,13 +409,12 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True):
     if n < 4:
         raise ParameterError(f"need n >= 4 so lg lg n is positive, got {n}")
     q = max(len(s) for s in sets)
-    if require_preconditions and q > math.log2(math.log2(n)) / c:
-        raise ParameterError(
-            f"q = {q} exceeds (lg lg n)/c = {math.log2(math.log2(n)) / c:.4f}"
-        )
     d = 2 * c
     if d ** q > _BRACKET_EXPONENT_LIMIT:
-        raise SizeError(f"schedule exponent d^q = {d ** q} exceeds {_BRACKET_EXPONENT_LIMIT}")
+        raise SizeError(f"schedule exponent d^q = {d ** q} exceeds {_BRACKET_EXPONENT_LIMIT} "
+                        f"at c = {c}")
+    least_lg = 2 ** (q * c)  # the least lg n the precondition allows
+    precondition_ok = least_lg < n.bit_length() and n >= 2 ** least_lg
     lg_l = math.log2(math.log2(n))
     blocker: set = set()
     log: list[BracketStage] = []
@@ -430,7 +431,7 @@ def find_separator_brackets(family, c: int, require_preconditions: bool = True):
                 B=frozenset(blocker), V=chosen, a=a, b=b, n=n, q=q, c=c,
                 stages_run=i + 1, log=tuple(log),
                 size_floor_ok=math.log2(n) >= b * lg_l - 1e-12,
-                b_size_ok=b_size_ok,
+                b_size_ok=b_size_ok, precondition_ok=precondition_ok,
             )
         for v in chosen:
             blocker |= reduced[v - 1]
@@ -843,11 +844,13 @@ def read_scheme(text: str) -> Scheme:
 
 
 def encoder_lines(scheme) -> list[str]:
-    """The ``<bits> -> <values>`` lines of a table encoder, one string per 4,096 rows."""
+    """The ``<bits> -> <values>`` lines of a table encoder, one string per 4,096 rows, each
+    value right-aligned in the width of the table's widest numeral."""
     enc = scheme.encoder
     inputs, cells = (enc.inputs, enc.cells) if isinstance(enc, TableEncoder) else scheme.encoded()
     (k, n), u = inputs.shape, cells.shape[1]
-    template = "\n  %s -> " + (" ".join(["%d"] * u) or "-")
+    width = max(len(str(v)) for v in (int(cells.min(initial=0)), int(cells.max(initial=0))))
+    template = "\n  %s -> " + (" ".join([f"%{width}d"] * u) or "-")
     blocks = []
     for block in (slice(start, start + 4096) for start in range(0, k, 4096)):
         rows = np.empty((len(inputs[block]), 1 + u), dtype=object)

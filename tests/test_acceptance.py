@@ -103,6 +103,7 @@ def test_criterion_03_bracket_separator_schedule():
             u = rng.choice((256, 1024, 4096))
             family = [{v} for v in rng.choices(range(u), k=n)]
             res = find_separator_brackets(family, 4)
+            assert res.precondition_ok  # q = 1 <= (lg lg 2^16)/4
             assert res.c * res.a <= res.b <= res.c * (2 * res.c) ** res.a
             assert Fraction(len(res.B)) <= Fraction(n, lg ** res.b)
             assert Fraction(res.w) >= Fraction(n, lg ** res.a)

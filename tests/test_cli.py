@@ -11,7 +11,9 @@ import pytest
 import cellprobe
 
 from cellprobe.cli import OUTDIR_ENV, main
-from cellprobe.core import DOMAIN_ALL, KIND_SUM, Scheme, TableDecoder, TableEncoder
+from cellprobe.core import (DOMAIN_ALL, DOMAIN_BAL, KIND_MATCH, KIND_SUM, Scheme, TableDecoder,
+                            TableEncoder)
+from cellprobe.errors import ParameterError
 from cellprobe.schemeio import load_scheme, save_scheme
 from cellprobe.schemes import build_bracket_table, build_precomputed_sums
 
@@ -103,12 +105,16 @@ def test_separator_refuses_a_gap_beside_a_bracket_c(good_scheme, capsys):
     assert captured.err == "error: separator takes --gap or --bracket-c, not both\n"
 
 
-def test_separator_refuses_relax_without_a_bracket_c(good_scheme, capsys):
-    # --relax only loosens the bracket schedule's preconditions; beside --gap it did nothing
-    assert main(["separator", "--scheme", good_scheme, "--gap", "4", "--relax"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: separator --relax applies to --bracket-c only\n"
+def test_separator_refuses_the_retired_relax_switch(good_scheme, capsys):
+    # the bracket precondition is reported as precondition_ok, never enforced, so there is
+    # nothing left to relax
+    for mode in (["--gap", "4"], ["--bracket-c", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["separator", "--scheme", good_scheme, *mode, "--relax"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --relax" in captured.err
 
 
 def test_stretcher_ok_and_stuck(capsys):
@@ -150,9 +156,9 @@ def test_a_huge_bracket_c_is_refused_in_short_form(tmp_path, capsys):
     assert main(["build-scheme", "--name", "two_level_rank", "--n", "8", "--alphabet", "9",
                  "--param", "block=2", "--param", "superblock=4", "--out", path]) == 0
     capsys.readouterr()
-    assert main(["separator", "--scheme", path, "--bracket-c", "9" * 1500, "--relax"]) == 2
+    assert main(["separator", "--scheme", path, "--bracket-c", "9" * 1500]) == 2
     err = capsys.readouterr().err
-    assert err == "error: schedule exponent d^q = 8.00E+4500 exceeds 10000\n"
+    assert err == "error: schedule exponent d^q = 8.00E+4500 exceeds 10000 at c = 1.00E+1500\n"
 
 
 def test_entropy_command(tmp_path, capsys):
@@ -535,6 +541,37 @@ def test_balanced_strings_past_the_budget_are_usage_errors(tmp_path, src_env):
         assert done.stderr.startswith(f"error: {message}"), done.stderr
         assert "-byte budget" in done.stderr and "Traceback" not in done.stderr
         assert done.stdout == ""
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="Python before 3.10.7 prints an int of any length")
+def test_a_long_balanced_length_is_refused_before_it_is_counted(tmp_path, monkeypatch, capsys):
+    """The Catalan number of length 10^6 takes about 10 s to count.  Both commands refuse on
+    the floor 2^(n/2 - 1) first: ``brackets count`` since the floor has more digits than
+    Python prints, ``verify`` since encoding that many inputs is past the budget; a balanced
+    scheme checks its length's parity without counting when it is built."""
+    path = str(tmp_path / "brackets100000.scm")
+    assert main(["build-scheme", "--name", "bracket_table", "--n", "100000", "--out", path]) == 0
+    counted = []
+    for module in ("core", "cli"):
+        monkeypatch.setattr(f"cellprobe.{module}.catalan_count", counted.append)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        start = time.monotonic()
+        codes = [main(["brackets", "count", "--n", "1000000"]), main(["verify", "--scheme", path])]
+        elapsed = time.monotonic() - start
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert codes == [2, 2] and counted == [] and elapsed < 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the count of balanced strings of length 1000000, at least 2^499999, "
+                   "has more digits than Python prints",
+                   "error: encoding the balanced strings of length 100000 takes 7.90E+15056 "
+                   "bytes, over the 2147483648-byte budget; encode a prefix with --max-inputs"]
+    with pytest.raises(ParameterError, match="even non-negative length, got 7"):
+        Scheme(n=7, u=0, cell_alphabet=2, domain=DOMAIN_BAL, kind=KIND_MATCH, probes=((),) * 7,
+               encoder=TableEncoder({}), decoders=(TableDecoder({}),) * 7)
 
 
 @pytest.mark.parametrize("limit", ["0", "-5"])

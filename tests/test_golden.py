@@ -3,7 +3,7 @@
 The files under ``tests/golden/`` hold the reports as the CLI printed them,
 each in machine and text format with its exit code.  On each scheme:
 ``verify``, ``redundancy``, ``pipeline`` and ``separator`` (``--gap 4`` on a
-Sum scheme, ``--bracket-c 4 --relax`` on a Match scheme).  The distribution
+Sum scheme, ``--bracket-c 4`` on a Match scheme).  The distribution
 files under ``tests/golden/inputs/`` are read by ``entropy`` (joint and
 conditional), ``goodset cells``, ``goodset blocks`` (on the support, for bit
 outcomes) and ``entropy-sum --dist``; ``entropy-sum --uniform`` runs the
@@ -104,7 +104,7 @@ def render(name: str, workdir: str) -> dict[str, str]:
     path = os.path.join(workdir, f"{name}.scm")
     scheme = build()
     save_scheme(scheme, path)
-    separator = ["--bracket-c", "4", "--relax"] if scheme.kind == KIND_MATCH else ["--gap", "4"]
+    separator = ["--bracket-c", "4"] if scheme.kind == KIND_MATCH else ["--gap", "4"]
     return {
         "verify": _run(["verify", "--scheme", path, "--format", "machine"]),
         "verify-text": _run(["verify", "--scheme", path, "--format", "text"]),

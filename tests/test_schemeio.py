@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cellprobe import (
     CellProbeError,
@@ -196,6 +196,64 @@ def test_the_writer_matches_the_template_writer(scheme):
     text = write_scheme(scheme)
     assert text == reference.write_scheme(scheme)
     assert read_scheme(text) == scheme
+
+
+def _bracket_table20() -> Scheme:
+    """``bracket_table(20)`` with its 16,796 rows held as a table: values 0 to 20, so its
+    columns mix one and two digits."""
+    base = build_bracket_table(20)
+    return Scheme(n=20, u=20, cell_alphabet=21, domain=DOMAIN_BAL, kind=KIND_MATCH,
+                  probes=base.probes, encoder=TableEncoder.from_rows(*base.encoded()),
+                  decoders=base.decoders)
+
+
+@st.composite
+def padded_tables(draw):
+    """Table schemes with u >= 1 and every cell in [0, 10^18), columns mixing digit counts."""
+    n, u = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    inputs = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=12,
+                           unique=True))
+    value = st.one_of(st.integers(0, 9), st.integers(0, 99_999),
+                      st.sampled_from([10, 255, 256, 10 ** 17, 10 ** 18 - 1]),
+                      st.integers(0, 10 ** 18 - 1))
+    table = {x: tuple(draw(st.lists(value, min_size=u, max_size=u))) for x in inputs}
+    return Scheme(n=n, u=u, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
+                  probes=((),) * n, encoder=TableEncoder(table),
+                  decoders=(TableDecoder({}),) * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(padded_tables())
+@example(_bracket_table20())
+def test_every_written_table_with_cells_under_10_18_is_read_by_stride(scheme):
+    text = write_scheme(scheme)
+    with _stride_reads() as reads:
+        back = read_scheme(text)
+    assert reads[0] is not None
+    assert write_scheme(back) == text
+    assert back.encoder == scheme.encoder
+
+
+# (edit, new row, read by stride) on the row "  01 ->   7  20" of a table three bytes a field
+_PADDED_EDITS = [("space after a digit", "  01 ->   7 2 0", False),
+                 ("space ends a field", "  01 ->   7 20 ", False),
+                 ("zeros for spaces", "  01 -> 007 020", True),
+                 ("digits in the padding", "  01 -> 107  20", True)]
+
+
+@pytest.mark.parametrize("edit,row,by_stride", _PADDED_EDITS, ids=[e[0] for e in _PADDED_EDITS])
+def test_a_padded_field_holds_spaces_only_before_its_digits(edit, row, by_stride):
+    table = {(0, 0): (5, 100), (0, 1): (7, 20), (1, 0): (100, 3), (1, 1): (42, 9)}
+    scheme = Scheme(n=2, u=2, cell_alphabet=101, domain=DOMAIN_ALL, kind=KIND_SUM,
+                    probes=((0,), (1,)), encoder=TableEncoder(table),
+                    decoders=(TableDecoder({}),) * 2)
+    text = write_scheme(scheme)
+    assert "\n  01 ->   7  20\n" in text
+    text = text.replace("  01 ->   7  20", row)
+    with _stride_reads() as reads:
+        outcome = _read_outcome(read_scheme, text)
+    assert outcome == _read_outcome(reference.read_scheme, text)
+    assert (reads[0] is not None) == by_stride
 
 
 def test_a_callable_encoders_rows_are_written_as_the_template_writer_writes_them():

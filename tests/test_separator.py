@@ -104,26 +104,36 @@ def test_stage_zero_floor_is_met_by_one_set_below_the_crossover():
 def test_bracket_separator_names_the_floor_stage_zero_missed(monkeypatch):
     monkeypatch.setattr("cellprobe.separator._meets", lambda *args: False)
     with pytest.raises(ConsistencyError, match=r"stage 0 found 16 disjoint sets, under n/lg\^8 n"):
-        find_separator_brackets([{i} for i in range(16)], 4, require_preconditions=False)
+        find_separator_brackets([{i} for i in range(16)], 4)
 
 
 def test_bracket_separator_preconditions():
     family = [{i} for i in range(16)]
     with pytest.raises(ParameterError):
         find_separator_brackets(family, 3)
-    # q = 2 exceeds (lg lg 16)/4
+    # q = 2 exceeds (lg lg 16)/4: reported, not refused
     fam_q2 = [{i, i + 1} for i in range(16)]
-    with pytest.raises(ParameterError):
-        find_separator_brackets(fam_q2, 4)
-    res = find_separator_brackets(fam_q2, 4, require_preconditions=False)
-    assert res.a == 64 and res.b == 256
+    res = find_separator_brackets(fam_q2, 4)
+    assert res.a == 64 and res.b == 256 and not res.precondition_ok
     assert res.v_floor == (Fraction(res.w) >= Fraction(16, 4 ** res.a))
+
+
+@pytest.mark.parametrize("n,q", [(2 ** 16 - 1, 1), (2 ** 16, 1), (2 ** 16, 2)])
+def test_the_bracket_precondition_is_decided_exactly(n, q):
+    # q <= (lg lg n)/c at c = 4 is lg n >= 2^(4q), that is n >= 2^(2^(4q)): 2^16 at q = 1,
+    # and 2^256 at q = 2, which no enumerable family reaches
+    family = [{i % 128, 128 + i % 3} if q == 2 else {i % 128} for i in range(n)]
+    least = Fraction(2) ** 2 ** (4 * q)
+    assert least == {1: 2 ** 16, 2: 2 ** 256}[q]
+    res = find_separator_brackets(family, 4)
+    assert res.q == q
+    assert res.precondition_ok == (Fraction(n) >= least) == (n == 2 ** 16 and q == 1)
 
 
 def test_bracket_separator_exponent_limit():
     fam = [set(range(i, i + 6)) for i in range(0, 60, 6)]
     with pytest.raises(SizeError):
-        find_separator_brackets(fam, 4, require_preconditions=False)
+        find_separator_brackets(fam, 4)
 
 
 def test_bracket_separator_thresholds_decrease_with_stage():
@@ -177,15 +187,16 @@ def test_separator_matches_the_frozenset_reference(family, gap):
 @example([{i % 3} for i in range(16)], 4)
 @example([(i % 5, (i * 3) % 7 + 10, 10) for i in range(20)], 4)
 def test_bracket_separator_matches_the_frozenset_reference(family, c):
-    got = _outcome(find_separator_brackets, family, c, require_preconditions=False)
-    want = _outcome(reference.find_separator_brackets, family, c, require_preconditions=False)
+    got = _outcome(find_separator_brackets, family, c)
+    want = _outcome(reference.find_separator_brackets, family, c)
     if not isinstance(want, reference.BracketSchedule):
         assert got == want
         return
     # the full stage loop settles at stage 0 with B empty: the result's constants rest on it
     assert (want.stages_run, want.B, want.b_size_ok) == (1, frozenset(), True)
     assert got == BracketSeparatorResult(V=want.V, a=want.a, b=want.b, n=want.n, q=want.q,
-                                         c=want.c, size_floor_ok=want.size_floor_ok)
+                                         c=want.c, size_floor_ok=want.size_floor_ok,
+                                         precondition_ok=want.precondition_ok)
     (stage,) = want.log
     assert (got.B, got.stages_run) == (want.B, want.stages_run)
     assert got.stage_log == tuple(zip(
@@ -312,7 +323,7 @@ def test_a_hot_pool_family_and_singletons_at_2_12_sets_match_the_reference():
     assert res.stages_run >= 2 and res.B and res.q == 3
     assert res == reference.find_separator(family, 2)
     singletons = [{v} for v in rng.integers(0, 256, n).tolist()]
-    got = find_separator_brackets(singletons, 4, require_preconditions=False)
+    got = find_separator_brackets(singletons, 4)
     assert got.V == reference.greedy_disjoint(singletons)
 
 
