@@ -119,11 +119,12 @@ def catalan_count(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ballot_table(n: int) -> np.ndarray:
+def _ballot_table(n: int) -> tuple[np.ndarray, int]:
     """T[p, j]: how many balanced strings of length n continue p bits holding j ones with
     a close at position p (0 at depth 2j - p = 0), from the ballot numbers ways[r, h + 1],
-    the walks of r steps from depth h down to 0 that never go below it.  A count past
-    int64 is held as int64's largest value, which no int64 rank reaches."""
+    the walks of r steps from depth h down to 0 that never go below it; and ways[n, 1],
+    the count of the strings.  A count past int64 is held as int64's largest value, which
+    no int64 rank reaches."""
     top = np.uint64(np.iinfo(np.int64).max)
     ways = np.zeros((n + 1, n + 3), dtype=np.uint64)
     ways[0, 1] = 1
@@ -133,7 +134,7 @@ def _ballot_table(n: int) -> np.ndarray:
     depth = 2 * j - p
     table = np.where(depth > 0, ways[n - 1 - p, np.maximum(depth, 0)], np.uint64(0))
     table.flags.writeable = False  # one cached table serves every caller
-    return table
+    return table, int(ways[n, 1])
 
 
 def unrank_balanced(n: int, start: int, stop: int) -> np.ndarray:
@@ -145,13 +146,13 @@ def unrank_balanced(n: int, start: int, stop: int) -> np.ndarray:
     that count.  Ranks are unsigned, so rank - count wraps past the rank when the
     count is the larger, and the smaller of the two is the rank to carry on.
     """
-    last = min(catalan_count(n), 2 ** 63 - 1)
+    table, last = _ballot_table(n)
     if not 0 <= start <= stop <= last:
         raise RangeError(f"ranks {start}..{stop} outside 0..{last}, the int64 ranks of length {n}")
     ranks = np.arange(start, stop, dtype=np.uint64)
     ones = np.zeros(len(ranks), dtype=np.intp)
     bits = np.empty((n, len(ranks)), dtype=bool)
-    for p, closes in enumerate(_ballot_table(n)):
+    for p, closes in enumerate(table):
         below = closes.take(ones)
         np.greater_equal(ranks, below, out=bits[p])
         np.subtract(ranks, below, out=below)

@@ -3,11 +3,11 @@
 One command per invocation; every report is reproducible byte-for-byte for
 identical inputs.  Each command is one row of ``COMMANDS``: its name, help,
 arguments, the flags each of its modes needs, and a runner that returns the
-report and whether every guarantee it reports held.  ``main`` alone builds
-the parser, checks the mode flags, renders the report in ``--format`` and
-owns the exit codes: 0 success, 1 a reported guarantee failure
-(verification counterexample, stuck stretcher window, failed lemma bound,
-truncated pipeline), 2 usage or parameter errors.
+report and whether every guarantee it reports held.  ``main`` alone parses
+(with the one parser a process builds), checks the mode flags, renders the
+report in ``--format`` and owns the exit codes: 0 success, 1 a reported
+guarantee failure (verification counterexample, stuck stretcher window,
+failed lemma bound, truncated pipeline), 2 usage or parameter errors.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -401,7 +402,9 @@ COMMANDS = (
 )
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command in ``COMMANDS``, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cellprobe",
         description="workbench for non-adaptive cell-probe schemes "
@@ -414,7 +417,11 @@ def main(argv=None) -> int:
         for flag, keywords in row.arguments:
             p.add_argument(flag, **keywords)
         p.set_defaults(row=row)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         needs = dict(args.row.modes).get(getattr(args, "mode", None), ())
         missing = [flag for flag in needs if getattr(args, flag[2:].replace("-", "_")) is None]

@@ -16,6 +16,7 @@ stored, and widened back to int64 for each decoder.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -63,13 +64,34 @@ class Domain:
 
 
 def domain_of(name: str, n: int) -> Domain:
-    """The domain ``name`` (``DOMAIN_ALL`` or ``DOMAIN_BAL``) of length-n strings."""
+    """The domain ``name`` (``DOMAIN_ALL`` or ``DOMAIN_BAL``) of length-n strings.
+
+    A row of the bit strings is its rank's bits, the big-endian bytes of the rank
+    unpacked; a rank is an int64, so past 64 bits every one is a leading zero.  A block
+    of balanced strings prices the ballot numbers it is unranked by before they are built.
+    """
     if name == DOMAIN_BAL:
-        return Domain(catalan_count(n), partial(unrank_balanced, n))
-    # rank r has bit j at shift n-1-j; ranks are int64, so past shift 63 every bit is 0
-    shifts = np.minimum(np.arange(n - 1, -1, -1), 63)
-    return Domain(2 ** n, lambda start, stop: (
-        np.arange(start, stop)[:, None] >> shifts & 1).astype(np.int8))
+        return Domain(catalan_count(n), partial(_balanced_rows, n))
+    return Domain(2 ** n, partial(_bitstring_rows, n))
+
+
+def _bitstring_rows(n: int, start: int, stop: int) -> np.ndarray:
+    size = min(n, 64)
+    used = -(-size // 8)  # the rank's last bytes, which hold its last ``size`` bits
+    ranks = np.arange(start, stop, dtype=np.uint64).astype(">u8").view(np.uint8)
+    ranks = ranks.reshape(-1, 8)[:, 8 - used:]
+    bits = np.unpackbits(ranks, axis=1).view(np.int8)[:, 8 * used - size:]
+    if n == size:
+        return bits
+    rows = np.zeros((len(bits), n), dtype=np.int8)
+    rows[:, n - size:] = bits
+    return rows
+
+
+def _balanced_rows(n: int, start: int, stop: int) -> np.ndarray:
+    check_budget(8 * (n + 1) * (n + 3),
+                 f"unranking the balanced strings of length {n} by their ballot numbers")
+    return unrank_balanced(n, start, stop)
 
 
 def _row_keys(bits: np.ndarray) -> np.ndarray:
@@ -161,39 +183,64 @@ class TableDecoder:
     """Decoder backed by a probe-values -> answer table.
 
     Value tuples that never arise from the domain default to 0, keeping the
-    decoder total without bloating serialized tables.  Answers are int64.
+    decoder total without bloating serialized tables.  Answers are int64.  On the
+    first call with rows of a width, the table's keys of that width are laid out once
+    as an answer per slot of their key space, and every call looks its rows up there.
     """
 
-    __slots__ = ("table", "default")
+    __slots__ = ("table", "default", "_slots")
 
     def __init__(self, table, default: int = 0):
         self.table = {tuple(k): int(v) for k, v in table.items()}
         self.default = int(default)
         if not all(-2 ** 63 <= v < 2 ** 63 for v in (*self.table.values(), self.default)):
             raise ParameterError("decoder answers must lie in [-2^63, 2^63)")
+        self._slots = {}
+
+    def _slot_answers(self, w: int):
+        """``(lo, radix, answers)`` for rows of w values, built on first use: each key of
+        w values folded base radix from lo and its answer at that slot, the default at
+        every other.  None when a key of w values is no int64 tuple, or their key space
+        is not small beside them."""
+        if w not in self._slots:
+            keys = [key for key in self.table if len(key) == w]
+            try:
+                matrix = np.array([[operator.index(v) for v in key] for key in keys],
+                                  dtype=np.int64).reshape(len(keys), w)
+            except (TypeError, OverflowError):
+                matrix = None
+            slots = None
+            if matrix is not None:
+                lo = int(matrix.min()) if matrix.size else 0
+                radix = int(matrix.max()) - lo + 1 if matrix.size else 1
+                if is_dense(radix ** w, len(keys)):
+                    answers = np.full(radix ** w, self.default, dtype=np.int64)
+                    answers[fold_rows(matrix, radix, lo)] = [self.table[key] for key in keys]
+                    slots = lo, radix, answers
+            self._slots[w] = slots
+        return self._slots[w]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """The answer for every row of a values matrix, one lookup per distinct row.
+        """The answer for every row of a values matrix.
 
-        Each row folds into one base-radix key.  While the key space is small beside
-        the rows, the keys present are found by counting and each is looked up once;
-        past that, the rows are grouped by ``group_rows``'s sort.
+        A row folds into its slot of the table's answers for rows of its width, and a
+        row with a value outside the table's keys takes the default.  Without such
+        answers, the rows are grouped by ``group_rows``'s sort and each distinct row is
+        looked up once.
         """
         values = np.asarray(values, dtype=np.int64)
-        (k, w), get = values.shape, self.table.get
-        lo = int(values.min()) if values.size else 0
-        radix = int(values.max()) - lo + 1 if values.size else 1
-        space = radix ** w
-        if not is_dense(space, k):
+        slots = self._slot_answers(values.shape[1])
+        if slots is None:
             first, inverse = group_rows(values)
-            out = [get(tuple(row), self.default) for row in values[first].tolist()]
+            out = [self.table.get(tuple(row), self.default) for row in values[first].tolist()]
             return np.array(out, dtype=np.int64)[inverse]
-        key = fold_rows(values, radix, lo)
-        present = np.flatnonzero(np.bincount(key, minlength=space))
-        rows = present[:, None] // radix ** np.arange(w - 1, -1, -1) % radix + lo
-        answers = np.zeros(space, dtype=np.int64)
-        answers[present] = [get(row, self.default) for row in map(tuple, rows.tolist())]
-        return answers[key]
+        lo, radix, answers = slots
+        hi = lo + radix - 1
+        if not values.size or lo <= values.min() and values.max() <= hi:
+            return answers.take(fold_rows(values, radix, lo))
+        out = answers.take(fold_rows(np.clip(values, lo, hi), radix, lo))
+        out[((values < lo) | (values > hi)).any(axis=1)] = self.default
+        return out
 
     def __eq__(self, other):
         return (
@@ -277,34 +324,31 @@ class Scheme:
         inputs are encoded.
         """
         if self._domain is None:
-            if limit is not None and limit < self.domain_size():
-                return self._encode(limit)
-            object.__setattr__(self, "_domain", self._encode(None))
+            dtype = cell_dtype(self.cell_alphabet)
+            row, advice = self.n + dtype.itemsize * self.u, "; encode a prefix with --max-inputs"
+            # a balanced domain holds at least 2^(n/2 - 1) strings, priced before they are counted
+            if limit is None and self.domain == DOMAIN_BAL:
+                check_budget(2 ** (self.n // 2 - 1) * row,
+                             f"encoding the balanced strings of length {self.n}", advice)
+            domain = domain_of(self.domain, self.n)
+            size = domain.size if limit is None else min(limit, domain.size)
+            what = f"encoding {fmt_short(size)} inputs of a domain of {fmt_short(domain.size)}"
+            check_budget(size * row, what, advice)
+            bits = np.empty((size, self.n), dtype=np.int8)
+            cells = np.empty((size, self.u), dtype=dtype)
+            for start in range(0, size, _ENCODE_CHUNK):
+                stop = min(start + _ENCODE_CHUNK, size)
+                block = domain.rows(start, stop)
+                bits[start:stop] = block
+                # checked in int64 within [0, m), so the narrow type holds every value
+                cells[start:stop] = self._encode_rows(block)
+            bits.flags.writeable = False
+            cells.flags.writeable = False
+            if size < domain.size:
+                return bits, cells
+            object.__setattr__(self, "_domain", (bits, cells))
         bits, cells = self._domain
         return bits[:limit], cells[:limit]
-
-    def _encode(self, limit: int | None) -> tuple[np.ndarray, np.ndarray]:
-        dtype = cell_dtype(self.cell_alphabet)
-        row, advice = self.n + dtype.itemsize * self.u, "; encode a prefix with --max-inputs"
-        # a balanced domain holds at least 2^(n/2 - 1) strings, priced before they are counted
-        if limit is None and self.domain == DOMAIN_BAL:
-            check_budget(2 ** (self.n // 2 - 1) * row,
-                         f"encoding the balanced strings of length {self.n}", advice)
-        domain = domain_of(self.domain, self.n)
-        size = domain.size if limit is None else min(limit, domain.size)
-        what = f"encoding {fmt_short(size)} inputs of a domain of {fmt_short(domain.size)}"
-        check_budget(size * row, what, advice)
-        bits = np.empty((size, self.n), dtype=np.int8)
-        cells = np.empty((size, self.u), dtype=dtype)
-        for start in range(0, size, _ENCODE_CHUNK):
-            stop = min(start + _ENCODE_CHUNK, size)
-            block = domain.rows(start, stop)
-            bits[start:stop] = block
-            # checked in int64 within [0, m), so the narrow type holds every value
-            cells[start:stop] = self._encode_rows(block)
-        bits.flags.writeable = False
-        cells.flags.writeable = False
-        return bits, cells
 
     def _encode_rows(self, bits: np.ndarray) -> np.ndarray:
         """Cells of a block of inputs, checked; the first bad row raises.

@@ -145,6 +145,15 @@ def _threshold(sums, mass, denom: int) -> ThresholdReport | None:
                            pr_lower_tail=Fraction(total - tails[k + 1], denom))
 
 
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    """Each row's sum in int64, added up a column at a time: a row sum over many short
+    rows costs far more than a pass down each of their few columns."""
+    sums = np.zeros(len(block), dtype=np.int64)
+    for column in block.T:
+        sums += column
+    return sums
+
+
 def find_threshold(dist, a_set, p: int) -> ThresholdReport | None:
     """Largest integer t with Pr[prefix in A and prefix-sum >= t] >= 1/4.
 
@@ -155,7 +164,7 @@ def find_threshold(dist, a_set, p: int) -> ThresholdReport | None:
     first, inverse = group_rows(prefix)
     in_a = np.array([tuple(y) in members for y in prefix[first].tolist()], dtype=bool)
     mask = in_a[inverse]
-    sums, at_sum = np.unique(prefix[mask].sum(axis=1), return_inverse=True)
+    sums, at_sum = np.unique(_row_sums(prefix)[mask], return_inverse=True)
     return _threshold(sums, sum_by(len(sums), at_sum, dist.counts[mask]).tolist(), dist.denom)
 
 
@@ -258,8 +267,8 @@ def entropy_sum_analysis(dist, p: int, i: int, j: int, c) -> EntropySumWitness:
     """Exact threshold analysis by enumeration over the distribution's support."""
     _validate_indices(dist.arity, p, i, j, c)
     prefix = good_prefix_set(dist, p, j, c)
-    sum_j = dist.rows[:, :j].sum(axis=1)
-    sum_i = dist.rows[:, :i].sum(axis=1)
+    sum_i = _row_sums(dist.rows[:, :i])
+    sum_j = sum_i + _row_sums(dist.rows[:, i:j])
 
     def prob(mask) -> Fraction:
         return Fraction(int(dist.counts[mask].sum()), dist.denom)

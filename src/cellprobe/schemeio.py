@@ -33,12 +33,15 @@ The encoder rows are read by stride when they share one byte layout: every
 row up to a line that starts with a byte past ' ' (or the end of the text) is
 the first row's bytes apart from its bits (``0``, ``1``, ``(``, ``)``) and its
 value fields, each at most 18 bytes of spaces then digits.  Such rows are one
-k x L byte matrix, L the first row's line length, read field by field; every
-table written with u >= 1 and cells in [0, 10^18) is read so.  Any other
-table (u = 0, a negative or 19-digit value, rows spaced some other way) is
-read a line at a time, and every refusal comes from that reader or from the
-repeated input check both share.  A file's bytes are read as they are, with
-no second copy as a str, when they are ASCII and hold no line break but '\n'.
+k x L byte matrix, L the first row's line length, checked and read 4,096 rows
+at a time, the blocks they are written in: each check is one pass over a
+block's bytes against the first row's template laid out for a whole block, so
+no temporary spans the matrix.  Every table written with u >= 1 and cells in
+[0, 10^18) is read so.  Any other table (u = 0, a negative or 19-digit value,
+rows spaced some other way) is read a line at a time, and every refusal comes
+from that reader or from the repeated input check both share.  A file's bytes
+are read as they are, with no second copy as a str, when they are ASCII and
+hold no line break but '\n'.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ _NUMERAL = re.compile(r"[+-]?[0-9]+")
 _LONG = re.compile(r"[^ ]{19}")  # a value of 19 characters or more may be past int64
 # the ASCII line breaks str.splitlines knows besides '\n', and '\x1f', which str.rstrip strips
 _ODD = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_BLOCK = 4096  # the rows of one encoder block, as written and as read by stride
 
 
 def _values_key(values: tuple[int, ...]) -> str:
@@ -91,8 +95,8 @@ def _encoder_lines(scheme: Scheme) -> list[str]:
     head = np.frombuffer(b"  " + b"0" * n + b" -> ", np.uint8)
     last = n + 5 + width  # the column of each row's first value's last digit
     blocks = []
-    for start in range(0, k, 4096):
-        bits, values = inputs[start:start + 4096], cells[start:start + 4096]
+    for start in range(0, k, _BLOCK):
+        bits, values = inputs[start:start + _BLOCK], cells[start:start + _BLOCK]
         rows = np.empty((len(bits), n + 6 + max(u * (width + 1), 2)), dtype=np.uint8)
         rows[:, :n + 6] = head
         rows[:, 2:n + 2] += bits.view(np.uint8)
@@ -212,7 +216,8 @@ def _stride_rows(raw: bytes, start: int, n: int):
     must be the first row ``  <n bits> -> <values>`` apart from its bits and value fields, and
     the line after the rows must start with a byte past ' ' or the text end there.  A field runs
     from the byte after the space before it to the end of the first row's digit run there, at
-    most 18 bytes so int64 holds every value; spaces only before its digits are leading zeros."""
+    most 18 bytes so int64 holds every value; spaces only before its digits are leading zeros.
+    The matrix is checked and read ``_BLOCK`` rows at a time, up to the first row in doubt."""
     row = raw[start:raw.find(b"\n", start) + 1]
     if n < 1 or len(row) < n + 8 or row[:2] != b"  " or row[n + 2:n + 6] != b" -> ":
         return None
@@ -225,37 +230,51 @@ def _stride_rows(raw: bytes, start: int, n: int):
         return None
     width, k = len(row), (len(raw) - start) // len(row)
     rows = np.frombuffer(raw, np.uint8, k * width, start).reshape(k, width)
-    broken = rows[:, -1] != 10  # the rows from the first without a line end on are no lines
-    rows = rows[:int(np.argmax(broken)) if broken.any() else k]
     # each byte less the least its column allows, and the most that may leave: the
-    # template's own byte in a gap or the arrow, '0'-'9' in a value, '(' to '1' in the input
+    # template's own byte in a gap or the arrow, '0'-'9' in a value, and in the input
+    # '(' 0, ')' 1, '0' 8, '1' 9, the offsets that & 0xf6 clears
     low, most = np.frombuffer(row, np.uint8).copy(), np.zeros(width, dtype=np.uint8)
+    keep = np.full(width, 0xff, dtype=np.uint8)
     spans = list(zip(starts.tolist(), ends.tolist()))
-    field = np.concatenate([np.arange(a, b) for a, b in spans])
     pad = np.concatenate([np.arange(a, b - 1) for a, b in spans])  # each field's bytes but its last
-    low[field], most[field] = 48, 9
-    low[2:n + 2], most[2:n + 2] = 40, 9
-    offset = rows - low
-    space = rows[:, pad] == 32  # a leading zero, if no digit of its field is before it
-    offset[:, pad] = np.where(space, 0, offset[:, pad])
+    for a, b in spans:
+        low[a:b], most[a:b] = 48, 9
+    low[2:n + 2], keep[2:n + 2] = 40, 0xf6
     same = np.flatnonzero(np.diff(pad) == 1)  # the pad bytes whose next is one of their field
-    bits = offset[:, 2:n + 2]  # '(' 0, ')' 1, '0' 8, '1' 9: the offsets up to 9 that & 6 clears
-    bad = _rows(offset > most) | _rows((bits & 6) > 0) | _rows(space[:, same + 1] > space[:, same])
-    bits = (bits == 0) | (bits == 9)
-    digits = np.take(offset, field, axis=1)
-    del offset  # the cells take its room
-    k = int(np.argmax(bad)) if bad.any() else len(rows)
+    # the templates laid out for a whole block, so each check is one pass over its bytes
+    low, most, keep = (np.tile(t, min(k, _BLOCK)) for t in (low, most, keep))
+    bits = np.empty((k, n), dtype=bool)
+    cells = np.empty((k, len(sizes)), dtype=cell_dtype(10 ** int(sizes.max())))
+    for top in range(0, k, _BLOCK):
+        block = rows[top:top + _BLOCK]
+        size = block.size
+        offset = np.subtract(block.reshape(-1), low[:size]).reshape(block.shape)
+        space = block[:, pad] == 32  # a leading zero, if no digit of its field is before it
+        offset[:, pad] = np.where(space, 0, offset[:, pad])
+        wrong = (offset.reshape(-1) & keep[:size]) > most[:size]
+        # a row that is no line, from the first without a line end on, or out of the template
+        bad = ((block[:, -1] != 10) | _rows(wrong.reshape(block.shape))
+               | _rows(space[:, same + 1] > space[:, same]))
+        good = int(np.argmax(bad)) if bad.any() else len(block)
+        # an input byte's bit: '1' and '(' are odd after it is xor-ed with itself >> 3
+        code = block.reshape(-1) >> 3
+        code ^= block.reshape(-1)
+        code &= 1
+        bits[top:top + good] = code.view(bool).reshape(block.shape)[:good, 2:n + 2]
+        # Horner's rule down the value fields, each value's p-th byte at once, in the
+        # narrowest type that holds every numeral as long as the widest field
+        value = cells[top:top + good]
+        value[:] = offset[:good, starts]
+        for p in range(1, int(sizes.max())):
+            live = np.flatnonzero(sizes > p)
+            value[:, live] = value[:, live] * 10 + offset[:good, starts[live] + p]
+        if good < len(block):
+            k = top + good
+            break
     end = start + k * width
     if end < len(raw) and raw[end] <= 32:
         return None
-    # Horner's rule down the value fields, each value's p-th byte at once, in the
-    # narrowest type that holds every numeral as long as the widest field
-    first = np.cumsum(sizes) - sizes
-    cells = np.take(digits[:k], first, axis=1).astype(cell_dtype(10 ** int(sizes.max())))
-    for p in range(1, int(sizes.max())):
-        live = np.flatnonzero(sizes > p)
-        cells[:, live] = cells[:, live] * 10 + digits[:k, first[live] + p]
-    return bits[:k], cells, np.arange(k), end - start
+    return bits[:k], cells[:k], np.arange(k), end - start
 
 
 def _line_rows(text: str | bytes, start: int, n: int, first: int):

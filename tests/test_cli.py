@@ -4,11 +4,13 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import cellprobe
+from cellprobe import cli
 
 from cellprobe.cli import OUTDIR_ENV, main
 from cellprobe.core import (DOMAIN_ALL, DOMAIN_BAL, KIND_MATCH, KIND_SUM, Scheme, TableDecoder,
@@ -572,6 +574,67 @@ def test_a_long_balanced_length_is_refused_before_it_is_counted(tmp_path, monkey
     with pytest.raises(ParameterError, match="even non-negative length, got 7"):
         Scheme(n=7, u=0, cell_alphabet=2, domain=DOMAIN_BAL, kind=KIND_MATCH, probes=((),) * 7,
                encoder=TableEncoder({}), decoders=(TableDecoder({}),) * 7)
+
+
+def test_a_prefix_of_a_long_balanced_domain_prices_its_ballot_numbers(tmp_path, monkeypatch,
+                                                                     capsys):
+    """``verify --max-inputs`` unranks a prefix of the balanced strings by their ballot
+    numbers, (n + 1) x (n + 3) uint64: priced before they are built, with the domain
+    counted once.  At n = 100,000 they would take 80 GB."""
+    counted = []
+
+    def count(n, _count=cellprobe.catalan_count):
+        counted.append(n)
+        return _count(n)
+
+    monkeypatch.setattr("cellprobe.core.catalan_count", count)
+    for n, budget in ((100_000, 2 ** 31), (1000, 2 ** 20)):
+        monkeypatch.setattr("cellprobe.core._ENCODE_BUDGET_BYTES", budget)
+        path = str(tmp_path / f"brackets{n}.scm")
+        assert main(["build-scheme", "--name", "bracket_table", "--n", str(n), "--out", path]) == 0
+        capsys.readouterr()
+        counted.clear()
+        traced = n == 1000  # tracing reads the 10^5 probe lines of the larger file slowly
+        if traced:
+            tracemalloc.start()
+        try:
+            code = main(["verify", "--scheme", path, "--max-inputs", "5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = 8 * (n + 1) * (n + 3)
+        assert code == 2 and counted == [n]
+        assert capsys.readouterr().err == (
+            f"error: unranking the balanced strings of length {n} by their ballot numbers takes "
+            f"{need} bytes, over the {budget}-byte budget\n")
+        if traced:  # the scheme and its file, but none of the 8 MB of ballot numbers
+            assert peak < 2 ** 20
+
+
+def test_one_parser_serves_commands_back_to_back(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [["brackets", "count", "--n", "8"], ["brackets", "walk", "--d", "4", "--format", "machine"],
+            ["brackets", "count", "--n", "8"], ["stretcher", "--indices", "1,2", "--n", "4", "--c", "2"]]
+    outs = []
+    for argv in runs:
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[2] == "14\n" and outs[1].startswith("d=4\n") and outs[3]
+    assert cli._parser() is cli._parser()
+    # help from the kept parser is the help a freshly built one prints
+    for argv in (["--help"], ["verify", "--help"]):
+        texts = []
+        for parse in (main, cli._parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as done:
+                parse(argv)
+            assert done.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: cellprobe")
+    for argv in (["no-such-command"], ["verify"], ["brackets", "count", "--n", "x"]):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 2 and capsys.readouterr().err.startswith("usage: cellprobe")
+    assert main(["brackets", "count", "--n", "8"]) == 0 and capsys.readouterr().out == "14\n"
 
 
 @pytest.mark.parametrize("limit", ["0", "-5"])

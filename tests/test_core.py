@@ -258,7 +258,7 @@ def test_decoders_receive_int64_values_from_narrow_cells():
 
 
 def test_all_bitstrings_domain_rows_are_the_bits_of_their_ranks():
-    for n in (1, 5, 11):
+    for n in (1, 5, 7, 8, 9, 11, 16):
         domain = domain_of(DOMAIN_ALL, n)
         blocks = [domain.rows(a, min(a + 300, domain.size)) for a in range(0, domain.size, 300)]
         assert domain.size == 2 ** n and all(b.dtype == np.int8 for b in blocks)
@@ -267,6 +267,17 @@ def test_all_bitstrings_domain_rows_are_the_bits_of_their_ranks():
     rows = domain_of(DOMAIN_ALL, 100).rows(5, 7)
     assert rows.shape == (2, 100) and not rows[:, :97].any()
     assert rows[:, 97:].tolist() == [[1, 0, 1], [1, 1, 0]]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 100])
+def test_all_bitstrings_rows_are_their_ranks_bits_past_a_byte_of_bits(n):
+    # blocks across a 4,096-rank edge, across 2^62 and up to the last rank an int64 holds
+    domain = domain_of(DOMAIN_ALL, n)
+    for start, stop in ((4090, 4100), (2 ** 62 - 3, 2 ** 62 + 3), (2 ** 63 - 5, 2 ** 63 - 1)):
+        rows = domain.rows(start, stop)
+        assert rows.dtype == np.int8 and rows.shape == (stop - start, n)
+        assert rows.tolist() == [[r >> (n - 1 - j) & 1 for j in range(n)]
+                                 for r in range(start, stop)]
 
 
 def test_the_budget_prices_cells_by_their_item_size(monkeypatch):
@@ -481,6 +492,35 @@ def test_table_decoder_counts_keys_while_the_key_space_is_small_beside_the_rows(
     decoder = TableDecoder({tuple(r): int(a) for r, a in zip(values[:500].tolist(),
                                                             rng.integers(-9, 9, 500))}, 3)
     assert decoder(values).tolist() == reference.table_decode(decoder, values).tolist()
+
+
+@pytest.mark.parametrize("width,low,high,keys", [
+    (0, 0, 1, 1), (1, -5, 5, 6), (2, -3, 3, 20), (3, 0, 2, 5),
+    (3, -60, 60, 300),  # 121^3 keys: past a dense answer table for 300 keys
+    (2, -2 ** 63, 2 ** 63 - 1, 10)])
+def test_table_decoder_equals_a_dict_lookup(width, low, high, keys):
+    rng = np.random.default_rng(width + keys)
+    table = {tuple(r): int(a) for r, a in zip(
+        rng.integers(low, high, (keys, width), endpoint=True).tolist(),
+        rng.integers(-2 ** 63, 2 ** 63 - 1, keys, endpoint=True))}
+    decoder = TableDecoder(table, default=-7)
+    # rows of the table's keys, and rows spread wider than them that miss it
+    values = np.concatenate([np.array(list(table), dtype=np.int64).reshape(len(table), width),
+                             rng.integers(max(low - 3, -2 ** 63), min(high + 3, 2 ** 63 - 1),
+                                          (500, width), endpoint=True)])
+    values = values[rng.permutation(len(values))]
+    for rows in (values, values[:1], values[:0]):
+        got = decoder(rows)
+        assert got.dtype == np.int64
+        assert got.tolist() == [table.get(tuple(r), -7) for r in rows.tolist()]
+
+
+def test_table_decoder_answers_rows_of_each_width_apart():
+    decoder = TableDecoder({(): 4, (1,): 5, (1, 2): 6, (1, 2.5): 9}, default=-1)
+    assert decoder(np.zeros((2, 0), dtype=np.int64)).tolist() == [4, 4]
+    assert decoder(np.array([[1], [2], [0]])).tolist() == [5, -1, -1]
+    assert decoder(np.array([[1, 2], [1, 3], [2, 2]])).tolist() == [6, -1, -1]
+    assert decoder(np.array([[1, 2, 3]])).tolist() == [-1]
 
 
 def _encode_by_dict(table: dict, bits: np.ndarray) -> list:

@@ -1,6 +1,7 @@
 """Scheme file format: write, read, and byte-identical round trips."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import os
@@ -232,6 +233,44 @@ def test_every_written_table_with_cells_under_10_18_is_read_by_stride(scheme):
     assert reads[0] is not None
     assert write_scheme(back) == text
     assert back.encoder == scheme.encoder
+
+
+@functools.lru_cache(maxsize=None)
+def _written(name: str) -> str:
+    return write_scheme({"mirror16": _mirror16, "bracket_table20": _bracket_table20}[name]())
+
+
+# (table, edit, the edited row from the row) at the edges of the stride reader's 4,096-row
+# blocks; bracket_table20's value fields are two bytes, the first a space below 10
+_EDGE_EDITS = [
+    ("mirror16", "bit to 2", lambda row: row[:3] + "2" + row[4:]),
+    ("mirror16", "digit to x", lambda row: row[:-1] + "x"),
+    ("mirror16", "short input", lambda row: row[:2] + row[3:]),
+    ("bracket_table20", "space after a digit", lambda row: row[:26] + "1 " + row[28:]),
+    ("bracket_table20", "value changed", lambda row: row[:-2] + "19"),
+]
+
+
+@pytest.mark.parametrize("row", [4095, 4096, 4097, -1], ids=["4095", "4096", "4097", "last"])
+@pytest.mark.parametrize("table,edit,change", _EDGE_EDITS, ids=[e[1] for e in _EDGE_EDITS])
+def test_a_row_at_a_block_edge_reads_as_the_line_reader_reads_it(table, edit, change, row):
+    """An edited row on either side of a 4,096-row edge, or last, reads as the line reader
+    reads it: a changed value by stride, a row in doubt a line at a time, and a refusal
+    names that row's line, 8 + its rank."""
+    lines = _written(table).split("\n")
+    first = lines.index("encoder: table") + 1
+    at = first + row % (lines.index("probes:") - first)
+    lines[at] = change(lines[at])
+    edited = "\n".join(lines)
+    with _stride_reads() as reads:
+        outcome = _read_outcome(read_scheme, edited)
+    assert outcome == _read_outcome(reference.read_scheme, edited)
+    if edit == "value changed":
+        assert reads[0] is not None and write_scheme(outcome[0]) == edited
+    else:
+        assert reads == [None]
+    if table == "mirror16":
+        assert outcome[1].startswith(f"line {at + 1}: ")
 
 
 # (edit, new row, read by stride) on the row "  01 ->   7  20" of a table three bytes a field
