@@ -4,7 +4,7 @@ Convention: bit 1 is an open bracket and bit 0 is a closed bracket, so every
 prefix of a balanced string has at least as many ones as zeros.  The empty
 string (n = 0) counts as balanced.
 
-The matrix kernels (``match_rows``, ``unmatched_ends``, ``unrank_balanced``)
+The matrix kernels (``partners``, ``unmatched_ends``, ``unrank_balanced``)
 work on a block of strings transposed to position-major order, so that each
 step, one depth, one partner distance or one bit of a rank, is a single pass
 over every string of the block.
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, RangeError
 
-# rows per block in match_rows, which keeps a few narrow n x block copies
+# rows per block in partners, which keeps a few narrow n x block copies
 _MATCH_BLOCK = 4096
 
 
@@ -49,20 +49,22 @@ def balanced(bits: np.ndarray) -> np.ndarray:
     return _balanced(_depths(bits))
 
 
-def match_rows(bits: np.ndarray) -> np.ndarray:
+def partners(bits: np.ndarray) -> np.ndarray:
     """Match for every position of every row of a k x n matrix of balanced strings.
 
-    Entry [r, p] is the 1-based partner of position p+1 in row r, as int64; the
-    result may be a transposed view of an n x k matrix.  Each block of rows is
-    scanned position-major.  An open at p pairs with the first q = p + t whose
-    depth after it is the depth before p; t is odd, so the scan tries t = 1, 3,
-    5, ... over all positions at once and stops when every open has its partner.
-    That costs O(k * n * L) for the longest partner distance L in a block: at
-    most n/2 passes, so a 64 x 2,000 fully nested block takes about a thousand.
+    Entry [r, p] is the 1-based partner of position p+1 in row r, in the narrowest
+    signed type that holds n, ``np.min_scalar_type(-n - 1)`` (int8 through n = 127); the
+    result is the transposed view of an n x k position-major matrix.  Each block of
+    rows is scanned position-major.  An open at p pairs with the first q = p + t whose
+    depth after it is the depth before p; t is odd, so the scan tries t = 1, 3, 5, ...
+    over all positions at once and stops when every open has its partner.  That costs
+    O(k * n * L) for the longest partner distance L in a block: at most n/2 passes, so
+    a 64 x 2,000 fully nested block takes about a thousand.
     """
     k, n = bits.shape
-    out = np.empty((n, k), dtype=np.int64)
-    positions = np.arange(1, n + 1)[:, None]
+    dtype = np.min_scalar_type(-n - 1)
+    out = np.empty((n, k), dtype=dtype)
+    positions = np.arange(1, n + 1, dtype=dtype)[:, None]
     for start in range(0, k, _MATCH_BLOCK):
         block = bits[start:start + _MATCH_BLOCK]
         depth = _depths(block)
@@ -72,7 +74,7 @@ def match_rows(bits: np.ndarray) -> np.ndarray:
             raise DomainError(f"input {x} is not a balanced bracket string")
         pending = depth[1:] > depth[:-1]
         # signed distance to the partner: +t on an open, -t on its close
-        dist = np.zeros(pending.shape, dtype=depth.dtype)
+        dist = np.zeros(pending.shape, dtype=dtype)
         for t in range(1, n, 2):
             hit = depth[t + 1:] == depth[:n - t]
             hit &= pending[:n - t]
@@ -83,6 +85,11 @@ def match_rows(bits: np.ndarray) -> np.ndarray:
                 break
         np.add(positions, dist, out=out[:, start:start + _MATCH_BLOCK])
     return out.T
+
+
+def match_rows(bits: np.ndarray) -> np.ndarray:
+    """``partners`` as int64: entry [r, p] is the 1-based partner of position p+1 in row r."""
+    return partners(bits).astype(np.int64)
 
 
 def unmatched_ends(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

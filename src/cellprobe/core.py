@@ -6,11 +6,12 @@ the cells in its probe set and feeds their values, ordered by cell index, to
 its decoder.  Queries are 1-indexed at the API surface; cells are 0-indexed.
 
 Encoders and decoders work on matrices, one row per input: an encoder maps a
-k x n int8 bits matrix to a k x u int64 cells matrix, and decoder i maps a
+k x n int8 bits matrix to a k x u integer cells matrix, and decoder i maps a
 k x |probe i| int64 matrix of probed values to a length-k integer column.
 Between the two, an encoded domain holds its cells in ``cell_dtype`` of the
-alphabet, one byte a cell up to 256 values: checked in int64 before they are
-stored, and widened back to int64 for each decoder.
+alphabet, one byte a cell up to 256 values: checked in the encoder's own integer
+type (int64 for any other output) before they are stored, and widened back to
+int64 for each decoder.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .bits import Bits, validate_bits
-from .brackets import balanced, catalan_count, match_rows, unrank_balanced
+from .brackets import balanced, catalan_count, partners, unrank_balanced
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -33,7 +34,7 @@ from .errors import (
     RangeError,
     SizeError,
 )
-from .infotheory import cell_dtype, fold_rows, group_rows, is_dense
+from .infotheory import _integers, cell_dtype, fold_rows, group_rows, is_dense
 from .textfmt import fmt_short
 
 DOMAIN_ALL = "all_bitstrings"
@@ -340,7 +341,7 @@ class Scheme:
                 stop = min(start + _ENCODE_CHUNK, size)
                 block = domain.rows(start, stop)
                 bits[start:stop] = block
-                # checked in int64 within [0, m), so the narrow type holds every value
+                # checked within [0, m), so the narrow type holds every value
                 cells[start:stop] = self._encode_rows(block)
             bits.flags.writeable = False
             cells.flags.writeable = False
@@ -353,11 +354,12 @@ class Scheme:
     def _encode_rows(self, bits: np.ndarray) -> np.ndarray:
         """Cells of a block of inputs, checked; the first bad row raises.
 
-        An input the encoder refuses is found by halving the block, so that a
-        bad row before it is still the one reported.
+        An integer output (any but uint64) is checked and handed back in its own type,
+        anything else as int64.  An input the encoder refuses is found by halving the
+        block, so that a bad row before it is still the one reported.
         """
         try:
-            cells = np.asarray(self.encoder(bits), dtype=np.int64)
+            cells = _integers(self.encoder(bits))
         except DomainError:
             if len(bits) <= 1:
                 raise
@@ -368,7 +370,8 @@ class Scheme:
         if cells.shape[1] != self.u:
             raise ConsistencyError(f"encoder produced {cells.shape[1]} cells, scheme has {self.u}")
         m = self.cell_alphabet
-        if cells.size and not 0 <= cells.min() <= cells.max() < m:  # rows walked only to name one
+        # rows walked only to name one; m is compared as a Python int, which no type bounds
+        if cells.size and not 0 <= int(cells.min()) <= int(cells.max()) < m:
             ok = ((cells >= 0) & (cells < m)).all(axis=1)
             row = tuple(cells[int(np.argmin(ok))].tolist())
             raise ConsistencyError(f"encoder output {row} leaves the cell alphabet [0, {m})")
@@ -442,14 +445,9 @@ def verify_scheme(scheme: Scheme, *, max_inputs: int | None = None) -> Verificat
     if max_inputs is not None and max_inputs < 1:
         raise ParameterError(f"max_inputs must be >= 1, got {max_inputs}")
     bits, cells = scheme.encoded(max_inputs)
-    # one query column at a time: Sum against a running prefix sum, Match against a
-    # position-major partner table in the narrowest type that holds n, filled a block at a time
-    matches = None
-    if scheme.kind == KIND_MATCH:
-        matches = np.empty((scheme.n, len(bits)), dtype=np.min_scalar_type(-scheme.n - 1))
-        for start in range(0, len(bits), _ENCODE_CHUNK):
-            stop = start + _ENCODE_CHUNK
-            matches[:, start:stop] = match_rows(bits[start:stop]).T
+    # one query column at a time: Sum against a running prefix sum, Match against the
+    # position-major partner table, in the narrowest type that holds n
+    matches = partners(bits).T if scheme.kind == KIND_MATCH else None
     expected = np.zeros(len(bits), dtype=np.int64)
     failures = 0
     first: Counterexample | None = None

@@ -51,7 +51,16 @@ from .core import (
 )
 from .entropy_sum import entropy_sum_analysis
 from .errors import ParameterError, SizeError
-from .infotheory import Distribution, cell_dtype, columns_tv, good_blocks, good_cells
+from .infotheory import (
+    Distribution,
+    GoodSetReport,
+    _tv,
+    cell_dtype,
+    columns_tv,
+    distinct_rows,
+    good_blocks,
+    good_cells,
+)
 from .separator import find_separator, find_separator_brackets, pairwise_disjoint
 from .stretcher import find_stretcher
 from .textfmt import fmt, fmt_short, machine_value as _mval
@@ -236,7 +245,7 @@ class _Sum:
         ))
         return [(p.left, p.right) for p in st.pairs]
 
-    def block(self, x_dist: Distribution, p: int, hi: int, i: int, j: int):
+    def block(self, x_dist: Distribution, gb: GoodSetReport, p: int, hi: int, i: int, j: int):
         """This kind's entropy-blocks fields and checks: the block's start p and its pair."""
         return (("p", p), ("i", i), ("j", j)), ()
 
@@ -330,10 +339,14 @@ class _Match:
         vs = sorted(v)
         return [min(zip(vs, vs[1:]), key=lambda pr: (pr[1] - pr[0], pr[0]))]
 
-    def block(self, x_dist: Distribution, lo: int, hi: int, i: int, j: int):
+    def block(self, x_dist: Distribution, gb: GoodSetReport, lo: int, hi: int, i: int, j: int):
         """This kind's entropy-blocks fields and checks: the fallback, the pair, and how
-        close the chosen block's bits come to uniform."""
-        (tv,) = columns_tv(x_dist.rows, [range(lo, hi)], x_dist.counts, x_dist.denom, 2)
+        close the chosen block's bits come to uniform.  The first block is a prefix, whose
+        tallies ``good_blocks`` found as runs of X's sorted rows; any other is counted."""
+        if lo:
+            (tv,) = columns_tv(x_dist.rows, [range(lo, hi)], x_dist.counts, x_dist.denom, 2)
+        else:
+            tv = _tv(gb.prefix_tallies, x_dist.denom, 2 ** hi)
         bound = Fraction(1) / (Fraction(self.c) * Fraction(self.sqrt_d))
         return (
             (("fallback", self.fallback), ("i", i), ("j", j), ("block_tv", tv),
@@ -402,7 +415,11 @@ def _good_cells(rs: RestrictedScheme, scheme: Scheme, eta: Fraction, v_set, head
     """
     m = scheme.cell_alphabet
     u_p = rs.u_prime
-    y_dist = Distribution.from_rows(rs.cells())
+    # Y's rows come in X's rank order, not sorted; good_cells and columns_tv read no row
+    # order, so rows proven distinct are held as they come, and only others are grouped
+    cells = rs.cells()
+    y_dist = (Distribution.on_distinct_rows(cells) if distinct_rows(cells)
+              else Distribution.from_rows(cells))
     subset_size = min(2 * scheme.q, u_p)
     try:
         report = good_cells(y_dist, subset_size, eta, m) if subset_size else None
@@ -455,7 +472,7 @@ def _entropy_blocks(x_dist: Distribution, n: int, pairs, kind, stages):
     good = [k for k in gb.good if 1 <= k <= len(sizes)]
     k = good[0] - 1 if good else max(range(len(sizes)), key=lambda idx: (gb.scores[idx], -idx))
     i, j = pairs[k]
-    fields, checks = kind.block(x_dist, bounds[k], bounds[k + 1], i, j)
+    fields, checks = kind.block(x_dist, gb, bounds[k], bounds[k + 1], i, j)
     stages.append(StageRecord(
         "entropy-blocks",
         (("sizes", sizes), ("eps", kind.eps), ("scores", gb.scores), ("good_blocks", gb.good),
@@ -568,7 +585,7 @@ def _walk(scheme: Scheme, kind, stages):
     if not pairs:
         return None
     # X's rows are inputs of the domain in rank order: distinct and sorted already
-    x_dist = Distribution.on_sorted_rows(rs.surviving_bits())
+    x_dist = Distribution.on_distinct_rows(rs.surviving_bits())
     p, i, j = _entropy_blocks(x_dist, scheme.n, pairs, kind, stages)
     inputs = kind.chain_inputs(x_dist, p, i, j, stages)
     if inputs is None:

@@ -12,7 +12,7 @@ import inspect
 
 import numpy as np
 
-from .brackets import match_rows
+from .brackets import partners
 from .core import DOMAIN_ALL, DOMAIN_BAL, KIND_MATCH, KIND_SUM, Scheme
 from .errors import CapacityError, ParameterError
 
@@ -176,7 +176,7 @@ def build_bracket_table(n: int, cell_alphabet: int | None = None) -> Scheme:
         domain=DOMAIN_BAL,
         kind=KIND_MATCH,
         probes=tuple((i,) for i in range(n)),
-        encoder=match_rows,
+        encoder=partners,
         decoders=(_read_single,) * n,
         builtin=_builtin_tag("bracket_table", n=n, cell_alphabet=cell_alphabet),
     )

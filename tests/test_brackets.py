@@ -20,7 +20,8 @@ from cellprobe import (
     unmatched_close_prob,
     unmatched_open_prob,
 )
-from cellprobe.brackets import balanced, unmatched_ends
+import cellprobe.brackets
+from cellprobe.brackets import balanced, partners, unmatched_ends
 from cellprobe.core import DOMAIN_BAL, domain_of
 from cellprobe.schemes import build_bracket_table
 from reference import enumerate_bal, is_balanced, scan_matches
@@ -121,6 +122,42 @@ def test_match_rows_names_the_first_unbalanced_row_in_a_later_block():
     rows[5001] = (1,) * 16
     with pytest.raises(DomainError, match=re.escape(f"input {(0, 1) * 8} is not a balanced")):
         match_rows(rows)
+
+
+def test_partners_equal_the_stack_scan_in_the_narrowest_signed_type():
+    """The partner kernel on every balanced string up to n = 14 and on random ones up to
+    n = 300, in int8 through n = 127 and int16 from n = 128; match_rows is its int64 copy."""
+    for n in range(0, 15, 2):
+        rows = balanced_rows(n)
+        got = partners(rows)
+        assert got.dtype == np.int8 and got.shape == rows.shape
+        assert got.tolist() == [list(scan_matches(x)) for x in map(tuple, rows.tolist())]
+    rng = np.random.default_rng(30)
+    for n in (*range(16, 301, 14), 126, 128, 300):
+        strings = [_random_balanced(rng, n) for _ in range(5)] + [_nested(n)]
+        got = partners(np.array(strings, dtype=np.int8))
+        assert got.dtype == (np.int8 if n <= 127 else np.int16)
+        assert got.tolist() == [list(scan_matches(x)) for x in strings]
+        wide = match_rows(np.array(strings, dtype=np.int8))
+        assert wide.dtype == np.int64 and np.array_equal(wide, got)
+    for n, dtype in ((1, np.int8), (127, np.int8), (128, np.int16), (129, np.int16),
+                     (32767, np.int16), (32768, np.int32)):
+        assert partners(np.zeros((0, n), dtype=np.int8)).dtype == dtype
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 64, 4096])
+def test_partners_answer_the_same_on_every_block_split(block, monkeypatch):
+    """The kernel's own blocks of rows are independent, and the first unbalanced row is
+    named whichever block it falls in."""
+    rows = balanced_rows(14)
+    want = [list(scan_matches(x)) for x in map(tuple, rows.tolist())]
+    monkeypatch.setattr(cellprobe.brackets, "_MATCH_BLOCK", block)
+    assert partners(rows).tolist() == want
+    bad = rows.copy()
+    bad[200] = (0, 1) * 7
+    bad[201:] = 1
+    with pytest.raises(DomainError, match=re.escape(f"input {(0, 1) * 7} is not a balanced")):
+        partners(bad)
 
 
 def test_match_index_and_its_errors():

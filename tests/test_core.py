@@ -176,6 +176,47 @@ def test_a_callable_encoder_past_a_one_byte_alphabet_is_refused(first, second):
         sch.encoded()
 
 
+@pytest.mark.parametrize("dtype, alphabet, bad, shown", [
+    (np.uint8, 255, 255, 255),             # one equal to m, in each narrow type
+    (np.int8, 100, 100, 100),
+    (np.uint16, 300, 300, 300),
+    (np.int8, 4, -3, -3),                  # a negative one
+    (np.float64, 4, 4.5, 4),               # read as int64, as before
+    (np.uint64, 4, 2 ** 64 - 1, -1),
+])
+def test_an_encoder_output_is_checked_in_its_own_type(dtype, alphabet, bad, shown):
+    """Rows 5 and 9 leave [0, m); row 5 is named with the value as int64 reads it, and
+    the same encoder without them is stored unchanged."""
+    def encode(bits, fill=bad):
+        number = bits @ (1 << np.arange(3, -1, -1))
+        cells = np.array(number[:, None] % 2, dtype=dtype)
+        cells[(number == 5) | (number == 9)] = fill
+        return cells
+
+    def scheme(encoder):
+        return Scheme(n=4, u=1, cell_alphabet=alphabet, domain=DOMAIN_ALL, kind=KIND_SUM,
+                      probes=((0,),) * 4, encoder=encoder, decoders=(_read_single,) * 4)
+
+    with pytest.raises(ConsistencyError, match=re.escape(
+            f"encoder output ({shown},) leaves the cell alphabet [0, {alphabet})")):
+        scheme(encode).encoded()
+    with pytest.raises(ConsistencyError, match=re.escape(f"encoder output ({shown},) leaves")):
+        scheme(encode).encode((0, 1, 0, 1))
+    good = scheme(lambda bits: encode(bits, fill=1))
+    assert good.encoded()[1][:, 0].tolist() == [0, 1] * 8
+    kept = dtype if np.dtype(dtype).kind in "iu" and dtype != np.uint64 else np.int64
+    assert good._encode_rows(np.zeros((2, 4), dtype=np.int8)).dtype == kept
+
+
+def test_a_bool_encoder_output_is_read_as_int64():
+    sch = Scheme(n=2, u=2, cell_alphabet=2, domain=DOMAIN_ALL, kind=KIND_SUM,
+                 probes=((0,), (0, 1)), encoder=lambda bits: bits.astype(bool),
+                 decoders=(_read_single, lambda values: values.sum(axis=1)))
+    assert sch._encode_rows(np.array([[0, 1]], dtype=np.int8)).dtype == np.int64
+    assert sch.encoded()[1].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert verify_scheme(sch).ok
+
+
 @pytest.mark.parametrize("alphabet,dtype", [
     (4, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
     (2 ** 32, np.uint32), (2 ** 32 + 1, np.int64)])

@@ -23,6 +23,7 @@ import sys
 import tempfile
 from itertools import product
 
+import numpy as np
 import pytest
 
 import reference
@@ -36,6 +37,7 @@ from cellprobe.core import (
     TableDecoder,
     TableEncoder,
 )
+from cellprobe.infotheory import columns_tv
 from cellprobe.schemeio import save_scheme
 from cellprobe.schemes import (
     build_bracket_table,
@@ -43,6 +45,7 @@ from cellprobe.schemes import (
     build_raw_identity,
     build_two_level_rank,
 )
+from cellprobe.textfmt import machine_value
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INPUTS = os.path.join(GOLDEN, "inputs")
@@ -303,12 +306,46 @@ def _assert_as_benchmarked(text: str) -> None:
 def test_far_columns_decide_every_bracket_table20_pair(tmp_path, columns_tv_calls):
     """Every bracket_table(20) column lies farther from uniform than eta = 1/(cd) at
     c = 4, so good_cells hands the kernel no pair; V2 keeps one query, so the pair test
-    counts none either, and the one subset through ``columns_tv`` is the chosen entropy
-    block.  The report does not move."""
+    counts none either.  The chosen entropy block is the first, a prefix, whose TV comes
+    from the runs of X's sorted rows and equals ``columns_tv``'s count of its columns.
+    The report does not move."""
     text = _pipeline_report("bracket_table20", tmp_path)
     _assert_as_benchmarked(text)
-    assert _fields(text)["stage.good-cells.pairs_tested"] == "0"
-    assert columns_tv_calls == {"subsets": 0, "pairs": 1}
+    fields = _fields(text)
+    assert fields["stage.good-cells.pairs_tested"] == "0"
+    assert columns_tv_calls == {"subsets": 0, "pairs": 0}
+    assert fields["stage.cell-fixing.fixed_cells"] == "-"
+    assert fields["stage.entropy-blocks.chosen_block"] == "1"
+    hi = int(fields["stage.entropy-blocks.sizes"].split(",")[0])
+    x = build_bracket_table(20).encoded()[0]
+    (tv,) = columns_tv(x, [range(hi)], np.ones(len(x), dtype=np.int64), len(x), 2)
+    assert fields["stage.entropy-blocks.block_tv"] == machine_value(tv)
+
+
+@pytest.mark.parametrize("name, distinct", [("bracket_table14", True), ("mirror16", True),
+                                            ("match_blind8", False), ("match_shared8", False)])
+def test_y_is_grouped_only_when_its_keys_repeat(name, distinct, tmp_path, monkeypatch):
+    """A correct scheme's Y has distinct rows, proven by distinct row keys, and is held as
+    encoded; a constant cell repeats Y's rows, and Y is grouped as before.  With the key
+    multiplier 0 each key is the last 64-bit word of a row's bytes, so the keys of
+    distinct rows repeat too, and Y is grouped.  The golden report does not move in any
+    of these runs."""
+    import cellprobe.infotheory as infotheory
+    import cellprobe.pipeline as pipeline
+
+    answers = []
+
+    def spy(rows, _kernel=infotheory.distinct_rows):
+        answers.append(_kernel(rows))
+        return answers[-1]
+
+    monkeypatch.setattr(pipeline, "distinct_rows", spy)
+    with open(os.path.join(GOLDEN, f"{name}.pipeline.txt"), encoding="ascii") as fh:
+        want = fh.read()
+    assert _pipeline_report(name, tmp_path) == want
+    monkeypatch.setattr(infotheory, "_KEY_MULTIPLIER", np.uint64(0))
+    assert _pipeline_report(name, tmp_path) == want
+    assert answers == [distinct, False]
 
 
 def test_the_preservation_check_decodes_each_query_once(tmp_path, decoder_calls):

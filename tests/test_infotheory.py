@@ -23,12 +23,16 @@ from cellprobe import (
     good_cells,
     tv_from_uniform,
 )
+import cellprobe.infotheory as infotheory
+from cellprobe.core import DOMAIN_ALL, DOMAIN_BAL, domain_of
 from cellprobe.infotheory import (
     _by_product,
     _keyed_tallies,
     _product_tallies,
+    _tv,
     cell_dtype,
     columns_tv,
+    distinct_rows,
     entropy_by_group,
     group_rows,
     mean_entropy,
@@ -713,10 +717,56 @@ def test_good_blocks_scores_equal_conditional_entropy_exactly(case):
 
 def test_sorted_rows_are_held_as_given():
     rows = np.array([[0, 0, 1], [0, 1, 0], [1, 1, 1]], dtype=np.int8)
-    dist = Distribution.on_sorted_rows(rows)
+    dist = Distribution.on_distinct_rows(rows)
     assert dist.rows is rows
     want = Distribution.from_rows(rows)
     assert dist.items() == want.items() and dist.denom == want.denom == 3
     assert dist.counts.dtype == want.counts.dtype
     with pytest.raises(ParameterError):
-        Distribution.on_sorted_rows(rows[:0])
+        Distribution.on_distinct_rows(rows[:0])
+
+
+def test_distinct_rows_proves_distinct_rows_and_fails_on_a_repeated_key():
+    rows = np.array(list(product(range(3), repeat=4)), dtype=np.uint8)
+    assert distinct_rows(rows) and distinct_rows(rows[::-1]) and distinct_rows(rows[:1])
+    assert distinct_rows(rows[:0]) and distinct_rows(np.zeros((1, 0), dtype=np.int8))
+    assert not distinct_rows(np.vstack((rows, rows[5:6])))
+    assert not distinct_rows(np.zeros((2, 0), dtype=np.int8))
+    # two distinct rows built to share a key: 0 * M + M = 1 * M + 0, wrapped to 64 bits
+    multiplier = int(infotheory._KEY_MULTIPLIER)
+    assert not distinct_rows(np.array([[0, multiplier - 2 ** 64], [1, 0]], dtype=np.int64))
+
+
+row_sets = st.integers(2, 4).flatmap(lambda m: st.integers(1, 5).flatmap(lambda u: st.tuples(
+    st.just(m), st.lists(st.tuples(*[st.integers(0, m - 1)] * u), min_size=1, max_size=40,
+                         unique=True))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_sets, st.integers(1, 3), st.sampled_from([Fraction(1, 20), Fraction(1, 4),
+                                                      Fraction(3, 4)]), st.data())
+def test_good_cells_reads_no_row_order(case, q, eta, data):
+    """Distinct rows held in any order give good_cells' report of the grouped rows, with
+    the same subsets counted at the same distances."""
+    m, rows = case
+    y = np.array(rows, dtype=np.uint8)
+    order = data.draw(st.permutations(range(len(rows))))
+    q = min(q, y.shape[1])
+    want = good_cells(Distribution.from_rows(y), q, eta, m)
+    got = good_cells(Distribution.on_distinct_rows(y[list(order)]), q, eta, m)
+    assert got == want and got.subset_tvs == want.subset_tvs
+
+
+@pytest.mark.parametrize("domain, sizes", [(DOMAIN_BAL, range(2, 17, 2)),
+                                           (DOMAIN_ALL, range(1, 11))])
+def test_the_first_blocks_runs_give_its_tv(domain, sizes):
+    """The first block is a prefix: good_blocks' tallies of its values, the runs of the
+    sorted rows, give its TV to uniform as ``columns_tv`` counts it, at every cut."""
+    for n in sizes:
+        whole = domain_of(domain, n)
+        rows = whole.rows(0, whole.size)
+        dist = Distribution.on_distinct_rows(rows)
+        for hi in range(1, n + 1):
+            report = good_blocks(dist, (hi, n - hi) if hi < n else (n,), 1)
+            (want,) = columns_tv(rows, [range(hi)], dist.counts, dist.denom, 2)
+            assert _tv(report.prefix_tallies, dist.denom, 2 ** hi) == want
