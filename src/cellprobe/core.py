@@ -109,7 +109,7 @@ class TableEncoder:
 
     Held as two row-aligned matrices sorted by input: ``inputs`` (k x n int8,
     distinct 0/1 rows) and ``cells`` (k x u), in ``cell_dtype`` of one past the
-    largest value when none is negative, else int64.  It hands out int64 cells.
+    largest value when none is negative, else int64.  It hands out cells of that type.
     A dict's cells are read as bytes when every value lies in 0..255, else as int64.
     """
 
@@ -166,14 +166,14 @@ class TableEncoder:
             start = int(np.searchsorted(self._keys, _row_keys(bits[:1]))[0]) if len(bits) else 0
             run = slice(start, start + len(bits))
             if np.array_equal(self.inputs[run], bits):
-                return self.cells[run].astype(np.int64)
+                return self.cells[run]
             keys = _row_keys(bits)
             pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
             found = self._keys[pos] == keys
         if not found.all():
             x = tuple(bits[int(np.argmin(found))].tolist())
             raise DomainError(f"input {x} not present in the encoder table")
-        return self.cells[pos].astype(np.int64)
+        return self.cells[pos]
 
     def __eq__(self, other):
         return isinstance(other, TableEncoder) and (self.inputs.tolist(), self.cells.tolist()) == (

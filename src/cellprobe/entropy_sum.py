@@ -30,7 +30,7 @@ from numbers import Rational
 import numpy as np
 
 from .errors import ParameterError
-from .infotheory import entropy_by_group, group_rows, mean_entropy, sum_by
+from .infotheory import mean_entropy, prefix_entropies, prefix_groups, sum_by
 from .textfmt import fmt_short
 
 _TOL = 1e-9
@@ -92,7 +92,8 @@ def good_prefix_set(dist, p: int, j: int, c) -> PrefixSetReport:
     Zero-probability prefixes are excluded (their conditional entropy is
     undefined and they carry no mass).  The entropy hypothesis
     H(block | prefix) >= (j-p) - 1/c is measured and reported in
-    ``hypothesis_ok``, never raised.
+    ``hypothesis_ok``, never raised.  The prefixes and blocks are read off the
+    distribution's prefix runs, so its rows must increase.
     """
     n = dist.arity
     if not 0 <= p < j <= n:
@@ -100,19 +101,15 @@ def good_prefix_set(dist, p: int, j: int, c) -> PrefixSetReport:
     if float(c) <= 0:
         raise ParameterError(f"c must be positive, got {fmt_short(c)}")
     span = j - p
-    prefixes, weights, entropies = entropy_by_group(dist, range(p, j), range(p))
+    first, weights, entropies = prefix_entropies(dist, p, j)
     measured = mean_entropy(weights, entropies, dist.denom)
     floor = span - 1 / float(c)
     member_floor = span - 2 / float(c)
-    members = []
-    mass = 0
-    for y, w, h in zip(prefixes.tolist(), weights, entropies):
-        if h >= member_floor - _TOL:
-            members.append(tuple(y))
-            mass += w
-    pr_a = Fraction(mass, dist.denom)
+    kept = [(tuple(y), w) for y, w, h in zip(dist.rows[first, :p].tolist(), weights, entropies)
+            if h >= member_floor - _TOL]
+    pr_a = Fraction(sum(w for _, w in kept), dist.denom)
     return PrefixSetReport(
-        A=tuple(members),
+        A=tuple(y for y, _ in kept),
         pr_A=pr_a,
         hypothesis_entropy=measured,
         hypothesis_floor=floor,
@@ -157,15 +154,15 @@ def _row_sums(block: np.ndarray) -> np.ndarray:
 def find_threshold(dist, a_set, p: int) -> ThresholdReport | None:
     """Largest integer t with Pr[prefix in A and prefix-sum >= t] >= 1/4.
 
-    When Pr[prefix in A] < 1/4 no integer qualifies, and the result is None.
+    When Pr[prefix in A] < 1/4 no integer qualifies, and the result is None.  Each
+    prefix is a run of the distribution's rows, which must increase.
     """
     members = {tuple(y) for y in a_set}
-    prefix = dist.rows[:, :p]
-    first, inverse = group_rows(prefix)
-    in_a = np.array([tuple(y) in members for y in prefix[first].tolist()], dtype=bool)
-    mask = in_a[inverse]
-    sums, at_sum = np.unique(_row_sums(prefix)[mask], return_inverse=True)
-    return _threshold(sums, sum_by(len(sums), at_sum, dist.counts[mask]).tolist(), dist.denom)
+    first, counts, _, _ = prefix_groups(dist.prefix_runs(), dist.counts, p, p)
+    prefixes = dist.rows[first, :p]
+    in_a = np.array([tuple(y) in members for y in prefixes.tolist()], dtype=bool)
+    sums, at_sum = np.unique(_row_sums(prefixes[in_a]), return_inverse=True)
+    return _threshold(sums, sum_by(len(sums), at_sum, counts[in_a]).tolist(), dist.denom)
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,7 @@ class EntropySumWitness:
     ell: int
     d: int
     c: object
-    ratio_ok: bool              # ell >= c*d
+    ratio_ok: bool              # ell >= c*d, exactly
     prefix_report: PrefixSetReport | None
     a_size: int
     pr_A: Fraction
@@ -214,6 +211,8 @@ def _validate_indices(n: int, p: int, i: int, j: int, c) -> None:
     try:
         if float(c) <= 0:
             raise ParameterError(f"c must be positive, got {fmt_short(c)}")
+        if not math.isfinite(c):
+            raise ParameterError(f"c must be finite, got {fmt_short(c)}")
     except OverflowError:
         raise ParameterError("c is past the float range") from None
 
@@ -242,7 +241,7 @@ def _witness(p, i, j, c, prefix_report, a_size, pr_a, threshold, measure) -> Ent
         P_upper, P_lower, P_lower_leq, P_joint, block_bound = measure(*cuts)
     return EntropySumWitness(
         p=p, i=i, j=j, ell=ell, d=d, c=c,
-        ratio_ok=ell >= float(c) * d,
+        ratio_ok=ell >= Fraction(c) * d,
         prefix_report=prefix_report,
         a_size=a_size,
         pr_A=pr_a,

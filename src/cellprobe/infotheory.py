@@ -21,21 +21,20 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress, islice
+from itertools import accumulate, combinations, compress, islice
 from math import fsum
 from numbers import Rational
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, RangeError, SizeError
+from .errors import ConsistencyError, DomainError, ParameterError, RangeError, SizeError
 from .textfmt import fmt_short
 
 Outcome = tuple[int, ...]
 
-_SUM_TOL = 1e-12
 # most q-subsets good_cells counts one by one; past it, SizeError unless the support bound decides
 _SUBSET_LIMIT = 200_000
-# rows ``fold_rows`` widens to int64, and ``_block_entropies`` compares, at a time
+# rows ``fold_rows`` widens to int64, and ``prefix_runs`` compares, at a time
 _FOLD_ROWS = 1 << 14
 # bytes of the block ``_product_tallies`` (float64 indicators) and ``distinct_rows``
 # (padded row bytes) build at a time
@@ -74,30 +73,23 @@ class Distribution:
     Zero-probability outcomes are dropped on construction.
     """
 
-    __slots__ = ("rows", "counts", "denom")
+    __slots__ = ("rows", "counts", "denom", "_runs")
 
     def __init__(self, pmf):
         outcomes, probs = [], []
-        exact = True
         for outcome, p in pmf.items():
-            if not isinstance(p, Fraction):
-                exact = False
-                if not isinstance(p, Rational) and not math.isfinite(p):
-                    raise ParameterError(f"probability {p} for {outcome} is not finite")
+            if not isinstance(p, Rational):
+                raise ParameterError(f"probability {p!r} for {outcome} is not an exact rational")
             if p < 0:
                 raise ParameterError(f"negative probability {fmt_short(p)} for {outcome}")
             if p:
                 outcomes.append(outcome)
-                # a float counts at the exact binary value it holds
-                probs.append(p if isinstance(p, Fraction) else Fraction(p))
+                probs.append(Fraction(p))
         rows = _outcome_matrix(outcomes)
         total = sum(probs)
-        if exact:
-            if total != 1:
-                raise ParameterError(f"probabilities sum to {fmt_short(total)}, "
-                                     f"{fmt_short(total - 1)} off exactly 1")
-        elif abs(float(total) - 1.0) > _SUM_TOL:
-            raise ParameterError(f"probabilities sum to {float(total)}, expected 1")
+        if total != 1:
+            raise ParameterError(f"probabilities sum to {fmt_short(total)}, "
+                                 f"{fmt_short(total - 1)} off exactly 1")
         denom = math.lcm(*(p.denominator for p in probs))
         self._set(rows, [p.numerator * (denom // p.denominator) for p in probs], denom)
 
@@ -145,6 +137,7 @@ class Distribution:
             raise ParameterError("a distribution needs positive total mass")
         dist = cls.__new__(cls)
         dist.rows, dist.counts, dist.denom = rows, np.ones(len(rows), dtype=np.int64), len(rows)
+        dist._runs = None
         return dist
 
     @classmethod
@@ -165,6 +158,7 @@ class Distribution:
         self.rows = rows if distinct else rows[first]
         self.counts = sum_by(len(first), inverse, counts)
         self.denom = denom
+        self._runs = None
         return self
 
     def items(self) -> tuple[tuple[Outcome, Fraction], ...]:
@@ -198,6 +192,15 @@ class Distribution:
             # a run of coordinates, such as a prefix, is a view and not a copy
             cols = slice(coords[0], coords[-1] + 1)
         return self._of(self.rows[:, cols], self.counts, self.denom)
+
+    def prefix_runs(self) -> np.ndarray:
+        """Each row's first coordinate that differs from the row above (-1 for the first
+        row), found once and kept: the rows that agree on a prefix [0, h) are a run, opened
+        by the row whose entry is below h.  Rows that do not strictly increase, as
+        ``on_distinct_rows`` may hold, raise ``ConsistencyError``."""
+        if self._runs is None:
+            self._runs = _first_differences(self.rows)
+        return self._runs
 
 
 def entropy(dist: Distribution) -> float:
@@ -304,20 +307,51 @@ def _neg_plogp(c: int, w: int) -> float:
     return -(c / w) * (math.log2(c // g) - math.log2(w // g))
 
 
-def entropy_by_group(dist, target, given) -> tuple[np.ndarray, list[int], list[float]]:
-    """H(target-coords | given-coords = g) for every value g of the given coords.
+def _first_differences(rows: np.ndarray) -> np.ndarray:
+    """``Distribution.prefix_runs`` of a k x w integer matrix, a block of rows at a time."""
+    runs = np.full(len(rows), -1, dtype=np.min_scalar_type(-rows.shape[1] - 1))
+    # rows of no coordinates are all equal, as one zero column shows
+    rows = rows if rows.shape[1] else np.zeros((len(rows), 1), dtype=np.int8)
+    for start in range(1, len(rows), _FOLD_ROWS):
+        block = rows[start - 1:start + _FOLD_ROWS]
+        diff = np.argmax(block[1:] != block[:-1], axis=1)
+        # a row exceeds the row above where they first differ; an equal row fails at 0
+        at = np.arange(len(diff)), diff
+        rising = block[1:][at] > block[:-1][at]
+        if not rising.all():
+            row = start + int(np.argmin(rising))
+            raise ConsistencyError(f"row {row} does not follow row {row - 1} in lexicographic order")
+        runs[start:start + len(diff)] = diff
+    return runs
 
-    Returns ``(values, weights, entropies)`` in lexicographic order of g:
-    the given-coordinate values, each one's count (out of ``dist.denom``)
-    and the entropy of the target coordinates under it.
-    """
+
+def prefix_groups(runs: np.ndarray, counts, cut: int, stop: int):
+    """The runs at ``stop`` of rows whose ``prefix_runs`` are ``runs``, grouped by the runs at
+    ``cut`` <= stop: ``(first, run_counts, starts, weights)``, each run's first row and count
+    and each group's first run and count, summed by ``np.add.reduceat`` in the counts' own
+    type, so that Python-int counts past int64 stay exact."""
+    first = np.flatnonzero(runs < stop)
+    run_counts = np.add.reduceat(counts, first)
+    starts = np.flatnonzero(runs[first] < cut)
+    return first, run_counts, starts, np.add.reduceat(run_counts, starts)
+
+
+def prefix_entropies(dist, cut: int, stop: int) -> tuple[np.ndarray, list[int], list[float]]:
+    """H(coordinates [cut, stop) | coordinates [0, cut) = g) for each prefix value g, off the
+    prefix runs: ``(first, weights, entropies)`` in lexicographic order of g, a row holding
+    g, g's count (out of ``dist.denom``) and the block's entropy under g."""
+    first, run_counts, starts, weights = prefix_groups(dist.prefix_runs(), dist.counts, cut, stop)
+    return first[starts], weights.tolist(), group_entropies(run_counts, weights, starts)
+
+
+def entropy_by_group(dist, target, given) -> tuple[np.ndarray, list[int], list[float]]:
+    """H(target-coords | given-coords = g) for every value g of the given coords: returns
+    ``prefix_entropies``' weights and entropies, with each value g in place of a row."""
     given = list(given)
-    # pairs sort by (given, target), so each group's pairs are contiguous
+    # pairs sort by (given, target), so the given coordinates are a prefix of their rows
     pairs = dist.marginal(given + list(target))
-    g_first, g_inv = group_rows(pairs.rows[:, :len(given)])
-    weights = sum_by(len(g_first), g_inv, pairs.counts)
-    values = pairs.rows[g_first, :len(given)]
-    return values, weights.tolist(), group_entropies(pairs.counts, weights, g_first)
+    first, weights, entropies = prefix_entropies(pairs, len(given), pairs.arity)
+    return pairs.rows[first, :len(given)], weights, entropies
 
 
 def group_entropies(pair_counts, weights: np.ndarray, starts: np.ndarray) -> list[float]:
@@ -542,8 +576,6 @@ class GoodSetReport:
     ``subset_tvs`` maps each q-subset of cells that was counted (0-based, sorted)
     to its exact distance from uniform; it takes no part in equality.  A subset the
     support bound or one of its columns decided was not counted and is not held.
-    For blocks, ``prefix_tallies`` holds the count of each value of the first block, a
-    prefix, in lexicographic order; it takes no part in equality either.
     """
 
     kind: str
@@ -554,7 +586,6 @@ class GoodSetReport:
     size_bound: float
     size_bound_ok: bool
     subset_tvs: dict = field(default_factory=dict, compare=False, repr=False)
-    prefix_tallies: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def validate_blocks(sizes, n: int) -> tuple[int, ...]:
@@ -586,7 +617,10 @@ def good_blocks(x_set, sizes, eps) -> GoodSetReport:
     n = dist.arity
     sizes = validate_blocks(sizes, n)
     a = n - math.log2(len(dist))
-    scores, prefix_tallies = _block_entropies(dist, sizes)
+    # block k's groups are the runs at its start, each split into the runs at its end
+    cuts = list(accumulate(sizes, initial=0))
+    scores = [mean_entropy(*prefix_entropies(dist, lo, hi)[1:], dist.denom)
+              for lo, hi in zip(cuts, cuts[1:])]
     good = [k for k, (size, h) in enumerate(zip(sizes, scores), start=1) if h >= size - eps]
     size_bound = len(sizes) - a / eps
     return GoodSetReport(
@@ -597,43 +631,7 @@ def good_blocks(x_set, sizes, eps) -> GoodSetReport:
         scores=tuple(scores),
         size_bound=size_bound,
         size_bound_ok=len(good) >= size_bound - 1e-9,
-        prefix_tallies=prefix_tallies,
     )
-
-
-def _block_entropies(dist: Distribution, sizes) -> tuple[list[float], np.ndarray]:
-    """H(block | the blocks before it) for each block of consecutive coordinates of a uniform
-    distribution, by ``conditional_entropy``'s formula with no marginal built; and the
-    tallies of the first block's values.
-
-    The rows are distinct and in lexicographic order, so the values of a prefix are runs of
-    rows that agree on it, and each block's groups are the runs at its start, each split
-    into the runs at its end.  A row opens a run at cut h when it differs from the row
-    above in a coordinate before h.  The first block is a prefix, so its tallies are the
-    counts of the runs at its end.
-    """
-    rows, k = dist.rows, len(dist)
-    # the first coordinate in which each row differs from the row above; the first row
-    # opens the one run of the empty prefix
-    first_diff = np.empty(k, dtype=np.min_scalar_type(-dist.arity - 1))
-    first_diff[0] = -1
-    for start in range(1, k, _FOLD_ROWS):
-        block = rows[start - 1:start + _FOLD_ROWS]
-        first_diff[start:start + _FOLD_ROWS] = np.argmax(block[1:] != block[:-1], axis=1)
-    # a count past int64 is a Python int, and so is every multiple of it
-    count, dtype = dist.counts[0], dist.counts.dtype
-    scores, cut = [], 0
-    for size in sizes:
-        pair_starts = np.flatnonzero(first_diff < cut + size)
-        pair_counts = np.diff(pair_starts, append=k).astype(dtype) * count
-        starts = np.flatnonzero(first_diff[pair_starts] < cut)
-        weights = np.diff(pair_starts[starts], append=k).astype(dtype) * count
-        scores.append(mean_entropy(weights.tolist(), group_entropies(pair_counts, weights, starts),
-                                   dist.denom))
-        if not cut:
-            prefix_tallies = pair_counts
-        cut += size
-    return scores, prefix_tallies
 
 
 def good_cells(dist, q: int, eta, alphabet: int) -> GoodSetReport:

@@ -40,12 +40,12 @@ import numpy as np
 
 from .brackets import unmatched_close_prob, unmatched_ends, unmatched_open_prob
 from .core import (
-    _ENCODE_BUDGET_BYTES,
     _ENCODE_CHUNK,
     DOMAIN_ALL,
     KIND_SUM,
     RestrictedScheme,
     Scheme,
+    check_budget,
     redundancy,
     restrict_scheme,
 )
@@ -53,13 +53,13 @@ from .entropy_sum import entropy_sum_analysis
 from .errors import ParameterError, SizeError
 from .infotheory import (
     Distribution,
-    GoodSetReport,
     _tv,
     cell_dtype,
     columns_tv,
     distinct_rows,
     good_blocks,
     good_cells,
+    prefix_groups,
 )
 from .separator import find_separator, find_separator_brackets, pairwise_disjoint
 from .stretcher import find_stretcher
@@ -81,10 +81,7 @@ class StageRecord:
         return all(v for _, v in self.checks)
 
     def field(self, key: str):
-        for k, v in self.fields:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return dict(self.fields)[key]
 
 
 @dataclass(frozen=True)
@@ -134,10 +131,7 @@ class PipelineReport:
         return "no contradiction at this scale"
 
     def stage(self, name: str) -> StageRecord:
-        for st in self.stages:
-            if st.name == name:
-                return st
-        raise KeyError(name)
+        return {st.name: st for st in self.stages}[name]
 
     def render_text(self) -> str:
         title = {
@@ -245,7 +239,7 @@ class _Sum:
         ))
         return [(p.left, p.right) for p in st.pairs]
 
-    def block(self, x_dist: Distribution, gb: GoodSetReport, p: int, hi: int, i: int, j: int):
+    def block(self, x_dist: Distribution, p: int, hi: int, i: int, j: int):
         """This kind's entropy-blocks fields and checks: the block's start p and its pair."""
         return (("p", p), ("i", i), ("j", j)), ()
 
@@ -339,14 +333,15 @@ class _Match:
         vs = sorted(v)
         return [min(zip(vs, vs[1:]), key=lambda pr: (pr[1] - pr[0], pr[0]))]
 
-    def block(self, x_dist: Distribution, gb: GoodSetReport, lo: int, hi: int, i: int, j: int):
+    def block(self, x_dist: Distribution, lo: int, hi: int, i: int, j: int):
         """This kind's entropy-blocks fields and checks: the fallback, the pair, and how
         close the chosen block's bits come to uniform.  The first block is a prefix, whose
-        tallies ``good_blocks`` found as runs of X's sorted rows; any other is counted."""
+        values are the runs of X's rows at its end; any other is counted."""
         if lo:
             (tv,) = columns_tv(x_dist.rows, [range(lo, hi)], x_dist.counts, x_dist.denom, 2)
         else:
-            tv = _tv(gb.prefix_tallies, x_dist.denom, 2 ** hi)
+            tallies = prefix_groups(x_dist.prefix_runs(), x_dist.counts, 0, hi)[1]
+            tv = _tv(tallies, x_dist.denom, 2 ** hi)
         bound = Fraction(1) / (Fraction(self.c) * Fraction(self.sqrt_d))
         return (
             (("fallback", self.fallback), ("i", i), ("j", j), ("block_tv", tv),
@@ -472,7 +467,7 @@ def _entropy_blocks(x_dist: Distribution, n: int, pairs, kind, stages):
     good = [k for k in gb.good if 1 <= k <= len(sizes)]
     k = good[0] - 1 if good else max(range(len(sizes)), key=lambda idx: (gb.scores[idx], -idx))
     i, j = pairs[k]
-    fields, checks = kind.block(x_dist, gb, bounds[k], bounds[k + 1], i, j)
+    fields, checks = kind.block(x_dist, bounds[k], bounds[k + 1], i, j)
     stages.append(StageRecord(
         "entropy-blocks",
         (("sizes", sizes), ("eps", kind.eps), ("scores", gb.scores), ("good_blocks", gb.good),
@@ -497,7 +492,9 @@ def _event_probs_uniform(rs: RestrictedScheme, m: int, *events):
     width = len(cells)
     space = m ** width
     dtype = cell_dtype(m)
-    if space * width * dtype.itemsize > _ENCODE_BUDGET_BYTES:
+    try:
+        check_budget(space * width * dtype.itemsize, "the uniform grid of the probed cells")
+    except SizeError:
         return None
     weights = m ** np.arange(width - 1, -1, -1)
     columns = [[cells.index(c) for c in rs.renamed_probes[q - 1]] for q, _ in events]

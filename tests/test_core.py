@@ -226,13 +226,15 @@ def test_encoded_cells_take_the_narrowest_type_of_the_alphabet(alphabet, dtype):
     assert cells.tolist() == np.cumsum(bits, axis=1).tolist()
 
 
-def test_table_encoders_hold_narrow_cells_and_hand_out_int64():
+def test_table_encoders_hold_narrow_cells_and_hand_them_out():
     for values, dtype in [((3, 255), np.uint8), ((3, 300), np.uint16), ((-1, 3), np.int64),
                           ((0, 2 ** 32), np.int64)]:
         enc = TableEncoder({(0,): (values[0],), (1,): (values[1],)})
         assert enc.cells.dtype == dtype
-        got = enc(np.array([[1], [0]], dtype=np.int8))
-        assert got.dtype == np.int64 and got.tolist() == [[values[1]], [values[0]]]
+        # a run of the table's rows in order, and rows looked up one by one
+        for bits, want in (([[0], [1]], values), ([[1], [0]], values[::-1])):
+            got = enc(np.array(bits, dtype=np.int8))
+            assert got.dtype == dtype and got.tolist() == [[v] for v in want]
 
 
 def _built(build, table):

@@ -248,6 +248,20 @@ def test_index_validation():
         entropy_sum_analysis_uniform(8, 1, 4, 8, float("-inf"))
     with pytest.raises(ParameterError, match="c must be positive, got -inf"):
         good_prefix_set(Distribution.uniform(list(product((0, 1), repeat=4))), 0, 2, float("-inf"))
+    for c in (float("inf"), float("nan")):
+        with pytest.raises(ParameterError, match="c must be finite"):
+            entropy_sum_analysis_uniform(8, 1, 4, 8, c)
+
+
+def test_the_ratio_is_decided_exactly():
+    """ell >= c d at c = 7/3 and d = 27 holds with equality, ell = 63; float 7/3 times 27
+    rounds above 63, so a float comparison read it as failed."""
+    assert Fraction(7, 3) * 27 == 63 and 63 < float(Fraction(7, 3)) * 27
+    assert entropy_sum_analysis_uniform(100, 1, 64, 91, Fraction(7, 3)).ratio_ok
+    assert not entropy_sum_analysis_uniform(100, 1, 63, 90, Fraction(7, 3)).ratio_ok
+    # a float c is compared at the exact binary value it holds, which lies above 7/3
+    assert Fraction(7 / 3) > Fraction(7, 3)
+    assert not entropy_sum_analysis_uniform(100, 1, 64, 91, 7 / 3).ratio_ok
 
 
 def test_the_closed_form_sum_at_n_14000_runs_in_time(src_env):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference
 from cellprobe import (
+    ConsistencyError,
     Distribution,
     DomainError,
     ParameterError,
@@ -34,8 +35,10 @@ from cellprobe.infotheory import (
     columns_tv,
     distinct_rows,
     entropy_by_group,
+    group_entropies,
     group_rows,
     mean_entropy,
+    prefix_groups,
     subset_tallies,
     validate_blocks,
 )
@@ -129,7 +132,7 @@ def test_entropy_is_the_conditional_entropy_of_every_coordinate():
         if trial % 2:
             d = reference.from_counts({o: rng.randint(1, 30) for o in outcomes})
         else:
-            weights = [rng.random() + 0.01 for _ in outcomes]
+            weights = [Fraction(rng.random() + 0.01) for _ in outcomes]
             d = Distribution({o: w / sum(weights) for o, w in zip(outcomes, weights)})
         assert entropy(d).hex() == conditional_entropy(d, range(d.arity), ()).hex()
 
@@ -209,7 +212,7 @@ def test_conditional_entropy_is_bit_identical_to_the_fraction_route():
         assert conditional_entropy(from_rows, target, given).hex() == got.hex()
 
 
-def test_denominator_past_int64_and_float_pmfs_still_measure():
+def test_denominator_past_int64_measures_and_float_pmfs_are_refused():
     # four large primes: the common denominator passes 2^63
     primes = (1000003, 1000033, 1000037, 1000039)
     outcomes = list(product((0, 1), repeat=4))
@@ -221,8 +224,15 @@ def test_denominator_past_int64_and_float_pmfs_still_measure():
         got = conditional_entropy(d, target, given)
         assert got.hex() == _fraction_conditional_entropy(d, target, given).hex()
     assert good_blocks(Distribution.uniform(outcomes), (2, 2), 0.5).good == (1, 2)
-    # a float pmf counts at the exact binary value of each float
-    f = Distribution({(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.4})
+    # a float is no exact probability: 0.1 + 0.2 + 0.7 held at its binary values
+    # sums to 1 - 2^-55, and even floats that sum to 1 exactly are refused
+    for pmf in ({(0,): 0.1, (1,): 0.2, (2,): 0.7}, {(0,): 0.5, (1,): Fraction(1, 2)}):
+        with pytest.raises(ParameterError, match="not an exact rational"):
+            Distribution(pmf)
+    # ints and numpy integers are exact
+    assert Distribution({(0,): 1, (1,): np.int64(0)}).support() == ((0,),)
+    f = Distribution({(0, 0): Fraction(1, 10), (0, 1): Fraction(2, 10), (1, 0): Fraction(3, 10),
+                      (1, 1): Fraction(4, 10)})
     assert conditional_entropy(f, (1,), (0,)) == pytest.approx(
         0.3 * _h([1 / 3, 2 / 3]) + 0.7 * _h([3 / 7, 4 / 7]), abs=1e-12)
     assert conditional_entropy(f, (0, 1), ()) == pytest.approx(entropy(f), abs=1e-12)
@@ -760,13 +770,52 @@ def test_good_cells_reads_no_row_order(case, q, eta, data):
 @pytest.mark.parametrize("domain, sizes", [(DOMAIN_BAL, range(2, 17, 2)),
                                            (DOMAIN_ALL, range(1, 11))])
 def test_the_first_blocks_runs_give_its_tv(domain, sizes):
-    """The first block is a prefix: good_blocks' tallies of its values, the runs of the
-    sorted rows, give its TV to uniform as ``columns_tv`` counts it, at every cut."""
+    """The first block is a prefix: the counts of the runs of the sorted rows at its end,
+    as ``prefix_groups`` gives them, give its TV to uniform as ``columns_tv`` counts it,
+    at every cut."""
     for n in sizes:
         whole = domain_of(domain, n)
         rows = whole.rows(0, whole.size)
         dist = Distribution.on_distinct_rows(rows)
         for hi in range(1, n + 1):
-            report = good_blocks(dist, (hi, n - hi) if hi < n else (n,), 1)
+            tallies = prefix_groups(dist.prefix_runs(), dist.counts, 0, hi)[1]
             (want,) = columns_tv(rows, [range(hi)], dist.counts, dist.denom, 2)
-            assert _tv(report.prefix_tallies, dist.denom, 2 ** hi) == want
+            assert _tv(tallies, dist.denom, 2 ** hi) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_rows(), st.tuples(st.integers(0, 5), st.integers(0, 5)))
+@example((Distribution.from_rows([(0, 1, 1), (0, 1, 2), (1, 0, 0)], [2 ** 70, 1, 2 ** 66]), 3),
+         (1, 3))
+def test_prefix_groups_equal_the_reference_groups(dm, bounds):
+    """The runs at ``stop`` grouped by the runs at ``cut`` are the groups of the reference's
+    loop over the block [cut, stop) given the prefix [0, cut): the same values, weights and
+    entropies, bit for bit, with counts past int64 summed exactly."""
+    dist, _ = dm
+    cut, stop = sorted(min(b, dist.arity) for b in bounds)
+    first, run_counts, starts, weights = prefix_groups(dist.prefix_runs(), dist.counts, cut, stop)
+    assert run_counts.dtype == weights.dtype == dist.counts.dtype
+    got = (dist.rows[first[starts], :cut], weights.tolist(),
+           group_entropies(run_counts, weights, starts))
+    _same_groups(got, reference.entropy_by_group(dist, range(cut, stop), range(cut)))
+
+
+def test_prefix_runs_are_kept_and_refuse_rows_out_of_order(monkeypatch):
+    rows = np.array(list(product((0, 1), repeat=3)), dtype=np.int8)
+    dist = Distribution.on_distinct_rows(rows)
+    assert dist.prefix_runs().tolist() == [-1, 2, 1, 2, 0, 2, 1, 2]
+    assert dist.prefix_runs() is dist.prefix_runs()
+    with pytest.raises(ConsistencyError, match="row 1 does not follow row 0"):
+        Distribution.on_distinct_rows(rows[::-1]).prefix_runs()
+    for repeated in (rows[[0, 1, 1]], np.zeros((2, 0), dtype=np.int8)):
+        with pytest.raises(ConsistencyError):
+            Distribution.on_distinct_rows(repeated).prefix_runs()
+    # rows compared a block at a time: a row out of order in a later block is named
+    monkeypatch.setattr(infotheory, "_FOLD_ROWS", 3)
+    swapped = rows[[0, 1, 2, 3, 4, 6, 5, 7]]
+    with pytest.raises(ConsistencyError, match="row 6 does not follow row 5"):
+        Distribution.on_distinct_rows(swapped).prefix_runs()
+    assert Distribution.on_distinct_rows(rows).prefix_runs().tolist() == dist.prefix_runs().tolist()
+    # the readers of the runs refuse such rows too, rather than misread them
+    with pytest.raises(ConsistencyError):
+        good_blocks(Distribution.on_distinct_rows(swapped), (1, 2), 1)

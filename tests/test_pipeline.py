@@ -21,6 +21,7 @@ from cellprobe import (
     run_pipeline,
     tv_from_uniform,
 )
+import cellprobe.infotheory as infotheory
 from cellprobe.entropy_sum import stretch_term
 from cellprobe.pipeline import _final_chain, _good_cells
 from cellprobe.schemeio import save_scheme
@@ -159,10 +160,12 @@ def test_light_good_prefixes_truncate_at_entropy_sum():
 
 
 def test_uniform_space_cap_skips_chain_lines_2_to_4(monkeypatch):
-    uncapped = run_pipeline(build_precomputed_sums(8), Fraction(11, 10))
-    # a grid of any width past the budget: one byte
-    monkeypatch.setattr("cellprobe.pipeline._ENCODE_BUDGET_BYTES", 1)
-    capped = run_pipeline(build_precomputed_sums(8), Fraction(11, 10))
+    # one scheme for both runs: its domain, encoded once, is cached before the cap
+    scheme = build_precomputed_sums(8)
+    uncapped = run_pipeline(scheme, Fraction(11, 10))
+    # a grid of any width past the one budget in core: one byte
+    monkeypatch.setattr("cellprobe.core._ENCODE_BUDGET_BYTES", 1)
+    capped = run_pipeline(scheme, Fraction(11, 10))
     before = uncapped.render_machine().splitlines()
     after = capped.render_machine().splitlines()
     assert len(before) == len(after)
@@ -185,17 +188,35 @@ def test_chain_line_3_reads_the_joint_grids_marginals(monkeypatch):
     monkeypatch.setattr(RestrictedScheme, "decode_reduced",
                         lambda self, *args: calls.append(args[0]) or decode(self, *args))
     reports = []
+    scheme = build_precomputed_sums(8)
     for budget in (None, 9):
         if budget:
-            monkeypatch.setattr("cellprobe.pipeline._ENCODE_BUDGET_BYTES", budget)
+            monkeypatch.setattr("cellprobe.core._ENCODE_BUDGET_BYTES", budget)
         calls.clear()
-        reports.append(run_pipeline(build_precomputed_sums(8), Fraction(11, 10)).render_machine())
+        reports.append(run_pipeline(scheme, Fraction(11, 10)).render_machine())
         # the two queries once over Y and once over a uniform grid each
         assert len(calls) == 4
     before, after = (report.splitlines() for report in reports)
     assert "chain.3.value=-700/891" in before
     skipped = ["chain.2.value=-", "chain.2.status=skip"]
     assert [a for b, a in zip(before, after) if b != a] == skipped
+
+
+@pytest.mark.parametrize("scheme, c, reader", [
+    (build_precomputed_sums(8), Fraction(11, 10), "entropy-sum"),
+    (build_bracket_table(12), 4, "entropy-blocks")])
+def test_a_pipeline_finds_the_prefix_runs_of_x_once(monkeypatch, scheme, c, reader):
+    """Every stage that reads X's prefixes, entropy-blocks and then entropy-sum (Sum) or
+    the first block's TV (Match, whose chosen block here is the first), reads one set of
+    runs, found once."""
+    found = []
+    first_differences = infotheory._first_differences
+    monkeypatch.setattr(infotheory, "_first_differences",
+                        lambda rows: found.append(len(rows)) or first_differences(rows))
+    rep = run_pipeline(scheme, c)
+    assert rep.completed and reader in [s.name for s in rep.stages]
+    assert rep.stage("entropy-blocks").field("chosen_block") == 1
+    assert found == [rep.stage("cell-fixing").field("survivors")]
 
 
 def test_tiny_scheme_truncates_with_stage_named():
