@@ -7,7 +7,9 @@ string (n = 0) counts as balanced.
 The matrix kernels (``partners``, ``unmatched_ends``, ``unrank_balanced``)
 work on a block of strings transposed to position-major order, so that each
 step, one depth, one partner distance or one bit of a rank, is a single pass
-over every string of the block.
+over every string of the block.  A pass is plain arithmetic on whole
+matrices: ``partners`` adds each pair's distance in, since one write through
+a boolean mask costs more than all the rest of its pass.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, RangeError
 
-# rows per block in partners, which keeps a few narrow n x block copies
+# rows per block in partners, which keeps a few narrow n x block matrices
 _MATCH_BLOCK = 4096
 
 
@@ -60,11 +62,19 @@ def partners(bits: np.ndarray) -> np.ndarray:
     over all positions at once and stops when every open has its partner.  That costs
     O(k * n * L) for the longest partner distance L in a block: at most n/2 passes, so
     a 64 x 2,000 fully nested block takes about a thousand.
+
+    One pass finds the opens still pending whose depth returns t positions on, forms
+    t times that hit matrix in one scratch matrix every pass reuses, adds it to the
+    signed distances at the opens and subtracts it at the closes t rows down.  Each
+    open hits once, since the hit clears it from the pending opens, and its close is
+    hit in the same pass, so every distance is written by exactly one add and no pass
+    needs a write through a mask.
     """
     k, n = bits.shape
     dtype = np.min_scalar_type(-n - 1)
     out = np.empty((n, k), dtype=dtype)
     positions = np.arange(1, n + 1, dtype=dtype)[:, None]
+    moved = np.empty((n, min(k, _MATCH_BLOCK)), dtype=dtype)
     for start in range(0, k, _MATCH_BLOCK):
         block = bits[start:start + _MATCH_BLOCK]
         depth = _depths(block)
@@ -78,8 +88,9 @@ def partners(bits: np.ndarray) -> np.ndarray:
         for t in range(1, n, 2):
             hit = depth[t + 1:] == depth[:n - t]
             hit &= pending[:n - t]
-            np.copyto(dist[:n - t], t, where=hit)
-            np.copyto(dist[t:], -t, where=hit)
+            step = np.multiply(hit, t, out=moved[:n - t, :len(block)], dtype=dtype)
+            dist[:n - t] += step
+            dist[t:] -= step
             pending[:n - t] ^= hit
             if not pending.any():
                 break

@@ -98,13 +98,12 @@ def good_prefix_set(dist, p: int, j: int, c) -> PrefixSetReport:
     n = dist.arity
     if not 0 <= p < j <= n:
         raise ParameterError(f"need 0 <= p < j <= {n}, got p={p} j={j}")
-    if float(c) <= 0:
-        raise ParameterError(f"c must be positive, got {fmt_short(c)}")
+    c_float = _check_c(c)
     span = j - p
     first, weights, entropies = prefix_entropies(dist, p, j)
     measured = mean_entropy(weights, entropies, dist.denom)
-    floor = span - 1 / float(c)
-    member_floor = span - 2 / float(c)
+    floor = span - 1 / c_float
+    member_floor = span - 2 / c_float
     kept = [(tuple(y), w) for y, w, h in zip(dist.rows[first, :p].tolist(), weights, entropies)
             if h >= member_floor - _TOL]
     pr_a = Fraction(sum(w for _, w in kept), dist.denom)
@@ -205,16 +204,26 @@ class EntropySumWitness:
         return self.prefix_report is None or self.prefix_report.hypothesis_ok
 
 
+def _check_c(c) -> float:
+    """c as the float the entropy floors read, refused unless c is positive and that
+    float is finite and not 0: the one check of c for entropy-sum."""
+    if c <= 0:
+        raise ParameterError(f"c must be positive, got {fmt_short(c)}")
+    try:
+        value = float(c)
+    except OverflowError:
+        raise ParameterError("c is past the float range") from None
+    if not math.isfinite(value):
+        raise ParameterError(f"c must be finite, got {fmt_short(c)}")
+    if value == 0:
+        raise ParameterError("c is past the float range")
+    return value
+
+
 def _validate_indices(n: int, p: int, i: int, j: int, c) -> None:
     if not 0 <= p < i < j <= n:
         raise ParameterError(f"need 0 <= p < i < j <= {n}, got p={p} i={i} j={j}")
-    try:
-        if float(c) <= 0:
-            raise ParameterError(f"c must be positive, got {fmt_short(c)}")
-        if not math.isfinite(c):
-            raise ParameterError(f"c must be finite, got {fmt_short(c)}")
-    except OverflowError:
-        raise ParameterError("c is past the float range") from None
+    _check_c(c)
 
 
 def _witness(p, i, j, c, prefix_report, a_size, pr_a, threshold, measure) -> EntropySumWitness:

@@ -8,6 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from cellprobe import (
@@ -158,6 +159,34 @@ def test_partners_answer_the_same_on_every_block_split(block, monkeypatch):
     bad[201:] = 1
     with pytest.raises(DomainError, match=re.escape(f"input {(0, 1) * 7} is not a balanced")):
         partners(bad)
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.sampled_from([126, 128, 130]),
+       k=st.one_of(st.integers(1, 4096), st.integers(4097, 4400)),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=126, k=4096, seed=0)
+@example(n=128, k=4097, seed=1)
+@example(n=130, k=4096 + 300, seed=2)
+def test_partners_pair_each_open_with_a_later_close_at_its_own_depth(n, k, seed):
+    """On random balanced rows at the int8/int16 edge, in one block or in two: the
+    partners are an involution, each open pairs with a later close, and the depth
+    before an open is the depth after its close."""
+    rng = np.random.default_rng(seed)
+    rows = np.array([_random_balanced(rng, n) for _ in range(k)], dtype=np.int8)
+    got = partners(rows)
+    assert got.dtype == (np.int8 if n <= 127 else np.int16) and got.shape == (k, n)
+    mate = got.astype(np.int64) - 1
+    assert ((mate >= 0) & (mate < n)).all()
+    assert (np.take_along_axis(mate, mate, axis=1) == np.arange(n)).all()
+    opens = rows == 1
+    assert (mate[opens] > np.nonzero(opens)[1]).all()
+    assert (np.take_along_axis(rows, mate, axis=1)[opens] == 0).all()
+    depth = np.zeros((k, n + 1), dtype=np.int64)
+    np.cumsum(2 * rows.astype(np.int64) - 1, axis=1, out=depth[:, 1:])
+    before = depth[:, :-1][opens]
+    after_close = np.take_along_axis(depth, mate + 1, axis=1)[opens]
+    assert (before == after_close).all()
 
 
 def test_match_index_and_its_errors():

@@ -234,6 +234,9 @@ def test_joint_probability_never_exceeds_its_factors():
     assert w.P_lower_leq >= w.P_lower
 
 
+_UNIFORM4 = Distribution.uniform(list(product((0, 1), repeat=4)))
+
+
 def test_index_validation():
     with pytest.raises(ParameterError):
         entropy_sum_analysis_uniform(8, 3, 3, 6, 2)
@@ -247,10 +250,33 @@ def test_index_validation():
     with pytest.raises(ParameterError, match="c must be positive, got -inf"):
         entropy_sum_analysis_uniform(8, 1, 4, 8, float("-inf"))
     with pytest.raises(ParameterError, match="c must be positive, got -inf"):
-        good_prefix_set(Distribution.uniform(list(product((0, 1), repeat=4))), 0, 2, float("-inf"))
+        good_prefix_set(_UNIFORM4, 0, 2, float("-inf"))
     for c in (float("inf"), float("nan")):
         with pytest.raises(ParameterError, match="c must be finite"):
             entropy_sum_analysis_uniform(8, 1, 4, 8, c)
+
+
+def test_good_prefix_set_refuses_a_c_past_the_float_range():
+    """10^400 has no float; converting it raised a bare OverflowError."""
+    for check in (lambda c: good_prefix_set(_UNIFORM4, 0, 2, c),
+                  lambda c: entropy_sum_analysis_uniform(8, 1, 4, 8, c)):
+        with pytest.raises(ParameterError, match="c is past the float range"):
+            check(Fraction(10**400))
+        # a positive c whose float is 0 would divide the entropy floor by 0
+        with pytest.raises(ParameterError, match="c is past the float range"):
+            check(Fraction(1, 10**400))
+
+
+def test_good_prefix_set_refuses_a_nan_c():
+    """NaN compares false with 0, so a check by float(c) <= 0 let it through."""
+    with pytest.raises(ParameterError, match="c must be finite, got nan"):
+        good_prefix_set(_UNIFORM4, 0, 2, float("nan"))
+
+
+def test_good_prefix_set_refuses_an_infinite_c():
+    """At c = inf the floor is the full span, and the hypothesis read as holding."""
+    with pytest.raises(ParameterError, match="c must be finite, got inf"):
+        good_prefix_set(_UNIFORM4, 0, 2, float("inf"))
 
 
 def test_the_ratio_is_decided_exactly():

@@ -3,7 +3,9 @@
 The files under ``tests/golden/`` hold the reports as the CLI printed them,
 each in machine and text format with its exit code.  On each scheme:
 ``verify``, ``redundancy``, ``pipeline`` and ``separator`` (``--gap 4`` on a
-Sum scheme, ``--bracket-c 4`` on a Match scheme).  The distribution
+Sum scheme, ``--bracket-c 4`` on a Match scheme); a larger scheme that
+guards a kernel is pinned by its ``verify`` and ``pipeline`` machine reports
+alone.  The distribution
 files under ``tests/golden/inputs/`` are read by ``entropy`` (joint and
 conditional), ``goodset cells``, ``goodset blocks`` (on the support, for bit
 outcomes) and ``entropy-sum --dist``; ``entropy-sum --uniform`` runs the
@@ -100,6 +102,22 @@ def _run(argv) -> str:
     with contextlib.redirect_stdout(out):
         code = main(argv)
     return f"{out.getvalue()}exit={code}\n"
+
+
+# name -> (scheme builder, pipeline c) of the schemes too large for all eight reports,
+# pinned by their verify and pipeline machine reports: bracket_table(24) runs the
+# partner scan over 208,012 rows in 51 blocks, with partner distances up to 23
+KERNEL_CASES = {"bracket_table24": (lambda: build_bracket_table(24), "4")}
+
+
+def render_kernel(name: str, workdir: str) -> dict[str, str]:
+    build, c = KERNEL_CASES[name]
+    path = os.path.join(workdir, f"{name}.scm")
+    save_scheme(build(), path)
+    return {
+        "verify": _run(["verify", "--scheme", path, "--format", "machine"]),
+        "pipeline": _run(["pipeline", "--scheme", path, "--c", c, "--format", "machine"]),
+    }
 
 
 def render(name: str, workdir: str) -> dict[str, str]:
@@ -204,12 +222,20 @@ def render_tool(name: str, workdir: str) -> dict[str, str]:
 
 RENDERERS = {**{name: render for name in CASES}, **{name: render_dist for name in DIST_CASES},
              **{name: render_uniform for name in UNIFORM_CASES},
-             **{name: render_tool for name in TOOL_CASES}}
+             **{name: render_tool for name in TOOL_CASES},
+             **{name: render_kernel for name in KERNEL_CASES}}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_reports_match_golden(name, tmp_path):
     for command, text in render(name, str(tmp_path)).items():
+        with open(os.path.join(GOLDEN, f"{name}.{command}.txt"), encoding="ascii") as fh:
+            assert text == fh.read(), f"{name} {command} report moved"
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_reports_match_golden(name, tmp_path):
+    for command, text in render_kernel(name, str(tmp_path)).items():
         with open(os.path.join(GOLDEN, f"{name}.{command}.txt"), encoding="ascii") as fh:
             assert text == fh.read(), f"{name} {command} report moved"
 

@@ -74,14 +74,14 @@ def test_golden_chains_read_the_joint_check_from_lines_0_and_5():
             upper = Fraction(report["stage.entropy-sum.P_upper"])
             lower = Fraction(report["stage.entropy-sum.P_lower"])
             assert bound == (upper - eta) * (lower - eta) - eta
-    assert sorted(kinds) == ["brackets"] * 2 + ["prefix"] * 3
+    assert sorted(kinds) == ["brackets"] * 3 + ["prefix"] * 3
 
 
 def test_close_pairs_keeps_every_candidate_in_the_match_goldens():
     """d = 16 lg^a n >= 32 exceeds n - 1 >= j - i at every n cell-fixing enumerates
     (n <= 28), so close-pairs cannot drop a pair."""
     match = [r for r in _golden_pipelines() if r["pipeline"] == "brackets"]
-    assert len(match) == 3
+    assert len(match) == 4
     for report in match:
         assert float(report["stage.good-cells.d"]) >= 32 > int(report["n"]) - 1
         assert report["stage.close-pairs.kept_pairs"] == report["stage.close-pairs.candidate_pairs"]
